@@ -28,6 +28,7 @@ from .linalg import (
     nullspace,
     orthonormal_columns,
     projector,
+    residual_scale,
     signature,
     solve_least_squares,
     subspace_gap,
@@ -49,6 +50,7 @@ __all__ = [
     "killing_form",
     "killing_invariance_residual",
     "nilpotency_class",
+    "place_action",
     "pullback_structure",
     "semidirect_sum",
     "signature",
@@ -262,6 +264,17 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(c, ip, labels)
 
 
+def place_action(c: np.ndarray, acting_idx, module_idx, mats: np.ndarray) -> None:
+    """Write an action of basis elements on a block into ``c``, mirrored exactly.
+
+    ``mats[a]`` is the matrix by which ``acting_idx[a]`` acts on the block
+    spanned by ``module_idx``, so ``c[a, x, y] = mats[a][y, x]`` and
+    ``c[x, a, y] = -mats[a][y, x]``.
+    """
+    c[np.ix_(acting_idx, module_idx, module_idx)] = mats.transpose(0, 2, 1)
+    c[np.ix_(module_idx, acting_idx, module_idx)] = -mats.transpose(2, 0, 1)
+
+
 def semidirect_sum(acting: LieAlgebra, rep, tol: float = JACOBI_TOL) -> LieAlgebra:
     """Semidirect sum of ``acting`` with the abelian ideal it acts on.
 
@@ -279,8 +292,7 @@ def semidirect_sum(acting: LieAlgebra, rep, tol: float = JACOBI_TOL) -> LieAlgeb
     comm = np.einsum("aij,bjk->abik", mats, mats)
     comm = comm - comm.transpose(1, 0, 2, 3)
     expect = np.einsum("abm,mik->abik", acting.c, mats)
-    scale = max(np.abs(mats).max(initial=0.0), 1.0)
-    hom_res = float(np.abs(comm - expect).max() / scale)
+    hom_res = float(np.abs(comm - expect).max() / residual_scale(mats))
     if hom_res >= tol:
         raise ValidationError(
             f"invalid representation: commutation residual {hom_res:.3e}", residual=hom_res
@@ -288,9 +300,7 @@ def semidirect_sum(acting: LieAlgebra, rep, tol: float = JACOBI_TOL) -> LieAlgeb
     da, dv = acting.dim, mats.shape[1]
     c = np.zeros((da + dv,) * 3)
     c[:da, :da, :da] = acting.c
-    for i in range(da):
-        c[i, da:, da:] = mats[i].T
-        c[da:, i, da:] = -mats[i].T
+    place_action(c, np.arange(da), np.arange(da, da + dv), mats)
     return LieAlgebra(c)
 
 
@@ -314,8 +324,7 @@ def subalgebra(alg: LieAlgebra, indices, tol: float = 1e-8) -> LieAlgebra:
     """
     idx = np.asarray(indices, dtype=int)
     comp = np.setdiff1d(np.arange(alg.dim), idx)
-    scale = max(np.abs(alg.c).max(initial=0.0), 1.0)
-    leak = np.abs(alg.c[np.ix_(idx, idx, comp)]).max(initial=0.0) / scale
+    leak = np.abs(alg.c[np.ix_(idx, idx, comp)]).max(initial=0.0) / residual_scale(alg.c)
     if leak >= tol:
         raise ValidationError(f"not a subalgebra: closure residual {leak:.3e}", residual=leak)
     sub = alg.c[np.ix_(idx, idx, idx)].copy()
@@ -333,7 +342,7 @@ def weyl_flip(alg: LieAlgebra, block_indices, tol: float = 1e-10) -> LieAlgebra:
     """
     b = np.asarray(block_indices, dtype=int)
     h = np.setdiff1d(np.arange(alg.dim), b)
-    scale = max(np.abs(alg.c).max(initial=0.0), 1.0)
+    scale = residual_scale(alg.c)
     bad = max(
         np.abs(alg.c[np.ix_(b, b, b)]).max(initial=0.0),
         np.abs(alg.c[np.ix_(h, b, h)]).max(initial=0.0),
@@ -367,15 +376,10 @@ def structure_constants_from_matrices(
     coeffs = solve_least_squares(flat.T, comms.reshape(k * k, -1).T)
     coeffs = coeffs.T.reshape(k, k, k)
     recon = np.einsum("abm,md->abd", coeffs, flat)
-    scale = max(np.abs(mats).max(initial=0.0), 1.0)
-    res = np.abs(recon - comms).max(initial=0.0) / scale
+    res = np.abs(recon - comms).max(initial=0.0) / residual_scale(mats)
     if res >= tol:
         raise ValidationError(f"matrices do not close under commutators ({res:.3e})", residual=res)
-    upper = np.zeros_like(coeffs)
-    for i in range(k):
-        for j in range(i + 1, k):
-            upper[i, j] = coeffs[i, j]
-    return antisymmetrized(upper)
+    return antisymmetrized(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +389,15 @@ def structure_constants_from_matrices(
 
 @dataclass
 class Subspace:
-    """Subspace of R^n stored as orthonormal basis columns."""
+    """Subspace of R^n stored as orthonormal basis columns.
+
+    ``indices`` holds the ambient coordinates of a coordinate subspace (see
+    :meth:`coordinate`) and is None for a general basis.
+    """
 
     ambient_dim: int
     basis: np.ndarray
+    indices: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -412,11 +421,13 @@ class Subspace:
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices) -> "Subspace":
-        idx = list(indices)
+        idx = tuple(int(i) for i in indices)
         b = np.zeros((ambient_dim, len(idx)))
         for col, i in enumerate(idx):
             b[i, col] = 1.0
-        return cls(ambient_dim, b)
+        sub = cls(ambient_dim, b)
+        sub.indices = idx
+        return sub
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -425,6 +436,12 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    def coordinate_indices(self) -> tuple[int, ...]:
+        """The ambient coordinates of a coordinate subspace; ValueError otherwise."""
+        if self.indices is None:
+            raise ValueError("not a coordinate subspace: its basis is not a set of unit vectors")
+        return self.indices
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))

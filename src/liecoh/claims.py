@@ -82,14 +82,15 @@ class VerificationReport:
         }
 
 
-def _report(claim_id, group, ok, computed, expected, provenance, residual, tolerance):
-    return VerificationReport(claim_id, group, "pass" if ok else "fail",
+def _report(ok, computed, expected, provenance, residual, tolerance):
+    """A claim's verdict; ``_run_one`` stamps the id and group from the registry."""
+    return VerificationReport("", "", "pass" if ok else "fail",
                               computed, expected, provenance,
                               float(residual), float(tolerance))
 
 
-def _residual_claim(claim_id, group, residual, tolerance, provenance):
-    return _report(claim_id, group, residual < tolerance, residual,
+def _residual_claim(residual, tolerance, provenance):
+    return _report(residual < tolerance, residual,
                    f"< {tolerance:g}", provenance, residual, tolerance)
 
 
@@ -113,7 +114,7 @@ SPHERE_TRANSITIVE_ROWS = (
 )
 
 
-def _claim_sphere_row(name, factory, iso_dim, cfg: RunConfig):
+def _claim_sphere_row(factory, iso_dim, cfg: RunConfig):
     rep = factory()
     coh = cohomogeneity(rep, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -122,8 +123,7 @@ def _claim_sphere_row(name, factory, iso_dim, cfg: RunConfig):
     computed = {"cohomogeneity": coh, "isotropy_dim": iso}
     expected = {"cohomogeneity": 1, "isotropy_dim": iso_dim}
     ok = computed == expected
-    return _report(f"coh1.{name}", "tables", ok, computed, expected,
-                   "sphere-transitive row", 0.0 if ok else 1.0, 0.0)
+    return _report(ok, computed, expected, "sphere-transitive row", 0.0 if ok else 1.0, 0.0)
 
 
 def _claim_reducible_row(row, cfg: RunConfig):
@@ -135,8 +135,8 @@ def _claim_reducible_row(row, cfg: RunConfig):
     computed = {"cohomogeneity": coh, "m2_kernel_dim": ker, "m1_nontrivial": nontrivial}
     expected = {"cohomogeneity": 2, "m2_kernel_dim": 0, "m1_nontrivial": True}
     ok = computed == expected
-    return _report(f"coh2.row{row}", "tables", ok, computed, expected,
-                   "reducible cohomogeneity-two row", 0.0 if ok else 1.0, 0.0)
+    return _report(ok, computed, expected, "reducible cohomogeneity-two row",
+                   0.0 if ok else 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,10 @@ def _claim_reducible_row(row, cfg: RunConfig):
 _MU_VALUES = ((1.0 / np.sqrt(2.0), "rt2inv"), (1.0, "1"), (2.0, "2"))
 
 
-def _claim_jacobi_valid(n, mu, tag, cfg: RunConfig):
+def _claim_jacobi_valid(n, mu, cfg: RunConfig):
     space = sps.build_clifford_space(sps.CliffordSpaceSpec(n, 2.0 * mu * mu, mu))
     res = la.jacobi_residual(space.algebra)
-    return _residual_claim(f"jacobi.construction.n{n}.mu_{tag}", "jacobi", res,
-                           cfg.tol_algebraic, "bracket-scale constraint, consistent side")
+    return _residual_claim(res, cfg.tol_algebraic, "bracket-scale constraint, consistent side")
 
 
 def _claim_jacobi_gate(n, cfg: RunConfig):
@@ -162,13 +161,12 @@ def _claim_jacobi_gate(n, cfg: RunConfig):
     except la.ValidationError as err:
         residual = err.residual
     ok = residual > 1e-3
-    return _report(f"jacobi.gate.n{n}", "jacobi", ok, residual, "> 0.001",
-                   "bracket-scale constraint, violated side", residual, 1e-3)
+    return _report(ok, residual, "> 0.001", "bracket-scale constraint, violated side",
+                   residual, 1e-3)
 
 
 def _claim_completion_n7(sign, cfg: RunConfig):
     sel = "negative-definite" if sign > 0 else ("signature", 8, 28)
-    name = "compact" if sign > 0 else "split"
     space = sps.build_clifford_space(
         sps.CliffordSpaceSpec(7, 1.0, 1.0 / np.sqrt(2.0), 1, ("completed", sel)))
     sig = la.signature(la.killing_form(space.algebra))
@@ -176,8 +174,8 @@ def _claim_completion_n7(sign, cfg: RunConfig):
     computed = {"dim": space.dim, "killing_signature": list(sig)}
     expected = {"dim": 36, "killing_signature": list(want)}
     ok = computed == expected
-    return _report(f"fingerprint.completion.n7.{name}", "jacobi", ok, computed, expected,
-                   "solver output + eigenvalue fingerprint", 0.0 if ok else 1.0, 0.0)
+    return _report(ok, computed, expected, "solver output + eigenvalue fingerprint",
+                   0.0 if ok else 1.0, 0.0)
 
 
 def _claim_completion_n6(cfg: RunConfig):
@@ -187,8 +185,8 @@ def _claim_completion_n6(cfg: RunConfig):
                 "empty": sol.empty}
     ok = (sol.nullity == 0) and (not sol.empty) and abelian_norm < cfg.tol_algebraic
     expected = {"nullity": 0, "abelian_solution_norm": 0.0, "empty": False}
-    return _report("fingerprint.completion.n6.rigid", "jacobi", ok, computed, expected,
-                   "solver rigidity in dimension 29", abelian_norm, cfg.tol_algebraic)
+    return _report(ok, computed, expected, "solver rigidity in dimension 29",
+                   abelian_norm, cfg.tol_algebraic)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +197,18 @@ HEISENBERG_CASES = ((1, 2), (2, 1), (3, 1), (6, 1), (7, 1))
 
 
 def _j_matrices(space: sps.ReductiveSpace) -> np.ndarray:
-    """Skew maps J_Z from the m2 x m2 -> m1 part of the bracket."""
-    m1 = [int(np.argmax(np.abs(col))) for col in space.blocks[0].basis.T]
-    m2 = [int(np.argmax(np.abs(col))) for col in space.blocks[1].basis.T]
+    """Skew maps J_Z from the m2 x m2 -> m1 part of the bracket.
+
+    Raises ``ValueError`` unless both blocks are coordinate blocks.
+    """
+    m1 = space.blocks[0].coordinate_indices()
+    m2 = space.blocks[1].coordinate_indices()
     c = space.algebra.c
     return np.array([c[np.ix_(m2, m2)][:, :, i].T for i in m1])
 
 
 def _claim_heisenberg(center, copies, cfg: RunConfig):
-    spec = sps.HeisenbergSpec(center, copies)
-    space = sps.build_heisenberg(spec)
+    space = sps.build_heisenberg(sps.HeisenbergSpec(center, copies))
     nil = sps.nilpotent_part(space)
     j = _j_matrices(space)
     d2 = j.shape[1]
@@ -224,8 +224,7 @@ def _claim_heisenberg(center, copies, cfg: RunConfig):
           and j_res < 1e-12)
     expected = {"center_dim": center, "nilpotency_class": 2,
                 "j_anticommutation_residual": "< 1e-12"}
-    return _report(f"heisenberg.{sps.heisenberg_label(spec)}", "heisenberg", ok,
-                   computed, expected, "nilpotent normal form", j_res, 1e-12)
+    return _report(ok, computed, expected, "nilpotent normal form", j_res, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +249,7 @@ def _claim_hyperbolic(field_name, rate, cfg: RunConfig):
             continue
         y /= np.linalg.norm(y)
         worst = max(worst, abs(geo.sectional_curvature(ms, x, y, r4) + rate * rate))
-    return _residual_claim(f"curvature.hyperbolic.{field_name}.rate{rate:g}", "curvature",
-                           worst, 1e-8, "constant negative curvature of the dilation model")
+    return _residual_claim(worst, 1e-8, "constant negative curvature of the dilation model")
 
 
 WARPED_CASES = (
@@ -284,16 +282,14 @@ def _claim_warped(name, interval, profile, fiber_dim, cfg: RunConfig):
         cf = geo.warped_sectional_curvature(w, t, plane)
         fd = geo.warped_sectional_fd(w, t, plane)
         worst = max(worst, abs(cf - fd))
-    return _residual_claim(f"curvature.warped.{name}", "curvature", worst, cfg.tol_fd,
-                           "closed form against independent fd oracle")
+    return _residual_claim(worst, cfg.tol_fd, "closed form against independent fd oracle")
 
 
 def _claim_flat_screw(cfg: RunConfig):
     space = sps.build_trivial_module_space("euclidean_screw", 1)
     r4 = geo.curvature_tensor(geo.InvariantMetricSpace(space))
     res = float(np.abs(r4).max(initial=0.0))
-    return _residual_claim("curvature.flat.euclidean_screw", "curvature", res, 1e-9,
-                           "flat simply transitive screw presentation")
+    return _residual_claim(res, 1e-9, "flat simply transitive screw presentation")
 
 
 def _claim_curvature_symmetries(cfg: RunConfig):
@@ -301,8 +297,7 @@ def _claim_curvature_symmetries(cfg: RunConfig):
     for sid in sps.catalog_ids():
         ms = geo.InvariantMetricSpace(sps.catalog_entry(sid))
         worst = max(worst, geo.curvature_symmetry_residual(geo.curvature_tensor(ms)))
-    return _residual_claim("curvature.symmetries.catalog", "curvature", worst, 1e-8,
-                           "tensor symmetries and first bianchi over the catalog")
+    return _residual_claim(worst, 1e-8, "tensor symmetries and first bianchi over the catalog")
 
 
 # ---------------------------------------------------------------------------
@@ -321,31 +316,29 @@ def _product_control_rep() -> Representation:
 
 def _claim_splitting_control(cfg: RunConfig):
     verdict = splitting_criterion(_product_control_rep(), range(3), range(3, 6))
-    return _report("splitting.control.product", "splitting", verdict is True, verdict, True,
-                   "factorwise product control", 0.0 if verdict else 1.0, 0.0)
+    return _report(verdict is True, verdict, True, "factorwise product control",
+                   0.0 if verdict else 1.0, 0.0)
 
 
 def _claim_splitting_catalog(space_id, cfg: RunConfig):
     space = sps.catalog_entry(space_id)
     rep, slices = sps.isotropy_representation(space)
     verdict = splitting_criterion(rep, slices[0], slices[1])
-    return _report(f"splitting.catalog.{space_id}", "splitting", verdict is False,
-                   verdict, False, "effectivity of the catalog isotropy actions",
+    return _report(verdict is False, verdict, False,
+                   "effectivity of the catalog isotropy actions",
                    0.0 if verdict is False else 1.0, 0.0)
 
 
 def _claim_catalog_count(cfg: RunConfig):
     n = len(sps.catalog_ids())
-    return _report("catalog.count", "catalog", n >= 16, n, ">= 16",
-                   "catalog enumeration", 0.0 if n >= 16 else 1.0, 0.0)
+    return _report(n >= 16, n, ">= 16", "catalog enumeration", 0.0 if n >= 16 else 1.0, 0.0)
 
 
 def _claim_catalog_cohomogeneity(space_id, cfg: RunConfig):
     space = sps.catalog_entry(space_id)
     rep, _ = sps.isotropy_representation(space)
     coh = cohomogeneity(rep, seed=cfg.seed)
-    return _report(f"catalog.cohomogeneity.{space_id}", "catalog", coh == 2, coh, 2,
-                   "isotropy cohomogeneity of every catalog entry",
+    return _report(coh == 2, coh, 2, "isotropy cohomogeneity of every catalog entry",
                    0.0 if coh == 2 else 1.0, 0.0)
 
 
@@ -356,7 +349,7 @@ def _claim_catalog_invariants(cfg: RunConfig):
         worst_j = max(worst_j, la.jacobi_residual(alg))
         worst_b = max(worst_b, la.killing_invariance_residual(alg))
     res = max(worst_j, worst_b)
-    return _residual_claim("catalog.invariants", "catalog", res, cfg.tol_algebraic,
+    return _residual_claim(res, cfg.tol_algebraic,
                            "jacobi and killing ad-invariance over the catalog")
 
 
@@ -368,8 +361,7 @@ def _claim_catalog_dims(cfg: RunConfig):
     expected = {"N(6,1).m_dim": 14, "Spin(9)/Spin(7).dim": 36,
                 "Spin(9)/Spin(7).blocks": [7, 8]}
     ok = computed == expected
-    return _report("catalog.dimensions", "catalog", ok, computed, expected,
-                   "named entry dimensions", 0.0 if ok else 1.0, 0.0)
+    return _report(ok, computed, expected, "named entry dimensions", 0.0 if ok else 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def build_claims() -> list[tuple[str, str, object]]:
 
     for name, factory, iso in SPHERE_TRANSITIVE_ROWS:
         claims.append((f"coh1.{name}", "tables",
-                       lambda cfg, n=name, f=factory, i=iso: _claim_sphere_row(n, f, i, cfg)))
+                       lambda cfg, f=factory, i=iso: _claim_sphere_row(f, i, cfg)))
     for row in (1, 2, 3, 4, 5):
         claims.append((f"coh2.row{row}", "tables",
                        lambda cfg, r=row: _claim_reducible_row(r, cfg)))
@@ -391,7 +383,7 @@ def build_claims() -> list[tuple[str, str, object]]:
     for n in (2, 3, 6, 7):
         for mu, tag in _MU_VALUES:
             claims.append((f"jacobi.construction.n{n}.mu_{tag}", "jacobi",
-                           lambda cfg, nn=n, m=mu, t=tag: _claim_jacobi_valid(nn, m, t, cfg)))
+                           lambda cfg, nn=n, m=mu: _claim_jacobi_valid(nn, m, cfg)))
         claims.append((f"jacobi.gate.n{n}", "jacobi",
                        lambda cfg, nn=n: _claim_jacobi_gate(nn, cfg)))
     claims.append(("fingerprint.completion.n7.compact", "jacobi",
@@ -446,8 +438,9 @@ def _run_one(entry, cfg: RunConfig) -> VerificationReport:
     try:
         rep = fn(cfg)
     except Exception as err:  # an internal failure is a reported failure
-        rep = VerificationReport(claim_id, group, "fail",
+        rep = VerificationReport("", "", "fail",
                                  f"internal error: {err}", None, "runner", 1.0, 0.0)
+    rep.claim_id, rep.group = claim_id, group
     rep.runtime_ms = int(round(1000 * (time.perf_counter() - t0)))
     return rep
 

@@ -104,26 +104,6 @@ class CliffordElement:
                 clean[idx] = float(coeff)
         self.blades = clean
 
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        if self.n != other.n:
-            raise ValueError("mismatched generator counts")
-        out = dict(self.blades)
-        for idx, coeff in other.blades.items():
-            out[idx] = out.get(idx, 0.0) + coeff
-        return CliffordElement(self.n, out)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "CliffordElement":
-        return CliffordElement(self.n, {i: factor * c for i, c in self.blades.items()})
-
-    def coefficient(self, idx: tuple[int, ...]) -> float:
-        return self.blades.get(tuple(idx), 0.0)
-
-    def grade(self) -> int:
-        return max((len(i) for i in self.blades), default=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CliffordElement) and self.n == other.n \
             and self.blades == other.blades

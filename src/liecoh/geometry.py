@@ -30,8 +30,9 @@ import numpy as np
 
 from .algebra import LieAlgebra, Subspace
 from .clifford import bivector_pairs, so_structure_tensor
+from .linalg import residual_scale
 from .reps import Representation, cohomogeneity, rep_direct_sum, trivial_representation
-from .spaces import ReductiveSpace, isotropy_representation
+from .spaces import ReductiveSpace, _isotropy_action, isotropy_representation
 
 __all__ = [
     "FD_STEP",
@@ -103,13 +104,8 @@ def _connection_data(ms: InvariantMetricSpace):
     mb = space.m_basis()
     amb = np.einsum("pi,qj,pql->ijl", mb, mb, alg.c)   # [m_i, m_j] ambient
     bm = np.einsum("ijl,lm->ijm", amb, mb)             # m-part coordinates
-    bk = np.einsum("ijl,lk->ijk", amb, kb) if kb.shape[1] else np.zeros(
-        (mb.shape[1], mb.shape[1], 0))
-    if kb.shape[1]:
-        km = np.einsum("pa,qi,pql->ail", kb, mb, alg.c)
-        rho = np.einsum("ail,lj->aji", km, mb)          # rho[a][j, i]
-    else:
-        rho = np.zeros((0, mb.shape[1], mb.shape[1]))
+    bk = np.einsum("ijl,lk->ijk", amb, kb)
+    _, rho = _isotropy_action(alg, kb, mb)              # rho[a][j, i]
     return bm, bk, rho
 
 
@@ -137,7 +133,7 @@ def curvature_tensor(ms: InvariantMetricSpace) -> np.ndarray:
 
 def curvature_symmetry_residual(r4: np.ndarray) -> float:
     """Worst violation among pair symmetry, antisymmetries and first Bianchi."""
-    scale = max(np.abs(r4).max(initial=0.0), 1.0)
+    scale = residual_scale(r4)
     res = max(
         np.abs(r4 + r4.transpose(1, 0, 2, 3)).max(initial=0.0),
         np.abs(r4 + r4.transpose(0, 1, 3, 2)).max(initial=0.0),

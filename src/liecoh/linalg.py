@@ -15,6 +15,11 @@ import numpy as np
 RANK_RTOL = 1e-8
 
 
+def residual_scale(a: np.ndarray) -> float:
+    """Largest magnitude in ``a``, at least 1: the divisor of relative residuals."""
+    return max(np.abs(a).max(initial=0.0), 1.0)
+
+
 def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Numerical rank with a cutoff relative to the largest singular value."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -117,8 +122,3 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
         n = np.linalg.norm(v)
         if n > 1e-12:
             return v / n
-
-
-def derived_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for a sub-stream of a seeded computation."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream)))

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, Subspace, bracket
+from .algebra import LieAlgebra, Subspace
 from .linalg import (
     RANK_RTOL,
     matrix_rank,
     nullspace,
     random_unit_vector,
+    residual_scale,
 )
 
 __all__ = [
@@ -88,14 +89,13 @@ class Representation:
         comm = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
         comm = comm - comm.transpose(1, 0, 2, 3)
         expect = np.einsum("abm,mik->abik", self.algebra.c, self.matrices)
-        scale = max(np.abs(self.matrices).max(initial=0.0), 1.0)
-        return float(np.abs(comm - expect).max(initial=0.0) / scale)
+        return float(np.abs(comm - expect).max(initial=0.0) / residual_scale(self.matrices))
 
     def skewness_residual(self) -> float:
         g = self.inner_product
         t = np.einsum("ij,ajk->aik", g, self.matrices)
         return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0)
-                     / max(np.abs(self.matrices).max(initial=0.0), 1.0))
+                     / residual_scale(self.matrices))
 
     def validate(self, tol: float = 1e-9) -> "Representation":
         hr = self.homomorphism_residual()
@@ -206,8 +206,7 @@ def kernel_ideal(rep: Representation, rtol: float = RANK_RTOL,
         # bracket closure [g, ker] inside ker
         imgs = np.einsum("ijl,jm->lim", rep.algebra.c, ker.basis).reshape(d, -1)
         resid = imgs - ker.projector() @ imgs
-        scale = max(np.abs(imgs).max(initial=0.0), 1.0)
-        if np.abs(resid).max(initial=0.0) / scale >= tol:
+        if np.abs(resid).max(initial=0.0) / residual_scale(imgs) >= tol:
             raise ValueError("representation kernel is not an ideal (inconsistent input)")
     return ker
 
@@ -262,7 +261,7 @@ def block_invariance_residual(rep: Representation, indices) -> float:
     if comp.size == 0 or idx.size == 0:
         return 0.0
     leak = np.abs(rep.matrices[:, comp[:, None], idx[None, :]]).max(initial=0.0)
-    return float(leak / max(np.abs(rep.matrices).max(initial=0.0), 1.0))
+    return float(leak / residual_scale(rep.matrices))
 
 
 def restrict(rep: Representation, indices, tol: float = 1e-8) -> Representation:

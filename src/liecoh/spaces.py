@@ -35,6 +35,7 @@ from .algebra import (
     direct_sum,
     jacobi_residual,
     killing_form,
+    place_action,
     require_valid,
     structure_constants_from_matrices,
     subalgebra,
@@ -46,10 +47,16 @@ from .builders import (
     realify_complex,
     su_basis,
 )
-from .clifford import bivector_pairs, so_structure_tensor
+from .clifford import bivector_pairs, so_structure_tensor, so_vector_matrices
 from .completion import CompletionProblem, CompletionSolution, complete_bracket
-from .linalg import signature
-from .reps import Representation, fixed_subspace, kernel_ideal, restrict
+from .linalg import residual_scale, signature
+from .reps import (
+    Representation,
+    block_invariance_residual,
+    fixed_subspace,
+    kernel_ideal,
+    restrict,
+)
 
 __all__ = [
     "CliffordSpaceSpec",
@@ -133,6 +140,24 @@ def _coordinate_space(label, alg, k_dim, block_dims, notes=()) -> ReductiveSpace
                           tuple(blocks), tuple(notes))
 
 
+def _span_subalgebra(alg: LieAlgebra, basis: np.ndarray) -> tuple[LieAlgebra, float]:
+    """Structure constants on the span of orthonormal columns, with its closure residual.
+
+    The residual is the largest bracket component leaving the span, relative
+    to the largest structure constant of ``alg``.
+    """
+    amb = np.einsum("pa,qb,pql->abl", basis, basis, alg.c)
+    sub = np.einsum("abl,lc->abc", amb, basis)
+    leak = np.abs(amb - np.einsum("abc,lc->abl", sub, basis)).max(initial=0.0)
+    return LieAlgebra(0.5 * (sub - sub.transpose(1, 0, 2))), float(leak / residual_scale(alg.c))
+
+
+def _isotropy_action(alg: LieAlgebra, kb: np.ndarray, mb: np.ndarray):
+    """Brackets ``km[a, i] = [k_a, m_i]`` and their m-coordinates ``rho[a][j, i]``."""
+    km = np.einsum("pa,qi,pql->ail", kb, mb, alg.c)
+    return km, np.einsum("ail,lj->aji", km, mb)
+
+
 def isotropy_representation(space: ReductiveSpace, tol: float = 1e-8):
     """Isotropy action of k on m in block coordinates.
 
@@ -141,38 +166,19 @@ def isotropy_representation(space: ReductiveSpace, tol: float = 1e-8):
     the blocks.  Verifies closure of k and invariance of every block.
     """
     alg = space.algebra
-    kb = space.isotropy.basis
     mb = space.m_basis()
-    dk, dm = kb.shape[1], mb.shape[1]
-    scale = max(np.abs(alg.c).max(initial=0.0), 1.0)
-
-    if dk:
-        kk = np.einsum("pa,qb,pql->abl", kb, kb, alg.c)
-        ck = np.einsum("abl,lc->abc", kk, kb)
-        leak = np.abs(kk - np.einsum("abc,lc->abl", ck, kb)).max(initial=0.0)
-        if leak / scale >= tol:
-            raise ValidationError(
-                f"isotropy is not a subalgebra (residual {leak / scale:.3e})")
-        ck = 0.5 * (ck - ck.transpose(1, 0, 2))
-        k_alg = LieAlgebra(ck)
-        km = np.einsum("pa,qi,pql->ail", kb, mb, alg.c)
-        mats = np.einsum("ail,lj->aji", km, mb)
-        leak = np.abs(km - np.einsum("aji,lj->ail", mats, mb)).max(initial=0.0)
-        if leak / scale >= tol:
-            raise ValidationError(
-                f"blocks are not invariant under k (residual {leak / scale:.3e})")
-    else:
-        k_alg = LieAlgebra(np.zeros((0, 0, 0)))
-        mats = np.zeros((0, dm, dm))
+    k_alg, leak = _span_subalgebra(alg, space.isotropy.basis)
+    if leak >= tol:
+        raise ValidationError(f"isotropy is not a subalgebra (residual {leak:.3e})")
+    km, mats = _isotropy_action(alg, space.isotropy.basis, mb)
+    leak = np.abs(km - np.einsum("aji,lj->ail", mats, mb)).max(initial=0.0) / residual_scale(alg.c)
+    if leak >= tol:
+        raise ValidationError(f"blocks are not invariant under k (residual {leak:.3e})")
     rep = Representation(k_alg, mats)
-
-    for idx in space.block_slices():
-        comp = np.setdiff1d(np.arange(dm), idx)
-        if comp.size and len(idx) and dk:
-            leak = np.abs(mats[:, comp[:, None], np.asarray(idx)[None, :]]).max(initial=0.0)
-            if leak / scale >= tol:
-                raise ValidationError("a designated block is not invariant under k")
-    return rep, space.block_slices()
+    slices = space.block_slices()
+    if any(block_invariance_residual(rep, idx) >= tol for idx in slices):
+        raise ValidationError("a designated block is not invariant under k")
+    return rep, slices
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +235,8 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
     c = np.zeros((d, d, d))
 
     c[np.ix_(k_idx, k_idx, k_idx)] = data.algebra.c
-    # k acting on m1 and m2: c[a, x, y] = rho(a)[y, x], mirrored exactly
-    c[np.ix_(k_idx, m1_idx, m1_idx)] = data.m1_matrices.transpose(0, 2, 1)
-    c[np.ix_(m1_idx, k_idx, m1_idx)] = -data.m1_matrices.transpose(2, 0, 1)
-    c[np.ix_(k_idx, m2_idx, m2_idx)] = data.m2_matrices.transpose(0, 2, 1)
-    c[np.ix_(m2_idx, k_idx, m2_idx)] = -data.m2_matrices.transpose(2, 0, 1)
+    place_action(c, k_idx, m1_idx, data.m1_matrices)
+    place_action(c, k_idx, m2_idx, data.m2_matrices)
 
     # [e_i, e_j] = 2 lam L_ij
     for p, (i, j) in enumerate(bivector_pairs(spec.n)):
@@ -242,10 +245,7 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
 
     # [e_i, w] = mu Gamma_i w on each module copy
     gam = np.array([np.kron(np.eye(spec.copies), g) for g in data.module.gammas])
-    for i in range(spec.n):
-        blk = spec.mu * gam[i].T  # [alpha, beta] = mu Gamma_i[beta, alpha]
-        c[m1_idx[i], m2_idx[:, None], m2_idx[None, :]] = blk
-        c[m2_idx[:, None], m1_idx[i], m2_idx[None, :]] = -blk
+    place_action(c, m1_idx, m2_idx, spec.mu * gam)
     labels = tuple(
         [f"L{i}{j}" for i, j in bivector_pairs(spec.n)]
         + [f"s{a}" for a in range(data.k1_dim)]
@@ -358,13 +358,8 @@ def clifford_g1(n: int, lam: float) -> LieAlgebra:
     d = k_dim + n
     c = np.zeros((d, d, d))
     c[:k_dim, :k_dim, :k_dim] = so_structure_tensor(n)
-    from .clifford import so_vector_matrices
-
-    a_mats = so_vector_matrices(n)
-    ix_k = np.arange(k_dim)
     ix_m = np.arange(k_dim, d)
-    c[np.ix_(ix_k, ix_m, ix_m)] = a_mats.transpose(0, 2, 1)
-    c[np.ix_(ix_m, ix_k, ix_m)] = -a_mats.transpose(2, 0, 1)
+    place_action(c, np.arange(k_dim), ix_m, so_vector_matrices(n))
     for p, (i, j) in enumerate(bivector_pairs(n)):
         c[ix_m[i - 1], ix_m[j - 1], p] = 2.0 * lam
         c[ix_m[j - 1], ix_m[i - 1], p] = -2.0 * lam
@@ -434,10 +429,8 @@ def _heisenberg_center_one(spec: HeisenbergSpec, note: str | None) -> ReductiveS
     d = dk + 1 + dm2
     c = np.zeros((d, d, d))
     c[:dk, :dk, :dk] = k_alg.c
-    ix_k = np.arange(dk)
     ix_m2 = np.arange(dk + 1, d)
-    c[np.ix_(ix_k, ix_m2, ix_m2)] = mats.transpose(0, 2, 1)
-    c[np.ix_(ix_m2, ix_k, ix_m2)] = -mats.transpose(2, 0, 1)
+    place_action(c, np.arange(dk), ix_m2, mats)
     if spec.kappa != 0.0:
         f = realify_complex(1.0j * np.eye(k))  # the invariant complex structure
         c[np.ix_(ix_m2, ix_m2, [dk])] = f.T[:, :, None]
@@ -448,9 +441,11 @@ def _heisenberg_center_one(spec: HeisenbergSpec, note: str | None) -> ReductiveS
 
 
 def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:
-    """The ideal m1 + m2 of a nilpotent-type space as an algebra of its own."""
-    mb = space.m_basis()
-    idx = [int(np.argmax(np.abs(col))) for col in mb.T]
+    """The ideal m1 + m2 of a nilpotent-type space as an algebra of its own.
+
+    Raises ``ValueError`` unless every block is a coordinate block.
+    """
+    idx = [i for b in space.blocks for i in b.coordinate_indices()]
     return subalgebra(space.algebra, idx)
 
 
@@ -516,9 +511,7 @@ def _euclidean_screw(n: int) -> ReductiveSpace:
     d = 1 + 2 * n
     c = np.zeros((d, d, d))
     j = realify_complex(1.0j * np.eye(n))
-    ix_m2 = np.arange(1, d)
-    c[np.ix_([0], ix_m2, ix_m2)] = j.T[None]
-    c[np.ix_(ix_m2, [0], ix_m2)] = -j.T[:, None, :]
+    place_action(c, [0], np.arange(1, d), j[None])
     alg = LieAlgebra(c)
     require_valid(alg, JACOBI_TOL, "screw group")
     return _coordinate_space(f"R|xC^{n} screw", alg, 0, (1, 2 * n),
@@ -539,13 +532,8 @@ def flat_unitary_space(n: int = 3, det_power: int = 1) -> ReductiveSpace:
     d = dk + 2 + 2 * n
     c = np.zeros((d, d, d))
     c[:dk, :dk, :dk] = k_alg.c
-    ix_m1 = np.arange(dk, dk + 2)
-    ix_m2 = np.arange(dk + 2, d)
-    ix_k = np.arange(dk)
-    c[np.ix_(ix_k, ix_m1, ix_m1)] = m1.transpose(0, 2, 1)
-    c[np.ix_(ix_m1, ix_k, ix_m1)] = -m1.transpose(2, 0, 1)
-    c[np.ix_(ix_k, ix_m2, ix_m2)] = m2.transpose(0, 2, 1)
-    c[np.ix_(ix_m2, ix_k, ix_m2)] = -m2.transpose(2, 0, 1)
+    place_action(c, np.arange(dk), np.arange(dk, dk + 2), m1)
+    place_action(c, np.arange(dk), np.arange(dk + 2, d), m2)
     alg = LieAlgebra(c)
     require_valid(alg, JACOBI_TOL, "flat unitary construction")
     return _coordinate_space(f"U({n}) det^{det_power} flat", alg, dk, (2, 2 * n))
@@ -595,21 +583,11 @@ def hyperbolic_semidirect(spec: SemidirectHyperbolicSpec) -> ReductiveSpace:
                                                 quaternion_left((0.0, 1.0, 0.0, 0.0)))
     d = 1 + e
     c = np.zeros((d, d, d))
-    ix = np.arange(1, d)
-    c[np.ix_([0], ix, ix)] = deriv.T[None]
-    c[np.ix_(ix, [0], ix)] = -deriv.T[:, None, :]
+    place_action(c, [0], np.arange(1, d), deriv[None])
     alg = LieAlgebra(c)
     require_valid(alg, JACOBI_TOL, "solvable extension")
     label = f"R|x{spec.field}^{spec.copies}(rate={spec.rate:g})"
     return _coordinate_space(label, alg, 0, (1, e))
-
-
-def semidirect_derivation(space: ReductiveSpace) -> np.ndarray:
-    """ad of the rank-one generator restricted to the abelian ideal."""
-    xi = space.blocks[0].basis[:, 0]
-    a = ad_matrix(space.algebra, xi)
-    ix = [int(np.argmax(np.abs(col))) for col in space.blocks[1].basis.T]
-    return a[np.ix_(ix, ix)]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +610,7 @@ class G1Refusal(ValidationError):
         self.witness = witness
 
 
-def build_g1(space: ReductiveSpace, tol: float = 1e-10) -> tuple[LieAlgebra, G1Report]:
+def build_g1(space: ReductiveSpace) -> tuple[LieAlgebra, G1Report]:
     """The subalgebra spanned by k and the first block, with a closure report.
 
     Hypothesis check: the kernel N1 of the isotropy action on m1 must have no
@@ -640,7 +618,8 @@ def build_g1(space: ReductiveSpace, tol: float = 1e-10) -> tuple[LieAlgebra, G1R
     witness.  When N1 is trivial at the algebra level the test is
     inconclusive (a finite kernel such as a central involution can still act
     freely), so closure is checked directly; the report records which path
-    certified the result.
+    certified the result.  Either way k + m1 must close under the bracket
+    within a relative residual of 1e-8, or ``ValidationError`` is raised.
     """
     if len(space.blocks) < 2:
         raise ValueError("two blocks are required")
@@ -657,18 +636,10 @@ def build_g1(space: ReductiveSpace, tol: float = 1e-10) -> tuple[LieAlgebra, G1R
     else:
         mode = "closure-direct"
 
-    kb = space.isotropy.basis
-    g1_basis = np.hstack([kb, space.blocks[0].basis])
-    amb = np.einsum("pa,qb,pql->abl", g1_basis, g1_basis, space.algebra.c)
-    proj = g1_basis @ g1_basis.T
-    leak = amb - np.einsum("abl,lm->abm", amb, proj)
-    scale = max(np.abs(space.algebra.c).max(initial=0.0), 1.0)
-    closure = float(np.abs(leak).max(initial=0.0) / scale)
+    g1_basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
+    g1, closure = _span_subalgebra(space.algebra, g1_basis)
     if closure >= 1e-8:
         raise ValidationError(f"k + m1 is not closed (residual {closure:.3e})")
-    cg1 = np.einsum("abl,lc->abc", amb, g1_basis)
-    cg1 = 0.5 * (cg1 - cg1.transpose(1, 0, 2))
-    g1 = LieAlgebra(cg1)
     require_valid(g1, 1e-8, "k + m1 subalgebra")
     return g1, G1Report(closure, n1.dim, mode)
 
@@ -732,7 +703,7 @@ def ad_eigenspace_decomposition(space: ReductiveSpace, xi=None,
     span = np.hstack([np.real(eigvecs[:, mask]), np.imag(eigvecs[:, mask])])
     span = orthonormal_columns(span)
     resid = 0.0
-    scale = max(np.abs(space.algebra.c).max(initial=0.0), 1.0)
+    scale = residual_scale(space.algebra.c)
     for i in range(span.shape[1]):
         for j in range(i + 1, span.shape[1]):
             v = np.einsum("p,q,pql->l", span[:, i], span[:, j], space.algebra.c)
@@ -751,7 +722,7 @@ def verify_flatness(space: ReductiveSpace, tol: float = 1e-9) -> bool:
     """
     mb = space.m_basis()
     amb = np.einsum("pa,qb,pql->abl", mb, mb, space.algebra.c)
-    scale = max(np.abs(space.algebra.c).max(initial=0.0), 1.0)
+    scale = residual_scale(space.algebra.c)
     abelian_ideal = float(np.abs(amb).max(initial=0.0) / scale) < tol
     from .geometry import InvariantMetricSpace, curvature_tensor
 

@@ -309,3 +309,14 @@ def test_subspace_basics():
     assert not s.equals(t)
     assert t.equals(Subspace.from_spanning(4, np.array([[1.0, 1.0], [1.0, -1.0],
                                                         [0.0, 0.0], [0.0, 0.0]])))
+
+
+def test_coordinate_subspace_keeps_its_indices():
+    idx = [3, 0, 2]
+    sub = Subspace.coordinate(5, idx)
+    assert sub.indices == tuple(idx)
+    assert sub.coordinate_indices() == tuple(idx)
+    general = Subspace.from_spanning(5, np.eye(5)[:, idx])
+    assert general.indices is None
+    with pytest.raises(ValueError):
+        general.coordinate_indices()

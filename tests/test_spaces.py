@@ -352,3 +352,15 @@ def test_g1_closure_across_catalog():
         g1, report = build_g1(space)
         assert report.closure_residual < 1e-12, sid
         assert g1.dim == space.isotropy.dim + space.blocks[0].dim, sid
+
+
+def test_index_recovery_refuses_non_coordinate_blocks():
+    """The diagonal blocks of the group manifold have no coordinate indices."""
+    from liecoh.claims import _j_matrices
+
+    space = catalog_entry("SU(3)xSU(3)/dSU(3)")
+    assert all(b.indices is None for b in space.blocks)
+    with pytest.raises(ValueError):
+        nilpotent_part(space)
+    with pytest.raises(ValueError):
+        _j_matrices(space)
