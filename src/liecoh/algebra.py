@@ -167,10 +167,11 @@ def ad_matrix(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
 def jacobiator(alg: LieAlgebra) -> np.ndarray:
     """Tensor ``J[i,j,k,:] = [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]``."""
     c = alg.c
-    t1 = np.einsum("ijm,mkl->ijkl", c, c)
-    t2 = np.einsum("jkm,mil->ijkl", c, c)
-    t3 = np.einsum("kim,mjl->ijkl", c, c)
-    return t1 + t2 + t3
+    d = c.shape[0]
+    # t1[i,j,k,l] = [[b_i,b_j],b_k]_l as one matrix product; the other two
+    # terms are its cyclic transposes in (i, j, k)
+    t1 = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape(d, d, d, d)
+    return t1 + t1.transpose(2, 0, 1, 3) + t1.transpose(1, 2, 0, 3)
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:

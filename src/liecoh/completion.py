@@ -8,11 +8,18 @@ the full tensor satisfies the Jacobi identity.
 When the target subspace is disjoint from the span of S (checked, otherwise
 the problem is rejected as nonlinearly coupled), every Jacobi component is an
 affine function of the unknown coefficients: unknowns enter each bracket
-chain at most once.  The stacked linear system is solved by singular value
-decomposition, which is robust to the heavy redundancy among Jacobi
-constraints; the solution set is returned as a particular least-squares
-solution plus an orthonormal nullspace basis, or reported empty when even the
-best completion leaves a residual above tolerance.
+chain at most once.  The linear system is assembled as sparse (row, column,
+value) triplets, one row per basis triple and output coordinate that touches
+an unknown.  Unknowns that share no row are independent, so the system is
+block diagonal after a permutation: it is split into the connected components
+of its row-column incidence graph, and each component is densified and
+solved by its own singular value decomposition, which is robust to the heavy
+redundancy among Jacobi constraints.  The singular values of the whole system
+are the union of the per-component ones, and one rank cutoff relative to the
+largest of them applies to every component.  The solution set is returned as
+a particular least-squares solution plus an orthonormal nullspace basis, or
+reported empty when even the best completion leaves a residual above
+tolerance.
 """
 
 from __future__ import annotations
@@ -104,117 +111,197 @@ def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
     return LieAlgebra(c, alg.inner_product, alg.labels, alg.notes)
 
 
-def _candidate_triples(c: np.ndarray, s: frozenset[int]) -> list[tuple[int, int, int]]:
-    """Basis triples whose Jacobi expansion can touch an unknown bracket."""
+def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, return_inverse=True)`` for a 1-d integer array.
+
+    Written out because ``np.unique`` imports ``numpy.ma`` on first use,
+    which costs more than a small solve.
+    """
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = sorted_a[1:] != sorted_a[:-1]
+    inverse = np.empty(a.size, dtype=int)
+    inverse[order] = np.cumsum(first) - 1
+    return sorted_a[first], inverse
+
+
+def _cyclic_order(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Distinct (x, y, z) that are a cyclic rotation of their sorted triple."""
+    distinct = (x != y) & (y != z) & (z != x)
+    inversions = (x > y).astype(int) + (x > z) + (y > z)
+    return distinct & (inversions % 2 == 0)
+
+
+def _assemble(problem: CompletionProblem):
+    """Sparse Jacobi system ``A u = b`` in the unknown coefficients.
+
+    Rows are the pairs (sorted basis triple i < j < k, output coordinate l)
+    that touch an unknown; every Jacobi chain [[b_x, b_y], b_z] over a cyclic
+    rotation (x, y, z) of the triple contributes in one of two ways:
+
+    * (x, y) is an unknown pair: its coefficients enter through [t_a, b_z];
+    * z is in S and the fixed bracket [b_x, b_y] has an S-component b_m: the
+      unknown pair (m, z) enters through its target basis vectors.
+
+    Returns ``(row, col, val, rhs)``: coalesced nonzero entries of ``A`` (row
+    indices into ``rhs``) and ``b``, the negated skeleton jacobiator on each
+    row.  Rows without unknowns are left out; only the final residual check
+    sees them.
+    """
+    c = problem.skeleton.c
     d = c.shape[0]
-    out = []
-    s_arr = sorted(s)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                trip = (i, j, k)
-                hits = sum(1 for t in trip if t in s)
-                if hits >= 2:
-                    out.append(trip)
-                elif hits == 1:
-                    # one index in S: an unknown appears only through the
-                    # S-components of the fixed bracket of the other two
-                    others = [t for t in trip if t not in s]
-                    if np.abs(c[others[0], others[1], s_arr]).max(initial=0.0) > 0.0:
-                        out.append(trip)
-    return out
+    t = problem.target.basis
+    q = t.shape[1]
+    s_arr = np.array(problem.unknown_indices)
+    nunk = len(problem.pairs) * q
+
+    # pair number and orientation of every ordered unknown pair, -1 elsewhere
+    pidx = np.full((d, d), -1)
+    psign = np.zeros((d, d))
+    for p, (a, b) in enumerate(problem.pairs):
+        pidx[a, b] = pidx[b, a] = p
+        psign[a, b], psign[b, a] = 1.0, -1.0
+
+    # unknown pair (x, y), then [t_a, b_z] for every target basis vector
+    ad_t = np.einsum("ma,mzl->zal", t, c)
+    px, py = np.nonzero(pidx >= 0)
+    x1, y1 = np.repeat(px, d), np.repeat(py, d)
+    z1 = np.tile(np.arange(d), px.size)
+    keep = _cyclic_order(x1, y1, z1)
+    x1, y1, z1 = x1[keep], y1[keep], z1[keep]
+    g, a1, l1 = np.nonzero(ad_t[z1])
+    x1, y1, z1 = x1[g], y1[g], z1[g]
+    col1 = pidx[x1, y1] * q + a1
+    val1 = psign[x1, y1] * ad_t[z1, a1, l1]
+
+    # fixed bracket [b_x, b_y] with S-component b_m, then unknown pair (m, z)
+    cx, cy, cm = np.nonzero(c[:, :, s_arr])
+    ns = s_arr.size
+    x2, y2 = np.repeat(cx, ns), np.repeat(cy, ns)
+    m2 = np.repeat(s_arr[cm], ns)
+    z2 = np.tile(s_arr, cx.size)
+    keep = _cyclic_order(x2, y2, z2) & (m2 != z2)
+    x2, y2, z2, m2 = x2[keep], y2[keep], z2[keep], m2[keep]
+    w2 = c[x2, y2, m2] * psign[m2, z2]
+    tl, ta = np.nonzero(t)
+    g = np.repeat(np.arange(x2.size), tl.size)
+    e = np.tile(np.arange(tl.size), x2.size)
+    x2, y2, z2 = x2[g], y2[g], z2[g]
+    l2 = tl[e]
+    col2 = pidx[m2[g], z2] * q + ta[e]
+    val2 = w2[g] * t[tl, ta][e]
+
+    x, y, z = (np.concatenate(v) for v in ((x1, x2), (y1, y2), (z1, z2)))
+    lo = np.minimum(np.minimum(x, y), z)
+    hi = np.maximum(np.maximum(x, y), z)
+    row_key = ((lo * d + (x + y + z - lo - hi)) * d + hi) * d + np.concatenate((l1, l2))
+    entry_key, inverse = _unique(row_key * nunk + np.concatenate((col1, col2)))
+    val = np.bincount(inverse, weights=np.concatenate((val1, val2)))
+    nz = val != 0.0
+    entry_key, val = entry_key[nz], val[nz]
+    rows, row = _unique(entry_key // nunk)
+    col = entry_key % nunk
+
+    l, rest = rows % d, rows // d
+    k, rest = rest % d, rest // d
+    j, i = rest % d, rest // d
+    ct = np.moveaxis(c, 0, 2)  # ct[z, l, m] = c[m, z, l]
+    rhs = -((c[i, j] * ct[k, l]).sum(axis=1) + (c[j, k] * ct[i, l]).sum(axis=1)
+            + (c[k, i] * ct[j, l]).sum(axis=1))
+    return row, col, val, rhs
+
+
+def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
+    """Component label (its smallest column) of every column.
+
+    Columns are linked when a row touches both; the labels are found by
+    minimum-label propagation through the rows, with one pointer jump per
+    sweep (a label is always a column of the same component, never larger
+    than the column it labels).
+    """
+    label = np.arange(ncols)
+    while True:
+        row_min = np.full(nrows, ncols)
+        np.minimum.at(row_min, row, label[col])
+        new = label.copy()
+        np.minimum.at(new, col, row_min[row])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def complete_bracket(problem: CompletionProblem, tol: float = JACOBI_TOL) -> CompletionSolution:
     """Solve for all Jacobi-compatible fillings of the unknown block.
 
+    The sparse system is split into connected components (unknowns linked
+    through shared rows), and each is factorised by its own dense SVD.  A
+    column that no row touches is a component of its own, with one zero
+    singular value.  ``singular_values`` is the union of the per-component
+    values in descending order; one cutoff, ``RANK_RTOL`` times the largest
+    of them, decides the rank of every component.  The particular solution is
+    the sum of the per-component minimum-norm solutions, and the homogeneous
+    basis is the direct sum of the per-component nullspaces, ordered by the
+    smallest column of their component, each oriented so that its
+    largest-magnitude coefficient is positive.
+
     Returns a ``CompletionSolution``; an empty solution set (no filling meets
-    the tolerance) is a valid outcome reported through ``empty=True``, not an
-    exception.  A problem whose target overlaps the unknown coordinate span
-    is rejected (the Jacobi system would be quadratic in the unknowns).
+    the tolerance, or the residual is not finite) is a valid outcome reported
+    through ``empty=True``, not an exception.  A problem whose target
+    overlaps the unknown coordinate span is rejected (the Jacobi system would
+    be quadratic in the unknowns).
     """
     alg = problem.skeleton
-    d = alg.dim
-    s = frozenset(problem.unknown_indices)
+    s = sorted(problem.unknown_indices)
     t = problem.target.basis
     q = t.shape[1]
-    pairs = problem.pairs
-    npairs = len(pairs)
+    npairs = len(problem.pairs)
     nunk = npairs * q
-    pair_index = {}
-    for p, (a, b) in enumerate(pairs):
-        pair_index[(a, b)] = (p, 1.0)
-        pair_index[(b, a)] = (p, -1.0)
 
-    if np.abs(t[sorted(s), :]).max(initial=0.0) > 0.0:
+    if np.abs(t[s, :]).max(initial=0.0) > 0.0:
         raise ValueError("nonlinear unknown coupling: target meets the unknown coordinate span")
-    if np.abs(alg.c[np.ix_(sorted(s), sorted(s))]).max(initial=0.0) > 0.0:
+    if np.abs(alg.c[np.ix_(s, s)]).max(initial=0.0) > 0.0:
         raise ValueError("skeleton already fixes brackets inside the unknown block")
     if nunk == 0:
         res = jacobi_residual(alg)
         return CompletionSolution(problem, np.zeros((0, q)), np.zeros((0, 0, q)), res,
-                                  res >= tol, np.zeros(0))
+                                  not res < tol, np.zeros(0))
 
-    # [t_alpha, b_z] for every target basis vector, rows indexed by z
-    ad_t = np.einsum("ma,mzl->azl", t, alg.c)
+    row, col, val, rhs = _assemble(problem)
+    label = _components(row, col, rhs.size, nunk)
+    entry_label = label[col]
+    blocks = []
+    for root in np.flatnonzero(label == np.arange(nunk)):
+        cols = np.flatnonzero(label == root)
+        entries = np.flatnonzero(entry_label == root)
+        rows, local_row = _unique(row[entries])
+        # pad to at least one row per column so vt spans every column
+        a = np.zeros((max(rows.size, cols.size), cols.size))
+        a[local_row, np.searchsorted(cols, col[entries])] = val[entries]
+        b = np.zeros(a.shape[0])
+        b[:rows.size] = rhs[rows]
+        u_svd, sv, vt = np.linalg.svd(a, full_matrices=False)
+        blocks.append((cols, u_svd.T @ b, sv, vt))
 
-    c = alg.c
-    rows_a: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
-    s_arr = sorted(s)
-    for trip in _candidate_triples(c, s):
-        block = np.zeros((nunk, d))
-        fixed = np.zeros(d)
-        for (x, y, z) in ((trip[0], trip[1], trip[2]),
-                          (trip[1], trip[2], trip[0]),
-                          (trip[2], trip[0], trip[1])):
-            key = pair_index.get((x, y))
-            if key is not None:
-                # [[b_x, b_y], b_z] with (x, y) unknown
-                p, sign = key
-                block[p * q:(p + 1) * q, :] += sign * ad_t[:, z, :]
-            else:
-                # fixed bracket first; its S-components then hit unknown pairs
-                fixed += np.einsum("m,ml->l", c[x, y, :], c[:, z, :])
-                if z in s:
-                    for m in s_arr:
-                        cm = c[x, y, m]
-                        if cm != 0.0 and m != z:
-                            p, sign = pair_index[(m, z)]
-                            block[p * q:(p + 1) * q, :] += cm * sign * t.T
-        keep = np.abs(block).max(axis=0) + np.abs(fixed) > 0.0
-        if np.any(keep):
-            rows_a.append(block[:, keep].T)
-            rows_b.append(-fixed[keep])
-
-    if rows_a:
-        a_mat = np.vstack(rows_a)
-        b_vec = np.concatenate(rows_b)
-    else:
-        a_mat = np.zeros((0, nunk))
-        b_vec = np.zeros(0)
-
-    if a_mat.shape[0] < nunk:
-        a_mat = np.vstack([a_mat, np.zeros((nunk - a_mat.shape[0], nunk))])
-        b_vec = np.concatenate([b_vec, np.zeros(nunk - len(b_vec))])
-
-    u_svd, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
-    cutoff = RANK_RTOL * sv[0] if sv.size and sv[0] > 0 else 0.0
-    inv = np.where(sv > cutoff, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
-    u_part = vt.T @ (inv * (u_svd.T @ b_vec))
-    null_rows = vt[sv <= cutoff] if sv.size else np.eye(nunk)
-
-    # canonical orientation: largest-magnitude coefficient positive
+    sv_all = np.sort(np.concatenate([blk[2] for blk in blocks]))[::-1]
+    cutoff = RANK_RTOL * sv_all[0] if sv_all[0] > 0 else 0.0
+    u_part = np.zeros(nunk)
     basis = []
-    for row in null_rows:
-        j = int(np.argmax(np.abs(row)))
-        basis.append(row if row[j] >= 0 else -row)
+    for cols, ub, sv, vt in blocks:
+        inv = np.where(sv > cutoff, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
+        u_part[cols] = vt.T @ (inv * ub)
+        for v in vt[sv <= cutoff]:
+            # canonical orientation: largest-magnitude coefficient positive
+            full = np.zeros(nunk)
+            full[cols] = v if v[np.argmax(np.abs(v))] >= 0 else -v
+            basis.append(full)
     homogeneous = (np.array(basis).reshape(-1, npairs, q)
                    if basis else np.zeros((0, npairs, q)))
 
     particular = u_part.reshape(npairs, q)
-    solution = CompletionSolution(problem, particular, homogeneous, 0.0, False, sv)
+    solution = CompletionSolution(problem, particular, homogeneous, 0.0, False, sv_all)
     res = jacobi_residual(solution.realize())
     solution.residual = res
-    solution.empty = res >= tol
+    solution.empty = not res < tol
     return solution

@@ -33,7 +33,6 @@ from .algebra import (
     ValidationError,
     ad_matrix,
     direct_sum,
-    jacobi_residual,
     killing_form,
     place_action,
     require_valid,
@@ -279,17 +278,19 @@ def _select_completion(solution: CompletionSolution, selector) -> np.ndarray:
     The grid walks each homogeneous basis direction with weights
     +-1, +-2, +-1/2 (plus pairwise sums when the nullity exceeds one) and
     returns the first weight vector whose realized algebra matches the
-    requested Killing fingerprint.
+    requested Killing fingerprint.  Every point of a nonempty solution space
+    satisfies the Jacobi system, so candidates are not re-checked here; the
+    caller validates the chosen algebra.
     """
+    if solution.empty:
+        raise ValidationError("completion problem has no admissible filling")
     if selector == "abelian":
-        if solution.empty or np.abs(solution.particular).max(initial=0.0) > 1e-9:
+        if np.abs(solution.particular).max(initial=0.0) > 1e-9:
             raise ValidationError("no abelian filling: the zero block is not a solution")
         return np.zeros(solution.nullity)
 
     def matches(weights) -> bool:
         alg = solution.realize(weights)
-        if jacobi_residual(alg) >= JACOBI_TOL:
-            return False
         sig = signature(killing_form(alg))
         if selector == "negative-definite":
             return sig == (0, alg.dim, 0)
@@ -335,8 +336,6 @@ def build_clifford_space(spec: CliffordSpaceSpec, tol: float = JACOBI_TOL) -> Re
         alg = LieAlgebra(c, labels=labels)
     elif spec.m2_mode[0] == "completed":
         solution = _cached_completion(spec.n, spec.lam, spec.mu, spec.copies)
-        if solution.empty:
-            raise ValidationError("completion problem has no admissible filling")
         weights = _select_completion(solution, spec.m2_mode[1])
         alg = LieAlgebra(solution.realize(weights).c, labels=labels)
     else:

@@ -119,6 +119,13 @@ def test_jacobi_violation_detected():
     assert set(triple) == {0, 1, 2}
 
 
+def test_jacobiator_matches_einsum_reference():
+    c = la.antisymmetrized(np.random.default_rng(5).standard_normal((9, 9, 9)))
+    ref = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
+           + np.einsum("kim,mjl->ijkl", c, c))
+    assert np.abs(la.jacobiator(LieAlgebra(c)) - ref).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # killing form
 # ---------------------------------------------------------------------------

@@ -2,17 +2,91 @@ import numpy as np
 import pytest
 
 from liecoh.algebra import (
+    JACOBI_TOL,
     LieAlgebra,
     Subspace,
     abelian,
+    antisymmetrized,
     jacobi_residual,
     killing_form,
     signature,
 )
 from liecoh.completion import CompletionProblem, complete_bracket
-from liecoh.spaces import clifford_completion_problem
+from liecoh.linalg import RANK_RTOL, subspace_gap
+from liecoh.spaces import catalog_entry, clifford_completion_problem
 
 MU = 1.0 / np.sqrt(2.0)
+
+
+@pytest.fixture(scope="module")
+def n7():
+    """The n=7 solve, shared by the tests that only read it."""
+    return complete_bracket(clifford_completion_problem(7, 1.0, MU))
+
+
+def _dense_reference(problem):
+    """The whole Jacobi system as one dense matrix and one SVD.
+
+    Returns (particular, orthonormal null rows, singular values, empty).
+    """
+    c = problem.skeleton.c
+    d = c.shape[0]
+    s = set(problem.unknown_indices)
+    t = problem.target.basis
+    q = t.shape[1]
+    nunk = len(problem.pairs) * q
+    pair_index = {}
+    for p, (a, b) in enumerate(problem.pairs):
+        pair_index[(a, b)] = (p, 1.0)
+        pair_index[(b, a)] = (p, -1.0)
+    ad_t = np.einsum("ma,mzl->azl", t, c)
+    rows, rhs = [np.zeros((0, nunk))], [np.zeros(0)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                block = np.zeros((nunk, d))
+                fixed = np.zeros(d)
+                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                    if (x, y) in pair_index:
+                        p, sign = pair_index[(x, y)]
+                        block[p * q:(p + 1) * q, :] += sign * ad_t[:, z, :]
+                        continue
+                    fixed += c[x, y, :] @ c[:, z, :]
+                    for m in s if z in s else ():
+                        if m != z and c[x, y, m] != 0.0:
+                            p, sign = pair_index[(m, z)]
+                            block[p * q:(p + 1) * q, :] += c[x, y, m] * sign * t.T
+                keep = np.abs(block).max(axis=0) > 0.0
+                rows.append(block[:, keep].T)
+                rhs.append(-fixed[keep])
+    a = np.vstack(rows + [np.zeros((nunk, nunk))])
+    b = np.concatenate(rhs + [np.zeros(nunk)])
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = RANK_RTOL * sv[0]
+    inv = np.where(sv > cutoff, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
+    particular = (vt.T @ (inv * (u.T @ b))).reshape(-1, q)
+    from liecoh.completion import _substitute
+
+    empty = not jacobi_residual(_substitute(problem, particular)) < JACOBI_TOL
+    return particular, vt[sv <= cutoff], sv, empty
+
+
+def _violated_skeleton():
+    """Unknown block (3, 4) over a skeleton that already breaks Jacobi on 0..2."""
+    c = np.zeros((5, 5, 5))
+    c[:3, :3, :3] = antisymmetrized(np.random.default_rng(3).standard_normal((3, 3, 3)))
+    return CompletionProblem(LieAlgebra(c), (3, 4), Subspace.coordinate(5, [0, 1, 2]))
+
+
+PARITY_CASES = {
+    "n2": lambda: clifford_completion_problem(2, 1.0, MU),
+    "n3": lambda: clifford_completion_problem(3, 1.0, MU),
+    "n6": lambda: clifford_completion_problem(6, 1.0, MU),
+    "zero-skeleton": lambda: CompletionProblem(abelian(5), (3, 4),
+                                               Subspace.coordinate(5, [0, 1, 2])),
+    "inconsistent": lambda: clifford_completion_problem(2, 1.0, 0.3),
+    "violated-skeleton": _violated_skeleton,
+}
 
 
 def test_zero_skeleton_admits_zero_completion():
@@ -74,8 +148,8 @@ def test_heisenberg_family_in_nilpotent_solution_space():
     assert jacobi_residual(realized) < 1e-12
 
 
-def test_n7_completion_fingerprints():
-    sol = complete_bracket(clifford_completion_problem(7, 1.0, MU))
+def test_n7_completion_fingerprints(n7):
+    sol = n7
     assert sol.nullity == 1 and not sol.empty
     w = np.ones(1)
     sigs = {signature(killing_form(sol.realize(s * w))) for s in (1.0, -1.0)}
@@ -103,17 +177,17 @@ def test_small_rank_completions(n, weight, expected_sig):
     assert signature(killing_form(alg)) == expected_sig
 
 
-def test_completion_soundness_every_returned_point():
-    sol = complete_bracket(clifford_completion_problem(7, 1.0, MU))
+def test_completion_soundness_every_returned_point(n7):
+    sol = n7
     rng = np.random.default_rng(11)
     for _ in range(5):
         w = rng.standard_normal(sol.nullity)
         assert jacobi_residual(sol.realize(w)) < 1e-9
 
 
-def test_completion_completeness_perturbations():
+def test_completion_completeness_perturbations(n7):
     """Perturbing a solution off the solution space breaks jacobi."""
-    sol = complete_bracket(clifford_completion_problem(7, 1.0, MU))
+    sol = n7
     basis = sol.homogeneous.reshape(sol.nullity, -1)
     base = sol.coefficients(np.ones(sol.nullity)).reshape(-1)
     rng = np.random.default_rng(0x5EED)
@@ -126,3 +200,41 @@ def test_completion_completeness_perturbations():
 
         perturbed = _substitute(sol.problem, coeffs)
         assert jacobi_residual(perturbed) > 1e-6
+
+
+@pytest.mark.parametrize("case", ["n7", *PARITY_CASES])
+def test_block_solve_matches_dense_reference(case, request):
+    sol = request.getfixturevalue("n7") if case == "n7" else complete_bracket(PARITY_CASES[case]())
+    particular, null_rows, sv, empty = _dense_reference(sol.problem)
+    assert sol.singular_values.shape == sv.shape
+    assert np.abs(sol.singular_values - sv).max() <= 1e-12 * sv[0]
+    assert np.abs(sol.particular - particular).max(initial=0.0) <= 1e-12
+    assert sol.nullity == null_rows.shape[0]
+    assert subspace_gap(sol.homogeneous.reshape(null_rows.shape).T, null_rows.T) < 1e-10
+    assert sol.empty == empty
+
+
+def test_untouched_columns_are_unit_null_vectors():
+    sol = complete_bracket(PARITY_CASES["zero-skeleton"]())
+    assert np.array_equal(sol.singular_values, np.zeros(3))
+    assert np.array_equal(sol.homogeneous.reshape(3, 3), np.eye(3))
+
+
+def test_expected_empty_cases():
+    assert complete_bracket(PARITY_CASES["inconsistent"]()).empty
+    assert complete_bracket(_violated_skeleton()).empty
+
+
+def test_non_finite_residual_is_empty():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = np.inf, -np.inf
+    prob = CompletionProblem(LieAlgebra(c), (2,), Subspace.coordinate(3, [0, 1]))
+    with np.errstate(invalid="ignore"):
+        sol = complete_bracket(prob)
+    assert np.isnan(sol.residual)
+    assert sol.empty
+
+
+def test_completed_constants_carry_no_round_off():
+    c = catalog_entry("Spin(9)/Spin(7)").algebra.c
+    assert not np.any((np.abs(c) > 0.0) & (np.abs(c) < 1e-12))

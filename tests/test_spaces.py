@@ -81,6 +81,12 @@ def test_clifford_rejects_wrong_scale_with_residual():
     assert err.value.triple is not None
 
 
+@pytest.mark.parametrize("selector", ["abelian", "negative-definite", ("signature", 4, 6)])
+def test_completed_mode_refuses_inconsistent_scale(selector):
+    with pytest.raises(ValidationError, match="no admissible filling"):
+        build_clifford_space(CliffordSpaceSpec(2, 1.0, 0.3, 1, ("completed", selector)))
+
+
 def test_clifford_rejects_kappa_zero_mode():
     with pytest.raises(ValueError):
         CliffordSpaceSpec(7, 0.0, 0.0, 1, ("heisenberg", 0.0))
