@@ -54,6 +54,7 @@ __all__ = [
     "pullback_structure",
     "semidirect_sum",
     "signature",
+    "span_brackets",
     "structure_constants_from_matrices",
     "subalgebra",
     "to_json_dict",
@@ -164,6 +165,17 @@ def ad_matrix(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->kj", x, alg.c)
 
 
+def span_brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Brackets of basis columns, ``out[i, j, :] = [a_i, b_j]`` in ambient coordinates.
+
+    The one place that contracts the structure constants against bases of
+    subspaces; written as two matrix products.
+    """
+    d = alg.dim
+    left = (a.T @ alg.c.reshape(d, d * d)).reshape(a.shape[1], d, d)
+    return b.T @ left
+
+
 def jacobiator(alg: LieAlgebra) -> np.ndarray:
     """Tensor ``J[i,j,k,:] = [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]``."""
     c = alg.c
@@ -182,11 +194,7 @@ def jacobi_residual(alg: LieAlgebra) -> float:
     vanish).  The normalization makes the residual invariant under an overall
     rescaling of the bracket.
     """
-    scale = np.abs(alg.c).max(initial=0.0)
-    if scale == 0.0:
-        return 0.0
-    jac = jacobiator(alg)
-    return float(np.sqrt((jac ** 2).sum(axis=3)).max() / scale)
+    return worst_jacobi_triple(alg)[1]
 
 
 def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
@@ -200,12 +208,12 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
 
 
 def require_valid(alg: LieAlgebra, tol: float = JACOBI_TOL, what: str = "algebra") -> LieAlgebra:
-    res = jacobi_residual(alg)
-    if res >= tol:
-        triple, worst = worst_jacobi_triple(alg)
+    """Return ``alg``; raise ``ValidationError`` unless its residual is below ``tol`` (NaN fails)."""
+    triple, res = worst_jacobi_triple(alg)
+    if not res < tol:
         raise ValidationError(
-            f"{what}: Jacobi residual {worst:.3e} at basis triple {triple} exceeds {tol:.1e}",
-            residual=worst,
+            f"{what}: Jacobi residual {res:.3e} at basis triple {triple} exceeds {tol:.1e}",
+            residual=res,
             triple=triple,
         )
     return alg
@@ -243,7 +251,7 @@ def nilpotency_class(alg: LieAlgebra, max_steps: int = 64) -> int | None:
     """Length of the lower central series, or None if it never reaches zero."""
     span = np.eye(alg.dim)
     for step in range(1, max_steps + 1):
-        images = np.einsum("ijl,jm->lim", alg.c, span).reshape(alg.dim, -1)
+        images = span_brackets(alg, np.eye(alg.dim), span).reshape(-1, alg.dim).T
         span = orthonormal_columns(images)
         if span.shape[1] == 0:
             return step
@@ -312,7 +320,7 @@ def pullback_structure(alg: LieAlgebra, f: np.ndarray) -> LieAlgebra:
     """
     f = np.asarray(f, dtype=float)
     finv = np.linalg.inv(f)
-    c = np.einsum("pi,qj,pqm,lm->ijl", f, f, alg.c, finv)
+    c = span_brackets(alg, f, f) @ finv.T
     c = 0.5 * (c - c.transpose(1, 0, 2))  # kill round-off asymmetry exactly
     return LieAlgebra(c, alg.inner_product, alg.labels)
 

@@ -52,6 +52,12 @@ class RunConfig:
         bad = [g for g in self.groups if g not in GROUPS]
         if bad:
             raise ValueError(f"unknown claim groups: {bad}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("tol_algebraic", "tol_fd"):
+            tol = getattr(self, name)
+            if not (np.isfinite(tol) and tol >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {tol}")
 
 
 @dataclass

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import datetime
 import json
 import os
@@ -110,17 +111,15 @@ def cmd_verify(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = RunConfig(seed=args.seed, groups=cfg.groups,
-                            tol_algebraic=cfg.tol_algebraic, tol_fd=cfg.tol_fd)
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.group:
-            cfg = RunConfig(seed=cfg.seed, groups=tuple(args.group),
-                            tol_algebraic=cfg.tol_algebraic, tol_fd=cfg.tol_fd)
-    except (ConfigError, ValueError) as err:
+            cfg = dataclasses.replace(cfg, groups=tuple(args.group))
+        out = open(args.out, "w") if args.out else sys.stdout
+    except (ConfigError, ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    result = run_suite(cfg, jobs=args.jobs)
-    out = open(args.out, "w") if args.out else sys.stdout
     try:
+        result = run_suite(cfg, jobs=args.jobs)
         if args.json:
             for rep in result.reports:
                 print(json.dumps(rep.to_json_dict(), sort_keys=True), file=out)

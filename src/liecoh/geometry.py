@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra, Subspace
+from .algebra import LieAlgebra, Subspace, span_brackets
 from .clifford import bivector_pairs, so_structure_tensor
 from .linalg import residual_scale
 from .reps import Representation, cohomogeneity, rep_direct_sum, trivial_representation
@@ -102,9 +102,9 @@ def _connection_data(ms: InvariantMetricSpace):
     alg = space.algebra
     kb = space.isotropy.basis
     mb = space.m_basis()
-    amb = np.einsum("pi,qj,pql->ijl", mb, mb, alg.c)   # [m_i, m_j] ambient
-    bm = np.einsum("ijl,lm->ijm", amb, mb)             # m-part coordinates
-    bk = np.einsum("ijl,lk->ijk", amb, kb)
+    amb = span_brackets(alg, mb, mb)                    # [m_i, m_j] ambient
+    bm = amb @ mb                                       # m-part coordinates
+    bk = amb @ kb
     _, rho = _isotropy_action(alg, kb, mb)              # rho[a][j, i]
     return bm, bk, rho
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, Subspace
+from .algebra import LieAlgebra, Subspace, span_brackets
 from .linalg import (
     RANK_RTOL,
     matrix_rank,
@@ -204,7 +204,7 @@ def kernel_ideal(rep: Representation, rtol: float = RANK_RTOL,
     ker = Subspace(d, nullspace(stacked, rtol))
     if ker.dim:
         # bracket closure [g, ker] inside ker
-        imgs = np.einsum("ijl,jm->lim", rep.algebra.c, ker.basis).reshape(d, -1)
+        imgs = span_brackets(rep.algebra, np.eye(d), ker.basis).reshape(-1, d).T
         resid = imgs - ker.projector() @ imgs
         if np.abs(resid).max(initial=0.0) / residual_scale(imgs) >= tol:
             raise ValueError("representation kernel is not an ideal (inconsistent input)")

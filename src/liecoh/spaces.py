@@ -36,6 +36,8 @@ from .algebra import (
     killing_form,
     place_action,
     require_valid,
+    semidirect_sum,
+    span_brackets,
     structure_constants_from_matrices,
     subalgebra,
     weyl_flip,
@@ -45,6 +47,9 @@ from .builders import (
     clifford_isotropy,
     realify_complex,
     su_basis,
+    su_standard,
+    u_standard,
+    unitary_determinant_action,
 )
 from .clifford import bivector_pairs, so_structure_tensor, so_vector_matrices
 from .completion import CompletionProblem, CompletionSolution, complete_bracket
@@ -145,16 +150,16 @@ def _span_subalgebra(alg: LieAlgebra, basis: np.ndarray) -> tuple[LieAlgebra, fl
     The residual is the largest bracket component leaving the span, relative
     to the largest structure constant of ``alg``.
     """
-    amb = np.einsum("pa,qb,pql->abl", basis, basis, alg.c)
-    sub = np.einsum("abl,lc->abc", amb, basis)
-    leak = np.abs(amb - np.einsum("abc,lc->abl", sub, basis)).max(initial=0.0)
+    amb = span_brackets(alg, basis, basis)
+    sub = amb @ basis
+    leak = np.abs(amb - sub @ basis.T).max(initial=0.0)
     return LieAlgebra(0.5 * (sub - sub.transpose(1, 0, 2))), float(leak / residual_scale(alg.c))
 
 
 def _isotropy_action(alg: LieAlgebra, kb: np.ndarray, mb: np.ndarray):
     """Brackets ``km[a, i] = [k_a, m_i]`` and their m-coordinates ``rho[a][j, i]``."""
-    km = np.einsum("pa,qi,pql->ail", kb, mb, alg.c)
-    return km, np.einsum("ail,lj->aji", km, mb)
+    km = span_brackets(alg, kb, mb)
+    return km, (km @ mb).transpose(0, 2, 1)
 
 
 def isotropy_representation(space: ReductiveSpace, tol: float = 1e-8):
@@ -170,7 +175,7 @@ def isotropy_representation(space: ReductiveSpace, tol: float = 1e-8):
     if leak >= tol:
         raise ValidationError(f"isotropy is not a subalgebra (residual {leak:.3e})")
     km, mats = _isotropy_action(alg, space.isotropy.basis, mb)
-    leak = np.abs(km - np.einsum("aji,lj->ail", mats, mb)).max(initial=0.0) / residual_scale(alg.c)
+    leak = np.abs(km - mats.transpose(0, 2, 1) @ mb.T).max(initial=0.0) / residual_scale(alg.c)
     if leak >= tol:
         raise ValidationError(f"blocks are not invariant under k (residual {leak:.3e})")
     rep = Representation(k_alg, mats)
@@ -420,9 +425,8 @@ def build_heisenberg(spec: HeisenbergSpec, tol: float = JACOBI_TOL) -> Reductive
 def _heisenberg_center_one(spec: HeisenbergSpec, note: str | None) -> ReductiveSpace:
     """N(1, k): center R, module C^k, isotropy u(k)."""
     k = spec.copies
-    basis = su_basis(k) + [1.0j * np.eye(k)]
-    mats = np.array([realify_complex(m) for m in basis])
-    k_alg = LieAlgebra(structure_constants_from_matrices(mats))
+    u_k = u_standard(k)
+    k_alg, mats = u_k.algebra, u_k.matrices
     dk = k_alg.dim
     dm2 = 2 * k
     d = dk + 1 + dm2
@@ -523,19 +527,10 @@ def flat_unitary_space(n: int = 3, det_power: int = 1) -> ReductiveSpace:
     All brackets among the complement blocks vanish: the complement is an
     abelian ideal and the space is flat.
     """
-    basis = su_basis(n) + [1.0j * np.eye(n)]
-    m2 = np.array([realify_complex(m) for m in basis])
-    k_alg = LieAlgebra(structure_constants_from_matrices(m2))
-    m1 = np.array([realify_complex(np.array([[det_power * np.trace(m)]])) for m in basis])
-    dk = k_alg.dim
-    d = dk + 2 + 2 * n
-    c = np.zeros((d, d, d))
-    c[:dk, :dk, :dk] = k_alg.c
-    place_action(c, np.arange(dk), np.arange(dk, dk + 2), m1)
-    place_action(c, np.arange(dk), np.arange(dk + 2, d), m2)
-    alg = LieAlgebra(c)
+    rep = unitary_determinant_action(n, det_power).rep
+    alg = semidirect_sum(rep.algebra, rep)
     require_valid(alg, JACOBI_TOL, "flat unitary construction")
-    return _coordinate_space(f"U({n}) det^{det_power} flat", alg, dk, (2, 2 * n))
+    return _coordinate_space(f"U({n}) det^{det_power} flat", alg, rep.algebra.dim, (2, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +647,9 @@ def projected_action_isometry_test(space: ReductiveSpace) -> tuple[bool, float]:
         raise ValueError("two blocks are required")
     m2 = space.blocks[1].basis
     g1_basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
-    worst = 0.0
-    for a in range(g1_basis.shape[1]):
-        op = m2.T @ ad_matrix(space.algebra, g1_basis[:, a]) @ m2
-        sym = 0.5 * (op + op.T)
-        worst = max(worst, float(np.linalg.norm(sym, 2)))
+    op = span_brackets(space.algebra, g1_basis, m2) @ m2    # op[a] = (proj_m2 ad(g1_a))^T
+    sym = 0.5 * (op + op.transpose(0, 2, 1))
+    worst = float(np.linalg.norm(sym, 2, axis=(1, 2)).max(initial=0.0))
     return worst < 1e-9, worst
 
 
@@ -701,12 +694,8 @@ def ad_eigenspace_decomposition(space: ReductiveSpace, xi=None,
         blocks[key] = blocks.get(key, 0) + 1
     span = np.hstack([np.real(eigvecs[:, mask]), np.imag(eigvecs[:, mask])])
     span = orthonormal_columns(span)
-    resid = 0.0
-    scale = residual_scale(space.algebra.c)
-    for i in range(span.shape[1]):
-        for j in range(i + 1, span.shape[1]):
-            v = np.einsum("p,q,pql->l", span[:, i], span[:, j], space.algebra.c)
-            resid = max(resid, float(np.abs(v).max(initial=0.0) / scale))
+    pairs = span_brackets(space.algebra, span, span)[np.triu_indices(span.shape[1], 1)]
+    resid = float(np.abs(pairs).max(initial=0.0) / residual_scale(space.algebra.c))
     return EigenReport(tuple(np.round(eigvals, 10)), zero.shape[1], gap < tol,
                        blocks, resid, defect)
 
@@ -720,7 +709,7 @@ def verify_flatness(space: ReductiveSpace, tol: float = 1e-9) -> bool:
     curvature tensor is consulted as the deciding cross-check.
     """
     mb = space.m_basis()
-    amb = np.einsum("pa,qb,pql->abl", mb, mb, space.algebra.c)
+    amb = span_brackets(space.algebra, mb, mb)
     scale = residual_scale(space.algebra.c)
     abelian_ideal = float(np.abs(amb).max(initial=0.0) / scale) < tol
     from .geometry import InvariantMetricSpace, curvature_tensor
@@ -735,11 +724,6 @@ def verify_flatness(space: ReductiveSpace, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
-
-
-def _su3_algebra() -> LieAlgebra:
-    mats = np.array([realify_complex(m) for m in su_basis(3)])
-    return LieAlgebra(structure_constants_from_matrices(mats))
 
 
 def _grassmannian_control() -> ReductiveSpace:
@@ -757,7 +741,7 @@ def _grassmannian_control() -> ReductiveSpace:
 
 def _group_manifold_control() -> ReductiveSpace:
     """Rank-two symmetric control: the group manifold of su(3)."""
-    su3 = _su3_algebra()
+    su3 = su_standard(3).algebra
     alg = direct_sum(su3, su3)
     d, h = alg.dim, su3.dim
     diag = np.zeros((d, h))

@@ -126,6 +126,25 @@ def test_jacobiator_matches_einsum_reference():
     assert np.abs(la.jacobiator(LieAlgebra(c)) - ref).max() < 1e-12
 
 
+def test_span_brackets_matches_einsum_reference():
+    rng = np.random.default_rng(6)
+    alg = LieAlgebra(la.antisymmetrized(rng.standard_normal((9, 9, 9))))
+    a, b = rng.standard_normal((9, 4)), rng.standard_normal((9, 3))
+    for x, y in ((a, b), (b, a), (np.eye(9), a), (np.eye(9), np.eye(9))):
+        ref = np.einsum("pa,qb,pql->abl", x, y, alg.c)
+        assert np.abs(la.span_brackets(alg, x, y) - ref).max() < 1e-12
+
+
+def test_require_valid_rejects_non_finite_constants():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = np.inf, -np.inf
+    alg = LieAlgebra(c)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(jacobi_residual(alg))
+        with pytest.raises(ValidationError):
+            la.require_valid(alg)
+
+
 # ---------------------------------------------------------------------------
 # killing form
 # ---------------------------------------------------------------------------

@@ -45,6 +45,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_negative_seed_is_a_config_error(capsys):
+    assert main(["verify", "--group", "tables", "--seed", "-5"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_nan_tolerance_is_a_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "nan.ini"
+    cfg_file.write_text("[tolerances]\nalgebraic = nan\n")
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    assert "tol_algebraic" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
+    assert main(["verify", "--out", str(tmp_path / "missing" / "out.jsonl")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_malformed_config_rejected(tmp_path):
     broken = tmp_path / "broken.ini"
     broken.write_text("not an ini file at all [[[")
