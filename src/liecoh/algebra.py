@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    RANK_RTOL,
     nullspace,
     orthonormal_columns,
     projector,
@@ -52,6 +51,7 @@ __all__ = [
     "nilpotency_class",
     "place_action",
     "pullback_structure",
+    "require_below",
     "semidirect_sum",
     "signature",
     "span_brackets",
@@ -62,7 +62,10 @@ __all__ = [
     "worst_jacobi_triple",
 ]
 
-JACOBI_TOL = 1e-9
+# Relative residual bounds of the exactness gates (see ``require_below``).
+JACOBI_TOL = 1e-9      # Jacobi identity, representation and skewness residuals
+LEAK_TOL = 1e-8        # closure of subalgebras, invariance of blocks and kernels
+GRADING_TOL = 1e-10    # grading of a symmetric pair in ``weyl_flip``
 
 
 class ValidationError(ValueError):
@@ -71,15 +74,26 @@ class ValidationError(ValueError):
     Attributes
     ----------
     residual : float
-        Normalized Jacobi residual of the offending tensor.
+        Normalized residual of the offending object (NaN when it is not finite).
     triple : tuple or None
-        Basis triple realizing the worst residual.
+        Basis triple realizing the worst Jacobi residual, when there is one.
     """
 
     def __init__(self, message, residual=None, triple=None):
         super().__init__(message)
         self.residual = residual
         self.triple = triple
+
+
+def require_below(residual: float, bound: float, what: str, triple=None) -> None:
+    """Raise ``ValidationError`` unless ``residual < bound``.
+
+    The one check behind every exactness gate.  It is written so that a NaN
+    residual (from an infinite constant or matrix entry) fails.
+    """
+    if not residual < bound:
+        raise ValidationError(f"{what}: residual {residual:.3e} is not below {bound:.1e}",
+                              residual=residual, triple=triple)
 
 
 @dataclass
@@ -104,7 +118,7 @@ class LieAlgebra:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)  # a copy: the caller's array stays writable
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError("structure constants must be a cubic rank-3 array")
         if not np.array_equal(c, -c.transpose(1, 0, 2)):
@@ -115,7 +129,7 @@ class LieAlgebra:
         if self.inner_product is None:
             ip = np.eye(d)
         else:
-            ip = np.asarray(self.inner_product, dtype=float)
+            ip = np.array(self.inner_product, dtype=float)
             if ip.shape != (d, d) or not np.allclose(ip, ip.T):
                 raise ValueError("inner product must be a symmetric d x d matrix")
             if np.linalg.eigvalsh(ip).min() <= 0:
@@ -210,12 +224,7 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
 def require_valid(alg: LieAlgebra, tol: float = JACOBI_TOL, what: str = "algebra") -> LieAlgebra:
     """Return ``alg``; raise ``ValidationError`` unless its residual is below ``tol`` (NaN fails)."""
     triple, res = worst_jacobi_triple(alg)
-    if not res < tol:
-        raise ValidationError(
-            f"{what}: Jacobi residual {res:.3e} at basis triple {triple} exceeds {tol:.1e}",
-            residual=res,
-            triple=triple,
-        )
+    require_below(res, tol, f"{what}: Jacobi identity at basis triple {triple}", triple)
     return alg
 
 
@@ -247,10 +256,14 @@ def center_dimension(alg: LieAlgebra) -> int:
     return center(alg).dim
 
 
-def nilpotency_class(alg: LieAlgebra, max_steps: int = 64) -> int | None:
-    """Length of the lower central series, or None if it never reaches zero."""
+def nilpotency_class(alg: LieAlgebra) -> int | None:
+    """Length of the lower central series, or None if it never reaches zero.
+
+    Each term is a proper subspace of the one before until the series
+    stabilizes, so it reaches zero within ``dim`` steps or never.
+    """
     span = np.eye(alg.dim)
-    for step in range(1, max_steps + 1):
+    for step in range(1, alg.dim + 2):
         images = span_brackets(alg, np.eye(alg.dim), span).reshape(-1, alg.dim).T
         span = orthonormal_columns(images)
         if span.shape[1] == 0:
@@ -284,32 +297,25 @@ def place_action(c: np.ndarray, acting_idx, module_idx, mats: np.ndarray) -> Non
     c[np.ix_(module_idx, acting_idx, module_idx)] = -mats.transpose(2, 0, 1)
 
 
-def semidirect_sum(acting: LieAlgebra, rep, tol: float = JACOBI_TOL) -> LieAlgebra:
+def semidirect_sum(acting: LieAlgebra, rep) -> LieAlgebra:
     """Semidirect sum of ``acting`` with the abelian ideal it acts on.
 
-    ``rep`` must carry ``.algebra`` (the acting algebra) and ``.matrices``
-    (one operator per basis element).  The bracket is
+    ``rep`` must carry ``.matrices``, one operator per basis element of
+    ``acting``.  The bracket is
 
         [(x, u), (y, v)] = ([x, y], rho(x) v - rho(y) u).
 
     Raises ``ValidationError`` when the matrices fail the commutation rule of
-    a representation beyond ``tol``.
+    a representation beyond ``JACOBI_TOL``.
     """
-    mats = np.asarray(rep.matrices, dtype=float)
-    if mats.shape[0] != acting.dim:
-        raise ValueError("representation matrix count must match the acting dimension")
-    comm = np.einsum("aij,bjk->abik", mats, mats)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    expect = np.einsum("abm,mik->abik", acting.c, mats)
-    hom_res = float(np.abs(comm - expect).max() / residual_scale(mats))
-    if hom_res >= tol:
-        raise ValidationError(
-            f"invalid representation: commutation residual {hom_res:.3e}", residual=hom_res
-        )
-    da, dv = acting.dim, mats.shape[1]
+    from .reps import Representation  # reps builds on this module
+
+    rho = Representation(acting, rep.matrices)
+    require_below(rho.homomorphism_residual(), JACOBI_TOL, "invalid representation: commutation")
+    da, dv = acting.dim, rho.space_dim
     c = np.zeros((da + dv,) * 3)
     c[:da, :da, :da] = acting.c
-    place_action(c, np.arange(da), np.arange(da, da + dv), mats)
+    place_action(c, np.arange(da), np.arange(da, da + dv), rho.matrices)
     return LieAlgebra(c)
 
 
@@ -325,27 +331,26 @@ def pullback_structure(alg: LieAlgebra, f: np.ndarray) -> LieAlgebra:
     return LieAlgebra(c, alg.inner_product, alg.labels)
 
 
-def subalgebra(alg: LieAlgebra, indices, tol: float = 1e-8) -> LieAlgebra:
+def subalgebra(alg: LieAlgebra, indices) -> LieAlgebra:
     """Restriction to a coordinate-aligned subalgebra.
 
     Raises ``ValidationError`` when the span of the selected basis vectors is
-    not closed under the bracket within ``tol``.
+    not closed under the bracket within ``LEAK_TOL``.
     """
     idx = np.asarray(indices, dtype=int)
     comp = np.setdiff1d(np.arange(alg.dim), idx)
     leak = np.abs(alg.c[np.ix_(idx, idx, comp)]).max(initial=0.0) / residual_scale(alg.c)
-    if leak >= tol:
-        raise ValidationError(f"not a subalgebra: closure residual {leak:.3e}", residual=leak)
+    require_below(leak, LEAK_TOL, "not a subalgebra: closure")
     sub = alg.c[np.ix_(idx, idx, idx)].copy()
     labels = tuple(alg.labels[i] for i in idx) if alg.labels is not None else None
     return LieAlgebra(sub, alg.inner_product[np.ix_(idx, idx)], labels)
 
 
-def weyl_flip(alg: LieAlgebra, block_indices, tol: float = 1e-10) -> LieAlgebra:
+def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
     """Noncompact dual: flip the sign of brackets inside one block.
 
     Requires the grading of a symmetric pair, i.e. with B the block and H its
-    complement: [B,B] in H, [H,B] in B, [H,H] in H (all within ``tol``).  The
+    complement: [B,B] in H, [H,B] in B, [H,H] in H (all within ``GRADING_TOL``).  The
     returned tensor multiplies the (B,B) entries by -1, which is conjugation
     of the block by the imaginary unit.
     """
@@ -357,23 +362,17 @@ def weyl_flip(alg: LieAlgebra, block_indices, tol: float = 1e-10) -> LieAlgebra:
         np.abs(alg.c[np.ix_(h, b, h)]).max(initial=0.0),
         np.abs(alg.c[np.ix_(h, h, b)]).max(initial=0.0),
     )
-    if bad / scale >= tol:
-        raise ValidationError(
-            f"block is not the odd part of a symmetric pair (residual {bad / scale:.3e})",
-            residual=bad / scale,
-        )
+    require_below(bad / scale, GRADING_TOL, "block is not the odd part of a symmetric pair")
     c = np.array(alg.c)
     c[np.ix_(b, b)] *= -1.0
     return LieAlgebra(c, alg.inner_product, alg.labels)
 
 
-def structure_constants_from_matrices(
-    matrices, tol: float = 1e-8
-) -> np.ndarray:
+def structure_constants_from_matrices(matrices) -> np.ndarray:
     """Structure constants of a matrix Lie algebra with the given basis.
 
     The commutator of every basis pair is expanded in the basis by least
-    squares; a residual above ``tol`` (relative) means the matrices do not
+    squares; a residual above ``LEAK_TOL`` (relative) means the matrices do not
     close under commutators and raises ``ValidationError``.  Antisymmetry of
     the result is exact by construction.
     """
@@ -386,8 +385,7 @@ def structure_constants_from_matrices(
     coeffs = coeffs.T.reshape(k, k, k)
     recon = np.einsum("abm,md->abd", coeffs, flat)
     res = np.abs(recon - comms).max(initial=0.0) / residual_scale(mats)
-    if res >= tol:
-        raise ValidationError(f"matrices do not close under commutators ({res:.3e})", residual=res)
+    require_below(res, LEAK_TOL, "matrices do not close under commutators")
     return antisymmetrized(coeffs)
 
 
@@ -409,24 +407,23 @@ class Subspace:
     indices: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        b = np.array(self.basis, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if b.shape[0] != self.ambient_dim:
             raise ValueError("basis rows must match the ambient dimension")
         if b.shape[1]:
-            g = b.T @ b
-            if np.abs(g - np.eye(b.shape[1])).max() > 1e-8:
-                raise ValueError("basis columns must be orthonormal")
+            require_below(np.abs(b.T @ b - np.eye(b.shape[1])).max(), LEAK_TOL,
+                          "basis columns must be orthonormal")
         b.setflags(write=False)
         self.basis = b
 
     @classmethod
-    def from_spanning(cls, ambient_dim: int, vectors, rtol: float = RANK_RTOL) -> "Subspace":
+    def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
         v = np.asarray(vectors, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        return cls(ambient_dim, orthonormal_columns(v, rtol))
+        return cls(ambient_dim, orthonormal_columns(v))
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices) -> "Subspace":
@@ -455,17 +452,17 @@ class Subspace:
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))
 
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
         n = np.linalg.norm(v)
         if n == 0:
             return True
-        return np.linalg.norm(v - self.project(v)) <= tol * n
+        return np.linalg.norm(v - self.project(v)) <= LEAK_TOL * n
 
-    def equals(self, other: "Subspace", tol: float = 1e-8) -> bool:
+    def equals(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        return subspace_gap(self.basis, other.basis) <= tol
+        return subspace_gap(self.basis, other.basis) <= LEAK_TOL
 
     def projector(self) -> np.ndarray:
         return projector(self.basis)

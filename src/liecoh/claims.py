@@ -172,9 +172,7 @@ def _claim_jacobi_gate(n, cfg: RunConfig):
 
 
 def _claim_completion_n7(sign, cfg: RunConfig):
-    sel = "negative-definite" if sign > 0 else ("signature", 8, 28)
-    space = sps.build_clifford_space(
-        sps.CliffordSpaceSpec(7, 1.0, 1.0 / np.sqrt(2.0), 1, ("completed", sel)))
+    space = sps.catalog_entry("Spin(9)/Spin(7)" if sign > 0 else "Spin(8,1)/Spin(7)")
     sig = la.signature(la.killing_form(space.algebra))
     want = (0, 36, 0) if sign > 0 else (8, 28, 0)
     computed = {"dim": space.dim, "killing_signature": list(sig)}
@@ -214,7 +212,7 @@ def _j_matrices(space: sps.ReductiveSpace) -> np.ndarray:
 
 
 def _claim_heisenberg(center, copies, cfg: RunConfig):
-    space = sps.build_heisenberg(sps.HeisenbergSpec(center, copies))
+    space = sps.catalog_entry(sps.heisenberg_label(sps.HeisenbergSpec(center, copies)))
     nil = sps.nilpotent_part(space)
     j = _j_matrices(space)
     d2 = j.shape[1]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import datetime
 import json
@@ -114,6 +115,8 @@ def cmd_verify(args) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.group:
             cfg = dataclasses.replace(cfg, groups=tuple(args.group))
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         out = open(args.out, "w") if args.out else sys.stdout
     except (ConfigError, ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -161,17 +164,16 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        payload = export_space(args.space_id)
-    except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
+    if args.space_id not in sps.catalog_ids():
+        print(f"error: unknown catalog id {args.space_id!r}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    with out as fh:
+        print(json.dumps(export_space(args.space_id), sort_keys=True, indent=2), file=fh)
     return EXIT_OK
 
 

@@ -150,7 +150,7 @@ class CliffordModule:
     gammas: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float)
+        g = np.array(self.gammas, dtype=float)  # a copy: the caller's array stays writable
         if g.ndim != 3 or g.shape[0] != self.n or g.shape[1] != g.shape[2]:
             raise ValueError("gammas must be n square matrices")
         d = g.shape[1]

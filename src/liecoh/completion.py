@@ -232,7 +232,7 @@ def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.
         label = new
 
 
-def complete_bracket(problem: CompletionProblem, tol: float = JACOBI_TOL) -> CompletionSolution:
+def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     """Solve for all Jacobi-compatible fillings of the unknown block.
 
     The sparse system is split into connected components (unknowns linked
@@ -246,11 +246,11 @@ def complete_bracket(problem: CompletionProblem, tol: float = JACOBI_TOL) -> Com
     smallest column of their component, each oriented so that its
     largest-magnitude coefficient is positive.
 
-    Returns a ``CompletionSolution``; an empty solution set (no filling meets
-    the tolerance, or the residual is not finite) is a valid outcome reported
-    through ``empty=True``, not an exception.  A problem whose target
-    overlaps the unknown coordinate span is rejected (the Jacobi system would
-    be quadratic in the unknowns).
+    Returns a ``CompletionSolution``; an empty solution set (no filling has a
+    Jacobi residual below ``JACOBI_TOL``, or the residual is not finite) is a
+    valid outcome reported through ``empty=True``, not an exception.  A
+    problem whose target overlaps the unknown coordinate span is rejected
+    (the Jacobi system would be quadratic in the unknowns).
     """
     alg = problem.skeleton
     s = sorted(problem.unknown_indices)
@@ -266,7 +266,7 @@ def complete_bracket(problem: CompletionProblem, tol: float = JACOBI_TOL) -> Com
     if nunk == 0:
         res = jacobi_residual(alg)
         return CompletionSolution(problem, np.zeros((0, q)), np.zeros((0, 0, q)), res,
-                                  not res < tol, np.zeros(0))
+                                  not res < JACOBI_TOL, np.zeros(0))
 
     row, col, val, rhs = _assemble(problem)
     label = _components(row, col, rhs.size, nunk)
@@ -303,5 +303,5 @@ def complete_bracket(problem: CompletionProblem, tol: float = JACOBI_TOL) -> Com
     solution = CompletionSolution(problem, particular, homogeneous, 0.0, False, sv_all)
     res = jacobi_residual(solution.realize())
     solution.residual = res
-    solution.empty = not res < tol
+    solution.empty = not res < JACOBI_TOL
     return solution

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra, Subspace, span_brackets
+from .algebra import LEAK_TOL, LieAlgebra, Subspace, require_below, span_brackets
 from .clifford import bivector_pairs, so_structure_tensor
 from .linalg import residual_scale
 from .reps import Representation, cohomogeneity, rep_direct_sum, trivial_representation
@@ -290,7 +290,6 @@ class WarpedProduct:
     interval: tuple
     profile: Profile
     fiber: RoundSphere | ReductiveFiber
-    boundary_tol: float = 1e-8
 
     def __post_init__(self):
         self.interval = tuple(self.interval)
@@ -315,8 +314,7 @@ class WarpedProduct:
         zeros = {"line": (), "half_line": (0.0,),
                  "segment": (0.0, self.interval[1]) if self.interval[0] == "segment" else ()}
         for t0 in zeros[self.interval[0]]:
-            if abs(f(t0)) > self.boundary_tol:
-                raise ValueError(f"profile must vanish at the boundary point {t0}")
+            require_below(abs(f(t0)), LEAK_TOL, f"profile must vanish at the boundary point {t0}")
             if abs(abs(df(t0)) - 1.0) > 1e-6:
                 notes.append(f"profile slope at {t0} is {df(t0):.6g}, not +-1; "
                              "the metric closes up smoothly only for unit slope")
@@ -367,14 +365,16 @@ def warped_sectional_curvature(w: WarpedProduct, t: float, plane) -> float:
 # ---------------------------------------------------------------------------
 
 
-def riemann_finite_difference(metric_fn, dim: int, x0=None, h: float = FD_STEP) -> np.ndarray:
-    """(0,4) curvature of an explicit coordinate metric by central differences.
+def riemann_finite_difference(metric_fn, dim: int) -> np.ndarray:
+    """(0,4) curvature of an explicit coordinate metric at the origin, by central differences.
 
     Independent of every closed-form path above: Christoffel symbols come
     from first differences of the metric, their derivatives from a second
-    differencing, so the truncation error is O(h^2).
+    differencing with the same step ``FD_STEP``, so the truncation error is
+    O(FD_STEP^2).
     """
-    x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
+    h = FD_STEP
+    x0 = np.zeros(dim)
 
     def christoffel(x):
         g = metric_fn(x)
@@ -422,11 +422,11 @@ def _warped_chart_metric(w: WarpedProduct, t: float):
     return metric_fn
 
 
-def warped_sectional_fd(w: WarpedProduct, t: float, plane, h: float = FD_STEP) -> float:
+def warped_sectional_fd(w: WarpedProduct, t: float, plane) -> float:
     """Finite-difference value of the same sectional curvature as the closed form."""
     d = w.fiber.fiber_dim()
     metric_fn = _warped_chart_metric(w, t)
-    r4 = riemann_finite_difference(metric_fn, 1 + d, h=h)
+    r4 = riemann_finite_difference(metric_fn, 1 + d)
     kind = plane[0]
     if kind == "mixed":
         v = np.concatenate([[1.0], np.zeros(d)])
@@ -457,7 +457,7 @@ class InhomogeneousReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def validate_inhomogeneous(w: WarpedProduct, seed: int = 0x5EED) -> InhomogeneousReport:
+def validate_inhomogeneous(w: WarpedProduct) -> InhomogeneousReport:
     """Case assignment and fiber admissibility for a degenerate warped product.
 
     No boundary zero: case i, any fiber whose isotropy representation has
@@ -471,12 +471,12 @@ def validate_inhomogeneous(w: WarpedProduct, seed: int = 0x5EED) -> Inhomogeneou
     fiber_kind = "round-sphere" if isinstance(w.fiber, RoundSphere) else "reductive"
     fiber_rep = w.fiber.isotropy_rep()
     if case == "i":
-        admissible = cohomogeneity(fiber_rep, seed=seed) == 1 if fiber_rep.space_dim else False
+        admissible = cohomogeneity(fiber_rep) == 1 if fiber_rep.space_dim else False
     else:
         admissible = isinstance(w.fiber, RoundSphere)
         if not admissible:
             raise ValueError("a collapsing fiber must be a round sphere")
     line = trivial_representation(fiber_rep.algebra, 1)
     total = rep_direct_sum(fiber_rep, line)
-    iso_coh = cohomogeneity(total, seed=seed)
+    iso_coh = cohomogeneity(total)
     return InhomogeneousReport(case, fiber_kind, bool(admissible), iso_coh, tuple(notes))

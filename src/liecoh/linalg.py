@@ -3,8 +3,9 @@
 Every cutoff in the package is expressed relative to the largest singular
 value (or eigenvalue magnitude) of the matrix at hand.  Structure constants
 are all O(1), so the gap between "exactly zero in exact arithmetic" and a
-genuinely nonzero value is many orders of magnitude wider than the default
-relative cutoff of 1e-8.
+genuinely nonzero value is many orders of magnitude wider than the relative
+cutoff ``RANK_RTOL`` = 1e-8, which is a property of the method and not a
+choice of the caller.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def residual_scale(a: np.ndarray) -> float:
     return max(np.abs(a).max(initial=0.0), 1.0)
 
 
-def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def matrix_rank(a: np.ndarray) -> int:
     """Numerical rank with a cutoff relative to the largest singular value."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
@@ -28,18 +29,16 @@ def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
-def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace, as columns.
 
     Parameters
     ----------
     a : (m, n) array
         Matrix whose kernel is sought.  ``m < n`` is allowed.
-    rtol : float
-        Relative singular value cutoff.
 
     Returns
     -------
@@ -53,26 +52,26 @@ def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
         # Pad so the economy SVD exposes the full right-singular basis.
         a = np.vstack([a, np.zeros((n - m, n))])
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = rtol * s[0] if s[0] > 0 else 0.0
+    cutoff = RANK_RTOL * s[0] if s[0] > 0 else 0.0
     return vt[s <= cutoff].T.copy() if s[0] > 0 else np.eye(n)
 
 
-def orthonormal_columns(vectors: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of ``vectors`` (SVD based)."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.shape[1] == 0 or not np.any(v):
         return np.zeros((v.shape[0], 0))
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    return u[:, s > rtol * s[0]].copy()
+    return u[:, s > RANK_RTOL * s[0]].copy()
 
 
-def solve_least_squares(a: np.ndarray, b: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a x = b`` via SVD."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(a.shape[1] if b.ndim == 1 else (a.shape[1],) + b.shape[1:])
-    inv = np.where(s > rtol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv = np.where(s > RANK_RTOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return vt.T @ (inv[:, None] * (u.T @ b) if b.ndim > 1 else inv * (u.T @ b))
 
 

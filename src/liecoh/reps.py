@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, Subspace, span_brackets
+from .algebra import JACOBI_TOL, LEAK_TOL, LieAlgebra, Subspace, require_below, span_brackets
 from .linalg import (
-    RANK_RTOL,
     matrix_rank,
     nullspace,
     random_unit_vector,
@@ -67,13 +66,13 @@ class Representation:
     inner_product: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=float)
+        m = np.array(self.matrices, dtype=float)  # copies: the caller's arrays stay writable
         if m.ndim != 3 or m.shape[0] != self.algebra.dim or m.shape[1] != m.shape[2]:
             raise ValueError("matrices must be (algebra.dim, D, D)")
         m.setflags(write=False)
         self.matrices = m
         d = m.shape[1]
-        ip = np.eye(d) if self.inner_product is None else np.asarray(self.inner_product, float)
+        ip = np.eye(d) if self.inner_product is None else np.array(self.inner_product, float)
         ip.setflags(write=False)
         self.inner_product = ip
 
@@ -97,13 +96,11 @@ class Representation:
         return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0)
                      / residual_scale(self.matrices))
 
-    def validate(self, tol: float = 1e-9) -> "Representation":
-        hr = self.homomorphism_residual()
-        sr = self.skewness_residual()
-        if hr >= tol:
-            raise ValueError(f"homomorphism residual {hr:.3e} exceeds {tol:.1e}")
-        if sr >= tol:
-            raise ValueError(f"skewness residual {sr:.3e} exceeds {tol:.1e}")
+    def validate(self) -> "Representation":
+        """Return ``self``; raise ``ValidationError`` unless both residuals are below
+        ``JACOBI_TOL``."""
+        require_below(self.homomorphism_residual(), JACOBI_TOL, "representation: homomorphism")
+        require_below(self.skewness_residual(), JACOBI_TOL, "representation: skewness")
         return self
 
 
@@ -137,12 +134,12 @@ def _evaluation_matrix(rep: Representation, v: np.ndarray) -> np.ndarray:
     return np.einsum("aij,j->ia", rep.matrices, v)
 
 
-def orbit_dimension(rep: Representation, v, rtol: float = RANK_RTOL) -> int:
+def orbit_dimension(rep: Representation, v) -> int:
     """Rank of xi -> rho(xi) v; the dimension of the orbit through v."""
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0:
         raise ValueError("orbit dimension is undefined at the zero vector")
-    return matrix_rank(_evaluation_matrix(rep, v), rtol)
+    return matrix_rank(_evaluation_matrix(rep, v))
 
 
 @dataclass
@@ -164,28 +161,25 @@ def orbit_sample(rep: Representation, v) -> OrbitSample:
     return OrbitSample(v, orbit, iso)
 
 
-def cohomogeneity(rep: Representation, samples: int = GENERIC_SAMPLES,
-                  seed: int = DEFAULT_SEED) -> int:
-    """space_dim minus the maximal orbit dimension over seeded unit samples."""
-    if samples < 1:
-        raise ValueError("at least one sample required")
+def cohomogeneity(rep: Representation, seed: int = DEFAULT_SEED) -> int:
+    """space_dim minus the maximal orbit dimension over ``GENERIC_SAMPLES`` seeded unit samples."""
     rng = np.random.default_rng(seed)
     best = 0
-    for _ in range(samples):
+    for _ in range(GENERIC_SAMPLES):
         v = random_unit_vector(rep.space_dim, rng)
         best = max(best, orbit_dimension(rep, v))
     return rep.space_dim - best
 
 
-def isotropy_subalgebra(rep: Representation, v, rtol: float = RANK_RTOL) -> Subspace:
+def isotropy_subalgebra(rep: Representation, v) -> Subspace:
     """Nullspace of xi -> rho(xi) v inside the algebra."""
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0:
         raise ValueError("isotropy is undefined at the zero vector")
-    return Subspace(rep.algebra.dim, nullspace(_evaluation_matrix(rep, v), rtol))
+    return Subspace(rep.algebra.dim, nullspace(_evaluation_matrix(rep, v)))
 
 
-def fixed_subspace(rep: Representation, sub: Subspace, rtol: float = RANK_RTOL) -> Subspace:
+def fixed_subspace(rep: Representation, sub: Subspace) -> Subspace:
     """Common kernel of rho(xi) over a basis of the algebra subspace."""
     if sub.ambient_dim != rep.algebra.dim:
         raise ValueError("subspace must live in the algebra")
@@ -193,26 +187,24 @@ def fixed_subspace(rep: Representation, sub: Subspace, rtol: float = RANK_RTOL) 
         return Subspace(rep.space_dim, np.eye(rep.space_dim))
     ops = np.einsum("am,aij->mij", sub.basis, rep.matrices)
     stacked = ops.reshape(-1, rep.space_dim)
-    return Subspace(rep.space_dim, nullspace(stacked, rtol))
+    return Subspace(rep.space_dim, nullspace(stacked))
 
 
-def kernel_ideal(rep: Representation, rtol: float = RANK_RTOL,
-                 tol: float = 1e-8) -> Subspace:
+def kernel_ideal(rep: Representation) -> Subspace:
     """Kernel {xi : rho(xi) = 0}; verified to be an ideal of the algebra."""
     d = rep.algebra.dim
-    stacked = rep.matrices.reshape(d, -1).T
-    ker = Subspace(d, nullspace(stacked, rtol))
+    stacked = rep.matrices.reshape(d, rep.space_dim ** 2).T  # explicit size: d may be 0
+    ker = Subspace(d, nullspace(stacked))
     if ker.dim:
         # bracket closure [g, ker] inside ker
         imgs = span_brackets(rep.algebra, np.eye(d), ker.basis).reshape(-1, d).T
         resid = imgs - ker.projector() @ imgs
-        if np.abs(resid).max(initial=0.0) / residual_scale(imgs) >= tol:
-            raise ValueError("representation kernel is not an ideal (inconsistent input)")
+        require_below(np.abs(resid).max(initial=0.0) / residual_scale(imgs), LEAK_TOL,
+                      "representation kernel is not an ideal (inconsistent input)")
     return ker
 
 
-def hom_space_dimension(rep_a: Representation, rep_b: Representation,
-                        rtol: float = RANK_RTOL) -> int:
+def hom_space_dimension(rep_a: Representation, rep_b: Representation) -> int:
     """Dimension of intertwiners {A : A rho_a(xi) = rho_b(xi) A for all xi}."""
     if rep_a.algebra.dim != rep_b.algebra.dim or not np.array_equal(
             rep_a.algebra.c, rep_b.algebra.c):
@@ -223,7 +215,7 @@ def hom_space_dimension(rep_a: Representation, rep_b: Representation,
         m1 = np.kron(np.eye(db), rep_a.matrices[a].T)   # A -> A rho_a
         m2 = np.kron(rep_b.matrices[a], np.eye(da))     # A -> rho_b A
         blocks.append(m1 - m2)
-    return nullspace(np.vstack(blocks), rtol).shape[1]
+    return nullspace(np.vstack(blocks)).shape[1]
 
 
 def tensor_product(rep_a: Representation, rep_b: Representation) -> Representation:
@@ -264,17 +256,16 @@ def block_invariance_residual(rep: Representation, indices) -> float:
     return float(leak / residual_scale(rep.matrices))
 
 
-def restrict(rep: Representation, indices, tol: float = 1e-8) -> Representation:
+def restrict(rep: Representation, indices) -> Representation:
     """Restriction of the action to an invariant coordinate block."""
-    if block_invariance_residual(rep, indices) >= tol:
-        raise ValueError("block is not invariant")
+    require_below(block_invariance_residual(rep, indices), LEAK_TOL, "block is not invariant")
     idx = np.asarray(indices, dtype=int)
     mats = rep.matrices[:, idx[:, None], idx[None, :]]
     ip = rep.inner_product[np.ix_(idx, idx)]
     return Representation(rep.algebra, mats, ip)
 
 
-def splitting_criterion(rep: Representation, block1, block2, tol: float = 1e-8) -> bool:
+def splitting_criterion(rep: Representation, block1, block2) -> bool:
     """Fixed-module test for a designated two-block decomposition.
 
     With N_i the kernel of the restriction to block i, the criterion holds
@@ -291,13 +282,9 @@ def splitting_criterion(rep: Representation, block1, block2, tol: float = 1e-8) 
         raise ValueError("both blocks must be nontrivial")
     if sorted(b1 + b2) != list(range(rep.space_dim)):
         raise ValueError("blocks must partition the coordinates of the space")
-    for blk in (b1, b2):
-        if block_invariance_residual(rep, blk) >= tol:
-            raise ValueError("blocks are not invariant")
-    d = rep.space_dim
-    for blk in (b1, b2):
-        n_i = kernel_ideal(restrict(rep, blk))
-        fixed = fixed_subspace(rep, n_i)
-        if not fixed.equals(Subspace.coordinate(d, blk), tol):
+    parts = [restrict(rep, blk) for blk in (b1, b2)]  # both blocks checked before either is used
+    for blk, part in zip((b1, b2), parts):
+        fixed = fixed_subspace(rep, kernel_ideal(part))
+        if not fixed.equals(Subspace.coordinate(rep.space_dim, blk)):
             return False
     return True

@@ -28,6 +28,7 @@ import numpy as np
 
 from .algebra import (
     JACOBI_TOL,
+    LEAK_TOL,
     LieAlgebra,
     Subspace,
     ValidationError,
@@ -35,6 +36,7 @@ from .algebra import (
     direct_sum,
     killing_form,
     place_action,
+    require_below,
     require_valid,
     semidirect_sum,
     span_brackets,
@@ -128,10 +130,9 @@ class ReductiveSpace:
             start += b.dim
         return out
 
-    def validate(self, tol: float = JACOBI_TOL) -> "ReductiveSpace":
-        require_valid(self.algebra, tol, self.label)
-        rep, _ = isotropy_representation(self)
-        rep.validate(max(tol, 1e-9))
+    def validate(self) -> "ReductiveSpace":
+        require_valid(self.algebra, JACOBI_TOL, self.label)
+        isotropy_representation(self)[0].validate()
         return self
 
 
@@ -144,16 +145,18 @@ def _coordinate_space(label, alg, k_dim, block_dims, notes=()) -> ReductiveSpace
                           tuple(blocks), tuple(notes))
 
 
-def _span_subalgebra(alg: LieAlgebra, basis: np.ndarray) -> tuple[LieAlgebra, float]:
+def _span_subalgebra(alg: LieAlgebra, basis: np.ndarray, what: str) -> tuple[LieAlgebra, float]:
     """Structure constants on the span of orthonormal columns, with its closure residual.
 
     The residual is the largest bracket component leaving the span, relative
-    to the largest structure constant of ``alg``.
+    to the largest structure constant of ``alg``; ``ValidationError`` (saying
+    ``what``) is raised unless it is below ``LEAK_TOL``.
     """
     amb = span_brackets(alg, basis, basis)
     sub = amb @ basis
-    leak = np.abs(amb - sub @ basis.T).max(initial=0.0)
-    return LieAlgebra(0.5 * (sub - sub.transpose(1, 0, 2))), float(leak / residual_scale(alg.c))
+    leak = float(np.abs(amb - sub @ basis.T).max(initial=0.0) / residual_scale(alg.c))
+    require_below(leak, LEAK_TOL, what)
+    return LieAlgebra(0.5 * (sub - sub.transpose(1, 0, 2))), leak
 
 
 def _isotropy_action(alg: LieAlgebra, kb: np.ndarray, mb: np.ndarray):
@@ -162,26 +165,25 @@ def _isotropy_action(alg: LieAlgebra, kb: np.ndarray, mb: np.ndarray):
     return km, (km @ mb).transpose(0, 2, 1)
 
 
-def isotropy_representation(space: ReductiveSpace, tol: float = 1e-8):
+def isotropy_representation(space: ReductiveSpace):
     """Isotropy action of k on m in block coordinates.
 
     Returns ``(rep, slices)``: a ``Representation`` of the isotropy
     subalgebra on the stacked block coordinates, and the coordinate ranges of
-    the blocks.  Verifies closure of k and invariance of every block.
+    the blocks.  Verifies closure of k and invariance of every block (each
+    within ``LEAK_TOL``).
     """
     alg = space.algebra
     mb = space.m_basis()
-    k_alg, leak = _span_subalgebra(alg, space.isotropy.basis)
-    if leak >= tol:
-        raise ValidationError(f"isotropy is not a subalgebra (residual {leak:.3e})")
+    k_alg, _ = _span_subalgebra(alg, space.isotropy.basis, "isotropy is not a subalgebra")
     km, mats = _isotropy_action(alg, space.isotropy.basis, mb)
     leak = np.abs(km - mats.transpose(0, 2, 1) @ mb.T).max(initial=0.0) / residual_scale(alg.c)
-    if leak >= tol:
-        raise ValidationError(f"blocks are not invariant under k (residual {leak:.3e})")
+    require_below(leak, LEAK_TOL, "blocks are not invariant under k")
     rep = Representation(k_alg, mats)
     slices = space.block_slices()
-    if any(block_invariance_residual(rep, idx) >= tol for idx in slices):
-        raise ValidationError("a designated block is not invariant under k")
+    for idx in slices:
+        require_below(block_invariance_residual(rep, idx), LEAK_TOL,
+                      "a designated block is not invariant under k")
     return rep, slices
 
 
@@ -290,8 +292,8 @@ def _select_completion(solution: CompletionSolution, selector) -> np.ndarray:
     if solution.empty:
         raise ValidationError("completion problem has no admissible filling")
     if selector == "abelian":
-        if np.abs(solution.particular).max(initial=0.0) > 1e-9:
-            raise ValidationError("no abelian filling: the zero block is not a solution")
+        require_below(np.abs(solution.particular).max(initial=0.0), JACOBI_TOL,
+                      "no abelian filling: the zero block is not a solution")
         return np.zeros(solution.nullity)
 
     def matches(weights) -> bool:
@@ -322,7 +324,7 @@ def _select_completion(solution: CompletionSolution, selector) -> np.ndarray:
     raise ValidationError(f"no completion matching {selector!r} on the documented grid")
 
 
-def build_clifford_space(spec: CliffordSpaceSpec, tol: float = JACOBI_TOL) -> ReductiveSpace:
+def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
     """Assemble and validate one member of the Clifford-parameter family.
 
     Raises ``ValidationError`` with the residual triple when the parameters
@@ -345,7 +347,7 @@ def build_clifford_space(spec: CliffordSpaceSpec, tol: float = JACOBI_TOL) -> Re
         alg = LieAlgebra(solution.realize(weights).c, labels=labels)
     else:
         alg = LieAlgebra(c, labels=labels)
-    require_valid(alg, tol, f"clifford construction n={spec.n}")
+    require_valid(alg, JACOBI_TOL, f"clifford construction n={spec.n}")
     label = f"Cl(n={spec.n},lam={spec.lam:g},mu={spec.mu:g},{spec.m2_mode[0]})"
     return _coordinate_space(label, alg, len(k_idx), (len(m1_idx), len(m2_idx)), notes)
 
@@ -400,7 +402,7 @@ def heisenberg_label(spec: HeisenbergSpec) -> str:
     return f"N({spec.center_dim},{spec.copies})"
 
 
-def build_heisenberg(spec: HeisenbergSpec, tol: float = JACOBI_TOL) -> ReductiveSpace:
+def build_heisenberg(spec: HeisenbergSpec) -> ReductiveSpace:
     """Normalized generalized Heisenberg space with its canonical isotropy.
 
     Any kappa != 0 is normalized away by Z -> sgn(kappa) Z, X -> X/sqrt|kappa|,
@@ -416,7 +418,7 @@ def build_heisenberg(spec: HeisenbergSpec, tol: float = JACOBI_TOL) -> Reductive
         return _heisenberg_center_one(spec, note)
     mode = ("heisenberg", 1.0) if spec.kappa != 0.0 else ("zero",)
     cspec = CliffordSpaceSpec(spec.center_dim, 0.0, 0.0, spec.copies, mode)
-    space = build_clifford_space(cspec, tol)
+    space = build_clifford_space(cspec)
     notes = space.notes + ((note,) if note else ())
     return ReductiveSpace(heisenberg_label(spec), space.algebra, space.isotropy,
                           space.blocks, notes)
@@ -613,7 +615,7 @@ def build_g1(space: ReductiveSpace) -> tuple[LieAlgebra, G1Report]:
     inconclusive (a finite kernel such as a central involution can still act
     freely), so closure is checked directly; the report records which path
     certified the result.  Either way k + m1 must close under the bracket
-    within a relative residual of 1e-8, or ``ValidationError`` is raised.
+    within a relative residual of ``LEAK_TOL``, or ``ValidationError`` is raised.
     """
     if len(space.blocks) < 2:
         raise ValueError("two blocks are required")
@@ -631,10 +633,8 @@ def build_g1(space: ReductiveSpace) -> tuple[LieAlgebra, G1Report]:
         mode = "closure-direct"
 
     g1_basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
-    g1, closure = _span_subalgebra(space.algebra, g1_basis)
-    if closure >= 1e-8:
-        raise ValidationError(f"k + m1 is not closed (residual {closure:.3e})")
-    require_valid(g1, 1e-8, "k + m1 subalgebra")
+    g1, closure = _span_subalgebra(space.algebra, g1_basis, "k + m1 is not closed")
+    require_valid(g1, LEAK_TOL, "k + m1 subalgebra")
     return g1, G1Report(closure, n1.dim, mode)
 
 
@@ -650,7 +650,7 @@ def projected_action_isometry_test(space: ReductiveSpace) -> tuple[bool, float]:
     op = span_brackets(space.algebra, g1_basis, m2) @ m2    # op[a] = (proj_m2 ad(g1_a))^T
     sym = 0.5 * (op + op.transpose(0, 2, 1))
     worst = float(np.linalg.norm(sym, 2, axis=(1, 2)).max(initial=0.0))
-    return worst < 1e-9, worst
+    return worst < JACOBI_TOL, worst
 
 
 @dataclass
@@ -663,8 +663,7 @@ class EigenReport:
     defect: int
 
 
-def ad_eigenspace_decomposition(space: ReductiveSpace, xi=None,
-                                tol: float = 1e-8) -> EigenReport:
+def ad_eigenspace_decomposition(space: ReductiveSpace, xi=None) -> EigenReport:
     """Eigen-structure of ad(xi) for the rank-one generator xi in m1.
 
     The zero eigenspace is compared with k + m1; nonzero eigenvalues are
@@ -688,7 +687,7 @@ def ad_eigenspace_decomposition(space: ReductiveSpace, xi=None,
 
         gap = subspace_gap(zero, orthonormal_columns(g1_basis))
     blocks: dict = {}
-    mask = np.abs(eigvals) > tol
+    mask = np.abs(eigvals) > LEAK_TOL
     for lam in eigvals[mask]:
         key = (round(float(lam.real), 8), round(abs(float(lam.imag)), 8))
         blocks[key] = blocks.get(key, 0) + 1
@@ -696,11 +695,11 @@ def ad_eigenspace_decomposition(space: ReductiveSpace, xi=None,
     span = orthonormal_columns(span)
     pairs = span_brackets(space.algebra, span, span)[np.triu_indices(span.shape[1], 1)]
     resid = float(np.abs(pairs).max(initial=0.0) / residual_scale(space.algebra.c))
-    return EigenReport(tuple(np.round(eigvals, 10)), zero.shape[1], gap < tol,
+    return EigenReport(tuple(np.round(eigvals, 10)), zero.shape[1], gap < LEAK_TOL,
                        blocks, resid, defect)
 
 
-def verify_flatness(space: ReductiveSpace, tol: float = 1e-9) -> bool:
+def verify_flatness(space: ReductiveSpace) -> bool:
     """Flat iff the complement is an abelian ideal, else iff curvature vanishes.
 
     The algebraic test (all brackets among complement blocks zero) is
@@ -711,11 +710,11 @@ def verify_flatness(space: ReductiveSpace, tol: float = 1e-9) -> bool:
     mb = space.m_basis()
     amb = span_brackets(space.algebra, mb, mb)
     scale = residual_scale(space.algebra.c)
-    abelian_ideal = float(np.abs(amb).max(initial=0.0) / scale) < tol
+    abelian_ideal = float(np.abs(amb).max(initial=0.0) / scale) < JACOBI_TOL
     from .geometry import InvariantMetricSpace, curvature_tensor
 
     r = curvature_tensor(InvariantMetricSpace(space))
-    curv_flat = bool(np.abs(r).max(initial=0.0) < tol)
+    curv_flat = bool(np.abs(r).max(initial=0.0) < JACOBI_TOL)
     if abelian_ideal and not curv_flat:
         raise AssertionError("abelian complement with nonzero curvature: inconsistent space")
     return abelian_ideal or curv_flat

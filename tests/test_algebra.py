@@ -346,3 +346,20 @@ def test_coordinate_subspace_keeps_its_indices():
     assert general.indices is None
     with pytest.raises(ValueError):
         general.coordinate_indices()
+
+
+def test_lie_algebra_leaves_the_callers_arrays_writable():
+    c = np.array(su2_epsilon().c)
+    ip = np.eye(3)
+    alg = LieAlgebra(c, ip)
+    c[0, 0, 0] = 1.0
+    ip[0, 0] = 2.0
+    assert alg.c[0, 0, 0] == 0.0 and alg.inner_product[0, 0] == 1.0
+    assert not alg.c.flags.writeable and not alg.inner_product.flags.writeable
+
+
+def test_subspace_leaves_the_callers_basis_writable():
+    basis = np.eye(3)[:, :2]
+    sub = Subspace(3, basis)
+    basis[0, 0] = 5.0
+    assert sub.basis[0, 0] == 1.0 and not sub.basis.flags.writeable

@@ -128,3 +128,16 @@ def test_export_unknown_id(capsys):
 def test_registry_ids_unique():
     ids = [c[0] for c in build_claims()]
     assert len(ids) == len(set(ids))
+
+
+def test_export_to_a_missing_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("liecoh.cli.export_space", lambda *a: pytest.fail("payload built"))
+    assert main(["export", "N(1,1)", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_jobs_is_a_config_error(jobs, capsys, monkeypatch):
+    monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
+    assert main(["verify", "--group", "tables", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -214,3 +214,10 @@ def test_quaternion_commutant_units(n):
     assert np.array_equal(i @ j, k)
     for u in units:
         assert np.array_equal(u, -u.T)
+
+
+def test_clifford_module_leaves_the_callers_gammas_writable():
+    gammas = np.array(spin_module(3).gammas)
+    module = cl.CliffordModule(3, gammas)
+    gammas[0, 0, 0] = 1.0
+    assert module.gammas[0, 0, 0] == 0.0 and not module.gammas.flags.writeable

@@ -297,3 +297,18 @@ def test_orbit_sample_record(so3):
     s = orbit_sample(so3, np.array([0.0, 2.0, 0.0]))
     assert s.orbit_dim == 2 and s.isotropy_dim == 1
     assert abs(np.linalg.norm(s.point) - 1.0) < 1e-12
+
+
+def test_representation_leaves_the_callers_arrays_writable(so3):
+    mats = np.array(so3.matrices)
+    ip = np.eye(3)
+    rep = Representation(so3.algebra, mats, ip)
+    mats[0, 0, 0] = 1.0
+    ip[0, 0] = 2.0
+    assert rep.matrices[0, 0, 0] == 0.0 and rep.inner_product[0, 0] == 1.0
+    assert not rep.matrices.flags.writeable and not rep.inner_product.flags.writeable
+
+
+def test_kernel_of_a_zero_algebra_is_zero():
+    rep = trivial_representation(LieAlgebra(np.zeros((0, 0, 0))), 2)
+    assert kernel_ideal(rep).dim == 0

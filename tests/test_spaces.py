@@ -370,3 +370,17 @@ def test_index_recovery_refuses_non_coordinate_blocks():
         nilpotent_part(space)
     with pytest.raises(ValueError):
         _j_matrices(space)
+
+
+def test_fingerprint_claims_read_the_catalog(monkeypatch):
+    from liecoh import claims
+
+    for sid in catalog_ids():
+        catalog_entry(sid)
+    monkeypatch.setattr(sps, "build_clifford_space", lambda *a: pytest.fail("rebuilt"))
+    monkeypatch.setattr(sps, "build_heisenberg", lambda *a: pytest.fail("rebuilt"))
+    cfg = claims.RunConfig()
+    for sign in (+1, -1):
+        assert claims._claim_completion_n7(sign, cfg).status == "pass"
+    for center, copies in claims.HEISENBERG_CASES:
+        assert claims._claim_heisenberg(center, copies, cfg).status == "pass"
