@@ -66,6 +66,9 @@ __all__ = [
 JACOBI_TOL = 1e-9      # Jacobi identity, representation and skewness residuals
 LEAK_TOL = 1e-8        # closure of subalgebras, invariance of blocks and kernels
 GRADING_TOL = 1e-10    # grading of a symmetric pair in ``weyl_flip``
+# Largest jacobiator slab held at once: bigger temporaries, freed on pool
+# threads, raise glibc's mmap threshold and stay resident on a timing-dependent schedule.
+JACOBIATOR_SLAB_BYTES = 1 << 20
 
 
 class ValidationError(ValueError):
@@ -190,14 +193,26 @@ def span_brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b.T @ left
 
 
+def _jacobiator_slabs(c: np.ndarray):
+    """``(rows, J[rows])`` over slabs of the first index, each ``JACOBIATOR_SLAB_BYTES`` at most."""
+    d = c.shape[0]
+    step = max(1, JACOBIATOR_SLAB_BYTES // (8 * d ** 3 or 1))
+    right = c.reshape(d, d * d)
+    for s in range(0, d, step):
+        rows, n = slice(s, min(s + step, d)), min(step, d - s)
+        # t[i,j,k,l] = [[b_i,b_j],b_k]_l and J[i,j,k] = t[i,j,k] + t[j,k,i] + t[k,i,j]
+        t_ijk = (c[rows].reshape(n * d, d) @ right).reshape(n, d, d, d)
+        t_jki = (c.reshape(d * d, d) @ c[:, rows].reshape(d, n * d)).reshape(d, d, n, d)
+        t_kij = (c[:, rows].reshape(d * n, d) @ right).reshape(d, n, d, d)
+        yield rows, t_ijk + t_jki.transpose(2, 0, 1, 3) + t_kij.transpose(1, 2, 0, 3)
+
+
 def jacobiator(alg: LieAlgebra) -> np.ndarray:
     """Tensor ``J[i,j,k,:] = [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]``."""
-    c = alg.c
-    d = c.shape[0]
-    # t1[i,j,k,l] = [[b_i,b_j],b_k]_l as one matrix product; the other two
-    # terms are its cyclic transposes in (i, j, k)
-    t1 = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape(d, d, d, d)
-    return t1 + t1.transpose(2, 0, 1, 3) + t1.transpose(1, 2, 0, 3)
+    out = np.empty((alg.dim,) * 4)
+    for rows, slab in _jacobiator_slabs(alg.c):
+        out[rows] = slab
+    return out
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:
@@ -216,7 +231,9 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
     scale = np.abs(alg.c).max(initial=0.0)
     if scale == 0.0:
         return (0, 0, 0), 0.0
-    norms = np.sqrt((jacobiator(alg) ** 2).sum(axis=3))
+    norms = np.empty((alg.dim,) * 3)  # slab by slab: J is 13 MB at d = 36
+    for rows, slab in _jacobiator_slabs(alg.c):
+        norms[rows] = np.sqrt((slab ** 2).sum(axis=3))
     idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
     return tuple(int(v) for v in idx), float(norms[idx] / scale)
 

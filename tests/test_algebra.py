@@ -126,6 +126,34 @@ def test_jacobiator_matches_einsum_reference():
     assert np.abs(la.jacobiator(LieAlgebra(c)) - ref).max() < 1e-12
 
 
+def test_jacobi_residual_over_several_slabs_matches_the_einsum_reference():
+    # at d = 20 the first index splits into slabs of 16 and 4 rows
+    c = la.antisymmetrized(np.random.default_rng(7).standard_normal((20, 20, 20)))
+    alg = LieAlgebra(c)
+    assert len(list(la._jacobiator_slabs(c))) == 2
+    ref = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
+           + np.einsum("kim,mjl->ijkl", c, c))
+    assert np.abs(la.jacobiator(alg) - ref).max() < 1e-12
+    norms = np.sqrt((ref ** 2).sum(axis=3))
+    triple, res = la.worst_jacobi_triple(alg)
+    assert triple == np.unravel_index(np.argmax(norms), norms.shape)
+    assert abs(res - norms.max() / np.abs(c).max()) < 1e-12
+
+
+def test_jacobi_residual_never_holds_the_whole_jacobiator():
+    import tracemalloc
+
+    d = 36  # so(9): the whole jacobiator is 8 d^4 bytes = 13.4 MB
+    alg = LieAlgebra(la.antisymmetrized(np.random.default_rng(8).standard_normal((d, d, d))))
+    tracemalloc.start()
+    try:
+        la.worst_jacobi_triple(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d ** 4 / 2
+
+
 def test_span_brackets_matches_einsum_reference():
     rng = np.random.default_rng(6)
     alg = LieAlgebra(la.antisymmetrized(rng.standard_normal((9, 9, 9))))
