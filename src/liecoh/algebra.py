@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    ValidationError,
     nullspace,
     orthonormal_columns,
     projector,
@@ -71,23 +72,6 @@ GRADING_TOL = 1e-10    # grading of a symmetric pair in ``weyl_flip``
 JACOBIATOR_SLAB_BYTES = 1 << 20
 
 
-class ValidationError(ValueError):
-    """A constructed bracket failed validation.
-
-    Attributes
-    ----------
-    residual : float
-        Normalized residual of the offending object (NaN when it is not finite).
-    triple : tuple or None
-        Basis triple realizing the worst Jacobi residual, when there is one.
-    """
-
-    def __init__(self, message, residual=None, triple=None):
-        super().__init__(message)
-        self.residual = residual
-        self.triple = triple
-
-
 def require_below(residual: float, bound: float, what: str, triple=None) -> None:
     """Raise ``ValidationError`` unless ``residual < bound``.
 
@@ -119,6 +103,8 @@ class LieAlgebra:
     inner_product: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
+    # (c, worst Jacobi triple, residual), set by ``worst_jacobi_triple``
+    _jacobi: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)  # a copy: the caller's array stays writable
@@ -227,15 +213,27 @@ def jacobi_residual(alg: LieAlgebra) -> float:
 
 
 def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
-    """Basis triple with the largest (normalized) Jacobi violation."""
-    scale = np.abs(alg.c).max(initial=0.0)
+    """Basis triple with the largest (normalized) Jacobi violation.
+
+    Memoised on ``alg`` for as long as ``alg.c`` is the same read-only array,
+    so validation at construction and later checks share one evaluation.
+    """
+    c = alg.c
+    memo = alg._jacobi
+    if memo is not None and memo[0] is c:
+        return memo[1], memo[2]
+    scale = np.abs(c).max(initial=0.0)
     if scale == 0.0:
-        return (0, 0, 0), 0.0
-    norms = np.empty((alg.dim,) * 3)  # slab by slab: J is 13 MB at d = 36
-    for rows, slab in _jacobiator_slabs(alg.c):
-        norms[rows] = np.sqrt((slab ** 2).sum(axis=3))
-    idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
-    return tuple(int(v) for v in idx), float(norms[idx] / scale)
+        triple, res = (0, 0, 0), 0.0
+    else:
+        norms = np.empty((alg.dim,) * 3)  # slab by slab: J is 13 MB at d = 36
+        for rows, slab in _jacobiator_slabs(c):
+            norms[rows] = np.sqrt((slab ** 2).sum(axis=3))
+        idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
+        triple, res = tuple(int(v) for v in idx), float(norms[idx] / scale)
+    if not c.flags.writeable:
+        alg._jacobi = (c, triple, res)  # racing threads store equal values
+    return triple, res
 
 
 def require_valid(alg: LieAlgebra, tol: float = JACOBI_TOL, what: str = "algebra") -> LieAlgebra:

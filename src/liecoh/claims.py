@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -449,17 +450,25 @@ def _run_one(entry, cfg: RunConfig) -> VerificationReport:
     return rep
 
 
+@lru_cache(maxsize=None)
+def _pool(jobs: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=jobs)
+
+
 def run_suite(cfg: RunConfig, jobs: int = 4) -> SuiteResult:
     """Run the selected groups; reports sorted by claim id; deterministic."""
     selected = [c for c in build_claims() if c[1] in cfg.groups]
-    # warm the shared caches serially so pool workers never duplicate the
-    # expensive completion solves
+    # Warm the catalog serially so pool workers never duplicate its
+    # completion solves.  The n=6 solve is left to its fingerprint claim: on
+    # a worker its freed memory serves that worker's later claims, while on
+    # this thread it would stay idle in the main malloc arena.  One pool per
+    # ``jobs`` serves every call, because a fresh worker thread can start
+    # before the old one has released its arena, and then grows a new one.
     if any(g in cfg.groups for g in ("jacobi", "splitting", "catalog", "curvature")):
         for sid in sps.catalog_ids():
             sps.catalog_entry(sid)
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda e: _run_one(e, cfg), selected))
+        reports = list(_pool(jobs).map(lambda e: _run_one(e, cfg), selected))
     else:
         reports = [_run_one(e, cfg) for e in selected]
     reports.sort(key=lambda r: r.claim_id)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import JACOBI_TOL, LieAlgebra, Subspace, jacobi_residual
-from .linalg import RANK_RTOL
+from .linalg import RANK_RTOL, require_finite
 
 __all__ = ["CompletionProblem", "CompletionSolution", "complete_bracket"]
 
@@ -281,7 +281,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
         a[local_row, np.searchsorted(cols, col[entries])] = val[entries]
         b = np.zeros(a.shape[0])
         b[:rows.size] = rhs[rows]
-        u_svd, sv, vt = np.linalg.svd(a, full_matrices=False)
+        u_svd, sv, vt = np.linalg.svd(require_finite(a), full_matrices=False)
         blocks.append((cols, u_svd.T @ b, sv, vt))
 
     sv_all = np.sort(np.concatenate([blk[2] for blk in blocks]))[::-1]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import LEAK_TOL, LieAlgebra, Subspace, require_below, span_brackets
 from .clifford import bivector_pairs, so_structure_tensor
-from .linalg import residual_scale
+from .linalg import ValidationError, residual_scale
 from .reps import Representation, cohomogeneity, rep_direct_sum, trivial_representation
 from .spaces import ReductiveSpace, _isotropy_action, isotropy_representation
 
@@ -150,8 +150,8 @@ def sectional_curvature(ms: InvariantMetricSpace, x, y,
     y = np.asarray(y, dtype=float)
     q = ms.metric()
     area2 = (x @ q @ x) * (y @ q @ y) - (x @ q @ y) ** 2
-    if area2 < 1e-12:
-        raise ValueError("degenerate plane")
+    if not area2 >= 1e-12:
+        raise ValidationError("degenerate plane", residual=float(area2))
     if r4 is None:
         r4 = curvature_tensor(ms)
     val = np.einsum("ijkl,i,j,k,l->", r4, x, y, y, x)
@@ -309,8 +309,9 @@ class WarpedProduct:
         f, df, ddf = self.profile.f, self.profile.df, self.profile.ddf
         notes = []
         vals = np.array([f(t) for t in self.interior_samples()])
-        if vals.min() <= 0:
-            raise ValueError("profile must be positive on the interior")
+        if not vals.min() > 0:
+            raise ValidationError("profile must be positive on the interior",
+                                  residual=float(vals.min()))
         zeros = {"line": (), "half_line": (0.0,),
                  "segment": (0.0, self.interval[1]) if self.interval[0] == "segment" else ()}
         for t0 in zeros[self.interval[0]]:
@@ -333,8 +334,8 @@ def warped_sectional_curvature(w: WarpedProduct, t: float, plane) -> float:
     (K_F - f'^2) / f^2, and a general plane mixes the two with no cross term.
     """
     f, df, ddf = (w.profile.f(t), w.profile.df(t), w.profile.ddf(t))
-    if f <= 0:
-        raise ValueError("t must be an interior point (f > 0)")
+    if not f > 0:
+        raise ValidationError("t must be an interior point (f > 0)", residual=float(f))
     d = w.fiber.fiber_dim()
     kind = plane[0]
     if kind == "mixed":
@@ -355,8 +356,8 @@ def warped_sectional_curvature(w: WarpedProduct, t: float, plane) -> float:
     gww = b * b + f * f * (y @ y)
     gvw = a * b + f * f * (x @ y)
     area2 = gvv * gww - gvw ** 2
-    if area2 < 1e-12:
-        raise ValueError("degenerate plane")
+    if not area2 >= 1e-12:
+        raise ValidationError("degenerate plane", residual=float(area2))
     return float(num / area2)
 
 
@@ -368,55 +369,44 @@ def warped_sectional_curvature(w: WarpedProduct, t: float, plane) -> float:
 def riemann_finite_difference(metric_fn, dim: int) -> np.ndarray:
     """(0,4) curvature of an explicit coordinate metric at the origin, by central differences.
 
-    Independent of every closed-form path above: Christoffel symbols come
-    from first differences of the metric, their derivatives from a second
-    differencing with the same step ``FD_STEP``, so the truncation error is
-    O(FD_STEP^2).
+    ``metric_fn`` is batched: it maps points of shape ``(n, dim)`` to metric
+    components of shape ``(n, dim, dim)``, and is called once, on the whole
+    stencil.  Independent of every closed-form path above: Christoffel
+    symbols come from first differences of the metric, their derivatives
+    from a second differencing with the same step ``FD_STEP``, so the
+    truncation error is O(FD_STEP^2).
     """
     h = FD_STEP
-    x0 = np.zeros(dim)
-
-    def christoffel(x):
-        g = metric_fn(x)
-        ginv = np.linalg.inv(g)
-        dg = np.empty((dim, dim, dim))
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = h
-            dg[k] = (metric_fn(x + e) - metric_fn(x - e)) / (2 * h)
-        # t[l, j, k] = d_j g_{lk} + d_k g_{jl} - d_l g_{jk}
-        t = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
-        return 0.5 * np.einsum("il,ljk->ijk", ginv, t)
-
-    gam0 = christoffel(x0)
-    dgam = np.empty((dim, dim, dim, dim))
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = h
-        dgam[a] = (christoffel(x0 + e) - christoffel(x0 - e)) / (2 * h)
+    # offsets 0, +h e_k, -h e_k; the Christoffel symbols are taken at every
+    # offset from the origin and need the metric at every offset from there
+    steps = np.vstack([np.zeros(dim), h * np.eye(dim), -h * np.eye(dim)])
+    g = metric_fn((steps[:, None, :] + steps[None, :, :]).reshape(-1, dim))
+    g = g.reshape(2 * dim + 1, 2 * dim + 1, dim, dim)
+    dg = (g[:, 1:dim + 1] - g[:, dim + 1:]) / (2 * h)   # dg[p, k] = d_k g at point p
+    # t[p, l, j, k] = d_j g_{lk} + d_k g_{jl} - d_l g_{jk}
+    t = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 3, 2, 1) - dg
+    gam = 0.5 * np.einsum("pil,pljk->pijk", np.linalg.inv(g[:, 0]), t)
+    gam0 = gam[0]
+    dgam = (gam[1:dim + 1] - gam[dim + 1:]) / (2 * h)   # dgam[a] = d_a Gamma
     # R(d_a, d_b) d_c = r_up[m, a, b, c] d_m
-    r_up = np.empty((dim, dim, dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            r_up[:, a, b, :] = (dgam[a][:, b, :] - dgam[b][:, a, :]
-                                + np.einsum("me,ec->mc", gam0[:, a, :], gam0[:, b, :])
-                                - np.einsum("me,ec->mc", gam0[:, b, :], gam0[:, a, :]))
-    g0 = metric_fn(x0)
-    return np.einsum("mabc,md->abcd", r_up, g0)
+    quad = np.einsum("mae,ebc->mabc", gam0, gam0)
+    r_up = (dgam.transpose(1, 0, 2, 3) - dgam.transpose(1, 2, 0, 3)
+            + quad - quad.transpose(0, 2, 1, 3))
+    return np.einsum("mabc,md->abcd", r_up, g[0, 0])
 
 
 def _warped_chart_metric(w: WarpedProduct, t: float):
-    """Coordinate metric (t-offset, fiber normal coordinates) around a point."""
+    """Batched coordinate metric (t-offset, fiber normal coordinates) around a point."""
     r4f = w.fiber.r4_orthonormal()
     d = w.fiber.fiber_dim()
     f = w.profile.f
 
     def metric_fn(x):
-        g = np.zeros((1 + d, 1 + d))
-        g[0, 0] = 1.0
-        y = x[1:]
-        gf = np.eye(d) + np.einsum("ikjl,k,l->ij", r4f, y, y) / 3.0
-        g[1:, 1:] = f(t + x[0]) ** 2 * gf
+        g = np.zeros((x.shape[0], 1 + d, 1 + d))
+        g[:, 0, 0] = 1.0
+        y = x[:, 1:]
+        gf = np.eye(d) + np.einsum("ikjl,nk,nl->nij", r4f, y, y) / 3.0
+        g[:, 1:, 1:] = (f(t + x[:, 0]) ** 2)[:, None, None] * gf
         return g
 
     return metric_fn
@@ -437,7 +427,7 @@ def warped_sectional_fd(w: WarpedProduct, t: float, plane) -> float:
     else:
         v = np.concatenate([[float(plane[1])], np.asarray(plane[2], dtype=float)])
         u = np.concatenate([[float(plane[3])], np.asarray(plane[4], dtype=float)])
-    g0 = metric_fn(np.zeros(1 + d))
+    g0 = metric_fn(np.zeros((1, 1 + d)))[0]
     num = np.einsum("ijkl,i,j,k,l->", r4, v, u, u, v)
     area2 = (v @ g0 @ v) * (u @ g0 @ u) - (v @ g0 @ u) ** 2
     return float(num / area2)

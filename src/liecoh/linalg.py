@@ -16,6 +16,34 @@ import numpy as np
 RANK_RTOL = 1e-8
 
 
+class ValidationError(ValueError):
+    """A numerical check failed: a gate's residual, or non-finite input to an SVD.
+
+    Attributes
+    ----------
+    residual : float
+        Normalized residual of the offending object, or the value that failed
+        a positivity check (NaN when it is not finite).
+    triple : tuple or None
+        Basis triple realizing the worst Jacobi residual, when there is one.
+    """
+
+    def __init__(self, message, residual=None, triple=None):
+        super().__init__(message)
+        self.residual = residual
+        self.triple = triple
+
+
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """Return ``a``; raise ``ValidationError`` if an entry is NaN or infinite.
+
+    Guards every SVD: LAPACK may never return on a non-finite matrix.
+    """
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has a non-finite entry", residual=np.nan)
+    return a
+
+
 def residual_scale(a: np.ndarray) -> float:
     """Largest magnitude in ``a``, at least 1: the divisor of relative residuals."""
     return max(np.abs(a).max(initial=0.0), 1.0)
@@ -26,7 +54,7 @@ def matrix_rank(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(require_finite(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
@@ -51,7 +79,7 @@ def nullspace(a: np.ndarray) -> np.ndarray:
     if m < n:
         # Pad so the economy SVD exposes the full right-singular basis.
         a = np.vstack([a, np.zeros((n - m, n))])
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    _, s, vt = np.linalg.svd(require_finite(a), full_matrices=False)
     cutoff = RANK_RTOL * s[0] if s[0] > 0 else 0.0
     return vt[s <= cutoff].T.copy() if s[0] > 0 else np.eye(n)
 
@@ -61,14 +89,14 @@ def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.shape[1] == 0 or not np.any(v):
         return np.zeros((v.shape[0], 0))
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    u, s, _ = np.linalg.svd(require_finite(v), full_matrices=False)
     return u[:, s > RANK_RTOL * s[0]].copy()
 
 
 def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a x = b`` via SVD."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = np.linalg.svd(require_finite(a), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(a.shape[1] if b.ndim == 1 else (a.shape[1],) + b.shape[1:])
     inv = np.where(s > RANK_RTOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)

@@ -154,6 +154,34 @@ def test_jacobi_residual_never_holds_the_whole_jacobiator():
     assert peak < 8 * d ** 4 / 2
 
 
+def test_jacobi_residual_is_memoised_on_the_algebra(jacobi_kernel_calls):
+    seen = jacobi_kernel_calls
+    alg = su2_epsilon()
+    first = la.worst_jacobi_triple(alg)
+    assert la.worst_jacobi_triple(alg) == first
+    assert la.jacobi_residual(alg) == first[1]
+    la.require_valid(alg)
+    assert len(seen) == 1
+
+
+def test_replaced_constants_are_checked_again(jacobi_kernel_calls):
+    seen = jacobi_kernel_calls
+    alg = su2_epsilon()
+    assert jacobi_residual(alg) == 0.0
+    # [e0,e1] = e2 and [e1,e2] = e1 break Jacobi
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
+    alg.c = LieAlgebra(c).c
+    assert abs(jacobi_residual(alg) - 1.0) < 1e-12
+    assert len(seen) == 2
+    # a writable array may change in place, so it is never memoised
+    alg.c = c
+    jacobi_residual(alg)
+    jacobi_residual(alg)
+    assert len(seen) == 4
+
+
 def test_span_brackets_matches_einsum_reference():
     rng = np.random.default_rng(6)
     alg = LieAlgebra(la.antisymmetrized(rng.standard_normal((9, 9, 9))))

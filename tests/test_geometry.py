@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from liecoh.claims import WARPED_CASES
 from liecoh.geometry import (
+    FD_STEP,
     InvariantMetricSpace,
     Profile,
     ReductiveFiber,
     RoundSphere,
     WarpedProduct,
+    _warped_chart_metric,
     curvature_symmetry_residual,
     curvature_tensor,
     riemann_finite_difference,
@@ -180,12 +183,68 @@ def test_fd_oracle_standalone_sphere_chart():
     r4f = sphere.r4_orthonormal()
 
     def metric_fn(x):
-        return np.eye(3) + np.einsum("ikjl,k,l->ij", r4f, x, x) / 3.0
+        return np.eye(3) + np.einsum("ikjl,nk,nl->nij", r4f, x, x) / 3.0
 
     r4 = riemann_finite_difference(metric_fn, 3)
     x, y = np.eye(3)[0], np.eye(3)[1]
     k = np.einsum("ijkl,i,j,k,l->", r4, x, y, y, x)
     assert abs(k - 1.0) < 1e-6
+
+
+def _per_point_riemann_fd(metric_fn, dim):
+    """The oracle as a loop over stencil points, one metric evaluation each."""
+    h = FD_STEP
+    x0 = np.zeros(dim)
+
+    def metric_at(x):
+        return metric_fn(x[None])[0]
+
+    def christoffel(x):
+        g = metric_at(x)
+        ginv = np.linalg.inv(g)
+        dg = np.empty((dim, dim, dim))
+        for k in range(dim):
+            e = np.zeros(dim)
+            e[k] = h
+            dg[k] = (metric_at(x + e) - metric_at(x - e)) / (2 * h)
+        t = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
+        return 0.5 * np.einsum("il,ljk->ijk", ginv, t)
+
+    gam0 = christoffel(x0)
+    dgam = np.empty((dim, dim, dim, dim))
+    for a in range(dim):
+        e = np.zeros(dim)
+        e[a] = h
+        dgam[a] = (christoffel(x0 + e) - christoffel(x0 - e)) / (2 * h)
+    r_up = np.empty((dim, dim, dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            r_up[:, a, b, :] = (dgam[a][:, b, :] - dgam[b][:, a, :]
+                                + np.einsum("me,ec->mc", gam0[:, a, :], gam0[:, b, :])
+                                - np.einsum("me,ec->mc", gam0[:, b, :], gam0[:, a, :]))
+    return np.einsum("mabc,md->abcd", r_up, metric_at(x0))
+
+
+@pytest.mark.parametrize("case", WARPED_CASES, ids=[c[0] for c in WARPED_CASES])
+def test_batched_fd_oracle_equals_the_per_point_loop(case):
+    _, interval, profile, fiber_dim = case
+    w = WarpedProduct(interval, Profile.from_name(profile), RoundSphere(fiber_dim))
+    for t in w.interior_samples(5):
+        metric_fn = _warped_chart_metric(w, t)
+        assert np.array_equal(riemann_finite_difference(metric_fn, 1 + fiber_dim),
+                              _per_point_riemann_fd(metric_fn, 1 + fiber_dim))
+
+
+def test_fd_oracle_evaluates_the_whole_stencil_in_one_call():
+    shapes = []
+
+    def metric_fn(x):
+        shapes.append(x.shape)
+        return np.broadcast_to(np.eye(3), (x.shape[0], 3, 3))
+
+    r4 = riemann_finite_difference(metric_fn, 3)
+    assert shapes == [((2 * 3 + 1) ** 2, 3)]
+    assert not r4.any()
 
 
 def test_warped_boundary_validation():

@@ -9,7 +9,10 @@ rejected, never read as "small".
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +77,16 @@ def _profile_nan_at_zero():
                              geo.RoundSphere(2))
 
 
+def _profile_nan_inside():
+    """A profile that is NaN on the whole interior of a line."""
+    f = lambda t: np.nan + 0.0 * t  # noqa: E731
+    return geo.WarpedProduct(("line",), geo.Profile("nan", f, f, f), geo.RoundSphere(2))
+
+
+def _round_sphere_line():
+    return geo.WarpedProduct(("line",), geo.Profile.from_name("const(1)"), geo.RoundSphere(2))
+
+
 def _isotropy_gate(monkeypatch, gate):
     # An infinite constant already makes the closure residual of k NaN, so
     # the invariance gate is reached only with that residual forced to 0.  A
@@ -110,6 +123,17 @@ GATES = {
     "spaces.isotropy_representation.blocks": lambda mp: _isotropy_gate(mp, "blocks"),
     "spaces.build_g1": lambda mp: sps.build_g1(_inf_space([], [[0], [1, 2]])),
     "geometry.WarpedProduct.check_boundary": lambda mp: _profile_nan_at_zero().check_boundary(),
+    "geometry.WarpedProduct.check_boundary.interior":
+        lambda mp: _profile_nan_inside().check_boundary(),
+    "geometry.sectional_curvature.plane":
+        lambda mp: geo.sectional_curvature(geo.InvariantMetricSpace(geo.sphere_space(2)),
+                                           [np.nan, 0.0], [0.0, 1.0]),
+    "geometry.warped_sectional_curvature.plane":
+        lambda mp: geo.warped_sectional_curvature(_round_sphere_line(), 0.0,
+                                                  ("mixed", [np.nan, 1.0])),
+    "geometry.warped_sectional_curvature.profile":
+        lambda mp: geo.warped_sectional_curvature(_profile_nan_inside(), 0.0,
+                                                  ("mixed", [1.0, 0.0])),
 }
 
 
@@ -118,6 +142,26 @@ def test_non_finite_residual_fails_every_gate(gate, monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(la.ValidationError) as err:
         GATES[gate](monkeypatch)
     assert np.isnan(err.value.residual)
+
+
+def test_svd_of_a_non_finite_matrix_fails_instead_of_hanging():
+    # LAPACK's SVD may spin forever on an infinite entry, so this runs in a
+    # child process that a timeout can stop
+    script = (
+        "import numpy as np\n"
+        "from liecoh import algebra as la, builders as bld\n"
+        "mats = np.array(bld.so_standard(3).matrices)\n"
+        "mats[0, 1, 2] = np.inf\n"
+        "try:\n"
+        "    la.structure_constants_from_matrices(mats)\n"
+        "except la.ValidationError as err:\n"
+        "    print('ValidationError', err.residual)\n"
+    )
+    src = os.path.dirname(os.path.dirname(liecoh.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["ValidationError", "nan"], out.stderr
 
 
 def test_require_below_rejects_nan_and_the_bound_itself():
