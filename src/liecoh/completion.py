@@ -12,8 +12,9 @@ chain at most once.  The linear system is assembled as sparse (row, column,
 value) triplets, one row per basis triple and output coordinate that touches
 an unknown.  Unknowns that share no row are independent, so the system is
 block diagonal after a permutation: it is split into the connected components
-of its row-column incidence graph, and each component is densified and
-solved by its own singular value decomposition, which is robust to the heavy
+of its row-column incidence graph, and each component is densified, reduced
+to a square triangular factor by a thin QR decomposition and solved by the
+singular value decomposition of that factor, which is robust to the heavy
 redundancy among Jacobi constraints.  The singular values of the whole system
 are the union of the per-component ones, and one rank cutoff relative to the
 largest of them applies to every component.  The solution set is returned as
@@ -28,7 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import JACOBI_TOL, LieAlgebra, Subspace, jacobi_residual
+from .algebra import (
+    CHUNK_BYTES,
+    JACOBI_TOL,
+    LieAlgebra,
+    Subspace,
+    _cyclic_order,
+    _join,
+    _unique,
+    jacobi_residual,
+)
 from .linalg import RANK_RTOL, require_finite
 
 __all__ = ["CompletionProblem", "CompletionSolution", "complete_bracket"]
@@ -111,28 +121,6 @@ def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
     return LieAlgebra(c, alg.inner_product, alg.labels, alg.notes)
 
 
-def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(a, return_inverse=True)`` for a 1-d integer array.
-
-    Written out because ``np.unique`` imports ``numpy.ma`` on first use,
-    which costs more than a small solve.
-    """
-    order = np.argsort(a, kind="stable")
-    sorted_a = a[order]
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = sorted_a[1:] != sorted_a[:-1]
-    inverse = np.empty(a.size, dtype=int)
-    inverse[order] = np.cumsum(first) - 1
-    return sorted_a[first], inverse
-
-
-def _cyclic_order(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Distinct (x, y, z) that are a cyclic rotation of their sorted triple."""
-    distinct = (x != y) & (y != z) & (z != x)
-    inversions = (x > y).astype(int) + (x > z) + (y > z)
-    return distinct & (inversions % 2 == 0)
-
-
 def _assemble(problem: CompletionProblem):
     """Sparse Jacobi system ``A u = b`` in the unknown coefficients.
 
@@ -170,10 +158,12 @@ def _assemble(problem: CompletionProblem):
     z1 = np.tile(np.arange(d), px.size)
     keep = _cyclic_order(x1, y1, z1)
     x1, y1, z1 = x1[keep], y1[keep], z1[keep]
-    g, a1, l1 = np.nonzero(ad_t[z1])
+    az, aa, al = np.nonzero(ad_t)  # sorted on z, the right side of the join with z1
+    g, r = next(_join(z1, az))
     x1, y1, z1 = x1[g], y1[g], z1[g]
+    a1, l1 = aa[r], al[r]
     col1 = pidx[x1, y1] * q + a1
-    val1 = psign[x1, y1] * ad_t[z1, a1, l1]
+    val1 = psign[x1, y1] * ad_t[az[r], a1, l1]
 
     # fixed bracket [b_x, b_y] with S-component b_m, then unknown pair (m, z)
     cx, cy, cm = np.nonzero(c[:, :, s_arr])
@@ -203,12 +193,16 @@ def _assemble(problem: CompletionProblem):
     rows, row = _unique(entry_key // nunk)
     col = entry_key % nunk
 
-    l, rest = rows % d, rows // d
-    k, rest = rest % d, rest // d
-    j, i = rest % d, rest // d
     ct = np.moveaxis(c, 0, 2)  # ct[z, l, m] = c[m, z, l]
-    rhs = -((c[i, j] * ct[k, l]).sum(axis=1) + (c[j, k] * ct[i, l]).sum(axis=1)
-            + (c[k, i] * ct[j, l]).sum(axis=1))
+    rhs = np.empty(rows.size)
+    step = max(1, CHUNK_BYTES // (8 * d))  # rows of c gathered at once
+    for s in range(0, rows.size, step):
+        key = rows[s:s + step]
+        l, rest = key % d, key // d
+        k, rest = rest % d, rest // d
+        j, i = rest % d, rest // d
+        rhs[s:s + step] = -((c[i, j] * ct[k, l]).sum(axis=1) + (c[j, k] * ct[i, l]).sum(axis=1)
+                            + (c[k, i] * ct[j, l]).sum(axis=1))
     return row, col, val, rhs
 
 
@@ -236,9 +230,12 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     """Solve for all Jacobi-compatible fillings of the unknown block.
 
     The sparse system is split into connected components (unknowns linked
-    through shared rows), and each is factorised by its own dense SVD.  A
-    column that no row touches is a component of its own, with one zero
-    singular value.  ``singular_values`` is the union of the per-component
+    through shared rows), and each is factorised on its own: a thin QR of
+    the dense block with its right-hand side appended, ``[a | b] = Q [R_a | Q^T b]``,
+    then the SVD of the square ``R_a = U_R S V^T``.  The singular values and
+    ``V`` are those of ``a``, and ``U^T b = U_R^T (Q^T b)``, so neither ``Q``
+    nor ``U`` is formed.  A column that no row touches is a component of its
+    own, with one zero singular value.  ``singular_values`` is the union of the per-component
     values in descending order; one cutoff, ``RANK_RTOL`` times the largest
     of them, decides the rank of every component.  The particular solution is
     the sum of the per-component minimum-norm solutions, and the homogeneous
@@ -276,13 +273,16 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
         cols = np.flatnonzero(label == root)
         entries = np.flatnonzero(entry_label == root)
         rows, local_row = _unique(row[entries])
-        # pad to at least one row per column so vt spans every column
-        a = np.zeros((max(rows.size, cols.size), cols.size))
-        a[local_row, np.searchsorted(cols, col[entries])] = val[entries]
-        b = np.zeros(a.shape[0])
-        b[:rows.size] = rhs[rows]
-        u_svd, sv, vt = np.linalg.svd(require_finite(a), full_matrices=False)
-        blocks.append((cols, u_svd.T @ b, sv, vt))
+        # [a | b], padded to at least one row per column so vt spans every column
+        n = cols.size
+        ab = np.zeros((max(rows.size, n), n + 1))
+        ab[local_row, np.searchsorted(cols, col[entries])] = val[entries]
+        ab[:rows.size, n] = rhs[rows]
+        require_finite(ab[:, :n])
+        # a = Q R_a and Q^T b come from one thin QR; the SVD runs on the square R_a
+        r = np.linalg.qr(ab, mode="r")
+        u_r, sv, vt = np.linalg.svd(r[:n, :n])
+        blocks.append((cols, u_r.T @ r[:n, n], sv, vt))
 
     sv_all = np.sort(np.concatenate([blk[2] for blk in blocks]))[::-1]
     cutoff = RANK_RTOL * sv_all[0] if sv_all[0] > 0 else 0.0

@@ -72,8 +72,11 @@ class InvariantMetricSpace:
         if self.block_scales is None:
             self.block_scales = (1.0,) * nb
         self.block_scales = tuple(float(s) for s in self.block_scales)
-        if len(self.block_scales) != nb or any(s <= 0 for s in self.block_scales):
+        if len(self.block_scales) != nb:
             raise ValueError("one positive scale per block is required")
+        for s in self.block_scales:
+            if not 0 < s < np.inf:
+                raise ValidationError("block scales must be positive and finite", residual=s)
 
     @property
     def m_dim(self) -> int:
@@ -295,8 +298,12 @@ class WarpedProduct:
         self.interval = tuple(self.interval)
         if self.interval[0] not in ("line", "half_line", "segment"):
             raise ValueError("interval kind must be line, half_line or segment")
-        if self.interval[0] == "segment" and (len(self.interval) < 2 or self.interval[1] <= 0):
-            raise ValueError("segment needs a positive length")
+        if self.interval[0] == "segment":
+            if len(self.interval) < 2:
+                raise ValueError("segment needs a positive length")
+            if not 0 < self.interval[1] < np.inf:
+                raise ValidationError("segment needs a positive finite length",
+                                      residual=float(self.interval[1]))
 
     def interior_samples(self, count: int = 33) -> np.ndarray:
         if self.interval[0] == "line":

@@ -119,25 +119,35 @@ def test_jacobi_violation_detected():
     assert set(triple) == {0, 1, 2}
 
 
-def test_jacobiator_matches_einsum_reference():
-    c = la.antisymmetrized(np.random.default_rng(5).standard_normal((9, 9, 9)))
+def _einsum_worst(c):
+    """(sorted triple, residual) from the whole jacobiator, contracted by einsum."""
     ref = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
            + np.einsum("kim,mjl->ijkl", c, c))
-    assert np.abs(la.jacobiator(LieAlgebra(c)) - ref).max() < 1e-12
+    norms = np.sqrt((ref ** 2).sum(axis=3))
+    idx = np.unravel_index(np.argmax(norms), norms.shape)
+    return tuple(sorted(int(v) for v in idx)), norms.max() / np.abs(c).max()
+
+
+def test_jacobiator_matches_einsum_reference():
+    c = la.antisymmetrized(np.random.default_rng(5).standard_normal((9, 9, 9)))
+    triple, res = la.worst_jacobi_triple(LieAlgebra(c))
+    ref_triple, ref_res = _einsum_worst(c)
+    assert triple == ref_triple
+    assert abs(res - ref_res) < 1e-12
+    # the join, which a dense tensor never reaches, agrees as well
+    triple, norm = la._join_worst(c)
+    assert triple == ref_triple
+    assert abs(norm / np.abs(c).max() - ref_res) < 1e-12
 
 
 def test_jacobi_residual_over_several_slabs_matches_the_einsum_reference():
     # at d = 20 the first index splits into slabs of 16 and 4 rows
     c = la.antisymmetrized(np.random.default_rng(7).standard_normal((20, 20, 20)))
-    alg = LieAlgebra(c)
-    assert len(list(la._jacobiator_slabs(c))) == 2
-    ref = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
-           + np.einsum("kim,mjl->ijkl", c, c))
-    assert np.abs(la.jacobiator(alg) - ref).max() < 1e-12
-    norms = np.sqrt((ref ** 2).sum(axis=3))
-    triple, res = la.worst_jacobi_triple(alg)
-    assert triple == np.unravel_index(np.argmax(norms), norms.shape)
-    assert abs(res - norms.max() / np.abs(c).max()) < 1e-12
+    assert la.CHUNK_BYTES // (8 * 20 ** 3) == 16
+    triple, res = la.worst_jacobi_triple(LieAlgebra(c))
+    ref_triple, ref_res = _einsum_worst(c)
+    assert triple == ref_triple
+    assert abs(res - ref_res) < 1e-12
 
 
 def test_jacobi_residual_never_holds_the_whole_jacobiator():
@@ -152,6 +162,82 @@ def test_jacobi_residual_never_holds_the_whole_jacobiator():
     finally:
         tracemalloc.stop()
     assert peak < 8 * d ** 4 / 2
+
+
+def test_dense_slabs_hold_at_most_three_slabs_and_the_norms():
+    import tracemalloc
+
+    d = 36
+    c = la.antisymmetrized(np.random.default_rng(9).standard_normal((d, d, d)))
+    slab = 8 * d ** 3 * (la.CHUNK_BYTES // (8 * d ** 3))
+    tracemalloc.start()
+    try:
+        la._slab_worst(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * slab + 8 * d ** 3
+
+
+def test_a_dense_tensor_takes_the_slab_branch(monkeypatch):
+    def no_join(c):
+        raise AssertionError("the join ran on a dense tensor")
+
+    monkeypatch.setattr(la, "_join_worst", no_join)
+    d = 12
+    c = la.antisymmetrized(np.random.default_rng(10).standard_normal((d, d, d)))
+    assert 2 * la._join_pair_count(c) > d ** 5
+    assert jacobi_residual(LieAlgebra(c)) > 1.0
+
+
+def test_a_sparse_tensor_takes_the_join(monkeypatch):
+    from liecoh import spaces as sps
+
+    def no_slabs(c):
+        raise AssertionError("the slab kernel ran on a sparse tensor")
+
+    monkeypatch.setattr(la, "_slab_worst", no_slabs)
+    alg = LieAlgebra(sps.catalog_entry("Spin(9)/Spin(7)").algebra.c)  # a fresh memo
+    assert 0.0 < jacobi_residual(alg) < 1e-15
+
+
+def test_join_chunks_cover_every_match_once():
+    left = np.array([3, 1, 2, 1, 5, 0])
+    right = np.array([0, 1, 1, 1, 2, 3, 3])
+    brute = [(a, b) for a in range(left.size) for b in range(right.size) if left[a] == right[b]]
+    for chunk in (None, 1, 3, 4, 100):
+        pairs = [p for li, ri in la._join(left, right, chunk)
+                 for p in zip(li.tolist(), ri.tolist())]
+        assert pairs == brute
+        if chunk is not None:  # one left entry's three matches are never split
+            assert all(li.size <= max(chunk, 3) for li, _ in la._join(left, right, chunk))
+    assert [li.size for li, _ in la._join(left[:0], right)] == [0]
+
+
+def _perturbed_spin9():
+    """A sparse tensor that breaks Jacobi: one constant of Spin(9)/Spin(7) off by a half."""
+    from liecoh import spaces as sps
+
+    c = np.array(sps.catalog_entry("Spin(9)/Spin(7)").algebra.c)
+    i, j, k = np.argwhere(c > 0)[7]
+    c[i, j, k] *= 1.5
+    c[j, i, k] *= 1.5
+    return c
+
+
+def test_a_join_in_many_chunks_matches_one_chunk(monkeypatch):
+    c = _perturbed_spin9()
+    whole = la._join_worst(c)
+    monkeypatch.setattr(la, "CHUNK_BYTES", 8 * 500)  # 73 chunks of at most 500 pairs
+    chunked = la._join_worst(c)
+    assert chunked[0] == whole[0]
+    assert abs(chunked[1] - whole[1]) <= 1e-15 * np.abs(c).max()
+
+
+def test_a_zero_residual_reports_the_zero_triple():
+    # so(3) has nonzero products in the join, which all cancel
+    assert la.worst_jacobi_triple(su2_epsilon()) == ((0, 0, 0), 0.0)
+    assert la.worst_jacobi_triple(abelian(4)) == ((0, 0, 0), 0.0)
 
 
 def test_jacobi_residual_is_memoised_on_the_algebra(jacobi_kernel_calls):
@@ -199,6 +285,55 @@ def test_require_valid_rejects_non_finite_constants():
         assert np.isnan(jacobi_residual(alg))
         with pytest.raises(ValidationError):
             la.require_valid(alg)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_constants_give_a_nan_residual(value):
+    # [e0,e1] = e2 and [e1,e2] = e0, with one constant replaced: an inf or NaN
+    # whose products in the join cancel or that has no join partner at all
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
+    for lone in (False, True):
+        alg = su2_epsilon()
+        bad = np.array(c)
+        bad[(0, 1, 3) if lone else (0, 1, 2)] = value  # nothing brackets into e3
+        alg.c = bad  # NaN is never exactly antisymmetric, so it is set after construction
+        with np.errstate(invalid="ignore"):
+            triple, res = la.worst_jacobi_triple(alg)
+            assert np.isnan(res)
+            with pytest.raises(ValidationError) as err:
+                la.require_valid(alg)
+        assert np.isnan(err.value.residual)
+
+
+def _catalog_and_constructions():
+    from liecoh import spaces as sps
+
+    algs = {sid: sps.catalog_entry(sid).algebra for sid in sps.catalog_ids()}
+    mu = 1.0 / np.sqrt(2.0)
+    for n in (6, 7):
+        spec = sps.CliffordSpaceSpec(n, 2.0 * mu * mu, mu)
+        algs[f"construction n={n}"] = sps.build_clifford_space(spec).algebra
+    algs["perturbed Spin(9)/Spin(7)"] = LieAlgebra(_perturbed_spin9())
+    return algs
+
+
+def test_join_and_slabs_agree_on_the_catalog_and_the_constructions():
+    algs = _catalog_and_constructions()
+    assert len(algs) == 25
+    for name, alg in algs.items():
+        c = alg.c
+        d = c.shape[0]
+        if d >= 16:
+            assert 512 * la._join_pair_count(c) <= d ** 5, name
+        scale = np.abs(c).max()
+        join_triple, join_norm = la._join_worst(c)
+        slab_triple, slab_norm = la._slab_worst(c)
+        assert abs(join_norm - slab_norm) / scale <= 1e-15, name
+        if slab_norm / scale > 1e-12:
+            assert join_triple == slab_triple, name
+    assert la.jacobi_residual(algs["perturbed Spin(9)/Spin(7)"]) > 1e-3
 
 
 # ---------------------------------------------------------------------------

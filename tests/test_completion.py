@@ -238,3 +238,34 @@ def test_non_finite_residual_is_empty():
 def test_completed_constants_carry_no_round_off():
     c = catalog_entry("Spin(9)/Spin(7)").algebra.c
     assert not np.any((np.abs(c) > 0.0) & (np.abs(c) < 1e-12))
+
+
+def test_block_svds_run_on_square_triangular_factors(monkeypatch):
+    from liecoh import completion
+
+    problem = clifford_completion_problem(3, 1.0, MU)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(completion.np.linalg, "svd", recording)
+    sol = complete_bracket(problem)
+    assert sol.nullity == 1
+    # components of 96 x 12 and 112 x 18 (rows x unknowns) reach the SVD as their R factors
+    assert sorted(shapes) == [(12, 12)] * 3 + [(18, 18)]
+
+
+def test_n7_solve_stays_below_twelve_mib():
+    import tracemalloc
+
+    problem = clifford_completion_problem(7, 1.0, MU)
+    tracemalloc.start()
+    try:
+        complete_bracket(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20

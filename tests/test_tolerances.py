@@ -122,6 +122,11 @@ GATES = {
     "spaces.isotropy_representation.invariance": lambda mp: _isotropy_gate(mp, "invariance"),
     "spaces.isotropy_representation.blocks": lambda mp: _isotropy_gate(mp, "blocks"),
     "spaces.build_g1": lambda mp: sps.build_g1(_inf_space([], [[0], [1, 2]])),
+    "geometry.InvariantMetricSpace.block_scales":
+        lambda mp: geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (np.nan, 1.0)),
+    "geometry.WarpedProduct.segment":
+        lambda mp: geo.WarpedProduct(("segment", np.nan), geo.Profile.from_name("const(1)"),
+                                     geo.RoundSphere(2)),
     "geometry.WarpedProduct.check_boundary": lambda mp: _profile_nan_at_zero().check_boundary(),
     "geometry.WarpedProduct.check_boundary.interior":
         lambda mp: _profile_nan_inside().check_boundary(),
@@ -142,6 +147,18 @@ def test_non_finite_residual_fails_every_gate(gate, monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(la.ValidationError) as err:
         GATES[gate](monkeypatch)
     assert np.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("value", [INF, 0.0, -1.0])
+def test_block_scales_and_segment_lengths_are_positive_and_finite(value):
+    # an infinite block scale made every curvature component of Sp(2)/U(1)Sp(1) NaN
+    with pytest.raises(la.ValidationError) as err:
+        geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (value, 1.0))
+    assert err.value.residual == value
+    with pytest.raises(la.ValidationError) as err:
+        geo.WarpedProduct(("segment", value), geo.Profile.from_name("const(1)"),
+                          geo.RoundSphere(2))
+    assert err.value.residual == value
 
 
 def test_svd_of_a_non_finite_matrix_fails_instead_of_hanging():
