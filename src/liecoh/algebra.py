@@ -201,6 +201,17 @@ def _cyclic_order(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return distinct & (inversions % 2 == 0)
 
 
+def _triple_key(x, y, z, l, d: int) -> np.ndarray:
+    """``((i * d + j) * d + k) * d + l`` for the sorted triple i < j < k of (x, y, z).
+
+    The one row encoding of the jacobiator: ``_join_jacobiator`` sorts on
+    it and the completion system numbers its rows by it.
+    """
+    lo = np.minimum(np.minimum(x, y), z)
+    hi = np.maximum(np.maximum(x, y), z)
+    return ((lo * d + (x + y + z - lo - hi)) * d + hi) * d + l
+
+
 def _join(left: np.ndarray, right: np.ndarray, chunk: int | None = None):
     """Index pairs ``(li, ri)`` with ``left[li] == right[ri]``, for a sorted ``right``.
 
@@ -231,29 +242,48 @@ def _join_pair_count(c: np.ndarray) -> int:
     return int(nz.sum(axis=(0, 1)) @ nz.sum(axis=(1, 2)))
 
 
-def _join_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
-    """Largest jacobiator norm of a sparse ``c`` by a join of its nonzeros.
+def _joins(c: np.ndarray) -> bool:
+    """Whether the Jacobi kernels join the nonzeros of ``c`` rather than run slabs.
 
-    ``J[i,j,k,l]`` for a sorted triple i < j < k is the sum over its cyclic
-    rotations (x, y, z) of ``c[x,y,m] c[m,z,l]``: nonzeros ``c[x,y,m]`` and
-    ``c[m,z,l]`` are joined on ``m``, chunk by chunk, and the products of a
-    cyclic rotation are summed per (sorted triple, l).
+    At one BLAS thread the join costs about 70 ns per pair of nonzeros that
+    share an index, the slabs about 0.3 ns per ``d^5`` (six flops) whatever
+    the sparsity, so the join runs when its pair count is at most
+    ``d^5 / 512``.  That holds for every catalog tensor from ``d = 16`` on
+    (1.5-3% dense at ``d >= 21``); below, both kernels take under 0.3 ms.
+    An algebra in a generic basis is dense (``d^5 / pairs`` near 1).
+    """
+    return 512 * _join_pair_count(c) <= c.shape[0] ** 5
+
+
+def _join_jacobiator(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobiator of a sparse ``c`` by a join of its nonzeros, as sorted ``(key, J)``.
+
+    ``key`` is the ``_triple_key`` of (i, j, k, l) for a sorted triple i < j < k.
+    ``J[i,j,k,l]`` is the sum over the cyclic rotations (x, y, z) of the
+    triple of ``c[x,y,m] c[m,z,l]``: nonzeros ``c[x,y,m]`` and ``c[m,z,l]``
+    are joined on ``m``, chunk by chunk, and the products of a cyclic
+    rotation are summed per key.  Keys without a product are left out.
     """
     d = c.shape[0]
     i, j, k = np.nonzero(c)  # sorted on i: the right side of the join on k == i
     v = c[i, j, k]
-    key, total = np.zeros(0, dtype=int), np.zeros(0)  # J[sorted triple, l], sorted keys
+    key, total = np.zeros(0, dtype=int), np.zeros(0)
     for li, ri in _join(k, i, CHUNK_BYTES // 8):
         x, y, z = i[li], j[li], j[ri]
         keep = _cyclic_order(x, y, z)
         x, y, z, li, ri = x[keep], y[keep], z[keep], li[keep], ri[keep]
-        lo = np.minimum(np.minimum(x, y), z)
-        hi = np.maximum(np.maximum(x, y), z)
-        chunk_key, inverse = _unique(((lo * d + (x + y + z - lo - hi)) * d + hi) * d + k[ri])
+        chunk_key, inverse = _unique(_triple_key(x, y, z, k[ri], d))
         chunk_total = np.bincount(inverse, weights=v[li] * v[ri], minlength=chunk_key.size)
         key, inverse = _unique(np.concatenate((key, chunk_key)))  # two sorted runs
         total = np.bincount(inverse, weights=np.concatenate((total, chunk_total)),
                             minlength=key.size)
+    return key, total
+
+
+def _join_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
+    """Largest jacobiator norm of a sparse ``c``, reduced from the join."""
+    d = c.shape[0]
+    key, total = _join_jacobiator(c)
     if not key.size:
         return (0, 0, 0), 0.0
     triples = key // d
@@ -264,41 +294,61 @@ def _join_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
     return (t // (d * d), t // d % d, t % d), float(norms[best])
 
 
-def _slab_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
-    """Largest jacobiator norm of a dense ``c``, one slab of the first index at a time.
+def _jacobiator_slabs(c: np.ndarray):
+    """Jacobiator of a dense ``c`` as ``(rows, J[rows])``, one slab of the first index at a time.
 
-    A slab holds ``CHUNK_BYTES`` at most, and at most two are live at once:
-    the three chains are summed and squared in place.
+    A slab holds ``CHUNK_BYTES`` at most.  The generator keeps no slab
+    between steps, so a caller that drops each one before the next holds
+    at most two: the three chains are summed in place.
     """
     d = c.shape[0]
     step = max(1, CHUNK_BYTES // (8 * d ** 3))
     left, right = c.reshape(d * d, d), c.reshape(d, d * d)
-    norms = np.empty((d, d, d))
     for s in range(0, d, step):
         rows, n = slice(s, min(s + step, d)), min(step, d - s)
         # t[i,j,k,l] = [[b_i,b_j],b_k]_l and J[i,j,k] = t[i,j,k] + t[j,k,i] + t[k,i,j]
         t = (c[rows].reshape(n * d, d) @ right).reshape(n, d, d, d)
         t += (left @ c[:, rows].reshape(d, n * d)).reshape(d, d, n, d).transpose(2, 0, 1, 3)
         t += (c[:, rows].reshape(d * n, d) @ right).reshape(d, n, d, d).transpose(1, 2, 0, 3)
+        yield rows, t
+        del t
+
+
+def _slab_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
+    """Largest jacobiator norm of a dense ``c``, squared in place slab by slab."""
+    d = c.shape[0]
+    norms = np.empty((d, d, d))
+    for rows, t in _jacobiator_slabs(c):
         norms[rows] = np.sqrt(np.square(t, out=t).sum(axis=3))
+        del t  # before the next slab is built
     idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
     return tuple(sorted(int(v) for v in idx)), float(norms[idx])
 
 
 def _jacobi_kernel(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
-    """(sorted basis triple, jacobiator norm) of the largest Jacobi violation of a finite ``c``.
+    """(sorted basis triple, jacobiator norm) of the largest Jacobi violation of a finite ``c``."""
+    return _join_worst(c) if _joins(c) else _slab_worst(c)
 
-    At one BLAS thread the join costs about 70 ns per pair of nonzeros that
-    share an index, the slabs about 0.3 ns per ``d^5`` (six flops) whatever
-    the sparsity, so the join runs when its pair count is at most
-    ``d^5 / 512``.  That holds for every catalog tensor from ``d = 16`` on
-    (1.5-3% dense at ``d >= 21``); below, both kernels take under 0.3 ms.
-    An algebra in a generic basis is dense (``d^5 / pairs`` near 1).
+
+def _jacobiator_at(c: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``J[i,j,k,l]`` at ``_triple_key`` keys of sorted triples i < j < k.
+
+    Runs the same kernel as ``_jacobi_kernel``: a key the join has no
+    product for reads 0; a slab holds the keys whose ``i`` falls in it.
     """
     d = c.shape[0]
-    if 512 * _join_pair_count(c) <= d ** 5:
-        return _join_worst(c)
-    return _slab_worst(c)
+    if _joins(c):
+        key, total = _join_jacobiator(c)
+        key, total = np.append(key, d ** 4), np.append(total, 0.0)  # past every key
+        pos = np.searchsorted(key, keys)
+        return np.where(key[pos] == keys, total[pos], 0.0)
+    out = np.empty(keys.size)
+    i, rest = np.divmod(keys, d ** 3)
+    for rows, t in _jacobiator_slabs(c):
+        sel = (i >= rows.start) & (i < rows.stop)
+        out[sel] = t.reshape(t.shape[0], -1)[i[sel] - rows.start, rest[sel]]
+        del t
+    return out
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:

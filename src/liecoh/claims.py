@@ -10,7 +10,9 @@ same seed (timing fields aside, which live in dedicated keys).
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,6 +52,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
+        if not self.groups:
+            raise ValueError("no claim group selected")
         bad = [g for g in self.groups if g not in GROUPS]
         if bad:
             raise ValueError(f"unknown claim groups: {bad}")
@@ -443,8 +447,11 @@ def _run_one(entry, cfg: RunConfig) -> VerificationReport:
     try:
         rep = fn(cfg)
     except Exception as err:  # an internal failure is a reported failure
+        frame = traceback.extract_tb(err.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         rep = VerificationReport("", "", "fail",
-                                 f"internal error: {err}", None, "runner", 1.0, 0.0)
+                                 f"internal error: {type(err).__name__}: {err} (at {where})",
+                                 None, "runner", 1.0, 0.0)
     rep.claim_id, rep.group = claim_id, group
     rep.runtime_ms = int(round(1000 * (time.perf_counter() - t0)))
     return rep

@@ -1,6 +1,8 @@
-"""The warm check path: cached Jacobi residuals and one worker pool."""
+"""The warm check path, the run configuration and the runner's error reports."""
 
 import threading
+
+import pytest
 
 from liecoh import claims
 from liecoh import spaces as sps
@@ -33,3 +35,24 @@ def test_suites_share_one_worker_pool(monkeypatch):
     assert 1 <= len(distinct) <= 2
     assert threading.current_thread() not in workers
 
+
+
+def test_an_empty_group_selection_is_rejected():
+    with pytest.raises(ValueError, match="no claim group"):
+        RunConfig(groups=())
+
+
+def test_an_internal_error_names_its_type_and_frame(monkeypatch):
+    def boom(cfg):
+        return 1 / 0
+
+    registry = claims.build_claims()
+    claim_id, group, _ = next(c for c in registry if c[1] == "tables")
+    registry = [(i, g, boom if i == claim_id else fn) for i, g, fn in registry]
+    monkeypatch.setattr(claims, "build_claims", lambda: registry)
+    result = run_suite(RunConfig(groups=("tables",)), jobs=1)
+    failed = [r for r in result.reports if r.status == "fail"]
+    assert [r.claim_id for r in failed] == [claim_id]
+    line = boom.__code__.co_firstlineno + 1
+    assert failed[0].computed == ("internal error: ZeroDivisionError: division by zero "
+                                  f"(at test_claims.py:{line} in boom)")

@@ -63,6 +63,14 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert "config error" in capsys.readouterr().err
 
 
+def test_a_config_that_selects_no_group_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
+    cfg_file = tmp_path / "none.ini"
+    cfg_file.write_text("[run]\ngroups = ,\n")
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_malformed_config_rejected(tmp_path):
     broken = tmp_path / "broken.ini"
     broken.write_text("not an ini file at all [[[")

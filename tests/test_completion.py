@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from liecoh import algebra as la
+from liecoh import completion
 from liecoh.algebra import (
     JACOBI_TOL,
     LieAlgebra,
@@ -12,7 +14,7 @@ from liecoh.algebra import (
     signature,
 )
 from liecoh.completion import CompletionProblem, complete_bracket
-from liecoh.linalg import RANK_RTOL, subspace_gap
+from liecoh.linalg import RANK_RTOL, ValidationError, subspace_gap
 from liecoh.spaces import catalog_entry, clifford_completion_problem
 
 MU = 1.0 / np.sqrt(2.0)
@@ -78,6 +80,17 @@ def _violated_skeleton():
     return CompletionProblem(LieAlgebra(c), (3, 4), Subspace.coordinate(5, [0, 1, 2]))
 
 
+def _random_skeleton(d, nnz, seed):
+    """Unknown block of the last three indices over random constants: a nonzero rhs."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((d, d, d))
+    i, j = np.sort(rng.integers(0, d, (2, nnz)), axis=0)
+    c[i, j, rng.integers(0, d, nnz)] = rng.standard_normal(nnz)
+    c[d - 3:, d - 3:] = 0.0
+    return CompletionProblem(LieAlgebra(antisymmetrized(c)), (d - 3, d - 2, d - 1),
+                             Subspace.coordinate(d, range(5)))
+
+
 PARITY_CASES = {
     "n2": lambda: clifford_completion_problem(2, 1.0, MU),
     "n3": lambda: clifford_completion_problem(3, 1.0, MU),
@@ -86,6 +99,8 @@ PARITY_CASES = {
                                                Subspace.coordinate(5, [0, 1, 2])),
     "inconsistent": lambda: clifford_completion_problem(2, 1.0, 0.3),
     "violated-skeleton": _violated_skeleton,
+    "random-dense": lambda: _random_skeleton(8, 200, 4),
+    "random-sparse": lambda: _random_skeleton(24, 300, 4),
 }
 
 
@@ -254,7 +269,7 @@ def test_block_svds_run_on_square_triangular_factors(monkeypatch):
     monkeypatch.setattr(completion.np.linalg, "svd", recording)
     sol = complete_bracket(problem)
     assert sol.nullity == 1
-    # components of 96 x 12 and 112 x 18 (rows x unknowns) reach the SVD as their R factors
+    # components of 48 x 12 and 73 x 18 (merged rows x unknowns) reach the SVD as their R factors
     assert sorted(shapes) == [(12, 12)] * 3 + [(18, 18)]
 
 
@@ -269,3 +284,110 @@ def test_n7_solve_stays_below_twelve_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7])
+def test_rank_decisions_sit_far_from_the_cutoff(n, request):
+    sol = (request.getfixturevalue("n7") if n == 7
+           else complete_bracket(clifford_completion_problem(n, 1.0, MU)))
+    sv = sol.singular_values
+    cutoff = RANK_RTOL * sv[0]
+    assert sv[sv > cutoff].min() >= 1e2 * cutoff
+    assert sv[sv <= cutoff].max(initial=0.0) <= 1e-2 * cutoff
+
+
+def _gathered_rhs(c, keys):
+    """The negated skeleton jacobiator at row keys, gathered from dense rows of ``c``.
+
+    The reference for the kernel lookup: row keys encode
+    ``((i * d + j) * d + k) * d + l`` for a sorted triple i < j < k.
+    """
+    d = c.shape[0]
+    ct = np.moveaxis(c, 0, 2)  # ct[z, l, m] = c[m, z, l]
+    l, rest = keys % d, keys // d
+    k, rest = rest % d, rest // d
+    j, i = rest % d, rest // d
+    return -((c[i, j] * ct[k, l]).sum(axis=1) + (c[j, k] * ct[i, l]).sum(axis=1)
+             + (c[k, i] * ct[j, l]).sum(axis=1))
+
+
+ASSEMBLY_CASES = {**PARITY_CASES, "n7": lambda: clifford_completion_problem(7, 1.0, MU)}
+
+
+@pytest.mark.parametrize("case,joins", [
+    ("n2", False), ("n3", False), ("violated-skeleton", False), ("n6", True), ("n7", True),
+    ("random-dense", False), ("random-sparse", True),
+])
+def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeypatch):
+    problem = ASSEMBLY_CASES[case]()
+    c = problem.skeleton.c
+    assert la._joins(c) == joins
+    keys = []
+    lookup = completion._jacobiator_at
+    monkeypatch.setattr(completion, "_jacobiator_at", lambda c, k: keys.append(k) or lookup(c, k))
+    rhs = completion._assemble(problem)[3]
+    ref = _gathered_rhs(c, keys[0])
+    if case.startswith("random"):  # the kernels sum in another order than the gather
+        assert np.count_nonzero(ref) > 0
+        assert np.abs(rhs - ref).max() <= 1e-15 * np.abs(c).max() ** 2
+    else:  # every chain of a row that touches an unknown passes through the unknown block
+        assert np.array_equal(rhs, ref)
+
+
+def _normal_equations(row, col, val, rhs, nunk):
+    li, ri = next(la._join(row, row))  # every pair of entries in one row
+    ata = np.zeros((nunk, nunk))
+    np.add.at(ata, (col[li], col[ri]), val[li] * val[ri])
+    return ata, np.bincount(col, weights=val * rhs[row], minlength=nunk)
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_merged_rows_keep_the_normal_equations(case):
+    problem = ASSEMBLY_CASES[case]()
+    nunk = len(problem.pairs) * problem.target.dim
+    system = completion._assemble(problem)
+    merged = completion._merge_rows(*system)
+    assert merged[3].size <= system[3].size
+    for ref, got in zip(_normal_equations(*system, nunk), _normal_equations(*merged, nunk)):
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=0.0)
+
+
+@pytest.mark.parametrize("n,rows", [(6, (11872, 7462)), (7, (20608, 11368))])
+def test_merged_row_counts(n, rows):
+    system = completion._assemble(clifford_completion_problem(n, 1.0, MU))
+    assert (system[3].size, completion._merge_rows(*system)[3].size) == rows
+
+
+def test_an_empty_system_merges_to_an_empty_system():
+    system = completion._assemble(PARITY_CASES["zero-skeleton"]())
+    merged = completion._merge_rows(*system)
+    assert [a.size for a in system] == [a.size for a in merged] == [0, 0, 0, 0]
+
+
+def test_proportional_rows_merge_and_the_others_pass_through():
+    inf, nan = np.inf, np.nan
+    # rows 0, 1 and 4 are multiples of (1, 2); rows 2 and 3 are not finite; row 5 is unique
+    row = np.repeat(np.arange(6), 2)
+    col = np.tile([0, 1], 6)
+    val = np.array([1.0, 2.0, -2.0, -4.0, inf, 1.0, nan, 3.0, 0.5, 1.0, 1.0, 3.0])
+    rhs = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    with np.errstate(invalid="ignore"):
+        new_row, new_col, new_val, new_rhs = completion._merge_rows(row, col, val, rhs)
+    s = np.sqrt(1.0 + 4.0 + 0.25)
+    assert np.array_equal(new_row, np.repeat(np.arange(4), 2))
+    assert np.array_equal(new_col, np.tile([0, 1], 4))
+    assert np.allclose(new_val[:2], [s, 2 * s], rtol=1e-15)
+    assert np.array_equal(new_val[2:6], val[4:8], equal_nan=True)  # never merged
+    assert np.array_equal(new_val[6:], val[10:])  # unique: unchanged, bit for bit
+    assert np.allclose(new_rhs, [(1.0 - 4.0 + 2.5) / s, 3.0, 4.0, 6.0], rtol=1e-15)
+
+
+def test_non_finite_system_entries_still_fail_closed():
+    c = np.zeros((5, 5, 5))
+    c[0, 2, 1], c[2, 0, 1] = np.inf, -np.inf  # enters the rows through [t_0, b_2], and 0 * inf
+    problem = CompletionProblem(LieAlgebra(c), (3, 4), Subspace.coordinate(5, [0, 1, 2]))
+    with np.errstate(invalid="ignore"):
+        val = completion._merge_rows(*completion._assemble(problem))[2]
+        assert np.isinf(val).any() and np.isnan(val).any()
+        with pytest.raises(ValidationError):
+            complete_bracket(problem)
