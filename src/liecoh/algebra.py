@@ -28,6 +28,7 @@ from .linalg import (
     nullspace,
     orthonormal_columns,
     projector,
+    require_finite,
     residual_scale,
     signature,
     solve_least_squares,
@@ -67,8 +68,8 @@ JACOBI_TOL = 1e-9      # Jacobi identity, representation and skewness residuals
 LEAK_TOL = 1e-8        # closure of subalgebras, invariance of blocks and kernels
 GRADING_TOL = 1e-10    # grading of a symmetric pair in ``weyl_flip``
 # Largest temporary array of the Jacobi kernels and of the completion assembly:
-# bigger ones, freed on pool threads, raise glibc's mmap threshold and stay
-# resident on a timing-dependent schedule.
+# they work in chunks of at most this size, so their temporaries stay bounded
+# whatever the dimension of the algebra.
 CHUNK_BYTES = 1 << 20
 
 
@@ -118,10 +119,10 @@ class LieAlgebra:
         if self.inner_product is None:
             ip = np.eye(d)
         else:
-            ip = np.array(self.inner_product, dtype=float)
+            ip = require_finite(np.array(self.inner_product, dtype=float))
             if ip.shape != (d, d) or not np.allclose(ip, ip.T):
                 raise ValueError("inner product must be a symmetric d x d matrix")
-            if np.linalg.eigvalsh(ip).min() <= 0:
+            if not np.linalg.eigvalsh(ip).min() > 0:
                 raise ValueError("inner product must be positive definite")
         ip.setflags(write=False)
         self.inner_product = ip

@@ -3,8 +3,8 @@
 Claims are small deterministic checks with stable string ids, grouped as
 ``tables``, ``jacobi``, ``heisenberg``, ``curvature``, ``splitting`` and
 ``catalog``.  A run produces one ``VerificationReport`` per claim plus a
-summary; reports are canonically ordered by claim id regardless of the
-execution order of the worker pool, and byte-identical across runs with the
+summary.  Claims run one after another on the calling thread; reports are
+canonically ordered by claim id, and byte-identical across runs with the
 same seed (timing fields aside, which live in dedicated keys).
 """
 
@@ -13,9 +13,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -457,27 +455,13 @@ def _run_one(entry, cfg: RunConfig) -> VerificationReport:
     return rep
 
 
-@lru_cache(maxsize=None)
-def _pool(jobs: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=jobs)
+def run_suite(cfg: RunConfig, jobs: int = 1) -> SuiteResult:
+    """Run the selected groups; reports sorted by claim id; deterministic.
 
-
-def run_suite(cfg: RunConfig, jobs: int = 4) -> SuiteResult:
-    """Run the selected groups; reports sorted by claim id; deterministic."""
-    selected = [c for c in build_claims() if c[1] in cfg.groups]
-    # Warm the catalog serially so pool workers never duplicate its
-    # completion solves.  The n=6 solve is left to its fingerprint claim: on
-    # a worker its freed memory serves that worker's later claims, while on
-    # this thread it would stay idle in the main malloc arena.  One pool per
-    # ``jobs`` serves every call, because a fresh worker thread can start
-    # before the old one has released its arena, and then grows a new one.
-    if any(g in cfg.groups for g in ("jacobi", "splitting", "catalog", "curvature")):
-        for sid in sps.catalog_ids():
-            sps.catalog_entry(sid)
-    if jobs > 1:
-        reports = list(_pool(jobs).map(lambda e: _run_one(e, cfg), selected))
-    else:
-        reports = [_run_one(e, cfg) for e in selected]
+    ``jobs`` is accepted and ignored: the claims hold the GIL, so a thread
+    pool only added scheduling cost, and every claim runs on this thread.
+    """
+    reports = [_run_one(e, cfg) for e in build_claims() if e[1] in cfg.groups]
     reports.sort(key=lambda r: r.claim_id)
     passed = sum(r.status == "pass" for r in reports)
     failed = sum(r.status == "fail" for r in reports)

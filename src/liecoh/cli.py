@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``liecoh verify [--group G ...] [--config PATH] [--seed N] [--json] [--jobs N]``
-  runs the claim suite; exit code 0 when every claim passes, 1 on any
-  failure, 2 on a configuration error.
+  runs the claim suite on one thread; exit code 0 when every claim passes,
+  1 on any failure, 2 on a configuration error.  ``--jobs`` must be at least
+  1 and is otherwise ignored, because the claims hold the GIL.
 * ``liecoh catalog [--json]`` lists the model spaces with their fingerprints.
 * ``liecoh export SPACE_ID [--out PATH]`` writes one space in the sparse
   JSON algebra schema with block annotations.
@@ -122,7 +123,7 @@ def cmd_verify(args) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        result = run_suite(cfg, jobs=args.jobs)
+        result = run_suite(cfg)
         if args.json:
             for rep in result.reports:
                 print(json.dumps(rep.to_json_dict(), sort_keys=True), file=out)
@@ -191,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None, help="sampling seed")
     p_verify.add_argument("--json", action="store_true",
                           help="JSON-lines reports plus a summary object")
-    p_verify.add_argument("--jobs", type=int, default=4, help="worker threads")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="accepted and ignored: claims run on one thread, "
+                               "since they hold the GIL")
     p_verify.add_argument("--out", default=None, help="write output to a file")
     p_verify.set_defaults(fn=cmd_verify)
 

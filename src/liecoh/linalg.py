@@ -37,7 +37,8 @@ class ValidationError(ValueError):
 def require_finite(a: np.ndarray) -> np.ndarray:
     """Return ``a``; raise ``ValidationError`` if an entry is NaN or infinite.
 
-    Guards every SVD: LAPACK may never return on a non-finite matrix.
+    Guards every SVD, where LAPACK may never return on a non-finite matrix,
+    and ``signature``, where LAPACK returns NaN eigenvalues.
     """
     if not np.isfinite(a).all():
         raise ValidationError("matrix has a non-finite entry", residual=np.nan)
@@ -112,6 +113,7 @@ def signature(sym: np.ndarray, tol: float | None = None) -> tuple[int, int, int]
     sym = np.asarray(sym, dtype=float)
     if sym.shape[0] != sym.shape[1]:
         raise ValueError("signature expects a square matrix")
+    require_finite(sym)
     if not np.allclose(sym, sym.T, atol=1e-10 * (1.0 + np.abs(sym).max(initial=0.0))):
         raise ValueError("signature expects a symmetric matrix")
     eig = np.linalg.eigvalsh(0.5 * (sym + sym.T))

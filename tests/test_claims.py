@@ -19,22 +19,20 @@ def test_a_warm_suite_never_recomputes_a_catalog_residual(jacobi_kernel_calls):
     assert not [c for c in jacobi_kernel_calls if any(c is cc for cc in catalog_constants)]
 
 
-def test_suites_share_one_worker_pool(monkeypatch):
-    workers = []
+def test_every_claim_runs_on_the_calling_thread(monkeypatch):
+    threads = []
     run_one = claims._run_one
 
     def recording(entry, cfg):
-        workers.append(threading.current_thread())
+        threads.append(threading.current_thread())
         return run_one(entry, cfg)
 
     monkeypatch.setattr(claims, "_run_one", recording)
     cfg = RunConfig(groups=("tables",))
     for _ in range(2):
         assert run_suite(cfg, jobs=2).exit_code == 0
-    distinct = {id(t) for t in workers}  # the list keeps every thread alive
-    assert 1 <= len(distinct) <= 2
-    assert threading.current_thread() not in workers
-
+    assert threads
+    assert all(t is threading.current_thread() for t in threads)
 
 
 def test_an_empty_group_selection_is_rejected():

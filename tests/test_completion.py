@@ -13,6 +13,7 @@ from liecoh.algebra import (
     killing_form,
     signature,
 )
+from liecoh.clifford import bivector_pairs, so_structure_tensor
 from liecoh.completion import CompletionProblem, complete_bracket
 from liecoh.linalg import RANK_RTOL, ValidationError, subspace_gap
 from liecoh.spaces import catalog_entry, clifford_completion_problem
@@ -332,6 +333,23 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
         assert np.abs(rhs - ref).max() <= 1e-15 * np.abs(c).max() ** 2
     else:  # every chain of a row that touches an unknown passes through the unknown block
         assert np.array_equal(rhs, ref)
+
+
+@pytest.mark.parametrize("n,joins", [(5, False), (8, True)])
+def test_so_n_with_one_bracket_removed_completes_back_to_it(n, joins):
+    # an inhomogeneous problem: the rows of [L_12, L_23] also carry fixed chains
+    c = so_structure_tensor(n)
+    pairs = bivector_pairs(n)
+    a, b = pairs.index((1, 2)), pairs.index((2, 3))
+    skeleton = c.copy()
+    skeleton[a, b] = skeleton[b, a] = 0.0
+    assert la._joins(skeleton) == joins
+    target = Subspace.coordinate(c.shape[0], [i for i in range(c.shape[0]) if i not in (a, b)])
+    problem = CompletionProblem(LieAlgebra(skeleton), (a, b), target)
+    assert np.count_nonzero(completion._assemble(problem)[3]) > 0
+    sol = complete_bracket(problem)
+    assert not sol.empty and sol.nullity == 0
+    assert np.abs(sol.particular - target.basis.T @ c[a, b]).max() <= 1e-12
 
 
 def _normal_equations(row, col, val, rhs, nunk):

@@ -21,6 +21,7 @@ import liecoh
 from liecoh import algebra as la
 from liecoh import builders as bld
 from liecoh import geometry as geo
+from liecoh import linalg
 from liecoh import reps
 from liecoh import spaces as sps
 
@@ -110,6 +111,10 @@ GATES = {
     "algebra.structure_constants_from_matrices":
         lambda mp: la.structure_constants_from_matrices(_gl2_with_inf()),
     "algebra.Subspace": lambda mp: la.Subspace(2, np.array([[INF, 0.0], [0.0, 1.0]])),
+    "algebra.LieAlgebra.inner_product":
+        lambda mp: la.LieAlgebra(np.zeros((2, 2, 2)), inner_product=[[INF, 0.0], [0.0, 1.0]]),
+    "linalg.signature.inf": lambda mp: linalg.signature([[1.0, INF], [INF, 1.0]]),
+    "linalg.signature.nan": lambda mp: linalg.signature([[np.nan, 0.0], [0.0, 1.0]]),
     "reps.Representation.validate.homomorphism": lambda mp: _so3_rep((0, 0, 0)).validate(),
     "reps.Representation.validate.skewness": lambda mp: _so3_rep(inner_inf=True).validate(),
     "reps.kernel_ideal":
