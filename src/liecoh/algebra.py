@@ -689,10 +689,3 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=float)
     entries = [[int(i), int(j), float(v)] for (i, j), v in np.ndenumerate(m) if v != 0.0]
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
-
-
-def matrix_from_json_dict(data: dict) -> np.ndarray:
-    m = np.zeros((int(data["rows"]), int(data["cols"])))
-    for i, j, v in data["entries"]:
-        m[i, j] = v
-    return m

@@ -16,14 +16,19 @@ one row of the same weight, which leaves the normal equations unchanged and
 removes 37-45% of the rows of the n = 6 and 7 Clifford systems.  Unknowns
 that share no row are independent, so the system is block diagonal after a
 permutation: it is split into the connected components of its row-column
-incidence graph, and each component is densified, reduced to a square
-triangular factor by a thin QR decomposition and solved by the singular value
-decomposition of that factor, which is robust to the heavy redundancy among
-Jacobi constraints.  The singular values of the whole system are the union of
-the per-component ones, and one rank cutoff relative to the largest of them
-applies to every component.  The solution set is returned as a particular
-least-squares solution plus an orthonormal nullspace basis, or reported empty
-when even the best completion leaves a residual above tolerance.
+incidence graph, and each component is solved through its Gram matrix
+``A^T A``, formed from the sparse entries and diagonalised by a symmetric
+eigensolver (the method of normal equations; Bjorck, *Numerical Methods for
+Least Squares Problems*, SIAM 1996, ch. 2).  That squares the condition
+number, which is safe here because every kept singular value of the
+Clifford systems is at least 0.19 of its block's largest; the directions the
+Gram cannot resolve are measured, and refined, on ``A`` itself, and a block
+that would keep one of them is rejected.  The singular values of the whole
+system are the union of the per-component ones, and one rank cutoff
+relative to the largest of them applies to every component.  The solution
+set is returned as a particular least-squares solution plus an orthonormal
+nullspace basis, or reported empty when even the best completion leaves a
+residual above tolerance.
 """
 
 from __future__ import annotations
@@ -43,9 +48,16 @@ from .algebra import (
     _unique,
     jacobi_residual,
 )
-from .linalg import RANK_RTOL, require_finite
+from .linalg import RANK_RTOL, ValidationError, require_finite
 
 __all__ = ["CompletionProblem", "CompletionSolution", "complete_bracket"]
+
+# A block's singular values come from the eigenvalues of its Gram matrix,
+# which fix sigma only to about sqrt(eps) * sigma_max.  Below GRAM_RTOL *
+# sigma_max they are measured again as |A v|, and a block that keeps a
+# singular value that small is rejected rather than solved inaccurately:
+# its solution would lose more than eight of the sixteen digits.
+GRAM_RTOL = 1e-4
 
 
 @dataclass
@@ -267,18 +279,26 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     Rows that are multiples of one another are first merged (see
     ``_merge_rows``; ``A^T A`` and ``A^T b`` keep their values).  The sparse
     system is then split into connected components (unknowns linked
-    through shared rows), and each is factorised on its own: a thin QR of
-    the dense block with its right-hand side appended, ``[a | b] = Q [R_a | Q^T b]``,
-    then the SVD of the square ``R_a = U_R S V^T``.  The singular values and
-    ``V`` are those of ``a``, and ``U^T b = U_R^T (Q^T b)``, so neither ``Q``
-    nor ``U`` is formed.  A column that no row touches is a component of its
-    own, with one zero singular value.  ``singular_values`` is the union of the per-component
-    values in descending order; one cutoff, ``RANK_RTOL`` times the largest
-    of them, decides the rank of every component.  The particular solution is
-    the sum of the per-component minimum-norm solutions, and the homogeneous
-    basis is the direct sum of the per-component nullspaces, ordered by the
-    smallest column of their component, each oriented so that its
-    largest-magnitude coefficient is positive.
+    through shared rows), and each block ``a`` is solved on its own from
+    its Gram matrix ``a^T a = V diag(lam) V^T``, summed from the products of
+    the entries that share a row, and from ``a^T b``; neither is densified
+    from ``a``.  The singular values are ``sqrt(lam)``, but the Gram fixes
+    them only to about ``sqrt(eps)`` times the block's largest, so every
+    direction below ``GRAM_RTOL`` times the largest is first refined once
+    against ``a`` (the least-squares correction ``a^+ (a v)``, solved with
+    the other eigenpairs, is subtracted) and then given the singular value
+    ``|a v|``, measured on the sparse rows.  A column that no row touches is
+    a component of its own, with one zero singular value.
+    ``singular_values`` is the union of the per-component values in
+    descending order; one cutoff, ``RANK_RTOL`` times the largest of them,
+    decides the rank of every component.  A block that keeps a singular
+    value below ``GRAM_RTOL`` times its largest is too ill-conditioned for
+    the normal equations and raises ``ValidationError`` naming the ratio.
+    The particular solution is the sum of the per-component minimum-norm
+    solutions ``V_k diag(1/lam_k) V_k^T a^T b``, and the homogeneous basis is
+    the direct sum of the per-component nullspaces, ordered by the smallest
+    column of their component, each oriented so that its first coefficient
+    of largest magnitude (magnitudes within ``RANK_RTOL`` tie) is positive.
 
     Returns a ``CompletionSolution``; an empty solution set (no filling has a
     Jacobi residual below ``JACOBI_TOL``, or the residual is not finite) is a
@@ -303,35 +323,53 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
                                   not res < JACOBI_TOL, np.zeros(0))
 
     row, col, val, rhs = _merge_rows(*_assemble(problem))
+    require_finite(val)
     label = _components(row, col, rhs.size, nunk)
     entry_label = label[col]
     blocks = []
     for root in np.flatnonzero(label == np.arange(nunk)):
         cols = np.flatnonzero(label == root)
         entries = np.flatnonzero(entry_label == root)
-        rows, local_row = _unique(row[entries])
-        # [a | b], padded to at least one row per column so vt spans every column
+        r, c, v = row[entries], np.searchsorted(cols, col[entries]), val[entries]
         n = cols.size
-        ab = np.zeros((max(rows.size, n), n + 1))
-        ab[local_row, np.searchsorted(cols, col[entries])] = val[entries]
-        ab[:rows.size, n] = rhs[rows]
-        require_finite(ab[:, :n])
-        # a = Q R_a and Q^T b come from one thin QR; the SVD runs on the square R_a
-        r = np.linalg.qr(ab, mode="r")
-        u_r, sv, vt = np.linalg.svd(r[:n, :n])
-        blocks.append((cols, u_r.T @ r[:n, n], sv, vt))
+        li, ri = next(_join(r, r))  # every pair of entries in one row
+        gram = np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri], minlength=n * n)
+        lam, vecs = np.linalg.eigh(gram.reshape(n, n))
+        lam, vecs = lam[::-1], vecs[:, ::-1]
+        sv = np.sqrt(np.maximum(lam, 0.0))
+        # the Gram resolves sigma only to sqrt(eps) * sigma_max: refine the weaker
+        # directions once against A, which takes them from eps * kappa^2 to about
+        # eps * kappa of the nullspace, then measure them on A
+        local_row = np.cumsum(np.diff(r, prepend=-1) != 0) - 1
+        strong = sv >= GRAM_RTOL * sv[0]
+        for j in np.flatnonzero(~strong):
+            av = np.bincount(local_row, weights=v * vecs[c, j])
+            atav = np.bincount(c, weights=v * av[local_row], minlength=n)
+            w = vecs[:, j] - vecs[:, strong] @ (vecs[:, strong].T @ atav / lam[strong])
+            vecs[:, j] = w / np.linalg.norm(w)
+            sv[j] = np.linalg.norm(np.bincount(local_row, weights=v * vecs[c, j]))
+        blocks.append((cols, vecs.T @ np.bincount(c, weights=v * rhs[r], minlength=n),
+                       lam, sv, vecs))
 
-    sv_all = np.sort(np.concatenate([blk[2] for blk in blocks]))[::-1]
+    sv_all = np.sort(np.concatenate([blk[3] for blk in blocks]))[::-1]
     cutoff = RANK_RTOL * sv_all[0] if sv_all[0] > 0 else 0.0
     u_part = np.zeros(nunk)
     basis = []
-    for cols, ub, sv, vt in blocks:
-        inv = np.where(sv > cutoff, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
-        u_part[cols] = vt.T @ (inv * ub)
-        for v in vt[sv <= cutoff]:
-            # canonical orientation: largest-magnitude coefficient positive
+    for cols, vtb, lam, sv, vecs in blocks:
+        kept = sv > cutoff
+        smallest = sv[kept].min(initial=sv[0])
+        if smallest < GRAM_RTOL * sv[0]:
+            raise ValidationError(
+                f"completion block too ill-conditioned for its Gram matrix: smallest kept "
+                f"singular value is {smallest / sv[0]:.3e} of the largest, below "
+                f"{GRAM_RTOL:.0e}", residual=smallest / sv[0])
+        u_part[cols] = vecs[:, kept] @ (vtb[kept] / lam[kept])
+        for v in vecs[:, ~kept].T:
+            # canonical orientation: the first coefficient of largest magnitude is
+            # positive; magnitudes within RANK_RTOL of it tie, so round-off cannot flip it
+            a = np.abs(v)
             full = np.zeros(nunk)
-            full[cols] = v if v[np.argmax(np.abs(v))] >= 0 else -v
+            full[cols] = v if v[np.argmax(a >= (1.0 - RANK_RTOL) * a.max())] >= 0 else -v
             basis.append(full)
     homogeneous = (np.array(basis).reshape(-1, npairs, q)
                    if basis else np.zeros((0, npairs, q)))

@@ -22,7 +22,6 @@ from .linalg import (
 
 __all__ = [
     "DEFAULT_SEED",
-    "OrbitSample",
     "Representation",
     "cohomogeneity",
     "fixed_subspace",
@@ -30,10 +29,7 @@ __all__ = [
     "isotropy_subalgebra",
     "kernel_ideal",
     "orbit_dimension",
-    "orbit_sample",
     "rep_direct_sum",
-    "rep_from_json_dict",
-    "rep_to_json_dict",
     "restrict",
     "splitting_criterion",
     "tensor_product",
@@ -108,27 +104,6 @@ def trivial_representation(algebra: LieAlgebra, space_dim: int) -> Representatio
     return Representation(algebra, np.zeros((algebra.dim, space_dim, space_dim)))
 
 
-def rep_to_json_dict(rep: Representation) -> dict:
-    """Algebra schema extended with a sparse "matrices" array."""
-    from .algebra import matrix_to_json_dict, to_json_dict
-
-    out = to_json_dict(rep.algebra)
-    out["matrices"] = [matrix_to_json_dict(m) for m in rep.matrices]
-    if not np.array_equal(rep.inner_product, np.eye(rep.space_dim)):
-        out["space_inner_product"] = rep.inner_product.tolist()
-    return out
-
-
-def rep_from_json_dict(data: dict) -> Representation:
-    from .algebra import from_json_dict, matrix_from_json_dict
-
-    alg = from_json_dict(data)
-    mats = np.array([matrix_from_json_dict(m) for m in data["matrices"]])
-    ip = (np.asarray(data["space_inner_product"], dtype=float)
-          if "space_inner_product" in data else None)
-    return Representation(alg, mats, ip)
-
-
 def _evaluation_matrix(rep: Representation, v: np.ndarray) -> np.ndarray:
     """Columns rho(b_a) v of the evaluation map xi -> rho(xi) v."""
     return np.einsum("aij,j->ia", rep.matrices, v)
@@ -140,25 +115,6 @@ def orbit_dimension(rep: Representation, v) -> int:
     if np.linalg.norm(v) == 0:
         raise ValueError("orbit dimension is undefined at the zero vector")
     return matrix_rank(_evaluation_matrix(rep, v))
-
-
-@dataclass
-class OrbitSample:
-    """Orbit data at one unit point; orbit and isotropy dimensions add up."""
-
-    point: np.ndarray
-    orbit_dim: int
-    isotropy_dim: int
-
-
-def orbit_sample(rep: Representation, v) -> OrbitSample:
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    orbit = orbit_dimension(rep, v)
-    iso = isotropy_subalgebra(rep, v).dim
-    if orbit + iso != rep.algebra.dim:
-        raise AssertionError("orbit and isotropy dimensions fail to complement")
-    return OrbitSample(v, orbit, iso)
 
 
 def cohomogeneity(rep: Representation, seed: int = DEFAULT_SEED) -> int:

@@ -256,22 +256,54 @@ def test_completed_constants_carry_no_round_off():
     assert not np.any((np.abs(c) > 0.0) & (np.abs(c) < 1e-12))
 
 
-def test_block_svds_run_on_square_triangular_factors(monkeypatch):
-    from liecoh import completion
-
+def test_blocks_are_solved_from_their_gram_matrices(monkeypatch):
     problem = clifford_completion_problem(3, 1.0, MU)
     shapes = []
-    svd = np.linalg.svd
+    eigh = np.linalg.eigh
 
     def recording(a, *args, **kwargs):
         shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(completion.np.linalg, "svd", recording)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the block solve densifies no block")
+
+    monkeypatch.setattr(completion.np.linalg, "eigh", recording)
+    monkeypatch.setattr(completion.np.linalg, "qr", forbidden)
+    monkeypatch.setattr(completion.np.linalg, "svd", forbidden)
     sol = complete_bracket(problem)
     assert sol.nullity == 1
-    # components of 48 x 12 and 73 x 18 (merged rows x unknowns) reach the SVD as their R factors
+    # components of 48 x 12 and 73 x 18 (merged rows x unknowns) reach eigh as their Gram matrices
     assert sorted(shapes) == [(12, 12)] * 3 + [(18, 18)]
+
+
+def _near_singular_block(delta):
+    """Unknown pair (2, 3) with target b_0, b_1, whose only rows are ``[[1, 1], [1, 1 + delta]]``.
+
+    ``[b_0, b_4] = b_0 + b_1`` and ``[b_1, b_4] = b_0 + (1 + delta) b_1`` enter the
+    Jacobi rows of the triple (2, 3, 4) through ``[[b_2, b_3], b_4]``.
+    """
+    c = np.zeros((5, 5, 5))
+    c[0, 4, :2] = 1.0, 1.0
+    c[1, 4, :2] = 1.0, 1.0 + delta
+    return CompletionProblem(LieAlgebra(antisymmetrized(c)), (2, 3),
+                             Subspace.coordinate(5, [0, 1]))
+
+
+def test_a_block_too_ill_conditioned_for_its_gram_fails_closed():
+    delta = 1e-6
+    sv = np.linalg.svd([[1.0, 1.0], [1.0, 1.0 + delta]], compute_uv=False)
+    ratio = sv[1] / sv[0]
+    assert RANK_RTOL < ratio < completion.GRAM_RTOL
+    with pytest.raises(ValidationError) as err:
+        complete_bracket(_near_singular_block(delta))
+    assert abs(err.value.residual - ratio) <= 1e-6 * ratio
+    assert f"{err.value.residual:.3e} of the largest" in str(err.value)
+    # within the gate the same block solves, and matches the dense reference
+    sol = complete_bracket(_near_singular_block(0.5))
+    particular, null_rows, sv, empty = _dense_reference(sol.problem)
+    assert np.abs(sol.singular_values - sv).max() <= 1e-12 * sv[0]
+    assert sol.nullity == null_rows.shape[0] == 0
 
 
 def test_n7_solve_stays_below_twelve_mib():
@@ -295,6 +327,16 @@ def test_rank_decisions_sit_far_from_the_cutoff(n, request):
     cutoff = RANK_RTOL * sv[0]
     assert sv[sv > cutoff].min() >= 1e2 * cutoff
     assert sv[sv <= cutoff].max(initial=0.0) <= 1e-2 * cutoff
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_null_directions_are_refined_against_the_rows(n, request):
+    # straight from the Gram, |A v| reached 2.9 and 4.8 eps * sigma_max at n = 3 and 7
+    sol = (request.getfixturevalue("n7") if n == 7
+           else complete_bracket(clifford_completion_problem(n, 1.0, MU)))
+    sv = sol.singular_values
+    assert sol.nullity == 1
+    assert sv[-1] <= np.finfo(float).eps * sv[0]
 
 
 def _gathered_rhs(c, keys):

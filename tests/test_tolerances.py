@@ -20,6 +20,7 @@ import pytest
 import liecoh
 from liecoh import algebra as la
 from liecoh import builders as bld
+from liecoh import completion
 from liecoh import geometry as geo
 from liecoh import linalg
 from liecoh import reps
@@ -103,6 +104,14 @@ def _isotropy_gate(monkeypatch, gate):
     sps.isotropy_representation(space)
 
 
+def _completion_with_inf():
+    """Unknown pair (3, 4) over a skeleton with [b_0, b_2] = inf b_1, which enters its rows."""
+    c = np.zeros((5, 5, 5))
+    c[0, 2, 1], c[2, 0, 1] = INF, -INF
+    return completion.CompletionProblem(la.LieAlgebra(c), (3, 4),
+                                        la.Subspace.coordinate(5, [0, 1, 2]))
+
+
 GATES = {
     "algebra.semidirect_sum":
         lambda mp: la.semidirect_sum(bld.so_standard(3).algebra, _so3_rep((0, 0, 0))),
@@ -113,6 +122,8 @@ GATES = {
     "algebra.Subspace": lambda mp: la.Subspace(2, np.array([[INF, 0.0], [0.0, 1.0]])),
     "algebra.LieAlgebra.inner_product":
         lambda mp: la.LieAlgebra(np.zeros((2, 2, 2)), inner_product=[[INF, 0.0], [0.0, 1.0]]),
+    "completion.complete_bracket":
+        lambda mp: completion.complete_bracket(_completion_with_inf()),
     "linalg.signature.inf": lambda mp: linalg.signature([[1.0, INF], [INF, 1.0]]),
     "linalg.signature.nan": lambda mp: linalg.signature([[np.nan, 0.0], [0.0, 1.0]]),
     "reps.Representation.validate.homomorphism": lambda mp: _so3_rep((0, 0, 0)).validate(),
