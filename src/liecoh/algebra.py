@@ -682,10 +682,3 @@ def dumps(alg: LieAlgebra) -> str:
 
 def loads(text: str) -> LieAlgebra:
     return from_json_dict(json.loads(text))
-
-
-def matrix_to_json_dict(m: np.ndarray) -> dict:
-    """Sparse matrix form matching the structure-constant schema: [i, j, value]."""
-    m = np.asarray(m, dtype=float)
-    entries = [[int(i), int(j), float(v)] for (i, j), v in np.ndenumerate(m) if v != 0.0]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}

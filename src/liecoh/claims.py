@@ -416,7 +416,7 @@ def build_claims() -> list[tuple[str, str, object]]:
 
     claims.append(("splitting.control.product", "splitting", _claim_splitting_control))
     for sid in sps.catalog_ids():
-        if len(sps.catalog_entry(sid).blocks) == 2:
+        if sid not in sps.SYMMETRIC_CONTROLS:
             claims.append((f"splitting.catalog.{sid}", "splitting",
                            lambda cfg, s=sid: _claim_splitting_catalog(s, cfg)))
 

@@ -74,7 +74,7 @@ def load_config(path: str | None) -> RunConfig:
         seed = parser.getint("run", "seed", fallback=cfg.seed)
         groups_raw = parser.get("run", "groups", fallback=None)
         groups = (tuple(g.strip() for g in groups_raw.split(",") if g.strip())
-                  if groups_raw and groups_raw.strip() != "all" else cfg.groups)
+                  if groups_raw is not None and groups_raw.strip() != "all" else cfg.groups)
         tol_a = parser.getfloat("tolerances", "algebraic", fallback=cfg.tol_algebraic)
         tol_fd = parser.getfloat("tolerances", "finite_difference", fallback=cfg.tol_fd)
         return RunConfig(seed=seed, groups=groups, tol_algebraic=tol_a, tol_fd=tol_fd)

@@ -26,15 +26,12 @@ __all__ = [
     "SpinEmbedding",
     "blade",
     "clifford_multiply",
-    "complex_structure",
-    "export_gammas",
     "generator",
     "quaternion_units",
     "scalar",
     "spin_algebra",
     "spin_module",
     "spin_plus_one",
-    "vector_action",
 ]
 
 _I = np.eye(2)
@@ -208,17 +205,6 @@ def spin_module(n: int) -> CliffordModule:
     return CliffordModule(n, np.array(gammas))
 
 
-def vector_action(module: CliffordModule, z) -> np.ndarray:
-    """Clifford action of a vector z in R^n: sum_i z_i Gamma_i.
-
-    Skew, and squares to -|z|^2 times the identity.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (module.n,):
-        raise ValueError("vector length must equal the generator count")
-    return np.einsum("i,ijk->jk", z, module.gammas)
-
-
 def bivector_pairs(n: int) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, ordering the so(n) basis used throughout."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -315,31 +301,6 @@ def spin_plus_one(module: CliffordModule) -> tuple[LieAlgebra, np.ndarray]:
     labels = tuple(f"L{i},{j}" for i, j in pairs)
     alg = LieAlgebra(so_structure_tensor(n + 1), labels=labels)
     return alg, np.array(mats)
-
-
-def complex_structure(module: CliffordModule) -> np.ndarray:
-    """Integer complex structure on the module commuting with all bivectors.
-
-    Realized as the Clifford volume element Gamma_1 ... Gamma_n, which squares
-    to -I exactly when n = 2 mod 4 (the two cases needed here are n = 2 and
-    n = 6); it anticommutes with each generator but commutes with the even
-    part, hence with the whole spin action.
-    """
-    if module.n % 4 != 2:
-        raise ValueError("volume element squares to -I only for n = 2 mod 4")
-    vol = module.blade_matrix(tuple(range(1, module.n + 1)))
-    d = module.module_dim
-    if not np.array_equal(vol @ vol, -np.eye(d)):
-        raise AssertionError("volume element failed J^2 = -I")
-    return vol
-
-
-def export_gammas(module: CliffordModule) -> dict:
-    """Gamma matrices in the shared sparse JSON matrix format."""
-    from .algebra import matrix_to_json_dict
-
-    return {"n": module.n, "module_dim": module.module_dim,
-            "gammas": [matrix_to_json_dict(g) for g in module.gammas]}
 
 
 def quaternion_units(module: CliffordModule) -> np.ndarray:

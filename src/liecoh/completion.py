@@ -10,20 +10,19 @@ the problem is rejected as nonlinearly coupled), every Jacobi component is an
 affine function of the unknown coefficients: unknowns enter each bracket
 chain at most once.  The linear system is assembled as sparse (row, column,
 value) triplets, one row per basis triple and output coordinate that touches
-an unknown; its right-hand side is read from the jacobiator kernels of
-``algebra``.  Rows that are exact multiples of one another are merged into
-one row of the same weight, which leaves the normal equations unchanged and
-removes 37-45% of the rows of the n = 6 and 7 Clifford systems.  Unknowns
-that share no row are independent, so the system is block diagonal after a
-permutation: it is split into the connected components of its row-column
-incidence graph, and each component is solved through its Gram matrix
-``A^T A``, formed from the sparse entries and diagonalised by a symmetric
-eigensolver (the method of normal equations; Bjorck, *Numerical Methods for
-Least Squares Problems*, SIAM 1996, ch. 2).  That squares the condition
-number, which is safe here because every kept singular value of the
-Clifford systems is at least 0.19 of its block's largest; the directions the
-Gram cannot resolve are measured, and refined, on ``A`` itself, and a block
-that would keep one of them is rejected.  The singular values of the whole
+an unknown, and stored once, as one canonical triplet list (sorted by row,
+then column, coalesced, no explicit zeros); its right-hand side is read from
+the jacobiator kernels of ``algebra``.  Unknowns that share no row are
+independent, so the system is block diagonal after a permutation: it is
+split into the connected components of its row-column incidence graph, and
+each component is solved through its Gram matrix ``A^T A``, formed from the
+sparse entries and diagonalised by a symmetric eigensolver (the method of
+normal equations; Bjorck, *Numerical Methods for Least Squares Problems*,
+SIAM 1996, ch. 2).  That squares the condition number, which is safe here
+because every kept singular value of the Clifford systems is at least 0.19
+of its block's largest; the directions the Gram cannot resolve are measured,
+and refined, on ``A`` itself, and a block that would keep one of them is
+rejected.  The singular values of the whole
 system are the union of the per-component ones, and one rank cutoff
 relative to the largest of them applies to every component.  The solution
 set is returned as a particular least-squares solution plus an orthonormal
@@ -45,7 +44,6 @@ from .algebra import (
     _jacobiator_at,
     _join,
     _triple_key,
-    _unique,
     jacobi_residual,
 )
 from .linalg import RANK_RTOL, ValidationError, require_finite
@@ -148,11 +146,18 @@ def _assemble(problem: CompletionProblem):
     * z is in S and the fixed bracket [b_x, b_y] has an S-component b_m: the
       unknown pair (m, z) enters through its target basis vectors.
 
-    Returns ``(row, col, val, rhs)``: coalesced nonzero entries of ``A`` (row
-    indices into ``rhs``, sorted by row, then column) and ``b``, the negated
+    Returns ``(row, col, val, rhs)``: the canonical triplets of ``A`` (sorted
+    by row, then column, coalesced, no explicit zeros; row indices into
+    ``rhs``, every row with at least one entry) and ``b``, the negated
     skeleton jacobiator on each row, looked up in the jacobiator kernels.
     Rows without unknowns are left out; only the final residual check sees
     them.
+
+    Each entry is built as one key, ``_triple_key(x, y, z, l) * nunk + col``:
+    a chain's triple and column base are computed once and broadcast over the
+    entries it contributes, and only the keys and values are ever held for
+    every uncoalesced entry.  Duplicates are summed in the order they were
+    built, after one stable sort.
     """
     c = problem.skeleton.c
     d = c.shape[0]
@@ -171,86 +176,46 @@ def _assemble(problem: CompletionProblem):
     # unknown pair (x, y), then [t_a, b_z] for every target basis vector
     ad_t = np.einsum("ma,mzl->zal", t, c)
     px, py = np.nonzero(pidx >= 0)
-    x1, y1 = np.repeat(px, d), np.repeat(py, d)
-    z1 = np.tile(np.arange(d), px.size)
-    keep = _cyclic_order(x1, y1, z1)
-    x1, y1, z1 = x1[keep], y1[keep], z1[keep]
-    az, aa, al = np.nonzero(ad_t)  # sorted on z, the right side of the join with z1
-    g, r = next(_join(z1, az))
-    x1, y1, z1 = x1[g], y1[g], z1[g]
-    a1, l1 = aa[r], al[r]
-    col1 = pidx[x1, y1] * q + a1
-    val1 = psign[x1, y1] * ad_t[az[r], a1, l1]
+    x, y = np.repeat(px, d), np.repeat(py, d)
+    z = np.tile(np.arange(d), px.size)
+    keep = _cyclic_order(x, y, z)
+    x, y, z = x[keep], y[keep], z[keep]
+    base = _triple_key(x, y, z, 0, d) * nunk + pidx[x, y] * q
+    az, aa, al = np.nonzero(ad_t)  # sorted on z, the right side of the join with z
+    g, r = next(_join(z, az))
+    key1 = base[g] + (al * nunk + aa)[r]
+    val1 = psign[x, y][g] * ad_t[az, aa, al][r]
+    del g, r
 
     # fixed bracket [b_x, b_y] with S-component b_m, then unknown pair (m, z)
     cx, cy, cm = np.nonzero(c[:, :, s_arr])
     ns = s_arr.size
-    x2, y2 = np.repeat(cx, ns), np.repeat(cy, ns)
-    m2 = np.repeat(s_arr[cm], ns)
-    z2 = np.tile(s_arr, cx.size)
-    keep = _cyclic_order(x2, y2, z2) & (m2 != z2)
-    x2, y2, z2, m2 = x2[keep], y2[keep], z2[keep], m2[keep]
-    w2 = c[x2, y2, m2] * psign[m2, z2]
+    x, y = np.repeat(cx, ns), np.repeat(cy, ns)
+    m = np.repeat(s_arr[cm], ns)
+    z = np.tile(s_arr, cx.size)
+    keep = _cyclic_order(x, y, z) & (m != z)
+    x, y, z, m = x[keep], y[keep], z[keep], m[keep]
+    base = _triple_key(x, y, z, 0, d) * nunk + pidx[m, z] * q
     tl, ta = np.nonzero(t)
-    g = np.repeat(np.arange(x2.size), tl.size)
-    e = np.tile(np.arange(tl.size), x2.size)
-    x2, y2, z2 = x2[g], y2[g], z2[g]
-    l2 = tl[e]
-    col2 = pidx[m2[g], z2] * q + ta[e]
-    val2 = w2[g] * t[tl, ta][e]
+    key = np.concatenate((key1, (base[:, None] + (tl * nunk + ta)).ravel()))
+    del key1
+    val = np.concatenate((val1, np.outer(c[x, y, m] * psign[m, z], t[tl, ta]).ravel()))
+    del val1
 
-    x, y, z = (np.concatenate(v) for v in ((x1, x2), (y1, y2), (z1, z2)))
-    row_key = _triple_key(x, y, z, np.concatenate((l1, l2)), d)
-    entry_key, inverse = _unique(row_key * nunk + np.concatenate((col1, col2)))
-    val = np.bincount(inverse, weights=np.concatenate((val1, val2)))
+    # coalesce: a stable sort keeps each key's values in the order they were built
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    val = val[order]
+    del order
+    first = np.diff(key, prepend=-1) != 0
+    val = np.bincount(np.cumsum(first) - 1, weights=val)
+    key = key[first]
     nz = val != 0.0
-    entry_key, val = entry_key[nz], val[nz]
-    rows, row = _unique(entry_key // nunk)
-    col = entry_key % nunk
+    key, val = key[nz], val[nz]
+    rows, col = np.divmod(key, nunk)
+    first = np.diff(rows, prepend=-1) != 0
 
-    return row, col, val, -_jacobiator_at(c, rows)
-
-
-def _merge_rows(row: np.ndarray, col: np.ndarray, val: np.ndarray, rhs: np.ndarray):
-    """An equivalent system with one row per set of proportional rows.
-
-    Rows ``r_i = f_i v`` share the canonical row ``v``, the row divided by
-    its first entry.  They become the one row ``s v`` with ``s = sqrt(sum
-    f_i^2)`` and right-hand side ``sum f_i b_i / s``, which leaves ``A^T A``
-    and ``A^T b`` as they were, so the least-squares solutions and the
-    singular values do not change.  Rows are grouped by a hash of their
-    canonical entries and merged only into a row whose canonical entries
-    are equal to theirs (a NaN never is); a row with no multiple passes
-    through unchanged.  The first row of a set keeps its place.
-    """
-    nrows = rhs.size
-    nnz = np.bincount(row, minlength=nrows)
-    start = np.cumsum(nnz) - nnz  # every row has an entry, and entries are sorted by row
-    f = val[start]
-    v = val / f[row]
-    # order-free 64-bit hash of each row's (column, canonical value) entries
-    h = v.view(np.uint64) ^ (col.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-    h = (h ^ (h >> np.uint64(31))) * np.uint64(0xBF58476D1CE4E5B9)
-    h = np.add.reduceat(h ^ (h >> np.uint64(29)), start)
-    # lead: the first row with the same hash
-    order = np.argsort(h)
-    first = np.ones(nrows, dtype=bool)
-    first[1:] = h[order[1:]] != h[order[:-1]]
-    lead = np.empty(nrows, dtype=int)
-    lead[order] = np.minimum.reduceat(order, np.flatnonzero(first))[np.cumsum(first) - 1]
-    # a row joins its lead's set only if their canonical entries are equal
-    twin = np.minimum(start[lead[row]] + np.arange(row.size) - start[row], row.size - 1)
-    same = (nnz[lead] == nnz) & np.logical_and.reduceat((col[twin] == col) & (v[twin] == v),
-                                                        start)
-    group = np.where(same, lead, np.arange(nrows))
-    leader = group == np.arange(nrows)
-    s = np.sqrt(np.bincount(group, weights=f * f, minlength=nrows))[leader]
-    merged_rhs = np.bincount(group, weights=f * rhs, minlength=nrows)[leader] / s
-    size = np.bincount(group, minlength=nrows)[leader]
-    keep = leader[row]
-    new_row = (np.cumsum(leader) - 1)[row[keep]]
-    new_val = np.where(size[new_row] > 1, s[new_row] * v[keep], val[keep])
-    return new_row, col[keep], new_val, np.where(size > 1, merged_rhs, rhs[leader])
+    return np.cumsum(first) - 1, col, val, -_jacobiator_at(c, rows[first])
 
 
 def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
@@ -276,13 +241,11 @@ def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.
 def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     """Solve for all Jacobi-compatible fillings of the unknown block.
 
-    Rows that are multiples of one another are first merged (see
-    ``_merge_rows``; ``A^T A`` and ``A^T b`` keep their values).  The sparse
-    system is then split into connected components (unknowns linked
-    through shared rows), and each block ``a`` is solved on its own from
-    its Gram matrix ``a^T a = V diag(lam) V^T``, summed from the products of
-    the entries that share a row, and from ``a^T b``; neither is densified
-    from ``a``.  The singular values are ``sqrt(lam)``, but the Gram fixes
+    The canonical triplets of ``_assemble`` are split into connected
+    components (unknowns linked through shared rows), and each block ``a``
+    is solved on its own from its Gram matrix ``a^T a = V diag(lam) V^T``,
+    summed from the products of the entries that share a row, and from
+    ``a^T b``; neither is densified from ``a``.  The singular values are ``sqrt(lam)``, but the Gram fixes
     them only to about ``sqrt(eps)`` times the block's largest, so every
     direction below ``GRAM_RTOL`` times the largest is first refined once
     against ``a`` (the least-squares correction ``a^+ (a v)``, solved with
@@ -322,7 +285,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
         return CompletionSolution(problem, np.zeros((0, q)), np.zeros((0, 0, q)), res,
                                   not res < JACOBI_TOL, np.zeros(0))
 
-    row, col, val, rhs = _merge_rows(*_assemble(problem))
+    row, col, val, rhs = _assemble(problem)
     require_finite(val)
     label = _components(row, col, rhs.size, nunk)
     entry_label = label[col]

@@ -70,6 +70,7 @@ __all__ = [
     "G1Report",
     "HeisenbergSpec",
     "ReductiveSpace",
+    "SYMMETRIC_CONTROLS",
     "SemidirectHyperbolicSpec",
     "ad_eigenspace_decomposition",
     "build_clifford_space",
@@ -724,6 +725,9 @@ def verify_flatness(space: ReductiveSpace) -> bool:
 # catalog
 # ---------------------------------------------------------------------------
 
+# The one-block symmetric controls; every other catalog space has two blocks.
+SYMMETRIC_CONTROLS = ("SO(5)/SO(2)SO(3)", "SU(3)xSU(3)/dSU(3)")
+
 
 def _grassmannian_control() -> ReductiveSpace:
     """Rank-two symmetric control: so(5) over so(2) + so(3)."""
@@ -788,8 +792,7 @@ def _catalog_builders() -> dict:
         3, "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)")
     builders["Spin(7)|xR8/Spin(6)"] = lambda: zero_mode(6, "Spin(7)|xR8/Spin(6)")
     builders["Spin(8)|xR8+/Spin(7)"] = lambda: zero_mode(7, "Spin(8)|xR8+/Spin(7)")
-    builders["SO(5)/SO(2)SO(3)"] = _grassmannian_control
-    builders["SU(3)xSU(3)/dSU(3)"] = _group_manifold_control
+    builders.update(zip(SYMMETRIC_CONTROLS, (_grassmannian_control, _group_manifold_control)))
     return builders
 
 

@@ -35,6 +35,12 @@ def test_every_claim_runs_on_the_calling_thread(monkeypatch):
     assert all(t is threading.current_thread() for t in threads)
 
 
+def test_building_the_registry_builds_no_catalog_entry():
+    sps.catalog_entry.cache_clear()
+    claims.build_claims()
+    assert sps.catalog_entry.cache_info().currsize == 0
+
+
 def test_an_empty_group_selection_is_rejected():
     with pytest.raises(ValueError, match="no claim group"):
         RunConfig(groups=())

@@ -66,9 +66,10 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
 def test_a_config_that_selects_no_group_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
     cfg_file = tmp_path / "none.ini"
-    cfg_file.write_text("[run]\ngroups = ,\n")
-    assert main(["verify", "--config", str(cfg_file)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for groups in ("groups = ,\n", "groups =\n"):
+        cfg_file.write_text("[run]\n" + groups)
+        assert main(["verify", "--config", str(cfg_file)]) == 2, groups
+        assert "config error" in capsys.readouterr().err
 
 
 def test_malformed_config_rejected(tmp_path):

@@ -7,14 +7,12 @@ from liecoh.clifford import (
     CliffordElement,
     blade,
     clifford_multiply,
-    complex_structure,
     generator,
     quaternion_units,
     scalar,
     spin_algebra,
     spin_module,
     spin_plus_one,
-    vector_action,
 )
 
 MODULE_DIMS = {2: 4, 3: 4, 4: 8, 5: 8, 6: 8, 7: 8, 8: 16, 9: 32}
@@ -163,48 +161,8 @@ def test_spin_plus_one_is_rotation_algebra():
 
 
 # ---------------------------------------------------------------------------
-# vector action and commutant structures
+# commutant structures
 # ---------------------------------------------------------------------------
-
-
-def test_vector_action_zero_and_basis():
-    m = spin_module(5)
-    assert np.all(vector_action(m, np.zeros(5)) == 0)
-    z = np.zeros(5)
-    z[0] = 1.0
-    g = vector_action(m, z)
-    assert np.array_equal(g, m.gammas[0])
-    assert np.array_equal(g @ g, -np.eye(m.module_dim))
-
-
-def test_vector_action_squares_to_minus_norm():
-    m = spin_module(7)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        z = rng.standard_normal(7)
-        g = vector_action(m, z)
-        assert np.allclose(g @ g, -(z @ z) * np.eye(8), atol=1e-12)
-        assert np.allclose(g, -g.T)
-
-
-def test_vector_action_length_mismatch():
-    with pytest.raises(ValueError):
-        vector_action(spin_module(3), np.ones(4))
-
-
-@pytest.mark.parametrize("n", [2, 6])
-def test_complex_structure_commutes_with_spin_action(n):
-    m = spin_module(n)
-    j = complex_structure(m)
-    assert np.array_equal(j @ j, -np.eye(m.module_dim))
-    emb = spin_algebra(m)
-    for mat in emb.matrices:
-        assert np.array_equal(j @ mat, mat @ j)
-
-
-def test_complex_structure_wrong_n():
-    with pytest.raises(ValueError):
-        complex_structure(spin_module(3))
 
 
 @pytest.mark.parametrize("n", [2, 3])

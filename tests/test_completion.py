@@ -273,7 +273,7 @@ def test_blocks_are_solved_from_their_gram_matrices(monkeypatch):
     monkeypatch.setattr(completion.np.linalg, "svd", forbidden)
     sol = complete_bracket(problem)
     assert sol.nullity == 1
-    # components of 48 x 12 and 73 x 18 (merged rows x unknowns) reach eigh as their Gram matrices
+    # components of 96 x 12 and 112 x 18 (rows x unknowns) reach eigh as their Gram matrices
     assert sorted(shapes) == [(12, 12)] * 3 + [(18, 18)]
 
 
@@ -394,52 +394,36 @@ def test_so_n_with_one_bracket_removed_completes_back_to_it(n, joins):
     assert np.abs(sol.particular - target.basis.T @ c[a, b]).max() <= 1e-12
 
 
-def _normal_equations(row, col, val, rhs, nunk):
-    li, ri = next(la._join(row, row))  # every pair of entries in one row
-    ata = np.zeros((nunk, nunk))
-    np.add.at(ata, (col[li], col[ri]), val[li] * val[ri])
-    return ata, np.bincount(col, weights=val * rhs[row], minlength=nunk)
-
-
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)
-def test_merged_rows_keep_the_normal_equations(case):
+def test_assembled_triplets_are_canonical(case):
+    # the Gram join's local_row numbers a block's rows by runs of equal row
     problem = ASSEMBLY_CASES[case]()
     nunk = len(problem.pairs) * problem.target.dim
-    system = completion._assemble(problem)
-    merged = completion._merge_rows(*system)
-    assert merged[3].size <= system[3].size
-    for ref, got in zip(_normal_equations(*system, nunk), _normal_equations(*merged, nunk)):
-        assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=0.0)
+    row, col, val, rhs = completion._assemble(problem)
+    assert row.size == col.size == val.size
+    assert np.all(np.diff(row) >= 0)
+    assert np.all(np.diff(row * nunk + col) > 0)  # (row, col) strictly increasing
+    assert np.all((col >= 0) & (col < nunk))
+    assert np.all(val != 0.0)
+    assert np.array_equal(np.unique(row), np.arange(rhs.size))  # every row has an entry
 
 
-@pytest.mark.parametrize("n,rows", [(6, (11872, 7462)), (7, (20608, 11368))])
-def test_merged_row_counts(n, rows):
-    system = completion._assemble(clifford_completion_problem(n, 1.0, MU))
-    assert (system[3].size, completion._merge_rows(*system)[3].size) == rows
+@pytest.mark.parametrize("n,rows", [(6, 11872), (7, 20608)])
+def test_assembled_row_counts(n, rows):
+    assert completion._assemble(clifford_completion_problem(n, 1.0, MU))[3].size == rows
 
 
-def test_an_empty_system_merges_to_an_empty_system():
-    system = completion._assemble(PARITY_CASES["zero-skeleton"]())
-    merged = completion._merge_rows(*system)
-    assert [a.size for a in system] == [a.size for a in merged] == [0, 0, 0, 0]
+def test_n7_assembly_stays_below_six_mib():
+    import tracemalloc
 
-
-def test_proportional_rows_merge_and_the_others_pass_through():
-    inf, nan = np.inf, np.nan
-    # rows 0, 1 and 4 are multiples of (1, 2); rows 2 and 3 are not finite; row 5 is unique
-    row = np.repeat(np.arange(6), 2)
-    col = np.tile([0, 1], 6)
-    val = np.array([1.0, 2.0, -2.0, -4.0, inf, 1.0, nan, 3.0, 0.5, 1.0, 1.0, 3.0])
-    rhs = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    with np.errstate(invalid="ignore"):
-        new_row, new_col, new_val, new_rhs = completion._merge_rows(row, col, val, rhs)
-    s = np.sqrt(1.0 + 4.0 + 0.25)
-    assert np.array_equal(new_row, np.repeat(np.arange(4), 2))
-    assert np.array_equal(new_col, np.tile([0, 1], 4))
-    assert np.allclose(new_val[:2], [s, 2 * s], rtol=1e-15)
-    assert np.array_equal(new_val[2:6], val[4:8], equal_nan=True)  # never merged
-    assert np.array_equal(new_val[6:], val[10:])  # unique: unchanged, bit for bit
-    assert np.allclose(new_rhs, [(1.0 - 4.0 + 2.5) / s, 3.0, 4.0, 6.0], rtol=1e-15)
+    problem = clifford_completion_problem(7, 1.0, MU)
+    tracemalloc.start()
+    try:
+        completion._assemble(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20
 
 
 def test_non_finite_system_entries_still_fail_closed():
@@ -447,7 +431,7 @@ def test_non_finite_system_entries_still_fail_closed():
     c[0, 2, 1], c[2, 0, 1] = np.inf, -np.inf  # enters the rows through [t_0, b_2], and 0 * inf
     problem = CompletionProblem(LieAlgebra(c), (3, 4), Subspace.coordinate(5, [0, 1, 2]))
     with np.errstate(invalid="ignore"):
-        val = completion._merge_rows(*completion._assemble(problem))[2]
+        val = completion._assemble(problem)[2]
         assert np.isinf(val).any() and np.isnan(val).any()
         with pytest.raises(ValidationError):
             complete_bracket(problem)

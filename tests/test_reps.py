@@ -255,21 +255,8 @@ def test_rep_direct_sum_blocks(so3):
 
 
 # ---------------------------------------------------------------------------
-# serialization and catalog-wide genericity
+# catalog-wide genericity
 # ---------------------------------------------------------------------------
-
-
-def test_gamma_export_sparse_format():
-    from liecoh.clifford import export_gammas, spin_module
-
-    m = spin_module(7)
-    data = export_gammas(m)
-    assert data["module_dim"] == 8
-    for g, packed in zip(m.gammas, data["gammas"]):
-        dense = np.zeros((packed["rows"], packed["cols"]))
-        for i, j, v in packed["entries"]:
-            dense[i, j] = v
-        assert np.array_equal(dense, g)
 
 
 def test_orbit_dimension_constant_over_catalog_samples():

@@ -337,6 +337,12 @@ def test_catalog_all_valid():
         assert jacobi_residual(space.algebra) < 1e-9, sid
 
 
+def test_only_the_symmetric_controls_have_one_block():
+    # build_claims picks the splitting claims from the constant, without building
+    for sid in catalog_ids():
+        assert len(catalog_entry(sid).blocks) == (1 if sid in sps.SYMMETRIC_CONTROLS else 2), sid
+
+
 def test_catalog_unknown_id():
     with pytest.raises(KeyError):
         catalog_entry("Sp(42)/Nothing")
