@@ -19,7 +19,7 @@ Structure constants of catalog algebras are integers, halves or multiples of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .linalg import (
     nullspace,
     orthonormal_columns,
     projector,
-    require_finite,
     residual_scale,
     signature,
     solve_least_squares,
@@ -86,22 +85,19 @@ def require_below(residual: float, bound: float, what: str, triple=None) -> None
 
 @dataclass
 class LieAlgebra:
-    """Real Lie algebra as a structure-constant tensor with an inner product.
+    """Real Lie algebra as a structure-constant tensor in an orthonormal basis.
 
     Parameters
     ----------
     c : (d, d, d) array
         Structure constants; must be exactly antisymmetric in the first two
         indices.
-    inner_product : (d, d) array, optional
-        Symmetric positive-definite form; defaults to the identity (the basis
-        is declared orthonormal).
     labels : tuple of str, optional
-        Basis labels for display and export.
+        Basis labels for display and export (keyword only).
     """
 
     c: np.ndarray
-    inner_product: np.ndarray | None = None
+    _: KW_ONLY
     labels: tuple[str, ...] | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
     # (c, worst Jacobi triple, residual), set by ``worst_jacobi_triple``
@@ -115,20 +111,9 @@ class LieAlgebra:
             raise ValueError("structure constants must be exactly antisymmetric")
         c.setflags(write=False)
         self.c = c
-        d = c.shape[0]
-        if self.inner_product is None:
-            ip = np.eye(d)
-        else:
-            ip = require_finite(np.array(self.inner_product, dtype=float))
-            if ip.shape != (d, d) or not np.allclose(ip, ip.T):
-                raise ValueError("inner product must be a symmetric d x d matrix")
-            if not np.linalg.eigvalsh(ip).min() > 0:
-                raise ValueError("inner product must be positive definite")
-        ip.setflags(write=False)
-        self.inner_product = ip
         if self.labels is not None:
             self.labels = tuple(self.labels)
-            if len(self.labels) != d:
+            if len(self.labels) != c.shape[0]:
                 raise ValueError("label count must match dimension")
 
     @property
@@ -136,7 +121,7 @@ class LieAlgebra:
         return self.c.shape[0]
 
     def with_notes(self, *notes: str) -> "LieAlgebra":
-        return LieAlgebra(self.c, self.inner_product, self.labels, self.notes + tuple(notes))
+        return LieAlgebra(self.c, labels=self.labels, notes=self.notes + tuple(notes))
 
 
 def antisymmetrized(upper: np.ndarray) -> np.ndarray:
@@ -444,13 +429,10 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     c = np.zeros((da + db,) * 3)
     c[:da, :da, :da] = a.c
     c[da:, da:, da:] = b.c
-    ip = np.zeros((da + db, da + db))
-    ip[:da, :da] = a.inner_product
-    ip[da:, da:] = b.inner_product
     labels = None
     if a.labels is not None and b.labels is not None:
         labels = a.labels + b.labels
-    return LieAlgebra(c, ip, labels)
+    return LieAlgebra(c, labels=labels)
 
 
 def place_action(c: np.ndarray, acting_idx, module_idx, mats: np.ndarray) -> None:
@@ -495,7 +477,7 @@ def pullback_structure(alg: LieAlgebra, f: np.ndarray) -> LieAlgebra:
     finv = np.linalg.inv(f)
     c = span_brackets(alg, f, f) @ finv.T
     c = 0.5 * (c - c.transpose(1, 0, 2))  # kill round-off asymmetry exactly
-    return LieAlgebra(c, alg.inner_product, alg.labels)
+    return LieAlgebra(c, labels=alg.labels)
 
 
 def subalgebra(alg: LieAlgebra, indices) -> LieAlgebra:
@@ -510,7 +492,7 @@ def subalgebra(alg: LieAlgebra, indices) -> LieAlgebra:
     require_below(leak, LEAK_TOL, "not a subalgebra: closure")
     sub = alg.c[np.ix_(idx, idx, idx)].copy()
     labels = tuple(alg.labels[i] for i in idx) if alg.labels is not None else None
-    return LieAlgebra(sub, alg.inner_product[np.ix_(idx, idx)], labels)
+    return LieAlgebra(sub, labels=labels)
 
 
 def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
@@ -532,7 +514,7 @@ def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
     require_below(bad / scale, GRADING_TOL, "block is not the odd part of a symmetric pair")
     c = np.array(alg.c)
     c[np.ix_(b, b)] *= -1.0
-    return LieAlgebra(c, alg.inner_product, alg.labels)
+    return LieAlgebra(c, labels=alg.labels)
 
 
 def structure_constants_from_matrices(matrices) -> np.ndarray:
@@ -643,9 +625,8 @@ class Subspace:
 def to_json_dict(alg: LieAlgebra) -> dict:
     """Sparse JSON form: triples [i, j, k, value] with i < j.
 
-    The inner product is included only when it differs from the identity, the
-    labels only when present.  Values round-trip bit exactly through the
-    standard JSON encoder.
+    The labels are included only when present.  Values round-trip bit
+    exactly through the standard JSON encoder.
     """
     d = alg.dim
     triples = []
@@ -656,24 +637,35 @@ def to_json_dict(alg: LieAlgebra) -> dict:
                 if v != 0.0:
                     triples.append([i, j, k, float(v)])
     out: dict = {"dim": d, "c": triples}
-    if not np.array_equal(alg.inner_product, np.eye(d)):
-        out["inner_product"] = alg.inner_product.tolist()
     if alg.labels is not None:
         out["labels"] = list(alg.labels)
     return out
 
 
 def from_json_dict(data: dict) -> LieAlgebra:
+    """Inverse of ``to_json_dict``; ``ValueError`` on input it cannot have written.
+
+    Each triple needs integer indices with ``0 <= i < j < dim`` and
+    ``0 <= k < dim`` and may appear once.  An ``inner_product`` key is
+    rejected: every basis is orthonormal.
+    """
+    if "inner_product" in data:
+        raise ValueError("inner_product is not supported: the basis is orthonormal")
     d = int(data["dim"])
     c = np.zeros((d, d, d))
+    seen = set()
     for i, j, k, v in data["c"]:
-        if not 0 <= i < j < d:
-            raise ValueError("sparse triples must satisfy 0 <= i < j < dim")
+        if not all(type(n) is int for n in (i, j, k)):
+            raise ValueError(f"triple indices must be integers, got {[i, j, k]}")
+        if not (0 <= i < j < d and 0 <= k < d):
+            raise ValueError("sparse triples must satisfy 0 <= i < j < dim and 0 <= k < dim")
+        if (i, j, k) in seen:
+            raise ValueError(f"triple {[i, j, k]} appears twice")
+        seen.add((i, j, k))
         c[i, j, k] = v
         c[j, i, k] = -v
-    ip = np.asarray(data["inner_product"], dtype=float) if "inner_product" in data else None
     labels = tuple(data["labels"]) if "labels" in data else None
-    return LieAlgebra(c, ip, labels)
+    return LieAlgebra(c, labels=labels)
 
 
 def dumps(alg: LieAlgebra) -> str:

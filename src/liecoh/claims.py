@@ -35,6 +35,10 @@ from .reps import (
 __all__ = ["RunConfig", "VerificationReport", "all_groups", "build_claims", "run_suite"]
 
 GROUPS = ("tables", "jacobi", "heisenberg", "curvature", "splitting", "catalog")
+# Pass bounds of the residual claims: exact algebra, and closed-form curvature
+# against the finite-difference oracle.
+TOL_ALGEBRAIC = 1e-9
+TOL_FD = 1e-5
 
 
 def all_groups() -> tuple[str, ...]:
@@ -45,8 +49,6 @@ def all_groups() -> tuple[str, ...]:
 class RunConfig:
     seed: int = DEFAULT_SEED
     groups: tuple[str, ...] = GROUPS
-    tol_algebraic: float = 1e-9
-    tol_fd: float = 1e-5
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
@@ -57,10 +59,6 @@ class RunConfig:
             raise ValueError(f"unknown claim groups: {bad}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("tol_algebraic", "tol_fd"):
-            tol = getattr(self, name)
-            if not (np.isfinite(tol) and tol >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {tol}")
 
 
 @dataclass
@@ -158,7 +156,7 @@ _MU_VALUES = ((1.0 / np.sqrt(2.0), "rt2inv"), (1.0, "1"), (2.0, "2"))
 def _claim_jacobi_valid(n, mu, cfg: RunConfig):
     space = sps.build_clifford_space(sps.CliffordSpaceSpec(n, 2.0 * mu * mu, mu))
     res = la.jacobi_residual(space.algebra)
-    return _residual_claim(res, cfg.tol_algebraic, "bracket-scale constraint, consistent side")
+    return _residual_claim(res, TOL_ALGEBRAIC, "bracket-scale constraint, consistent side")
 
 
 def _claim_jacobi_gate(n, cfg: RunConfig):
@@ -190,10 +188,10 @@ def _claim_completion_n6(cfg: RunConfig):
     abelian_norm = float(np.abs(sol.particular).max(initial=0.0))
     computed = {"nullity": sol.nullity, "abelian_solution_norm": abelian_norm,
                 "empty": sol.empty}
-    ok = (sol.nullity == 0) and (not sol.empty) and abelian_norm < cfg.tol_algebraic
+    ok = (sol.nullity == 0) and (not sol.empty) and abelian_norm < TOL_ALGEBRAIC
     expected = {"nullity": 0, "abelian_solution_norm": 0.0, "empty": False}
     return _report(ok, computed, expected, "solver rigidity in dimension 29",
-                   abelian_norm, cfg.tol_algebraic)
+                   abelian_norm, TOL_ALGEBRAIC)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,7 @@ def _claim_warped(name, interval, profile, fiber_dim, cfg: RunConfig):
         cf = geo.warped_sectional_curvature(w, t, plane)
         fd = geo.warped_sectional_fd(w, t, plane)
         worst = max(worst, abs(cf - fd))
-    return _residual_claim(worst, cfg.tol_fd, "closed form against independent fd oracle")
+    return _residual_claim(worst, TOL_FD, "closed form against independent fd oracle")
 
 
 def _claim_flat_screw(cfg: RunConfig):
@@ -356,7 +354,7 @@ def _claim_catalog_invariants(cfg: RunConfig):
         worst_j = max(worst_j, la.jacobi_residual(alg))
         worst_b = max(worst_b, la.killing_invariance_residual(alg))
     res = max(worst_j, worst_b)
-    return _residual_claim(res, cfg.tol_algebraic,
+    return _residual_claim(res, TOL_ALGEBRAIC,
                            "jacobi and killing ad-invariance over the catalog")
 
 

@@ -17,11 +17,8 @@ an INI-style text file::
     seed = 24301
     groups = tables, jacobi, heisenberg, curvature, splitting, catalog
 
-    [tolerances]
-    algebraic = 1e-9
-    finite_difference = 1e-5
-
-Unknown sections or keys are rejected (exit code 2).
+Unknown sections or keys are rejected (exit code 2).  The pass bounds of
+the claims are fixed in ``liecoh.claims``, not set by the configuration.
 """
 
 from __future__ import annotations
@@ -62,8 +59,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config: {err}")
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}")
-    known = {"run": {"seed", "groups"},
-             "tolerances": {"algebraic", "finite_difference"}}
+    known = {"run": {"seed", "groups"}}
     for section in parser.sections():
         if section not in known:
             raise ConfigError(f"unknown config section [{section}]")
@@ -75,9 +71,7 @@ def load_config(path: str | None) -> RunConfig:
         groups_raw = parser.get("run", "groups", fallback=None)
         groups = (tuple(g.strip() for g in groups_raw.split(",") if g.strip())
                   if groups_raw is not None and groups_raw.strip() != "all" else cfg.groups)
-        tol_a = parser.getfloat("tolerances", "algebraic", fallback=cfg.tol_algebraic)
-        tol_fd = parser.getfloat("tolerances", "finite_difference", fallback=cfg.tol_fd)
-        return RunConfig(seed=seed, groups=groups, tol_algebraic=tol_a, tol_fd=tol_fd)
+        return RunConfig(seed=seed, groups=groups)
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}")
 

@@ -132,7 +132,7 @@ def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
         v = t @ coeffs[p]
         c[a, b, :] += v
         c[b, a, :] -= v
-    return LieAlgebra(c, alg.inner_product, alg.labels, alg.notes)
+    return LieAlgebra(c, labels=alg.labels, notes=alg.notes)
 
 
 def _assemble(problem: CompletionProblem):

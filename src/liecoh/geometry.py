@@ -22,7 +22,6 @@ test suite.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 
@@ -171,8 +170,7 @@ class Profile:
     """Warping function with two derivatives.
 
     Built-ins (see :meth:`from_name`): ``const(c)``, ``exp(a*t)``, ``sin``,
-    ``sinh``, ``poly(c0,c1,...)``.  Tabulated profiles come from CSV rows
-    ``t, f, f', f''`` via :meth:`from_csv` (cubic-spline evaluation).
+    ``sinh``, ``poly(c0,c1,...)``.
     """
 
     name: str
@@ -203,21 +201,6 @@ class Profile:
             p = np.polynomial.Polynomial(coeffs)
             return cls(text, p, p.deriv(1), p.deriv(2))
         raise ValueError(f"unknown profile {text!r}")
-
-    @classmethod
-    def from_csv(cls, path) -> "Profile":
-        from scipy.interpolate import CubicSpline
-
-        rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                rows.append([float(v) for v in row[:4]])
-        data = np.array(rows)
-        t = data[:, 0]
-        return cls(f"csv:{path}", CubicSpline(t, data[:, 1]),
-                   CubicSpline(t, data[:, 2]), CubicSpline(t, data[:, 3]))
 
 
 # ---------------------------------------------------------------------------

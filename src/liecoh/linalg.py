@@ -104,11 +104,10 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return vt.T @ (inv[:, None] * (u.T @ b) if b.ndim > 1 else inv * (u.T @ b))
 
 
-def signature(sym: np.ndarray, tol: float | None = None) -> tuple[int, int, int]:
+def signature(sym: np.ndarray) -> tuple[int, int, int]:
     """Eigenvalue signature ``(n_pos, n_neg, n_zero)`` of a symmetric matrix.
 
-    Eigenvalues with ``|eig| <= tol`` count as zero.  When ``tol`` is None a
-    relative cutoff ``RANK_RTOL * max|eig|`` is used.
+    Eigenvalues with ``|eig| <= RANK_RTOL * max|eig|`` count as zero.
     """
     sym = np.asarray(sym, dtype=float)
     if sym.shape[0] != sym.shape[1]:
@@ -117,9 +116,7 @@ def signature(sym: np.ndarray, tol: float | None = None) -> tuple[int, int, int]
     if not np.allclose(sym, sym.T, atol=1e-10 * (1.0 + np.abs(sym).max(initial=0.0))):
         raise ValueError("signature expects a symmetric matrix")
     eig = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    if tol is None:
-        scale = np.abs(eig).max(initial=0.0)
-        tol = RANK_RTOL * scale if scale > 0 else 0.0
+    tol = RANK_RTOL * np.abs(eig).max(initial=0.0)
     n_pos = int(np.count_nonzero(eig > tol))
     n_neg = int(np.count_nonzero(eig < -tol))
     return n_pos, n_neg, eig.size - n_pos - n_neg

@@ -48,37 +48,27 @@ class Representation:
     ----------
     algebra : LieAlgebra
     matrices : (dim, D, D) array
-        One operator per algebra basis element.
-    inner_product : (D, D) array, optional
-        Invariant form on the space, identity by default.
+        One operator per algebra basis element, in an orthonormal basis of
+        the space.
 
     Invariants (checked by :meth:`validate`): the homomorphism residual
     ``max |rho([x,y]) - [rho(x), rho(y)]|`` and the skewness of every
-    operator with respect to the inner product are below tolerance.
+    operator are below tolerance.
     """
 
     algebra: LieAlgebra
     matrices: np.ndarray
-    inner_product: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.array(self.matrices, dtype=float)  # copies: the caller's arrays stay writable
+        m = np.array(self.matrices, dtype=float)  # a copy: the caller's array stays writable
         if m.ndim != 3 or m.shape[0] != self.algebra.dim or m.shape[1] != m.shape[2]:
             raise ValueError("matrices must be (algebra.dim, D, D)")
         m.setflags(write=False)
         self.matrices = m
-        d = m.shape[1]
-        ip = np.eye(d) if self.inner_product is None else np.array(self.inner_product, float)
-        ip.setflags(write=False)
-        self.inner_product = ip
 
     @property
     def space_dim(self) -> int:
         return self.matrices.shape[1]
-
-    def operator(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return np.einsum("a,aij->ij", xi, self.matrices)
 
     def homomorphism_residual(self) -> float:
         comm = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
@@ -87,9 +77,8 @@ class Representation:
         return float(np.abs(comm - expect).max(initial=0.0) / residual_scale(self.matrices))
 
     def skewness_residual(self) -> float:
-        g = self.inner_product
-        t = np.einsum("ij,ajk->aik", g, self.matrices)
-        return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0)
+        m = self.matrices
+        return float(np.abs(m + m.transpose(0, 2, 1)).max(initial=0.0)
                      / residual_scale(self.matrices))
 
     def validate(self) -> "Representation":
@@ -196,10 +185,7 @@ def rep_direct_sum(rep_a: Representation, rep_b: Representation) -> Representati
     mats = np.zeros((rep_a.algebra.dim, da + db, da + db))
     mats[:, :da, :da] = rep_a.matrices
     mats[:, da:, da:] = rep_b.matrices
-    ip = np.zeros((da + db, da + db))
-    ip[:da, :da] = rep_a.inner_product
-    ip[da:, da:] = rep_b.inner_product
-    return Representation(rep_a.algebra, mats, ip)
+    return Representation(rep_a.algebra, mats)
 
 
 def block_invariance_residual(rep: Representation, indices) -> float:
@@ -217,8 +203,7 @@ def restrict(rep: Representation, indices) -> Representation:
     require_below(block_invariance_residual(rep, indices), LEAK_TOL, "block is not invariant")
     idx = np.asarray(indices, dtype=int)
     mats = rep.matrices[:, idx[:, None], idx[None, :]]
-    ip = rep.inner_product[np.ix_(idx, idx)]
-    return Representation(rep.algebra, mats, ip)
+    return Representation(rep.algebra, mats)
 
 
 def splitting_criterion(rep: Representation, block1, block2) -> bool:

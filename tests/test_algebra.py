@@ -517,6 +517,19 @@ def test_json_rejects_bad_triples():
         la.from_json_dict({"dim": 2, "c": [[1, 0, 0, 1.0]]})
 
 
+@pytest.mark.parametrize("data", [
+    {"dim": 3, "c": [[0, 1, -1, 1.0]]},                      # would land on k = 2
+    {"dim": 3, "c": [[0, 1, 3, 1.0]]},                       # k = dim
+    {"dim": 3, "c": [[0, 1, 1.5, 1.0]]},                     # non-integer index
+    {"dim": 3, "c": [[0.0, 1, 2, 1.0]]},
+    {"dim": 3, "c": [[0, 1, 2, 1.0], [0, 1, 2, 2.0]]},       # repeated triple
+    {"dim": 3, "c": [], "inner_product": np.eye(3).tolist()},
+], ids=["negative-k", "k-is-dim", "half-index", "float-index", "repeat", "inner-product"])
+def test_json_rejects_what_to_json_dict_cannot_write(data):
+    with pytest.raises(ValueError):
+        la.from_json_dict(data)
+
+
 def test_subspace_basics():
     s = Subspace.from_spanning(4, np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
     assert s.dim == 1
@@ -541,12 +554,17 @@ def test_coordinate_subspace_keeps_its_indices():
 
 def test_lie_algebra_leaves_the_callers_arrays_writable():
     c = np.array(su2_epsilon().c)
-    ip = np.eye(3)
-    alg = LieAlgebra(c, ip)
+    alg = LieAlgebra(c)
     c[0, 0, 0] = 1.0
-    ip[0, 0] = 2.0
-    assert alg.c[0, 0, 0] == 0.0 and alg.inner_product[0, 0] == 1.0
-    assert not alg.c.flags.writeable and not alg.inner_product.flags.writeable
+    assert alg.c[0, 0, 0] == 0.0
+    assert not alg.c.flags.writeable
+
+
+def test_labels_and_notes_are_keyword_only():
+    # a d x d array passed where the inner product used to go has d rows,
+    # so it must not be taken for the labels
+    with pytest.raises(TypeError):
+        LieAlgebra(np.zeros((3, 3, 3)), np.eye(3), ("a", "b", "c"))
 
 
 def test_subspace_leaves_the_callers_basis_writable():

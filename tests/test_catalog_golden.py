@@ -51,7 +51,7 @@ def _canonical(a: np.ndarray) -> np.ndarray:
 def construction_digest(space) -> str:
     alg = space.algebra
     payload = {
-        "algebra": to_json_dict(LieAlgebra(_canonical(alg.c), alg.inner_product, alg.labels)),
+        "algebra": to_json_dict(LieAlgebra(_canonical(alg.c), labels=alg.labels)),
         "isotropy_basis": _canonical(space.isotropy.basis).tolist(),
         "block_bases": [_canonical(b.basis).tolist() for b in space.blocks],
         "notes": list(space.notes),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liecoh import algebra as la
+from liecoh import claims
 from liecoh.claims import RunConfig, build_claims, run_suite
 from liecoh.cli import ConfigError, export_space, load_config, main
 
@@ -50,11 +51,13 @@ def test_negative_seed_is_a_config_error(capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_nan_tolerance_is_a_config_error(tmp_path, capsys):
-    cfg_file = tmp_path / "nan.ini"
-    cfg_file.write_text("[tolerances]\nalgebraic = nan\n")
+def test_tolerances_section_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the pass bounds are constants of the claim suite, not settings
+    monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
+    cfg_file = tmp_path / "tol.ini"
+    cfg_file.write_text("[tolerances]\nalgebraic = 1e-9\n")
     assert main(["verify", "--config", str(cfg_file)]) == 2
-    assert "tol_algebraic" in capsys.readouterr().err
+    assert "unknown config section [tolerances]" in capsys.readouterr().err
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -81,19 +84,19 @@ def test_malformed_config_rejected(tmp_path):
 
 def test_config_parsing(tmp_path):
     cfg_file = tmp_path / "ok.ini"
-    cfg_file.write_text("[run]\nseed = 99\ngroups = tables, jacobi\n"
-                        "[tolerances]\nalgebraic = 1e-10\n")
+    cfg_file.write_text("[run]\nseed = 99\ngroups = tables, jacobi\n")
     cfg = load_config(str(cfg_file))
     assert cfg.seed == 99
     assert cfg.groups == ("tables", "jacobi")
-    assert cfg.tol_algebraic == 1e-10
 
 
-def test_impossible_tolerance_fails_claims(tmp_path):
-    cfg = RunConfig(groups=("jacobi",), tol_algebraic=0.0)
-    result = run_suite(cfg, jobs=1)
-    assert result.summary["failed"] > 0
-    assert result.exit_code == 1
+def test_impossible_tolerance_fails_claims(monkeypatch):
+    for bound, group in (("TOL_ALGEBRAIC", "jacobi"), ("TOL_FD", "curvature")):
+        with monkeypatch.context() as mp:
+            mp.setattr(claims, bound, 0.0)
+            result = run_suite(RunConfig(groups=(group,)), jobs=1)
+        assert result.summary["failed"] > 0, bound
+        assert result.exit_code == 1, bound
 
 
 def test_env_config(tmp_path, monkeypatch):

@@ -97,6 +97,19 @@ def test_block_scale_divides_fiber_curvature():
     assert abs(sectional_curvature(ms, x, y, r4) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("sid", ["Sp(2)/U(1)Sp(1)", "Spin(9)/Spin(7)", "N(3;1,0)", "SU(3)/SU(2)"])
+def test_block_scales_on_two_block_spaces(sid):
+    space = catalog_entry(sid)
+    unit = curvature_tensor(InvariantMetricSpace(space))
+    # a common scale multiplies the (0,4) tensor and leaves R(X, Y) Z alone
+    assert np.array_equal(curvature_tensor(InvariantMetricSpace(space, (2.0, 2.0))), 2.0 * unit)
+    ms = InvariantMetricSpace(space, (1.0, 3.0))
+    r4 = curvature_tensor(ms)
+    assert curvature_symmetry_residual(r4) < 1e-14
+    assert ms.invariance_residual() < 1e-15
+    assert np.abs(r4 - unit).max() >= 0.33
+
+
 def test_invariance_residual_zero_on_catalog():
     ms = InvariantMetricSpace(catalog_entry("Sp(2)/U(1)Sp(1)"), (1.0, 2.0))
     assert ms.invariance_residual() < 1e-12
@@ -117,16 +130,6 @@ def test_profile_grammar():
     assert c.f(10.0) == 3.5 and c.ddf(10.0) == 0.0
     with pytest.raises(ValueError):
         Profile.from_name("tan")
-
-
-def test_profile_csv_roundtrip(tmp_path):
-    t = np.linspace(0.0, np.pi, 201)
-    rows = np.column_stack([t, np.sin(t), np.cos(t), -np.sin(t)])
-    path = tmp_path / "profile.csv"
-    np.savetxt(path, rows, delimiter=",")
-    p = Profile.from_csv(path)
-    assert abs(p.f(1.0) - np.sin(1.0)) < 1e-6
-    assert abs(p.df(1.0) - np.cos(1.0)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

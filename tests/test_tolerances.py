@@ -11,6 +11,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -38,15 +39,11 @@ def _eps_with_inf():
     return la.LieAlgebra(c)
 
 
-def _so3_rep(inf_at=None, inner_inf=False):
+def _so3_rep(inf_at):
     so3 = bld.so_standard(3)
     mats = np.array(so3.matrices)
-    if inf_at is not None:
-        mats[inf_at] = INF
-    ip = np.eye(3)
-    if inner_inf:
-        ip[0, 0] = INF
-    return reps.Representation(so3.algebra, mats, ip)
+    mats[inf_at] = INF
+    return reps.Representation(so3.algebra, mats)
 
 
 def _so3_plus_line_with_inf():
@@ -120,14 +117,11 @@ GATES = {
     "algebra.structure_constants_from_matrices":
         lambda mp: la.structure_constants_from_matrices(_gl2_with_inf()),
     "algebra.Subspace": lambda mp: la.Subspace(2, np.array([[INF, 0.0], [0.0, 1.0]])),
-    "algebra.LieAlgebra.inner_product":
-        lambda mp: la.LieAlgebra(np.zeros((2, 2, 2)), inner_product=[[INF, 0.0], [0.0, 1.0]]),
     "completion.complete_bracket":
         lambda mp: completion.complete_bracket(_completion_with_inf()),
     "linalg.signature.inf": lambda mp: linalg.signature([[1.0, INF], [INF, 1.0]]),
     "linalg.signature.nan": lambda mp: linalg.signature([[np.nan, 0.0], [0.0, 1.0]]),
     "reps.Representation.validate.homomorphism": lambda mp: _so3_rep((0, 0, 0)).validate(),
-    "reps.Representation.validate.skewness": lambda mp: _so3_rep(inner_inf=True).validate(),
     "reps.kernel_ideal":
         lambda mp: reps.kernel_ideal(reps.Representation(_eps_with_inf(), np.zeros((3, 2, 2)))),
     "reps.restrict": lambda mp: reps.restrict(_so3_plus_line_with_inf(), [0, 1, 2]),
@@ -208,14 +202,18 @@ def test_require_below_rejects_nan_and_the_bound_itself():
 # the numeric knobs that remain in library signatures
 # ---------------------------------------------------------------------------
 
-KNOB_NAMES = {"tol", "rtol", "samples", "max_steps", "h", "x0", "boundary_tol", "seed"}
+KNOB_NAMES = {"rtol", "samples", "max_steps", "h", "x0", "seed", "inner_product"}
 
 KEPT_KNOBS = {
     "liecoh.algebra.require_valid(tol)",     # 1e-9, and 1e-8 for k + m1 in build_g1
-    "liecoh.linalg.signature(tol)",          # absolute cutoff, used by tests
     "liecoh.reps.cohomogeneity(seed)",       # the run seed of the claim suite
     "liecoh.claims.RunConfig(seed)",         # set from the INI file and the CLI
 }
+
+
+def _is_knob(name):
+    # every tol, tol_* and *_tol; a report's "tolerance" records its bound, it sets none
+    return name in KNOB_NAMES or re.fullmatch(r"(\w+_)?tol(_\w+)?", name) is not None
 
 
 def _parameter_names(module):
@@ -241,7 +239,7 @@ def _knob_inventory():
     for info in pkgutil.iter_modules(liecoh.__path__):
         module = importlib.import_module(f"liecoh.{info.name}")
         for name, params in _parameter_names(module):
-            found |= {f"{module.__name__}.{name}({p})" for p in params & KNOB_NAMES}
+            found |= {f"{module.__name__}.{name}({p})" for p in params if _is_knob(p)}
     return found
 
 
