@@ -12,6 +12,12 @@ is required exactly; the Jacobi identity is a measured residual, never an
 assumption, because several constructions in this package deliberately
 produce tensors that violate it (that violation is the computed signal).
 
+A ``Subspace`` is read only through its orthonormal basis: ``span_brackets``
+contracts the constants against bases, so a subalgebra or a block has the
+same constants in any basis.  No function recovers indices from a
+``Subspace``; index sets are passed explicitly where a block is written
+(``place_action``) or flipped (``weyl_flip``).
+
 Structure constants of catalog algebras are integers, halves or multiples of
 1/sqrt(2); all residuals on valid algebras therefore reflect round-off only.
 """
@@ -56,7 +62,6 @@ __all__ = [
     "signature",
     "span_brackets",
     "structure_constants_from_matrices",
-    "subalgebra",
     "to_json_dict",
     "weyl_flip",
     "worst_jacobi_triple",
@@ -128,10 +133,9 @@ def antisymmetrized(upper: np.ndarray) -> np.ndarray:
     """Mirror the strict upper triangle ``c[i<j]`` into an exact tensor."""
     c = np.array(upper, dtype=float)
     d = c.shape[0]
-    for i in range(d):
-        c[i, i, :] = 0.0
-        for j in range(i):
-            c[i, j, :] = -c[j, i, :]
+    i, j = np.tril_indices(d, -1)
+    c[i, j] = -c[j, i]
+    c[np.arange(d), np.arange(d)] = 0.0
     return c
 
 
@@ -480,21 +484,6 @@ def pullback_structure(alg: LieAlgebra, f: np.ndarray) -> LieAlgebra:
     return LieAlgebra(c, labels=alg.labels)
 
 
-def subalgebra(alg: LieAlgebra, indices) -> LieAlgebra:
-    """Restriction to a coordinate-aligned subalgebra.
-
-    Raises ``ValidationError`` when the span of the selected basis vectors is
-    not closed under the bracket within ``LEAK_TOL``.
-    """
-    idx = np.asarray(indices, dtype=int)
-    comp = np.setdiff1d(np.arange(alg.dim), idx)
-    leak = np.abs(alg.c[np.ix_(idx, idx, comp)]).max(initial=0.0) / residual_scale(alg.c)
-    require_below(leak, LEAK_TOL, "not a subalgebra: closure")
-    sub = alg.c[np.ix_(idx, idx, idx)].copy()
-    labels = tuple(alg.labels[i] for i in idx) if alg.labels is not None else None
-    return LieAlgebra(sub, labels=labels)
-
-
 def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
     """Noncompact dual: flip the sign of brackets inside one block.
 
@@ -547,13 +536,12 @@ def structure_constants_from_matrices(matrices) -> np.ndarray:
 class Subspace:
     """Subspace of R^n stored as orthonormal basis columns.
 
-    ``indices`` holds the ambient coordinates of a coordinate subspace (see
-    :meth:`coordinate`) and is None for a general basis.
+    The basis is the only way a subspace is read: brackets of spans go
+    through ``span_brackets``, whatever the basis.
     """
 
     ambient_dim: int
     basis: np.ndarray
-    indices: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
@@ -576,13 +564,11 @@ class Subspace:
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices) -> "Subspace":
-        idx = tuple(int(i) for i in indices)
-        b = np.zeros((ambient_dim, len(idx)))
-        for col, i in enumerate(idx):
-            b[i, col] = 1.0
-        sub = cls(ambient_dim, b)
-        sub.indices = idx
-        return sub
+        """Span of the unit vectors ``e_i``; ``ValueError`` unless ``0 <= i < ambient_dim``."""
+        idx = [int(i) for i in indices]
+        if not all(0 <= i < ambient_dim for i in idx):
+            raise ValueError(f"coordinate indices must lie in [0, {ambient_dim}), got {idx}")
+        return cls(ambient_dim, np.eye(ambient_dim)[:, idx])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -591,12 +577,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def coordinate_indices(self) -> tuple[int, ...]:
-        """The ambient coordinates of a coordinate subspace; ValueError otherwise."""
-        if self.indices is None:
-            raise ValueError("not a coordinate subspace: its basis is not a set of unit vectors")
-        return self.indices
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))
@@ -628,15 +608,11 @@ def to_json_dict(alg: LieAlgebra) -> dict:
     The labels are included only when present.  Values round-trip bit
     exactly through the standard JSON encoder.
     """
-    d = alg.dim
-    triples = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                v = alg.c[i, j, k]
-                if v != 0.0:
-                    triples.append([i, j, k, float(v)])
-    out: dict = {"dim": d, "c": triples}
+    i, j, k = np.nonzero(alg.c)  # row-major: sorted by i, then j, then k
+    upper = i < j
+    i, j, k = i[upper], j[upper], k[upper]
+    triples = zip(i.tolist(), j.tolist(), k.tolist(), alg.c[i, j, k].tolist())
+    out: dict = {"dim": alg.dim, "c": [list(t) for t in triples]}
     if alg.labels is not None:
         out["labels"] = list(alg.labels)
     return out

@@ -24,7 +24,7 @@ from .clifford import (
     spin_module,
     spin_plus_one,
 )
-from .reps import Representation, isotropy_subalgebra
+from .reps import Representation, isotropy_subalgebra, rep_direct_sum
 
 __all__ = [
     "CliffordIsotropy",
@@ -137,16 +137,8 @@ def _realize_quaternionic(qmat: np.ndarray, unit_matrices: np.ndarray) -> np.nda
     left-multiplication table this is the standard sp(n) action on H^n, with
     a commutant triple it is the action commuting with a Clifford module.
     """
-    n = qmat.shape[0]
-    blk = unit_matrices.shape[1]
-    out = np.zeros((n * blk, n * blk))
-    for a in range(n):
-        for b in range(n):
-            coeffs = qmat[a, b]
-            if np.any(coeffs):
-                out[a * blk:(a + 1) * blk, b * blk:(b + 1) * blk] = np.einsum(
-                    "u,uij->ij", coeffs, unit_matrices)
-    return out
+    n, blk = qmat.shape[0], unit_matrices.shape[1]
+    return np.einsum("abu,uij->aibj", qmat, unit_matrices).reshape(n * blk, n * blk)
 
 
 _LEFT_UNITS = np.array([quaternion_left(q) for q in
@@ -295,20 +287,16 @@ class ReducibleAction:
 def _combine_blocks(alg: LieAlgebra, m1_mats: np.ndarray, m2_mats: np.ndarray,
                     label: str) -> ReducibleAction:
     d1, d2 = m1_mats.shape[1], m2_mats.shape[1]
-    mats = np.zeros((alg.dim, d1 + d2, d1 + d2))
-    mats[:, :d1, :d1] = m1_mats
-    mats[:, d1:, d1:] = m2_mats
-    rep = Representation(alg, mats)
+    rep = rep_direct_sum(Representation(alg, m1_mats), Representation(alg, m2_mats))
     return ReducibleAction(label, rep, tuple(range(d1)), tuple(range(d1, d1 + d2)))
 
 
 def unitary_determinant_action(n: int, det_power: int = 1) -> ReducibleAction:
     """u(n) on C + C^n: determinant power on the line, standard on the rest."""
-    basis = su_basis(n) + [1.0j * np.eye(n)]
-    m2 = np.array([realify_complex(m) for m in basis])
-    alg = LieAlgebra(structure_constants_from_matrices(m2))
+    std = u_standard(n)
+    basis = su_basis(n) + [1.0j * np.eye(n)]  # the basis of u_standard
     m1 = np.array([realify_complex(np.array([[det_power * np.trace(m)]])) for m in basis])
-    return _combine_blocks(alg, m1, m2, f"U({n}) det^{det_power} + C^{n}")
+    return _combine_blocks(std.algebra, m1, std.matrices, f"U({n}) det^{det_power} + C^{n}")
 
 
 def reducible_row(row: int, copies: int = 1, weight: int = 1) -> ReducibleAction:

@@ -96,6 +96,11 @@ def _report(ok, computed, expected, provenance, residual, tolerance):
                               float(residual), float(tolerance))
 
 
+def _exact_claim(computed, expected, provenance):
+    ok = computed == expected
+    return _report(ok, computed, expected, provenance, 0.0 if ok else 1.0, 0.0)
+
+
 def _residual_claim(residual, tolerance, provenance):
     return _report(residual < tolerance, residual,
                    f"< {tolerance:g}", provenance, residual, tolerance)
@@ -129,8 +134,7 @@ def _claim_sphere_row(factory, iso_dim, cfg: RunConfig):
     iso = isotropy_subalgebra(rep, v).dim
     computed = {"cohomogeneity": coh, "isotropy_dim": iso}
     expected = {"cohomogeneity": 1, "isotropy_dim": iso_dim}
-    ok = computed == expected
-    return _report(ok, computed, expected, "sphere-transitive row", 0.0 if ok else 1.0, 0.0)
+    return _exact_claim(computed, expected, "sphere-transitive row")
 
 
 def _claim_reducible_row(row, cfg: RunConfig):
@@ -141,9 +145,7 @@ def _claim_reducible_row(row, cfg: RunConfig):
     nontrivial = bool(np.abs(m1_mats).max(initial=0.0) > 0)
     computed = {"cohomogeneity": coh, "m2_kernel_dim": ker, "m1_nontrivial": nontrivial}
     expected = {"cohomogeneity": 2, "m2_kernel_dim": 0, "m1_nontrivial": True}
-    ok = computed == expected
-    return _report(ok, computed, expected, "reducible cohomogeneity-two row",
-                   0.0 if ok else 1.0, 0.0)
+    return _exact_claim(computed, expected, "reducible cohomogeneity-two row")
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +180,7 @@ def _claim_completion_n7(sign, cfg: RunConfig):
     want = (0, 36, 0) if sign > 0 else (8, 28, 0)
     computed = {"dim": space.dim, "killing_signature": list(sig)}
     expected = {"dim": 36, "killing_signature": list(want)}
-    ok = computed == expected
-    return _report(ok, computed, expected, "solver output + eigenvalue fingerprint",
-                   0.0 if ok else 1.0, 0.0)
+    return _exact_claim(computed, expected, "solver output + eigenvalue fingerprint")
 
 
 def _claim_completion_n6(cfg: RunConfig):
@@ -202,14 +202,12 @@ HEISENBERG_CASES = ((1, 2), (2, 1), (3, 1), (6, 1), (7, 1))
 
 
 def _j_matrices(space: sps.ReductiveSpace) -> np.ndarray:
-    """Skew maps J_Z from the m2 x m2 -> m1 part of the bracket.
+    """Skew maps J_Z from the m2 x m2 -> m1 part of the bracket, in the block bases.
 
-    Raises ``ValueError`` unless both blocks are coordinate blocks.
+    ``J[a][y, x] = <[w_x, w_y], z_a>``; exact on coordinate blocks.
     """
-    m1 = space.blocks[0].coordinate_indices()
-    m2 = space.blocks[1].coordinate_indices()
-    c = space.algebra.c
-    return np.array([c[np.ix_(m2, m2)][:, :, i].T for i in m1])
+    m1, m2 = space.blocks[0].basis, space.blocks[1].basis
+    return (la.span_brackets(space.algebra, m2, m2) @ m1).transpose(2, 1, 0)
 
 
 def _claim_heisenberg(center, copies, cfg: RunConfig):
@@ -321,17 +319,14 @@ def _product_control_rep() -> Representation:
 
 def _claim_splitting_control(cfg: RunConfig):
     verdict = splitting_criterion(_product_control_rep(), range(3), range(3, 6))
-    return _report(verdict is True, verdict, True, "factorwise product control",
-                   0.0 if verdict else 1.0, 0.0)
+    return _exact_claim(verdict, True, "factorwise product control")
 
 
 def _claim_splitting_catalog(space_id, cfg: RunConfig):
     space = sps.catalog_entry(space_id)
     rep, slices = sps.isotropy_representation(space)
     verdict = splitting_criterion(rep, slices[0], slices[1])
-    return _report(verdict is False, verdict, False,
-                   "effectivity of the catalog isotropy actions",
-                   0.0 if verdict is False else 1.0, 0.0)
+    return _exact_claim(verdict, False, "effectivity of the catalog isotropy actions")
 
 
 def _claim_catalog_count(cfg: RunConfig):
@@ -343,8 +338,7 @@ def _claim_catalog_cohomogeneity(space_id, cfg: RunConfig):
     space = sps.catalog_entry(space_id)
     rep, _ = sps.isotropy_representation(space)
     coh = cohomogeneity(rep, seed=cfg.seed)
-    return _report(coh == 2, coh, 2, "isotropy cohomogeneity of every catalog entry",
-                   0.0 if coh == 2 else 1.0, 0.0)
+    return _exact_claim(coh, 2, "isotropy cohomogeneity of every catalog entry")
 
 
 def _claim_catalog_invariants(cfg: RunConfig):
@@ -365,8 +359,7 @@ def _claim_catalog_dims(cfg: RunConfig):
                 "Spin(9)/Spin(7).blocks": [b.dim for b in s9.blocks]}
     expected = {"N(6,1).m_dim": 14, "Spin(9)/Spin(7).dim": 36,
                 "Spin(9)/Spin(7).blocks": [7, 8]}
-    ok = computed == expected
-    return _report(ok, computed, expected, "named entry dimensions", 0.0 if ok else 1.0, 0.0)
+    return _exact_claim(computed, expected, "named entry dimensions")
 
 
 # ---------------------------------------------------------------------------

@@ -218,34 +218,17 @@ def so_structure_tensor(n: int) -> np.ndarray:
 
         [L_ij, L_kl] = -d_jk L_il + d_ik L_jl + d_jl L_ik - d_il L_jk,
 
-    under the conventions L_ji = -L_ij and L_ii = 0.
+    under the conventions L_ji = -L_ij and L_ii = 0.  The constants are read
+    off the commutators of ``so_vector_matrices``: the coefficient of L_p in
+    [A_a, A_b] is half its Frobenius product with A_p.
     """
-    pairs = bivector_pairs(n)
-    index = {p: a for a, p in enumerate(pairs)}
-
-    def put(c, row, col, i, j, sign):
-        if i == j:
-            return
-        if i < j:
-            c[row, col, index[(i, j)]] += sign
-        else:
-            c[row, col, index[(j, i)]] -= sign
-
-    m = len(pairs)
-    c = np.zeros((m, m, m))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if a >= b:
-                continue
-            if j == k:
-                put(c, a, b, i, l, -1.0)
-            if i == k:
-                put(c, a, b, j, l, 1.0)
-            if j == l:
-                put(c, a, b, i, k, 1.0)
-            if i == l:
-                put(c, a, b, j, k, -1.0)
-    return antisymmetrized(c)
+    a = so_vector_matrices(n)
+    m = a.shape[0]
+    # ab[a, i, b, k] = (A_a A_b)[i, k]: one matrix product of the stacked generators
+    ab = (a.reshape(m * n, n) @ a.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n)
+    comm = (ab - ab.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    # the A_p are orthogonal with squared Frobenius norm 2
+    return antisymmetrized(0.5 * (comm @ a.reshape(m, n * n).T).reshape(m, m, m))
 
 
 def so_vector_matrices(n: int) -> np.ndarray:

@@ -126,12 +126,11 @@ class CompletionSolution:
 
 def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
     alg = problem.skeleton
-    t = problem.target.basis
+    a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
+    v = coeffs @ problem.target.basis.T  # v[p] = [b_a, b_b] for the p-th pair (a, b)
     c = np.array(alg.c)
-    for p, (a, b) in enumerate(problem.pairs):
-        v = t @ coeffs[p]
-        c[a, b, :] += v
-        c[b, a, :] -= v
+    c[a, b] += v
+    c[b, a] -= v
     return LieAlgebra(c, labels=alg.labels, notes=alg.notes)
 
 

@@ -82,14 +82,7 @@ class InvariantMetricSpace:
         return self.space.m_dim
 
     def metric(self) -> np.ndarray:
-        parts = [s * np.eye(b.dim) for s, b in zip(self.block_scales, self.space.blocks)]
-        out = np.zeros((self.m_dim, self.m_dim))
-        at = 0
-        for p in parts:
-            k = p.shape[0]
-            out[at:at + k, at:at + k] = p
-            at += k
-        return out
+        return np.diag(np.repeat(self.block_scales, [b.dim for b in self.space.blocks]))
 
     def invariance_residual(self) -> float:
         rep, _ = isotropy_representation(self.space)

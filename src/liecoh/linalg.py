@@ -142,7 +142,12 @@ def subspace_gap(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian direction on the unit sphere; deterministic given the rng state."""
+    """Gaussian direction on the unit sphere; deterministic given the rng state.
+
+    ``ValueError`` for ``dim < 1``: the sphere of R^0 is empty.
+    """
+    if dim < 1:
+        raise ValueError(f"no unit vector in dimension {dim}")
     while True:
         v = rng.standard_normal(dim)
         n = np.linalg.norm(v)

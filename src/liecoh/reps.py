@@ -107,7 +107,12 @@ def orbit_dimension(rep: Representation, v) -> int:
 
 
 def cohomogeneity(rep: Representation, seed: int = DEFAULT_SEED) -> int:
-    """space_dim minus the maximal orbit dimension over ``GENERIC_SAMPLES`` seeded unit samples."""
+    """space_dim minus the maximal orbit dimension over ``GENERIC_SAMPLES`` seeded unit samples.
+
+    A zero-dimensional space is one point: cohomogeneity 0.
+    """
+    if rep.space_dim == 0:
+        return 0
     rng = np.random.default_rng(seed)
     best = 0
     for _ in range(GENERIC_SAMPLES):

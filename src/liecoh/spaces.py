@@ -17,11 +17,17 @@ The Jacobi identity is enforced at construction: a violation raises
 ``ValidationError`` carrying the normalized residual and the worst basis
 triple.  That residual is itself the point of several checks (the constraint
 lam = 2 mu^2 is reproduced as exactly this failure).
+
+The isotropy and the blocks are read only through their bases (with
+``span_brackets``), so a space whose blocks are given in any orthonormal
+basis has the same isotropy representation, nilpotent part and J maps up to
+that change of basis.  Each fixed bracket block of a construction is written
+once, as one array assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +38,7 @@ from .algebra import (
     LieAlgebra,
     Subspace,
     ValidationError,
+    abelian,
     ad_matrix,
     direct_sum,
     killing_form,
@@ -41,11 +48,9 @@ from .algebra import (
     semidirect_sum,
     span_brackets,
     structure_constants_from_matrices,
-    subalgebra,
     weyl_flip,
 )
 from .builders import (
-    CliffordIsotropy,
     clifford_isotropy,
     realify_complex,
     su_basis,
@@ -61,7 +66,9 @@ from .reps import (
     block_invariance_residual,
     fixed_subspace,
     kernel_ideal,
+    rep_direct_sum,
     restrict,
+    trivial_representation,
 )
 
 __all__ = [
@@ -221,15 +228,6 @@ class CliffordSpaceSpec:
                 raise ValueError("the nilpotent mode requires kappa != 0")
 
 
-def _clifford_layout(data: CliffordIsotropy):
-    dk = data.algebra.dim
-    dm2 = data.m2_matrices.shape[1]
-    k_idx = np.arange(dk)
-    m1_idx = np.arange(dk, dk + data.n)
-    m2_idx = np.arange(dk + data.n, dk + data.n + dm2)
-    return k_idx, m1_idx, m2_idx
-
-
 def _clifford_skeleton(spec: CliffordSpaceSpec):
     """Structure tensor with the fixed brackets of the construction.
 
@@ -237,18 +235,17 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
     the tensor together with the layout and isotropy data.
     """
     data = clifford_isotropy(spec.n, spec.copies)
-    k_idx, m1_idx, m2_idx = _clifford_layout(data)
-    d = len(k_idx) + len(m1_idx) + len(m2_idx)
+    dk = data.algebra.dim
+    d = dk + spec.n + data.m2_matrices.shape[1]
+    k_idx, m1_idx, m2_idx = np.split(np.arange(d), [dk, dk + spec.n])
     c = np.zeros((d, d, d))
-
-    c[np.ix_(k_idx, k_idx, k_idx)] = data.algebra.c
+    c[:dk, :dk, :dk] = data.algebra.c
     place_action(c, k_idx, m1_idx, data.m1_matrices)
     place_action(c, k_idx, m2_idx, data.m2_matrices)
 
-    # [e_i, e_j] = 2 lam L_ij
-    for p, (i, j) in enumerate(bivector_pairs(spec.n)):
-        c[m1_idx[i - 1], m1_idx[j - 1], k_idx[p]] = 2.0 * spec.lam
-        c[m1_idx[j - 1], m1_idx[i - 1], k_idx[p]] = -2.0 * spec.lam
+    # [e_i, e_j] = 2 lam L_ij, with L_ij = E_ji - E_ij on m1
+    c[np.ix_(m1_idx, m1_idx, k_idx[:data.k0_dim])] = (
+        -2.0 * spec.lam * so_vector_matrices(spec.n).transpose(1, 2, 0))
 
     # [e_i, w] = mu Gamma_i w on each module copy
     gam = np.array([np.kron(np.eye(spec.copies), g) for g in data.module.gammas])
@@ -336,11 +333,9 @@ def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
     if spec.lam < 0:
         notes.append("excluded branch: negative scale admits no real module coupling")
     if spec.m2_mode[0] == "heisenberg":
-        kappa = float(spec.m2_mode[1])
-        for i in range(spec.n):
-            # <Z | [X, Y]> = kappa <Z . X | Y>; skewness of Gamma_i gives the
-            # antisymmetry of the block for free
-            c[m2_idx[:, None], m2_idx[None, :], m1_idx[i]] = kappa * gam[i].T
+        # <Z | [X, Y]> = kappa <Z . X | Y>; skewness of Gamma_i gives the
+        # antisymmetry of the block for free
+        c[np.ix_(m2_idx, m2_idx, m1_idx)] = float(spec.m2_mode[1]) * gam.transpose(2, 1, 0)
         alg = LieAlgebra(c, labels=labels)
     elif spec.m2_mode[0] == "completed":
         solution = _cached_completion(spec.n, spec.lam, spec.mu, spec.copies)
@@ -359,18 +354,12 @@ def clifford_g1(n: int, lam: float) -> LieAlgebra:
     Valid for every sign of lam: positive gives the compact rotation algebra
     one dimension up, zero the Euclidean semidirect sum, negative the Lorentz
     form.  The negative branch is flagged in the notes because the full
-    construction excludes it.
+    construction excludes it.  The block is sliced out of the construction's
+    skeleton, so n is one of 2, 3, 6, 7.
     """
-    k_dim = n * (n - 1) // 2
-    d = k_dim + n
-    c = np.zeros((d, d, d))
-    c[:k_dim, :k_dim, :k_dim] = so_structure_tensor(n)
-    ix_m = np.arange(k_dim, d)
-    place_action(c, np.arange(k_dim), ix_m, so_vector_matrices(n))
-    for p, (i, j) in enumerate(bivector_pairs(n)):
-        c[ix_m[i - 1], ix_m[j - 1], p] = 2.0 * lam
-        c[ix_m[j - 1], ix_m[i - 1], p] = -2.0 * lam
-    alg = LieAlgebra(c)
+    c, _, data, _, (_, m1_idx, _) = _clifford_skeleton(CliffordSpaceSpec(n, lam, 0.0))
+    idx = np.concatenate((np.arange(data.k0_dim), m1_idx))
+    alg = LieAlgebra(c[np.ix_(idx, idx, idx)])
     require_valid(alg, JACOBI_TOL, "rotation extension")
     if lam < 0:
         alg = alg.with_notes("excluded branch: negative scale admits no real module coupling")
@@ -418,41 +407,33 @@ def build_heisenberg(spec: HeisenbergSpec) -> ReductiveSpace:
     if spec.center_dim == 1:
         return _heisenberg_center_one(spec, note)
     mode = ("heisenberg", 1.0) if spec.kappa != 0.0 else ("zero",)
-    cspec = CliffordSpaceSpec(spec.center_dim, 0.0, 0.0, spec.copies, mode)
-    space = build_clifford_space(cspec)
-    notes = space.notes + ((note,) if note else ())
-    return ReductiveSpace(heisenberg_label(spec), space.algebra, space.isotropy,
-                          space.blocks, notes)
+    space = build_clifford_space(CliffordSpaceSpec(spec.center_dim, 0.0, 0.0, spec.copies, mode))
+    return replace(space, label=heisenberg_label(spec),
+                   notes=space.notes + ((note,) if note else ()))
 
 
 def _heisenberg_center_one(spec: HeisenbergSpec, note: str | None) -> ReductiveSpace:
     """N(1, k): center R, module C^k, isotropy u(k)."""
-    k = spec.copies
-    u_k = u_standard(k)
-    k_alg, mats = u_k.algebra, u_k.matrices
-    dk = k_alg.dim
-    dm2 = 2 * k
-    d = dk + 1 + dm2
-    c = np.zeros((d, d, d))
-    c[:dk, :dk, :dk] = k_alg.c
-    ix_m2 = np.arange(dk + 1, d)
-    place_action(c, np.arange(dk), ix_m2, mats)
+    u_k = u_standard(spec.copies)
+    dk = u_k.algebra.dim
+    c = np.array(semidirect_sum(u_k.algebra,
+                                rep_direct_sum(trivial_representation(u_k.algebra, 1), u_k)).c)
     if spec.kappa != 0.0:
-        f = realify_complex(1.0j * np.eye(k))  # the invariant complex structure
-        c[np.ix_(ix_m2, ix_m2, [dk])] = f.T[:, :, None]
+        # [X, Y] = <F X, Y> Z, with F the invariant complex structure
+        c[dk + 1:, dk + 1:, dk] = realify_complex(1.0j * np.eye(spec.copies)).T
     alg = LieAlgebra(c)
     require_valid(alg, JACOBI_TOL, "center-one nilpotent space")
-    return _coordinate_space(heisenberg_label(spec), alg, dk, (1, dm2),
+    return _coordinate_space(heisenberg_label(spec), alg, dk, (1, 2 * spec.copies),
                              (note,) if note else ())
 
 
 def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:
     """The ideal m1 + m2 of a nilpotent-type space as an algebra of its own.
 
-    Raises ``ValueError`` unless every block is a coordinate block.
+    Its constants are read in the stacked block bases, whatever those are;
+    ``ValidationError`` unless the blocks span a subalgebra within ``LEAK_TOL``.
     """
-    idx = [i for b in space.blocks for i in b.coordinate_indices()]
-    return subalgebra(space.algebra, idx)
+    return _span_subalgebra(space.algebra, space.m_basis(), "m is not a subalgebra")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +494,14 @@ def build_trivial_module_space(branch: str, n: int = 2) -> ReductiveSpace:
     return _coordinate_space(label, alg, k_dim, (1, 2 * n))
 
 
+def _line_extension(deriv: np.ndarray, what: str) -> LieAlgebra:
+    """R acting on R^e by one derivation, as a validated semidirect sum."""
+    line = abelian(1)
+    return require_valid(semidirect_sum(line, Representation(line, deriv[None])), JACOBI_TOL, what)
+
+
 def _euclidean_screw(n: int) -> ReductiveSpace:
-    d = 1 + 2 * n
-    c = np.zeros((d, d, d))
-    j = realify_complex(1.0j * np.eye(n))
-    place_action(c, [0], np.arange(1, d), j[None])
-    alg = LieAlgebra(c)
-    require_valid(alg, JACOBI_TOL, "screw group")
+    alg = _line_extension(realify_complex(1.0j * np.eye(n)), "screw group")
     return _coordinate_space(f"R|xC^{n} screw", alg, 0, (1, 2 * n),
                              ("flat: simply transitive isometric screw action",))
 
@@ -578,11 +560,7 @@ def hyperbolic_semidirect(spec: SemidirectHyperbolicSpec) -> ReductiveSpace:
 
         deriv = deriv + spec.rotation * np.kron(np.eye(spec.copies),
                                                 quaternion_left((0.0, 1.0, 0.0, 0.0)))
-    d = 1 + e
-    c = np.zeros((d, d, d))
-    place_action(c, [0], np.arange(1, d), deriv[None])
-    alg = LieAlgebra(c)
-    require_valid(alg, JACOBI_TOL, "solvable extension")
+    alg = _line_extension(deriv, "solvable extension")
     label = f"R|x{spec.field}^{spec.copies}(rate={spec.rate:g})"
     return _coordinate_space(label, alg, 0, (1, e))
 
@@ -759,39 +737,27 @@ def _group_manifold_control() -> ReductiveSpace:
 
 def _catalog_builders() -> dict:
     builders = {}
-    for copies in (1, 2):
-        for cdim in (1, 2, 3):
-            spec = HeisenbergSpec(cdim, copies)
-            builders[heisenberg_label(spec)] = (lambda s=spec: build_heisenberg(s))
-    for cdim in (6, 7):
-        spec = HeisenbergSpec(cdim, 1)
-        builders[heisenberg_label(spec)] = (lambda s=spec: build_heisenberg(s))
+    for cdim, copies in [(c, k) for k in (1, 2) for c in (1, 2, 3)] + [(6, 1), (7, 1)]:
+        spec = HeisenbergSpec(cdim, copies)
+        builders[heisenberg_label(spec)] = lambda s=spec: build_heisenberg(s)
 
-    def completed(n, sel, label):
-        spec = CliffordSpaceSpec(n, 1.0, 1.0 / np.sqrt(2.0), 1, ("completed", sel))
-        space = build_clifford_space(spec)
-        return ReductiveSpace(label, space.algebra, space.isotropy, space.blocks, space.notes)
-
-    def zero_mode(n, label):
-        spec = CliffordSpaceSpec(n, 1.0, 1.0 / np.sqrt(2.0), 1, ("zero",))
-        space = build_clifford_space(spec)
-        return ReductiveSpace(label, space.algebra, space.isotropy, space.blocks, space.notes)
-
+    clifford_entries = {
+        "Sp(2)/U(1)Sp(1)": (2, ("completed", "negative-definite")),
+        "Sp(1,1)/U(1)Sp(1)": (2, ("completed", ("signature", 4, 6))),
+        "Sp(1)Sp(2)/dSp(1)Sp(1)": (3, ("completed", "negative-definite")),
+        "Sp(1)Sp(1,1)/dSp(1)Sp(1)": (3, ("completed", ("signature", 4, 9))),
+        "Spin(9)/Spin(7)": (7, ("completed", "negative-definite")),
+        "Spin(8,1)/Spin(7)": (7, ("completed", ("signature", 8, 28))),
+        "Sp(1)Sp(1)|xR4/U(1)Sp(1)": (2, ("zero",)),
+        "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)": (3, ("zero",)),
+        "Spin(7)|xR8/Spin(6)": (6, ("zero",)),
+        "Spin(8)|xR8+/Spin(7)": (7, ("zero",)),
+    }
+    for label, (n, mode) in clifford_entries.items():
+        spec = CliffordSpaceSpec(n, 1.0, 1.0 / np.sqrt(2.0), 1, mode)
+        builders[label] = lambda s=spec, lb=label: replace(build_clifford_space(s), label=lb)
     builders["SU(3)/SU(2)"] = lambda: build_trivial_module_space("su_compact", 2)
     builders["SU(2,1)/SU(2)"] = lambda: build_trivial_module_space("su_noncompact", 2)
-    builders["Sp(2)/U(1)Sp(1)"] = lambda: completed(2, "negative-definite", "Sp(2)/U(1)Sp(1)")
-    builders["Sp(1,1)/U(1)Sp(1)"] = lambda: completed(2, ("signature", 4, 6), "Sp(1,1)/U(1)Sp(1)")
-    builders["Sp(1)Sp(2)/dSp(1)Sp(1)"] = lambda: completed(
-        3, "negative-definite", "Sp(1)Sp(2)/dSp(1)Sp(1)")
-    builders["Sp(1)Sp(1,1)/dSp(1)Sp(1)"] = lambda: completed(
-        3, ("signature", 4, 9), "Sp(1)Sp(1,1)/dSp(1)Sp(1)")
-    builders["Spin(9)/Spin(7)"] = lambda: completed(7, "negative-definite", "Spin(9)/Spin(7)")
-    builders["Spin(8,1)/Spin(7)"] = lambda: completed(7, ("signature", 8, 28), "Spin(8,1)/Spin(7)")
-    builders["Sp(1)Sp(1)|xR4/U(1)Sp(1)"] = lambda: zero_mode(2, "Sp(1)Sp(1)|xR4/U(1)Sp(1)")
-    builders["Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)"] = lambda: zero_mode(
-        3, "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)")
-    builders["Spin(7)|xR8/Spin(6)"] = lambda: zero_mode(6, "Spin(7)|xR8/Spin(6)")
-    builders["Spin(8)|xR8+/Spin(7)"] = lambda: zero_mode(7, "Spin(8)|xR8+/Spin(7)")
     builders.update(zip(SYMMETRIC_CONTROLS, (_grassmannian_control, _group_manifold_control)))
     return builders
 

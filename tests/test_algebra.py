@@ -541,15 +541,12 @@ def test_subspace_basics():
                                                         [0.0, 0.0], [0.0, 0.0]])))
 
 
-def test_coordinate_subspace_keeps_its_indices():
-    idx = [3, 0, 2]
-    sub = Subspace.coordinate(5, idx)
-    assert sub.indices == tuple(idx)
-    assert sub.coordinate_indices() == tuple(idx)
-    general = Subspace.from_spanning(5, np.eye(5)[:, idx])
-    assert general.indices is None
-    with pytest.raises(ValueError):
-        general.coordinate_indices()
+def test_coordinate_subspace_rejects_indices_outside_the_ambient_space():
+    assert np.array_equal(Subspace.coordinate(5, [3, 0, 2]).basis, np.eye(5)[:, [3, 0, 2]])
+    # a negative index used to wrap around silently: [-1] spanned e_4
+    for idx in ([-1], [0, 5], [7]):
+        with pytest.raises(ValueError, match="coordinate indices"):
+            Subspace.coordinate(5, idx)
 
 
 def test_lie_algebra_leaves_the_callers_arrays_writable():

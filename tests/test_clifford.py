@@ -18,6 +18,25 @@ from liecoh.clifford import (
 MODULE_DIMS = {2: 4, 3: 4, 4: 8, 5: 8, 6: 8, 7: 8, 8: 16, 9: 32}
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_so_structure_tensor_is_the_bivector_bracket_formula(n):
+    """[L_ij, L_kl] = -d_jk L_il + d_ik L_jl + d_jl L_ik - d_il L_jk, with L_ji = -L_ij."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    want = np.zeros((len(pairs),) * 3)
+
+    def add(a, b, p, q, coeff):
+        if p != q:
+            want[a, b, pairs.index((min(p, q), max(p, q)))] += coeff if p < q else -coeff
+
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            add(a, b, i, l, -float(j == k))
+            add(a, b, j, l, float(i == k))
+            add(a, b, i, k, float(j == l))
+            add(a, b, j, k, -float(i == l))
+    assert np.array_equal(cl.so_structure_tensor(n), want)
+
+
 @pytest.mark.parametrize("n", sorted(MODULE_DIMS))
 def test_gamma_systems_exact(n):
     m = spin_module(n)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import liecoh
 from liecoh import builders as bld
 from liecoh.algebra import LieAlgebra, Subspace, direct_sum
 from liecoh.reps import (
@@ -72,6 +77,24 @@ def test_cohomogeneity_examples():
     assert cohomogeneity(row5.rep) == 2
     row2 = bld.reducible_row(2)
     assert cohomogeneity(row2.rep) == 2
+
+
+def test_cohomogeneity_of_a_zero_dimensional_space_is_zero():
+    # random_unit_vector(0, rng) used to loop forever, and cohomogeneity with
+    # it, so this runs in a child process that a timeout can stop
+    script = (
+        "import numpy as np\n"
+        "from liecoh import builders as bld, linalg, reps\n"
+        "print(reps.cohomogeneity(reps.trivial_representation(bld.so_standard(3).algebra, 0)))\n"
+        "try:\n"
+        "    linalg.random_unit_vector(0, np.random.default_rng(0))\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(liecoh.__file__))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["0", "ValueError"], out.stderr
 
 
 def test_cohomogeneity_deterministic_and_generic():

@@ -366,16 +366,27 @@ def test_g1_closure_across_catalog():
         assert g1.dim == space.isotropy.dim + space.blocks[0].dim, sid
 
 
-def test_index_recovery_refuses_non_coordinate_blocks():
-    """The diagonal blocks of the group manifold have no coordinate indices."""
+def test_nilpotent_part_and_j_maps_follow_a_rotation_of_the_blocks():
+    """Blocks re-given in a rotated orthonormal basis give the rotated results."""
     from liecoh.claims import _j_matrices
 
-    space = catalog_entry("SU(3)xSU(3)/dSU(3)")
-    assert all(b.indices is None for b in space.blocks)
-    with pytest.raises(ValueError):
-        nilpotent_part(space)
-    with pytest.raises(ValueError):
-        _j_matrices(space)
+    space = catalog_entry("N(3;1,0)")
+    rng = np.random.default_rng(11)
+    r1, r2 = (np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] for b in space.blocks)
+    rotated = ReductiveSpace("rotated", space.algebra, space.isotropy,
+                             (Subspace(space.dim, space.blocks[0].basis @ r1),
+                              Subspace(space.dim, space.blocks[1].basis @ r2)))
+    nil, nil_rot = nilpotent_part(space), nilpotent_part(rotated)
+    r = np.zeros((nil.dim, nil.dim))
+    r[:3, :3], r[3:, 3:] = r1, r2
+    assert np.allclose(nil_rot.c, np.einsum("ia,jb,ijk,kc->abc", r, r, nil.c, r), atol=1e-12)
+    assert center_dimension(nil_rot) == center_dimension(nil) == 3
+    assert nilpotency_class(nil_rot) == nilpotency_class(nil) == 2
+    j, j_rot = _j_matrices(space), _j_matrices(rotated)
+    assert np.allclose(j_rot, np.einsum("za,zxy,xu,yv->auv", r1, j, r2, r2), atol=1e-12)
+    anti = np.einsum("aij,bjk->abik", j_rot, j_rot)
+    anti = anti + anti.transpose(1, 0, 2, 3)
+    assert np.allclose(anti, -2.0 * np.einsum("ab,ij->abij", np.eye(3), np.eye(4)), atol=1e-12)
 
 
 def test_fingerprint_claims_read_the_catalog(monkeypatch):

@@ -112,7 +112,6 @@ def _completion_with_inf():
 GATES = {
     "algebra.semidirect_sum":
         lambda mp: la.semidirect_sum(bld.so_standard(3).algebra, _so3_rep((0, 0, 0))),
-    "algebra.subalgebra": lambda mp: la.subalgebra(_eps_with_inf(), [0, 1]),
     "algebra.weyl_flip": lambda mp: la.weyl_flip(_eps_with_inf(), [0, 1, 2]),
     "algebra.structure_constants_from_matrices":
         lambda mp: la.structure_constants_from_matrices(_gl2_with_inf()),
@@ -132,6 +131,7 @@ GATES = {
     "spaces.isotropy_representation.invariance": lambda mp: _isotropy_gate(mp, "invariance"),
     "spaces.isotropy_representation.blocks": lambda mp: _isotropy_gate(mp, "blocks"),
     "spaces.build_g1": lambda mp: sps.build_g1(_inf_space([], [[0], [1, 2]])),
+    "spaces.nilpotent_part": lambda mp: sps.nilpotent_part(_inf_space([], [[0, 1], [2]])),
     "geometry.InvariantMetricSpace.block_scales":
         lambda mp: geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (np.nan, 1.0)),
     "geometry.WarpedProduct.segment":
