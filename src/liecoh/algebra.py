@@ -24,7 +24,6 @@ Structure constants of catalog algebras are integers, halves or multiples of
 
 from __future__ import annotations
 
-import json
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
@@ -104,7 +103,6 @@ class LieAlgebra:
     c: np.ndarray
     _: KW_ONLY
     labels: tuple[str, ...] | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
     # (c, worst Jacobi triple, residual), set by ``worst_jacobi_triple``
     _jacobi: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -124,9 +122,6 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return self.c.shape[0]
-
-    def with_notes(self, *notes: str) -> "LieAlgebra":
-        return LieAlgebra(self.c, labels=self.labels, notes=self.notes + tuple(notes))
 
 
 def antisymmetrized(upper: np.ndarray) -> np.ndarray:
@@ -377,10 +372,10 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
     return triple, res
 
 
-def require_valid(alg: LieAlgebra, tol: float = JACOBI_TOL, what: str = "algebra") -> LieAlgebra:
-    """Return ``alg``; raise ``ValidationError`` unless its residual is below ``tol`` (NaN fails)."""
+def require_valid(alg: LieAlgebra, what: str = "algebra") -> LieAlgebra:
+    """Return ``alg``; raise ``ValidationError`` unless its residual is below ``JACOBI_TOL``."""
     triple, res = worst_jacobi_triple(alg)
-    require_below(res, tol, f"{what}: Jacobi identity at basis triple {triple}", triple)
+    require_below(res, JACOBI_TOL, f"{what}: Jacobi identity at basis triple {triple}", triple)
     return alg
 
 
@@ -556,13 +551,6 @@ class Subspace:
         self.basis = b
 
     @classmethod
-    def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
-        v = np.asarray(vectors, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        return cls(ambient_dim, orthonormal_columns(v))
-
-    @classmethod
     def coordinate(cls, ambient_dim: int, indices) -> "Subspace":
         """Span of the unit vectors ``e_i``; ``ValueError`` unless ``0 <= i < ambient_dim``."""
         idx = [int(i) for i in indices]
@@ -570,23 +558,9 @@ class Subspace:
             raise ValueError(f"coordinate indices must lie in [0, {ambient_dim}), got {idx}")
         return cls(ambient_dim, np.eye(ambient_dim)[:, idx])
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0)))
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))
-
-    def contains(self, v: np.ndarray) -> bool:
-        v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v)
-        if n == 0:
-            return True
-        return np.linalg.norm(v - self.project(v)) <= LEAK_TOL * n
 
     def equals(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
@@ -642,11 +616,3 @@ def from_json_dict(data: dict) -> LieAlgebra:
         c[j, i, k] = -v
     labels = tuple(data["labels"]) if "labels" in data else None
     return LieAlgebra(c, labels=labels)
-
-
-def dumps(alg: LieAlgebra) -> str:
-    return json.dumps(to_json_dict(alg), separators=(",", ":"))
-
-
-def loads(text: str) -> LieAlgebra:
-    return from_json_dict(json.loads(text))

@@ -68,7 +68,8 @@ class CompletionProblem:
         All brackets outside the unknown block are fixed; the unknown block
         entries must be zero in the skeleton tensor.
     unknown_indices : ordered index set S
-        Brackets [b_a, b_b] with a, b in S are the unknowns.
+        Brackets [b_a, b_b] with a, b in S are the unknowns; each index is
+        distinct and lies in ``[0, skeleton.dim)``, or ``ValueError``.
     target : Subspace
         Subspace of the ambient algebra the unknown brackets must land in.
     """
@@ -79,6 +80,9 @@ class CompletionProblem:
 
     def __post_init__(self):
         self.unknown_indices = tuple(int(i) for i in self.unknown_indices)
+        s, d = list(self.unknown_indices), self.skeleton.dim
+        if not all(0 <= i < d for i in s):
+            raise ValueError(f"unknown indices must lie in [0, {d}), got {s}")
         if len(set(self.unknown_indices)) != len(self.unknown_indices):
             raise ValueError("unknown index set contains duplicates")
         if self.target.ambient_dim != self.skeleton.dim:
@@ -131,7 +135,7 @@ def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
     c = np.array(alg.c)
     c[a, b] += v
     c[b, a] -= v
-    return LieAlgebra(c, labels=alg.labels, notes=alg.notes)
+    return LieAlgebra(c, labels=alg.labels)
 
 
 def _assemble(problem: CompletionProblem):

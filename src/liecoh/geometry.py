@@ -23,22 +23,19 @@ test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LEAK_TOL, LieAlgebra, Subspace, require_below, span_brackets
+from .algebra import LieAlgebra, Subspace, span_brackets
 from .clifford import bivector_pairs, so_structure_tensor
 from .linalg import ValidationError, residual_scale
-from .reps import Representation, cohomogeneity, rep_direct_sum, trivial_representation
 from .spaces import ReductiveSpace, _isotropy_action, isotropy_representation
 
 __all__ = [
     "FD_STEP",
-    "InhomogeneousReport",
     "InvariantMetricSpace",
     "Profile",
-    "ReductiveFiber",
     "RoundSphere",
     "WarpedProduct",
     "curvature_symmetry_residual",
@@ -46,7 +43,6 @@ __all__ = [
     "riemann_finite_difference",
     "sectional_curvature",
     "sphere_space",
-    "validate_inhomogeneous",
     "warped_sectional_curvature",
     "warped_sectional_fd",
 ]
@@ -163,7 +159,7 @@ class Profile:
     """Warping function with two derivatives.
 
     Built-ins (see :meth:`from_name`): ``const(c)``, ``exp(a*t)``, ``sin``,
-    ``sinh``, ``poly(c0,c1,...)``.
+    ``poly(c0,c1,...)``.
     """
 
     name: str
@@ -176,8 +172,6 @@ class Profile:
         text = text.strip()
         if text == "sin":
             return cls("sin", np.sin, np.cos, lambda t: -np.sin(t))
-        if text == "sinh":
-            return cls("sinh", np.sinh, np.cosh, np.sinh)
         m = re.fullmatch(r"const\(([^)]+)\)", text)
         if m:
             c = float(m.group(1))
@@ -197,12 +191,16 @@ class Profile:
 
 
 # ---------------------------------------------------------------------------
-# fibers
+# the round sphere: a reductive model and the warped-product fiber
 # ---------------------------------------------------------------------------
 
 
 def sphere_space(n: int) -> ReductiveSpace:
-    """Round sphere model: rotation algebra one dimension up over so(n)."""
+    """Round sphere model: rotation algebra one dimension up over so(n).
+
+    Its invariant metric has sectional curvature +1, the closed form that
+    ``RoundSphere`` states and that ``curvature_tensor`` is tested against.
+    """
     pairs = bivector_pairs(n + 1)
     alg = LieAlgebra(so_structure_tensor(n + 1))
     k_idx = [p for p, (i, j) in enumerate(pairs) if j <= n]
@@ -226,31 +224,6 @@ class RoundSphere:
         return (np.einsum("bc,ad->abcd", delta, delta)
                 - np.einsum("ac,bd->abcd", delta, delta))
 
-    def isotropy_rep(self) -> Representation:
-        rep, _ = isotropy_representation(sphere_space(self.dim))
-        return rep
-
-
-@dataclass
-class ReductiveFiber:
-    """Fiber given by a reductive model with an invariant metric."""
-
-    metric_space: InvariantMetricSpace
-
-    def fiber_dim(self) -> int:
-        return self.metric_space.m_dim
-
-    def r4_orthonormal(self) -> np.ndarray:
-        r4 = curvature_tensor(self.metric_space)
-        q = self.metric_space.metric()
-        vals, vecs = np.linalg.eigh(q)
-        b = vecs @ np.diag(1.0 / np.sqrt(vals))  # columns: orthonormal frame
-        return np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, b, b, b, b)
-
-    def isotropy_rep(self) -> Representation:
-        rep, _ = isotropy_representation(self.metric_space.space)
-        return rep
-
 
 # ---------------------------------------------------------------------------
 # warped products
@@ -262,13 +235,13 @@ class WarpedProduct:
     """Interval warped over a fiber: dt^2 + f(t)^2 g_F.
 
     ``interval`` is ``("line",)``, ``("half_line",)`` or ``("segment", L)``;
-    the profile must be positive on the interior and vanish exactly at the
-    boundary points the interval kind prescribes.
+    it fixes where ``interior_samples`` lie.  The curvature is evaluated only
+    where the profile is positive.
     """
 
     interval: tuple
     profile: Profile
-    fiber: RoundSphere | ReductiveFiber
+    fiber: RoundSphere
 
     def __post_init__(self):
         self.interval = tuple(self.interval)
@@ -281,30 +254,11 @@ class WarpedProduct:
                 raise ValidationError("segment needs a positive finite length",
                                       residual=float(self.interval[1]))
 
-    def interior_samples(self, count: int = 33) -> np.ndarray:
+    def interior_samples(self, count: int) -> np.ndarray:
         if self.interval[0] == "line":
             return np.linspace(-3.0, 3.0, count)
         hi = self.interval[1] if self.interval[0] == "segment" else 3.0
         return np.linspace(hi / (count + 1), hi * (1 - 1.0 / (count + 1)), count)
-
-    def check_boundary(self) -> list[str]:
-        """Enforce interior positivity and boundary zeros; returns warnings."""
-        f, df, ddf = self.profile.f, self.profile.df, self.profile.ddf
-        notes = []
-        vals = np.array([f(t) for t in self.interior_samples()])
-        if not vals.min() > 0:
-            raise ValidationError("profile must be positive on the interior",
-                                  residual=float(vals.min()))
-        zeros = {"line": (), "half_line": (0.0,),
-                 "segment": (0.0, self.interval[1]) if self.interval[0] == "segment" else ()}
-        for t0 in zeros[self.interval[0]]:
-            require_below(abs(f(t0)), LEAK_TOL, f"profile must vanish at the boundary point {t0}")
-            if abs(abs(df(t0)) - 1.0) > 1e-6:
-                notes.append(f"profile slope at {t0} is {df(t0):.6g}, not +-1; "
-                             "the metric closes up smoothly only for unit slope")
-            if abs(ddf(t0)) > 1e-6:
-                notes.append(f"profile curvature at {t0} is {ddf(t0):.6g}, not 0")
-        return notes
 
 
 def warped_sectional_curvature(w: WarpedProduct, t: float, plane) -> float:
@@ -414,42 +368,3 @@ def warped_sectional_fd(w: WarpedProduct, t: float, plane) -> float:
     num = np.einsum("ijkl,i,j,k,l->", r4, v, u, u, v)
     area2 = (v @ g0 @ v) * (u @ g0 @ u) - (v @ g0 @ u) ** 2
     return float(num / area2)
-
-
-# ---------------------------------------------------------------------------
-# classification record for the non-transitive case
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InhomogeneousReport:
-    case: str
-    fiber_kind: str
-    fiber_admissible: bool
-    isotropy_cohomogeneity: int
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
-
-def validate_inhomogeneous(w: WarpedProduct) -> InhomogeneousReport:
-    """Case assignment and fiber admissibility for a degenerate warped product.
-
-    No boundary zero: case i, any fiber whose isotropy representation has
-    cohomogeneity one (the rank-one fingerprint).  One zero: case ii; two
-    zeros: case iii; in both the collapsing fiber must be a round sphere.
-    The isotropy cohomogeneity of the total space is that of the fiber
-    isotropy representation plus a trivial normal line, and must equal 2.
-    """
-    notes = w.check_boundary()
-    case = {"line": "i", "half_line": "ii", "segment": "iii"}[w.interval[0]]
-    fiber_kind = "round-sphere" if isinstance(w.fiber, RoundSphere) else "reductive"
-    fiber_rep = w.fiber.isotropy_rep()
-    if case == "i":
-        admissible = cohomogeneity(fiber_rep) == 1 if fiber_rep.space_dim else False
-    else:
-        admissible = isinstance(w.fiber, RoundSphere)
-        if not admissible:
-            raise ValueError("a collapsing fiber must be a round sphere")
-    line = trivial_representation(fiber_rep.algebra, 1)
-    total = rep_direct_sum(fiber_rep, line)
-    iso_coh = cohomogeneity(total)
-    return InhomogeneousReport(case, fiber_kind, bool(admissible), iso_coh, tuple(notes))

@@ -9,7 +9,8 @@ complement into invariant blocks m_1, m_2, ...  Constructors cover:
   scales lam on m1 x m1, mu on m1 x m2, and a selectable m2 x m2 mode,
 * two-step nilpotent algebras whose center acts by skew maps J_Z with
   J_Z J_W + J_W J_Z = -2 <Z, W> I ("generalized Heisenberg"),
-* unitary quotients whose isotropy action fixes a line,
+* unitary quotients whose isotropy action fixes a line, and the flat screw
+  group,
 * rank-one solvable extensions R x| K^l with a non-isometric dilation,
 * a catalog of the model spaces exercised by the verification suite.
 
@@ -33,13 +34,11 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (
-    JACOBI_TOL,
     LEAK_TOL,
     LieAlgebra,
     Subspace,
     ValidationError,
     abelian,
-    ad_matrix,
     direct_sum,
     killing_form,
     place_action,
@@ -56,7 +55,6 @@ from .builders import (
     su_basis,
     su_standard,
     u_standard,
-    unitary_determinant_action,
 )
 from .clifford import bivector_pairs, so_structure_tensor, so_vector_matrices
 from .completion import CompletionProblem, CompletionSolution, complete_bracket
@@ -64,36 +62,25 @@ from .linalg import residual_scale, signature
 from .reps import (
     Representation,
     block_invariance_residual,
-    fixed_subspace,
-    kernel_ideal,
     rep_direct_sum,
-    restrict,
     trivial_representation,
 )
 
 __all__ = [
     "CliffordSpaceSpec",
-    "EigenReport",
-    "G1Report",
     "HeisenbergSpec",
     "ReductiveSpace",
     "SYMMETRIC_CONTROLS",
     "SemidirectHyperbolicSpec",
-    "ad_eigenspace_decomposition",
     "build_clifford_space",
-    "build_g1",
     "build_heisenberg",
     "build_trivial_module_space",
     "catalog",
     "catalog_entry",
     "catalog_ids",
     "clifford_completion_problem",
-    "clifford_g1",
-    "flat_unitary_space",
     "hyperbolic_semidirect",
     "isotropy_representation",
-    "projected_action_isometry_test",
-    "verify_flatness",
 ]
 
 
@@ -139,7 +126,7 @@ class ReductiveSpace:
         return out
 
     def validate(self) -> "ReductiveSpace":
-        require_valid(self.algebra, JACOBI_TOL, self.label)
+        require_valid(self.algebra, self.label)
         isotropy_representation(self)[0].validate()
         return self
 
@@ -205,8 +192,8 @@ class CliffordSpaceSpec:
     """Parameters of the Clifford construction.
 
     ``m2_mode`` is ``("zero",)``, ``("heisenberg", kappa)`` or
-    ``("completed", selector)``; selectors are ``"negative-definite"``,
-    ``"abelian"`` or ``("signature", p, q)``.
+    ``("completed", selector)``; a selector, ``"negative-definite"`` or
+    ``("signature", p, q)``, names the Killing signature of the filling.
     """
 
     n: int
@@ -232,7 +219,7 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
     """Structure tensor with the fixed brackets of the construction.
 
     The m2 x m2 block is left empty here; modes fill it afterwards.  Returns
-    the tensor together with the layout and isotropy data.
+    the tensor with its labels, the module gammas and the index layout.
     """
     data = clifford_isotropy(spec.n, spec.copies)
     dk = data.algebra.dim
@@ -256,14 +243,14 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
         + [f"e{i}" for i in range(1, spec.n + 1)]
         + [f"w{a}" for a in range(len(m2_idx))]
     )
-    return c, labels, data, gam, (k_idx, m1_idx, m2_idx)
+    return c, labels, gam, (k_idx, m1_idx, m2_idx)
 
 
 def clifford_completion_problem(n: int, lam: float, mu: float,
                                 copies: int = 1) -> CompletionProblem:
     """Completion problem for the unknown m2 x m2 block of the construction."""
     spec = CliffordSpaceSpec(n, lam, mu, copies)
-    c, labels, data, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
+    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
     skeleton = LieAlgebra(c, labels=labels)
     target = Subspace.coordinate(skeleton.dim, list(k_idx) + list(m1_idx))
     return CompletionProblem(skeleton, tuple(int(i) for i in m2_idx), target)
@@ -274,52 +261,32 @@ def _cached_completion(n: int, lam: float, mu: float, copies: int) -> Completion
     return complete_bracket(clifford_completion_problem(n, lam, mu, copies))
 
 
-_COMPLETION_GRID = (1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
-
-
 def _select_completion(solution: CompletionSolution, selector) -> np.ndarray:
-    """Deterministic scan of the solution space for a fingerprinted filling.
+    """Sign of the one null direction whose filling has the requested Killing signature.
 
-    The grid walks each homogeneous basis direction with weights
-    +-1, +-2, +-1/2 (plus pairwise sums when the nullity exceeds one) and
-    returns the first weight vector whose realized algebra matches the
-    requested Killing fingerprint.  Every point of a nonempty solution space
-    satisfies the Jacobi system, so candidates are not re-checked here; the
-    caller validates the chosen algebra.
+    ``complete_bracket`` orients each null vector canonically, so the weights
+    +1 and then -1 along it name fixed fillings; the first whose realized
+    algebra matches the selector is returned.  A solution space of nullity
+    other than 1 has no such sign and raises ``ValidationError``.  Every point
+    of a nonempty solution space satisfies the Jacobi system, so candidates
+    are not re-checked here; the caller validates the chosen algebra.
     """
     if solution.empty:
         raise ValidationError("completion problem has no admissible filling")
-    if selector == "abelian":
-        require_below(np.abs(solution.particular).max(initial=0.0), JACOBI_TOL,
-                      "no abelian filling: the zero block is not a solution")
-        return np.zeros(solution.nullity)
-
-    def matches(weights) -> bool:
-        alg = solution.realize(weights)
-        sig = signature(killing_form(alg))
-        if selector == "negative-definite":
-            return sig == (0, alg.dim, 0)
-        if isinstance(selector, tuple) and selector[0] == "signature":
-            return sig == (selector[1], selector[2], 0)
+    if solution.nullity != 1:
+        raise ValidationError(f"a completion is selected by the sign of one null direction, "
+                              f"but the solution space has nullity {solution.nullity}")
+    dim = solution.problem.skeleton.dim
+    if selector == "negative-definite":
+        want = (0, dim, 0)
+    elif isinstance(selector, tuple) and selector[0] == "signature":
+        want = (selector[1], selector[2], 0)
+    else:
         raise ValueError(f"unknown completion selector {selector!r}")
-
-    candidates = []
-    for i in range(solution.nullity):
-        for t in _COMPLETION_GRID:
-            w = np.zeros(solution.nullity)
-            w[i] = t
-            candidates.append(w)
-    for i in range(solution.nullity):
-        for j in range(i + 1, solution.nullity):
-            for ti in (1.0, -1.0):
-                for tj in (1.0, -1.0):
-                    w = np.zeros(solution.nullity)
-                    w[i], w[j] = ti, tj
-                    candidates.append(w)
-    for w in candidates:
-        if matches(w):
+    for w in (np.ones(1), -np.ones(1)):
+        if signature(killing_form(solution.realize(w))) == want:
             return w
-    raise ValidationError(f"no completion matching {selector!r} on the documented grid")
+    raise ValidationError(f"no completion matching {selector!r} at either sign")
 
 
 def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
@@ -328,10 +295,7 @@ def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
     Raises ``ValidationError`` with the residual triple when the parameters
     are Jacobi-incompatible (any mu != 0 with lam != 2 mu^2).
     """
-    c, labels, data, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
-    notes = []
-    if spec.lam < 0:
-        notes.append("excluded branch: negative scale admits no real module coupling")
+    c, labels, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
     if spec.m2_mode[0] == "heisenberg":
         # <Z | [X, Y]> = kappa <Z . X | Y>; skewness of Gamma_i gives the
         # antisymmetry of the block for free
@@ -343,27 +307,9 @@ def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
         alg = LieAlgebra(solution.realize(weights).c, labels=labels)
     else:
         alg = LieAlgebra(c, labels=labels)
-    require_valid(alg, JACOBI_TOL, f"clifford construction n={spec.n}")
+    require_valid(alg, f"clifford construction n={spec.n}")
     label = f"Cl(n={spec.n},lam={spec.lam:g},mu={spec.mu:g},{spec.m2_mode[0]})"
-    return _coordinate_space(label, alg, len(k_idx), (len(m1_idx), len(m2_idx)), notes)
-
-
-def clifford_g1(n: int, lam: float) -> LieAlgebra:
-    """The subalgebra k0 + m1 alone: rotations plus a vector block.
-
-    Valid for every sign of lam: positive gives the compact rotation algebra
-    one dimension up, zero the Euclidean semidirect sum, negative the Lorentz
-    form.  The negative branch is flagged in the notes because the full
-    construction excludes it.  The block is sliced out of the construction's
-    skeleton, so n is one of 2, 3, 6, 7.
-    """
-    c, _, data, _, (_, m1_idx, _) = _clifford_skeleton(CliffordSpaceSpec(n, lam, 0.0))
-    idx = np.concatenate((np.arange(data.k0_dim), m1_idx))
-    alg = LieAlgebra(c[np.ix_(idx, idx, idx)])
-    require_valid(alg, JACOBI_TOL, "rotation extension")
-    if lam < 0:
-        alg = alg.with_notes("excluded branch: negative scale admits no real module coupling")
-    return alg
+    return _coordinate_space(label, alg, len(k_idx), (len(m1_idx), len(m2_idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +368,7 @@ def _heisenberg_center_one(spec: HeisenbergSpec, note: str | None) -> ReductiveS
         # [X, Y] = <F X, Y> Z, with F the invariant complex structure
         c[dk + 1:, dk + 1:, dk] = realify_complex(1.0j * np.eye(spec.copies)).T
     alg = LieAlgebra(c)
-    require_valid(alg, JACOBI_TOL, "center-one nilpotent space")
+    require_valid(alg, "center-one nilpotent space")
     return _coordinate_space(heisenberg_label(spec), alg, dk, (1, 2 * spec.copies),
                              (note,) if note else ())
 
@@ -437,7 +383,7 @@ def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# trivial-submodule branch and flat constructions
+# trivial-submodule branch and the flat screw group
 # ---------------------------------------------------------------------------
 
 
@@ -470,11 +416,9 @@ def build_trivial_module_space(branch: str, n: int = 2) -> ReductiveSpace:
     """Spaces whose isotropy representation fixes a line.
 
     Branches: ``su_compact`` (unitary quotient, n >= 2), ``su_noncompact``
-    (its Lorentz dual), ``heis`` (center-one nilpotent, n = module count),
-    ``euclidean_screw`` (the flat simply transitive screw group on R^(1+2n)).
+    (its Lorentz dual), ``euclidean_screw`` (the flat simply transitive screw
+    group on R^(1+2n)).
     """
-    if branch == "heis":
-        return build_heisenberg(HeisenbergSpec(1, n))
     if branch == "euclidean_screw":
         return _euclidean_screw(n)
     if branch not in ("su_compact", "su_noncompact"):
@@ -484,12 +428,12 @@ def build_trivial_module_space(branch: str, n: int = 2) -> ReductiveSpace:
     mats, k_dim = _su_adapted_matrices(n)
     c = structure_constants_from_matrices(mats)
     alg = LieAlgebra(c)
-    require_valid(alg, JACOBI_TOL, "unitary quotient")
+    require_valid(alg, "unitary quotient")
     label = f"SU({n + 1})/SU({n})"
     if branch == "su_noncompact":
         m2_idx = list(range(k_dim + 1, alg.dim))
         alg = weyl_flip(alg, m2_idx)
-        require_valid(alg, JACOBI_TOL, "unitary quotient, noncompact dual")
+        require_valid(alg, "unitary quotient, noncompact dual")
         label = f"SU({n},1)/SU({n})"
     return _coordinate_space(label, alg, k_dim, (1, 2 * n))
 
@@ -497,25 +441,13 @@ def build_trivial_module_space(branch: str, n: int = 2) -> ReductiveSpace:
 def _line_extension(deriv: np.ndarray, what: str) -> LieAlgebra:
     """R acting on R^e by one derivation, as a validated semidirect sum."""
     line = abelian(1)
-    return require_valid(semidirect_sum(line, Representation(line, deriv[None])), JACOBI_TOL, what)
+    return require_valid(semidirect_sum(line, Representation(line, deriv[None])), what)
 
 
 def _euclidean_screw(n: int) -> ReductiveSpace:
     alg = _line_extension(realify_complex(1.0j * np.eye(n)), "screw group")
     return _coordinate_space(f"R|xC^{n} screw", alg, 0, (1, 2 * n),
                              ("flat: simply transitive isometric screw action",))
-
-
-def flat_unitary_space(n: int = 3, det_power: int = 1) -> ReductiveSpace:
-    """u(n) acting by a determinant power on a plane and standardly on C^n.
-
-    All brackets among the complement blocks vanish: the complement is an
-    abelian ideal and the space is flat.
-    """
-    rep = unitary_determinant_action(n, det_power).rep
-    alg = semidirect_sum(rep.algebra, rep)
-    require_valid(alg, JACOBI_TOL, "flat unitary construction")
-    return _coordinate_space(f"U({n}) det^{det_power} flat", alg, rep.algebra.dim, (2, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -563,140 +495,6 @@ def hyperbolic_semidirect(spec: SemidirectHyperbolicSpec) -> ReductiveSpace:
     alg = _line_extension(deriv, "solvable extension")
     label = f"R|x{spec.field}^{spec.copies}(rate={spec.rate:g})"
     return _coordinate_space(label, alg, 0, (1, e))
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class G1Report:
-    closure_residual: float
-    kernel_dim: int
-    hypothesis_mode: str
-
-
-class G1Refusal(ValidationError):
-    """The fixed-vector hypothesis fails; carries a witness vector."""
-
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
-
-
-def build_g1(space: ReductiveSpace) -> tuple[LieAlgebra, G1Report]:
-    """The subalgebra spanned by k and the first block, with a closure report.
-
-    Hypothesis check: the kernel N1 of the isotropy action on m1 must have no
-    nonzero fixed vector on m2; a violation raises ``G1Refusal`` carrying a
-    witness.  When N1 is trivial at the algebra level the test is
-    inconclusive (a finite kernel such as a central involution can still act
-    freely), so closure is checked directly; the report records which path
-    certified the result.  Either way k + m1 must close under the bracket
-    within a relative residual of ``LEAK_TOL``, or ``ValidationError`` is raised.
-    """
-    if len(space.blocks) < 2:
-        raise ValueError("two blocks are required")
-    rep, slices = isotropy_representation(space)
-    n1 = kernel_ideal(restrict(rep, slices[0]))
-    m2_all = [i for s in slices[1:] for i in s]
-    mode = "kernel-fixed-vector"
-    if n1.dim > 0:
-        fixed = fixed_subspace(restrict(rep, m2_all), n1)
-        if fixed.dim > 0:
-            mb = space.m_basis()
-            witness = mb[:, m2_all] @ fixed.basis[:, 0]
-            raise G1Refusal("kernel on m1 fixes a nonzero vector of m2", witness)
-    else:
-        mode = "closure-direct"
-
-    g1_basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
-    g1, closure = _span_subalgebra(space.algebra, g1_basis, "k + m1 is not closed")
-    require_valid(g1, LEAK_TOL, "k + m1 subalgebra")
-    return g1, G1Report(closure, n1.dim, mode)
-
-
-def projected_action_isometry_test(space: ReductiveSpace) -> tuple[bool, float]:
-    """Is m -> proj_m2 [xi, m] skew for every xi in k + m1?
-
-    Returns the verdict and the largest spectral norm of a symmetric part.
-    """
-    if len(space.blocks) < 2:
-        raise ValueError("two blocks are required")
-    m2 = space.blocks[1].basis
-    g1_basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
-    op = span_brackets(space.algebra, g1_basis, m2) @ m2    # op[a] = (proj_m2 ad(g1_a))^T
-    sym = 0.5 * (op + op.transpose(0, 2, 1))
-    worst = float(np.linalg.norm(sym, 2, axis=(1, 2)).max(initial=0.0))
-    return worst < JACOBI_TOL, worst
-
-
-@dataclass
-class EigenReport:
-    eigenvalues: tuple
-    zero_dim: int
-    zero_matches_g1: bool
-    nonzero_blocks: dict
-    offzero_abelian_residual: float
-    defect: int
-
-
-def ad_eigenspace_decomposition(space: ReductiveSpace, xi=None) -> EigenReport:
-    """Eigen-structure of ad(xi) for the rank-one generator xi in m1.
-
-    The zero eigenspace is compared with k + m1; nonzero eigenvalues are
-    grouped by value (complex pairs give planes), and the invariant subspace
-    they span is checked to be an abelian subalgebra.
-    """
-    if space.blocks[0].dim != 1 and xi is None:
-        raise ValueError("m1 must be a line (or pass xi explicitly)")
-    if xi is None:
-        xi = space.blocks[0].basis[:, 0]
-    a = ad_matrix(space.algebra, np.asarray(xi, dtype=float))
-    eigvals, eigvecs = np.linalg.eig(a)
-    from .linalg import nullspace, orthonormal_columns
-
-    defect = a.shape[0] - int(np.linalg.matrix_rank(eigvecs, tol=1e-10 * a.shape[0]))
-    zero = nullspace(a)
-    g1_basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
-    gap = 1.0
-    if zero.shape[1] == g1_basis.shape[1]:
-        from .linalg import subspace_gap
-
-        gap = subspace_gap(zero, orthonormal_columns(g1_basis))
-    blocks: dict = {}
-    mask = np.abs(eigvals) > LEAK_TOL
-    for lam in eigvals[mask]:
-        key = (round(float(lam.real), 8), round(abs(float(lam.imag)), 8))
-        blocks[key] = blocks.get(key, 0) + 1
-    span = np.hstack([np.real(eigvecs[:, mask]), np.imag(eigvecs[:, mask])])
-    span = orthonormal_columns(span)
-    pairs = span_brackets(space.algebra, span, span)[np.triu_indices(span.shape[1], 1)]
-    resid = float(np.abs(pairs).max(initial=0.0) / residual_scale(space.algebra.c))
-    return EigenReport(tuple(np.round(eigvals, 10)), zero.shape[1], gap < LEAK_TOL,
-                       blocks, resid, defect)
-
-
-def verify_flatness(space: ReductiveSpace) -> bool:
-    """Flat iff the complement is an abelian ideal, else iff curvature vanishes.
-
-    The algebraic test (all brackets among complement blocks zero) is
-    sufficient; presentations by simply transitive non-abelian groups such as
-    the screw group fail it while still being flat, so the invariant-metric
-    curvature tensor is consulted as the deciding cross-check.
-    """
-    mb = space.m_basis()
-    amb = span_brackets(space.algebra, mb, mb)
-    scale = residual_scale(space.algebra.c)
-    abelian_ideal = float(np.abs(amb).max(initial=0.0) / scale) < JACOBI_TOL
-    from .geometry import InvariantMetricSpace, curvature_tensor
-
-    r = curvature_tensor(InvariantMetricSpace(space))
-    curv_flat = bool(np.abs(r).max(initial=0.0) < JACOBI_TOL)
-    if abelian_ideal and not curv_flat:
-        raise AssertionError("abelian complement with nonzero curvature: inconsistent space")
-    return abelian_ideal or curv_flat
 
 
 # ---------------------------------------------------------------------------

@@ -498,8 +498,7 @@ def test_json_roundtrip_bit_exact():
     from liecoh.spaces import catalog_entry
 
     alg = catalog_entry("Sp(2)/U(1)Sp(1)").algebra
-    data = json.loads(la.dumps(alg))
-    back = la.from_json_dict(data)
+    back = la.from_json_dict(json.loads(json.dumps(la.to_json_dict(alg))))
     assert np.array_equal(back.c, alg.c)
     assert back.labels == alg.labels
 
@@ -531,14 +530,12 @@ def test_json_rejects_what_to_json_dict_cannot_write(data):
 
 
 def test_subspace_basics():
-    s = Subspace.from_spanning(4, np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
+    s = Subspace(4, np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
     assert s.dim == 1
-    assert s.contains(np.array([3.0, 3.0, 0.0, 0.0]))
-    assert not s.contains(np.array([1.0, 0.0, 0.0, 0.0]))
     t = Subspace.coordinate(4, [0, 1])
     assert not s.equals(t)
-    assert t.equals(Subspace.from_spanning(4, np.array([[1.0, 1.0], [1.0, -1.0],
-                                                        [0.0, 0.0], [0.0, 0.0]])))
+    assert t.equals(Subspace(4, np.array([[1.0, 1.0], [1.0, -1.0],
+                                          [0.0, 0.0], [0.0, 0.0]]) / np.sqrt(2.0)))
 
 
 def test_coordinate_subspace_rejects_indices_outside_the_ambient_space():

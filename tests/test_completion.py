@@ -16,7 +16,7 @@ from liecoh.algebra import (
 from liecoh.clifford import bivector_pairs, so_structure_tensor
 from liecoh.completion import CompletionProblem, complete_bracket
 from liecoh.linalg import RANK_RTOL, ValidationError, subspace_gap
-from liecoh.spaces import catalog_entry, clifford_completion_problem
+from liecoh.spaces import _select_completion, catalog_entry, clifford_completion_problem
 
 MU = 1.0 / np.sqrt(2.0)
 
@@ -114,6 +114,27 @@ def test_zero_skeleton_admits_zero_completion():
     # with everything else zero, any filling is two-step nilpotent: full freedom
     assert sol.nullity == 1 * 3
     assert jacobi_residual(sol.realize()) < 1e-12
+
+
+def test_a_selection_needs_a_solution_space_of_nullity_one():
+    # the filling is chosen by the sign of the one null direction
+    with pytest.raises(ValidationError, match="nullity 3"):
+        _select_completion(complete_bracket(PARITY_CASES["zero-skeleton"]()), "negative-definite")
+    n2 = complete_bracket(clifford_completion_problem(2, 1.0, MU))
+    assert np.array_equal(_select_completion(n2, ("signature", 4, 6)), np.ones(1))
+    assert np.array_equal(_select_completion(n2, "negative-definite"), -np.ones(1))
+    with pytest.raises(ValueError, match="unknown completion selector 'abelian'"):
+        _select_completion(n2, "abelian")
+
+
+@pytest.mark.parametrize("unknown", [(4, -1), (5, -1), (-2, 5), (1, 99)])
+def test_unknown_indices_outside_the_skeleton_are_rejected(unknown):
+    # so(4) with the bracket of b_4 and b_5 removed; (4, -1) used to name the
+    # pair (4, 5) and (5, -1) to pass the duplicate check as two indices
+    c = so_structure_tensor(4)
+    c[4, 5] = c[5, 4] = 0.0
+    with pytest.raises(ValueError, match=r"unknown indices must lie in \[0, 6\)"):
+        CompletionProblem(LieAlgebra(c), unknown, Subspace.coordinate(6, range(4)))
 
 
 def test_nonlinear_coupling_rejected():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from liecoh.algebra import Subspace, semidirect_sum, weyl_flip
+from liecoh.builders import unitary_determinant_action
 from liecoh.claims import WARPED_CASES
 from liecoh.geometry import (
     FD_STEP,
     InvariantMetricSpace,
     Profile,
-    ReductiveFiber,
     RoundSphere,
     WarpedProduct,
     _warped_chart_metric,
@@ -15,16 +16,15 @@ from liecoh.geometry import (
     riemann_finite_difference,
     sectional_curvature,
     sphere_space,
-    validate_inhomogeneous,
     warped_sectional_curvature,
     warped_sectional_fd,
 )
 from liecoh.linalg import random_unit_vector
 from liecoh.spaces import (
+    ReductiveSpace,
     SemidirectHyperbolicSpec,
     build_trivial_module_space,
     catalog_entry,
-    flat_unitary_space,
     hyperbolic_semidirect,
 )
 
@@ -45,7 +45,14 @@ def orthonormal_plane(rng, dim):
 
 
 def test_flat_space_zero_tensor():
-    ms = InvariantMetricSpace(flat_unitary_space(3, 1))
+    # u(3) acting by the determinant on a plane and standardly on C^3: the
+    # complement is an abelian ideal
+    rep = unitary_determinant_action(3, 1).rep
+    alg = semidirect_sum(rep.algebra, rep)
+    space = ReductiveSpace("flat", alg, Subspace.coordinate(17, range(9)),
+                           (Subspace.coordinate(17, range(9, 11)),
+                            Subspace.coordinate(17, range(11, 17))))
+    ms = InvariantMetricSpace(space)
     assert np.abs(curvature_tensor(ms)).max() < 1e-12
 
 
@@ -57,6 +64,18 @@ def test_round_sphere_unit_curvature():
         for _ in range(5):
             x, y = orthonormal_plane(rng, n)
             assert abs(sectional_curvature(ms, x, y, r4) - 1.0) < 1e-12
+
+
+def test_hyperbolic_fiber_from_sign_flip():
+    """The sign flip of the round 2-sphere model is the hyperbolic plane, K = -1."""
+    sphere = sphere_space(2)
+    flipped = weyl_flip(sphere.algebra, [int(np.argmax(np.abs(c)))
+                                         for c in sphere.m_basis().T])
+    hyper = ReductiveSpace("H2", flipped, sphere.isotropy, sphere.blocks)
+    ms = InvariantMetricSpace(hyper)
+    r4 = curvature_tensor(ms)
+    assert abs(sectional_curvature(ms, np.array([1.0, 0]), np.array([0, 1.0]), r4)
+               + 1.0) < 1e-12
 
 
 def test_screw_space_flat():
@@ -135,27 +154,6 @@ def test_profile_grammar():
 # ---------------------------------------------------------------------------
 # warped products
 # ---------------------------------------------------------------------------
-
-
-def test_constant_profile_flat_line_fiber():
-    w = WarpedProduct(("line",), Profile.from_name("const(2)"),
-                      ReductiveFiber(InvariantMetricSpace(
-                          build_trivial_module_space("euclidean_screw", 1))))
-    val = warped_sectional_curvature(w, 0.0, ("fiber", np.eye(3)[0], np.eye(3)[1]))
-    assert abs(val) < 1e-12
-    assert abs(warped_sectional_curvature(w, 0.0, ("mixed", np.eye(3)[0]))) < 1e-12
-
-
-def test_exponential_profile_constant_negative():
-    lam = 0.8
-    w = WarpedProduct(("line",), Profile.from_name(f"exp(-{lam}*t)"),
-                      ReductiveFiber(InvariantMetricSpace(
-                          build_trivial_module_space("euclidean_screw", 1))))
-    rng = np.random.default_rng(4)
-    for t in (-1.0, 0.0, 0.7):
-        x, y = orthonormal_plane(rng, 3)
-        for plane in (("mixed", x), ("fiber", x, y), ("general", 0.5, x, 0.1, y)):
-            assert abs(warped_sectional_curvature(w, t, plane) + lam * lam) < 1e-12
 
 
 def test_sine_profile_round_sphere():
@@ -250,94 +248,7 @@ def test_fd_oracle_evaluates_the_whole_stencil_in_one_call():
     assert not r4.any()
 
 
-def test_warped_boundary_validation():
-    with pytest.raises(ValueError, match="vanish"):
-        WarpedProduct(("half_line",), Profile.from_name("const(1)"),
-                      RoundSphere(2)).check_boundary()
-    with pytest.raises(ValueError, match="positive"):
-        WarpedProduct(("line",), Profile.from_name("poly(0,1)"),
-                      RoundSphere(2)).check_boundary()
-    notes = WarpedProduct(("segment", float(np.pi)), Profile.from_name("sin"),
-                          RoundSphere(2)).check_boundary()
-    assert notes == []
-    slow = WarpedProduct(("half_line",), Profile.from_name("poly(0,0.5)"),
-                         RoundSphere(2))
-    assert any("slope" in n for n in slow.check_boundary())
-
-
 def test_degenerate_t_rejected():
     w = WarpedProduct(("half_line",), Profile.from_name("poly(0,1)"), RoundSphere(2))
     with pytest.raises(ValueError):
         warped_sectional_curvature(w, 0.0, ("mixed", np.array([1.0, 0.0])))
-
-
-# ---------------------------------------------------------------------------
-# case classification
-# ---------------------------------------------------------------------------
-
-
-def test_validate_case_i_projective_fiber():
-    # a closed rank-one fiber that is not a sphere model: scaled 2-sphere
-    fiber = ReductiveFiber(InvariantMetricSpace(sphere_space(2), (4.0,)))
-    w = WarpedProduct(("line",), Profile.from_name("poly(1,0,1)"), fiber)
-    rec = validate_inhomogeneous(w)
-    assert rec.case == "i"
-    assert rec.fiber_admissible
-    assert rec.isotropy_cohomogeneity == 2
-
-
-def test_validate_case_ii_single_zero():
-    w = WarpedProduct(("half_line",), Profile.from_name("poly(0,1)"), RoundSphere(4))
-    rec = validate_inhomogeneous(w)
-    assert rec.case == "ii"
-    assert rec.fiber_kind == "round-sphere"
-    assert rec.isotropy_cohomogeneity == 2
-
-
-def test_validate_case_iii_two_zeros():
-    w = WarpedProduct(("segment", float(np.pi)), Profile.from_name("sin"), RoundSphere(3))
-    rec = validate_inhomogeneous(w)
-    assert rec.case == "iii"
-    assert rec.isotropy_cohomogeneity == 2
-
-
-def test_validate_rejects_collapsing_nonsphere():
-    fiber = ReductiveFiber(InvariantMetricSpace(catalog_entry("SU(3)/SU(2)")))
-    w = WarpedProduct(("half_line",), Profile.from_name("poly(0,1)"), fiber)
-    with pytest.raises(ValueError, match="round sphere"):
-        validate_inhomogeneous(w)
-
-
-def test_warped_fiber_scale_law():
-    """With a constant profile, scaling the fiber metric by c^2 divides K by c^2."""
-    base = WarpedProduct(("line",), Profile.from_name("const(1)"),
-                         ReductiveFiber(InvariantMetricSpace(sphere_space(3))))
-    scaled = WarpedProduct(("line",), Profile.from_name("const(1)"),
-                           ReductiveFiber(InvariantMetricSpace(sphere_space(3), (4.0,))))
-    x, y = np.eye(3)[0], np.eye(3)[1]
-    k0 = warped_sectional_curvature(base, 0.0, ("fiber", x, y))
-    k1 = warped_sectional_curvature(scaled, 0.0, ("fiber", x, y))
-    assert abs(k0 - 1.0) < 1e-12
-    assert abs(k1 - 0.25) < 1e-12
-
-
-def test_hyperbolic_fiber_from_sign_flip():
-    """Case-i fibers may be noncompact rank-one models built by the sign flip."""
-    from liecoh.algebra import weyl_flip
-
-    sphere = sphere_space(2)
-    flipped = weyl_flip(sphere.algebra, [int(np.argmax(np.abs(c)))
-                                         for c in sphere.m_basis().T])
-    from liecoh.spaces import ReductiveSpace
-
-    hyper = ReductiveSpace("H2", flipped, sphere.isotropy, sphere.blocks)
-    ms = InvariantMetricSpace(hyper)
-    r4 = curvature_tensor(ms)
-    assert abs(sectional_curvature(ms, np.array([1.0, 0]), np.array([0, 1.0]), r4)
-               + 1.0) < 1e-12
-    fiber = ReductiveFiber(ms)
-    w = WarpedProduct(("line",), Profile.from_name("const(1)"), fiber)
-    rec = validate_inhomogeneous(w)
-    assert rec.case == "i" and rec.fiber_admissible
-    assert abs(warped_sectional_curvature(
-        w, 0.0, ("fiber", np.array([1.0, 0]), np.array([0, 1.0]))) + 1.0) < 1e-12

@@ -3,38 +3,30 @@ import pytest
 
 from liecoh import spaces as sps
 from liecoh.algebra import (
-    LieAlgebra,
     Subspace,
     ValidationError,
     center_dimension,
-    direct_sum,
     jacobi_residual,
     killing_form,
     nilpotency_class,
     pullback_structure,
+    semidirect_sum,
     signature,
 )
-from liecoh.builders import so_standard
+from liecoh.builders import unitary_determinant_action
 from liecoh.reps import cohomogeneity
 from liecoh.spaces import (
     CliffordSpaceSpec,
     HeisenbergSpec,
     ReductiveSpace,
-    SemidirectHyperbolicSpec,
-    ad_eigenspace_decomposition,
+    _span_subalgebra,
     build_clifford_space,
-    build_g1,
     build_heisenberg,
     build_trivial_module_space,
     catalog_entry,
     catalog_ids,
-    clifford_g1,
-    flat_unitary_space,
-    hyperbolic_semidirect,
     isotropy_representation,
     nilpotent_part,
-    projected_action_isometry_test,
-    verify_flatness,
 )
 
 MU = 1.0 / np.sqrt(2.0)
@@ -64,12 +56,18 @@ def test_clifford_heisenberg_mode_n7():
     assert nilpotency_class(nil) == 2
 
 
+def _g1(space):
+    """k + m1 as an algebra of its own, with its closure residual."""
+    basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
+    return _span_subalgebra(space.algebra, basis, "k + m1 is not closed")
+
+
 def test_clifford_zero_mode_n7_g1_fingerprint():
     space = build_clifford_space(CliffordSpaceSpec(7, 1.0, MU, 1, ("zero",)))
-    g1, report = build_g1(space)
+    g1, closure = _g1(space)
     assert g1.dim == 28
     assert signature(killing_form(g1)) == (0, 28, 0)
-    assert report.closure_residual < 1e-12
+    assert closure < 1e-12
 
 
 def test_clifford_rejects_wrong_scale_with_residual():
@@ -81,7 +79,7 @@ def test_clifford_rejects_wrong_scale_with_residual():
     assert err.value.triple is not None
 
 
-@pytest.mark.parametrize("selector", ["abelian", "negative-definite", ("signature", 4, 6)])
+@pytest.mark.parametrize("selector", ["negative-definite", ("signature", 4, 6)])
 def test_completed_mode_refuses_inconsistent_scale(selector):
     with pytest.raises(ValidationError, match="no admissible filling"):
         build_clifford_space(CliffordSpaceSpec(2, 1.0, 0.3, 1, ("completed", selector)))
@@ -107,16 +105,6 @@ def test_rescaling_equivariance(alpha):
         f[i, i] = alpha
     pulled = pullback_structure(base.algebra, f)
     assert np.abs(pulled.c - scaled.algebra.c).max() < 1e-12
-
-
-def test_negative_lam_g1_branch():
-    alg = clifford_g1(7, -1.0)
-    assert alg.dim == 28
-    assert jacobi_residual(alg) < 1e-12
-    assert signature(killing_form(alg)) == (7, 21, 0)
-    assert any("excluded branch" in note for note in alg.notes)
-    flat = clifford_g1(3, 0.0)
-    assert signature(killing_form(flat)) == (0, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +183,6 @@ def test_cartan_relations(branch):
     assert np.abs(c[np.ix_(m2, m2)][:, :, m2]).max() < 1e-12
 
 
-def test_heis_branch_alias():
-    space = build_trivial_module_space("heis", 2)
-    assert space.label == "N(1,2)"
-    assert center_dimension(nilpotent_part(space)) == 1
-
-
 def test_bad_branch_rejected():
     with pytest.raises(ValueError):
         build_trivial_module_space("so_compact", 2)
@@ -209,78 +191,8 @@ def test_bad_branch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# structural checks
+# a flat semidirect sum
 # ---------------------------------------------------------------------------
-
-
-def test_build_g1_on_catalog_sp11():
-    g1, report = build_g1(catalog_entry("Sp(1,1)/U(1)Sp(1)"))
-    assert g1.dim == 6
-    assert signature(killing_form(g1)) == (0, 6, 0)
-    assert report.kernel_dim == 3  # the symplectic factor kills the plane
-
-
-def test_build_g1_refusal_with_witness():
-    """A product with a factor acting trivially on part of m2 is refused."""
-    so3 = so_standard(3)
-    two = direct_sum(so3.algebra, so3.algebra)
-    d = 6 + 9
-    c = np.zeros((d, d, d))
-    c[:6, :6, :6] = two.c
-    # m = copy1 (factor 1) + [copy2 (factor 1), copy3 (factor 2)]
-    for a in range(3):
-        mats = so3.matrices[a]
-        for (base, gen) in ((6, a), (9, a), (12, 3 + a)):
-            c[gen, base:base + 3, base:base + 3] = mats.T
-            c[base:base + 3, gen, base:base + 3] = -mats.T
-    alg = LieAlgebra(c)
-    space = ReductiveSpace("product-counterexample", alg,
-                           Subspace.coordinate(d, range(6)),
-                           (Subspace.coordinate(d, range(6, 9)),
-                            Subspace.coordinate(d, range(9, 15))))
-    with pytest.raises(sps.G1Refusal) as err:
-        build_g1(space)
-    w = err.value.witness
-    assert np.linalg.norm(w) > 0
-    # the witness lives in the m2 copy fixed by the second factor
-    assert np.abs(w[:9]).max() < 1e-9 and np.abs(w[12:]).max() < 1e-9
-
-
-def test_projected_action_isometry():
-    spin_like = build_clifford_space(CliffordSpaceSpec(7, 1.0, MU))
-    assert projected_action_isometry_test(spin_like) == (True, 0.0)
-    hyp = hyperbolic_semidirect(SemidirectHyperbolicSpec("C", 1, 0.75))
-    verdict, worst = projected_action_isometry_test(hyp)
-    assert verdict is False
-    assert abs(worst - 0.75) < 1e-12
-    heis = catalog_entry("N(7;1,0)")
-    assert projected_action_isometry_test(heis)[0] is True
-
-
-def test_ad_eigenspace_line_case():
-    hyp = hyperbolic_semidirect(SemidirectHyperbolicSpec("R", 1, 2.0, rotation=0.0))
-    rep = ad_eigenspace_decomposition(hyp)
-    assert rep.zero_dim == 1 and rep.zero_matches_g1
-    assert rep.nonzero_blocks == {(2.0, 0.0): 1}
-    assert rep.defect == 0
-
-
-def test_ad_eigenspace_rotation_case():
-    hyp = hyperbolic_semidirect(SemidirectHyperbolicSpec("C", 2, 0.5, rotation=1.0))
-    rep = ad_eigenspace_decomposition(hyp)
-    assert rep.zero_dim == 1 and rep.zero_matches_g1
-    assert rep.nonzero_blocks == {(0.5, 1.0): 4}
-    assert rep.offzero_abelian_residual < 1e-12
-
-
-def test_verify_flatness():
-    assert verify_flatness(flat_unitary_space(3, 1)) is True
-    assert verify_flatness(build_trivial_module_space("euclidean_screw", 1)) is True
-    assert verify_flatness(catalog_entry("N(3;1,0)")) is False
-    trivial = ReductiveSpace("abelian", LieAlgebra(np.zeros((3, 3, 3))),
-                             Subspace.zero(3),
-                             (Subspace.coordinate(3, [0, 1, 2]),))
-    assert verify_flatness(trivial) is True
 
 
 def test_flat_unitary_bracket_rigidity():
@@ -291,10 +203,10 @@ def test_flat_unitary_bracket_rigidity():
     """
     from liecoh.completion import CompletionProblem, complete_bracket
 
-    space = flat_unitary_space(3, 1)
-    alg = space.algebra
-    m1 = [int(np.argmax(np.abs(c))) for c in space.blocks[0].basis.T]
-    m2 = [int(np.argmax(np.abs(c))) for c in space.blocks[1].basis.T]
+    # u(3) acting by the determinant on a plane (m1) and standardly on C^3 (m2)
+    rep = unitary_determinant_action(3, 1).rep
+    alg = semidirect_sum(rep.algebra, rep)
+    m1, m2 = list(range(9, 11)), list(range(11, 17))
     center_dir = list(range(8, 9))  # the trace direction of u(3)
     sol1 = complete_bracket(CompletionProblem(
         alg, tuple(m1), Subspace.coordinate(alg.dim, center_dir)))
@@ -361,8 +273,8 @@ def test_g1_closure_across_catalog():
         space = catalog_entry(sid)
         if len(space.blocks) != 2:
             continue
-        g1, report = build_g1(space)
-        assert report.closure_residual < 1e-12, sid
+        g1, closure = _g1(space)
+        assert closure < 1e-12, sid
         assert g1.dim == space.isotropy.dim + space.blocks[0].dim, sid
 
 
