@@ -372,7 +372,7 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
     return triple, res
 
 
-def require_valid(alg: LieAlgebra, what: str = "algebra") -> LieAlgebra:
+def require_valid(alg: LieAlgebra, what: str) -> LieAlgebra:
     """Return ``alg``; raise ``ValidationError`` unless its residual is below ``JACOBI_TOL``."""
     triple, res = worst_jacobi_triple(alg)
     require_below(res, JACOBI_TOL, f"{what}: Jacobi identity at basis triple {triple}", triple)

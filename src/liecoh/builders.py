@@ -47,10 +47,10 @@ __all__ = [
 ]
 
 
-def algebra_of_matrices(matrices, labels=None) -> tuple[LieAlgebra, Representation]:
+def algebra_of_matrices(matrices) -> tuple[LieAlgebra, Representation]:
     """Algebra spanned by the matrices, together with its defining action."""
     mats = np.asarray(matrices, dtype=float)
-    alg = LieAlgebra(structure_constants_from_matrices(mats), labels=labels)
+    alg = LieAlgebra(structure_constants_from_matrices(mats))
     return alg, Representation(alg, mats)
 
 
@@ -246,13 +246,11 @@ class CliffordIsotropy:
     k1_dim: int
 
 
-def clifford_isotropy(n: int, copies: int = 1, m1_weight: float = 1.0) -> CliffordIsotropy:
-    if m1_weight != 1.0 and n != 2:
-        raise ValueError("nontrivial circle weights only make sense for n = 2")
+def clifford_isotropy(n: int, copies: int = 1) -> CliffordIsotropy:
     module = spin_module(n)
     emb = spin_algebra(module)
     k0 = emb.algebra.dim
-    m1_mats = [m1_weight * a for a in so_vector_matrices(n)]
+    m1_mats = list(so_vector_matrices(n))
     m2_mats = [np.kron(np.eye(copies), g) for g in emb.matrices]
     if n in (2, 3):
         units = quaternion_units(module)
@@ -291,26 +289,24 @@ def _combine_blocks(alg: LieAlgebra, m1_mats: np.ndarray, m2_mats: np.ndarray,
     return ReducibleAction(label, rep, tuple(range(d1)), tuple(range(d1, d1 + d2)))
 
 
-def unitary_determinant_action(n: int, det_power: int = 1) -> ReducibleAction:
-    """u(n) on C + C^n: determinant power on the line, standard on the rest."""
+def unitary_determinant_action(n: int) -> ReducibleAction:
+    """u(n) on C + C^n: determinant on the line, standard on the rest."""
     std = u_standard(n)
     basis = su_basis(n) + [1.0j * np.eye(n)]  # the basis of u_standard
-    m1 = np.array([realify_complex(np.array([[det_power * np.trace(m)]])) for m in basis])
-    return _combine_blocks(std.algebra, m1, std.matrices, f"U({n}) det^{det_power} + C^{n}")
+    m1 = np.array([realify_complex(np.array([[np.trace(m)]])) for m in basis])
+    return _combine_blocks(std.algebra, m1, std.matrices, f"U({n}) det + C^{n}")
 
 
-def reducible_row(row: int, copies: int = 1, weight: int = 1) -> ReducibleAction:
+def reducible_row(row: int) -> ReducibleAction:
     """The five reducible cohomogeneity-two actions, numbered 1 to 5.
 
     Row 1 is the unitary determinant action; rows 2 to 5 come from the
-    Clifford isotropy data with n = 2, 3, 6, 7.  ``weight`` scales the
-    abelian factor's action on the plane in row 2 (2k in circle units).
+    Clifford isotropy data with n = 2, 3, 6, 7 and one module copy.
     """
     if row == 1:
-        return unitary_determinant_action(3, det_power=weight)
+        return unitary_determinant_action(3)
     n = {2: 2, 3: 3, 4: 6, 5: 7}[row]
-    data = clifford_isotropy(n, copies=copies, m1_weight=float(weight))
-    names = {2: f"U(1)Sp({copies}) on C+H^{copies}",
-             3: f"Sp(1)Sp({copies}) on R3+H^{copies}",
+    data = clifford_isotropy(n)
+    names = {2: "U(1)Sp(1) on C+H", 3: "Sp(1)Sp(1) on R3+H",
              4: "Spin(6) on R6+R8", 5: "Spin(7) on R7+R8"}
     return _combine_blocks(data.algebra, data.m1_matrices, data.m2_matrices, names[row])

@@ -184,7 +184,7 @@ def _claim_completion_n7(sign, cfg: RunConfig):
 
 
 def _claim_completion_n6(cfg: RunConfig):
-    sol = sps._cached_completion(6, 1.0, 1.0 / np.sqrt(2.0), 1)
+    sol = sps._cached_completion(6, 1.0, 1.0 / np.sqrt(2.0))
     abelian_norm = float(np.abs(sol.particular).max(initial=0.0))
     computed = {"nullity": sol.nullity, "abelian_solution_norm": abelian_norm,
                 "empty": sol.empty}
@@ -238,7 +238,7 @@ HYPERBOLIC_CASES = tuple((f, r) for f in ("R", "C", "H") for r in (1.0, 0.5))
 
 
 def _claim_hyperbolic(field_name, rate, cfg: RunConfig):
-    space = sps.hyperbolic_semidirect(sps.SemidirectHyperbolicSpec(field_name, 1, rate))
+    space = sps.hyperbolic_semidirect(sps.SemidirectHyperbolicSpec(field_name, rate))
     ms = geo.InvariantMetricSpace(space)
     r4 = geo.curvature_tensor(ms)
     offset = {"R": 1, "C": 2, "H": 3}[field_name] * 1000 + int(100 * rate)
@@ -256,14 +256,14 @@ def _claim_hyperbolic(field_name, rate, cfg: RunConfig):
 
 
 WARPED_CASES = (
-    ("exp_line_sphere2", ("line",), "exp(-1*t)", 2),
-    ("sin_segment_sphere2", ("segment", float(np.pi)), "sin", 2),
-    ("poly_line_sphere3", ("line",), "poly(1,0,1)", 3),
+    ("exp_line_sphere2", ("line",), geo.Profile.exp(-1.0), 2),
+    ("sin_segment_sphere2", ("segment", float(np.pi)), geo.Profile.sin(), 2),
+    ("poly_line_sphere3", ("line",), geo.Profile.poly(1, 0, 1), 3),
 )
 
 
 def _claim_warped(name, interval, profile, fiber_dim, cfg: RunConfig):
-    w = geo.WarpedProduct(interval, geo.Profile.from_name(profile), geo.RoundSphere(fiber_dim))
+    w = geo.WarpedProduct(interval, profile, geo.RoundSphere(fiber_dim))
     rng = np.random.default_rng(cfg.seed + len(name))
     ts = w.interior_samples(13)
     worst = 0.0
@@ -275,21 +275,18 @@ def _claim_warped(name, interval, profile, fiber_dim, cfg: RunConfig):
         if np.linalg.norm(y) < 1e-6:
             continue
         y /= np.linalg.norm(y)
-        kind = ("mixed", "fiber", "general")[s % 3]
-        if kind == "mixed":
-            plane = ("mixed", x)
-        elif kind == "fiber":
-            plane = ("fiber", x, y)
-        else:
-            plane = ("general", 0.6, 0.8 * x, 0.0, y)
-        cf = geo.warped_sectional_curvature(w, t, plane)
-        fd = geo.warped_sectional_fd(w, t, plane)
+        # a mixed plane span{d/dt, x}, a fiber plane, and one across both
+        x0, y0 = np.concatenate([[0.0], x]), np.concatenate([[0.0], y])
+        v, u = ((np.eye(1 + fiber_dim)[0], x0), (x0, y0),
+                (np.concatenate([[0.6], 0.8 * x]), y0))[s % 3]
+        cf = geo.warped_sectional_curvature(w, t, v, u)
+        fd = geo.warped_sectional_fd(w, t, v, u)
         worst = max(worst, abs(cf - fd))
     return _residual_claim(worst, TOL_FD, "closed form against independent fd oracle")
 
 
 def _claim_flat_screw(cfg: RunConfig):
-    space = sps.build_trivial_module_space("euclidean_screw", 1)
+    space = sps.euclidean_screw(1)
     r4 = geo.curvature_tensor(geo.InvariantMetricSpace(space))
     res = float(np.abs(r4).max(initial=0.0))
     return _residual_claim(res, 1e-9, "flat simply transitive screw presentation")

@@ -22,8 +22,8 @@ test suite.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -134,17 +134,14 @@ def curvature_symmetry_residual(r4: np.ndarray) -> float:
     return float(res / scale)
 
 
-def sectional_curvature(ms: InvariantMetricSpace, x, y,
-                        r4: np.ndarray | None = None) -> float:
-    """g(R(x, y) y, x) normalized by the squared area of the plane."""
+def sectional_curvature(ms: InvariantMetricSpace, x, y, r4: np.ndarray) -> float:
+    """g(R(x, y) y, x) over the squared area of the plane; ``r4`` is ``curvature_tensor(ms)``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     q = ms.metric()
     area2 = (x @ q @ x) * (y @ q @ y) - (x @ q @ y) ** 2
     if not area2 >= 1e-12:
         raise ValidationError("degenerate plane", residual=float(area2))
-    if r4 is None:
-        r4 = curvature_tensor(ms)
     val = np.einsum("ijkl,i,j,k,l->", r4, x, y, y, x)
     return float(val / area2)
 
@@ -156,38 +153,34 @@ def sectional_curvature(ms: InvariantMetricSpace, x, y,
 
 @dataclass
 class Profile:
-    """Warping function with two derivatives.
+    """Warping function with two derivatives: ``exp(a)``, ``sin()`` or ``poly(c0, c1, ...)``.
 
-    Built-ins (see :meth:`from_name`): ``const(c)``, ``exp(a*t)``, ``sin``,
-    ``poly(c0,c1,...)``.
+    A constant profile c is ``poly(c)``.
     """
 
-    name: str
     f: callable
     df: callable
     ddf: callable
 
     @classmethod
-    def from_name(cls, text: str) -> "Profile":
-        text = text.strip()
-        if text == "sin":
-            return cls("sin", np.sin, np.cos, lambda t: -np.sin(t))
-        m = re.fullmatch(r"const\(([^)]+)\)", text)
-        if m:
-            c = float(m.group(1))
-            return cls(text, lambda t: c + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t)
-        m = re.fullmatch(r"exp\(([+-]?[0-9.]*)\*?t\)", text)
-        if m:
-            a = m.group(1)
-            a = {"": 1.0, "+": 1.0, "-": -1.0}.get(a, None) if a in ("", "+", "-") else float(a)
-            return cls(text, lambda t: np.exp(a * t), lambda t: a * np.exp(a * t),
-                       lambda t: a * a * np.exp(a * t))
-        m = re.fullmatch(r"poly\(([^)]*)\)", text)
-        if m:
-            coeffs = [float(v) for v in m.group(1).split(",")]
-            p = np.polynomial.Polynomial(coeffs)
-            return cls(text, p, p.deriv(1), p.deriv(2))
-        raise ValueError(f"unknown profile {text!r}")
+    def exp(cls, a: float) -> "Profile":
+        """t -> exp(a t)."""
+        return cls(lambda t: np.exp(a * t), lambda t: a * np.exp(a * t),
+                   lambda t: a * a * np.exp(a * t))
+
+    @classmethod
+    def sin(cls) -> "Profile":
+        return cls(np.sin, np.cos, lambda t: -np.sin(t))
+
+    @classmethod
+    def poly(cls, *coeffs: float) -> "Profile":
+        """t -> c0 + c1 t + c2 t^2 + ...
+
+        ``np.polyval``, not ``numpy.polynomial``: the claims build their
+        profiles at import, and importing that package costs every process.
+        """
+        a = np.array(coeffs, dtype=float)[::-1]
+        return cls(*(partial(np.polyval, np.polyder(a, k)) for k in (0, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +208,6 @@ class RoundSphere:
 
     dim: int
 
-    def fiber_dim(self) -> int:
-        return self.dim
-
     def r4_orthonormal(self) -> np.ndarray:
         d = self.dim
         delta = np.eye(d)
@@ -234,8 +224,8 @@ class RoundSphere:
 class WarpedProduct:
     """Interval warped over a fiber: dt^2 + f(t)^2 g_F.
 
-    ``interval`` is ``("line",)``, ``("half_line",)`` or ``("segment", L)``;
-    it fixes where ``interior_samples`` lie.  The curvature is evaluated only
+    ``interval`` is ``("line",)`` or ``("segment", L)``; it fixes where
+    ``interior_samples`` lie.  The curvature is evaluated only
     where the profile is positive.
     """
 
@@ -245,8 +235,8 @@ class WarpedProduct:
 
     def __post_init__(self):
         self.interval = tuple(self.interval)
-        if self.interval[0] not in ("line", "half_line", "segment"):
-            raise ValueError("interval kind must be line, half_line or segment")
+        if self.interval[0] not in ("line", "segment"):
+            raise ValueError("interval kind must be line or segment")
         if self.interval[0] == "segment":
             if len(self.interval) < 2:
                 raise ValueError("segment needs a positive length")
@@ -257,33 +247,23 @@ class WarpedProduct:
     def interior_samples(self, count: int) -> np.ndarray:
         if self.interval[0] == "line":
             return np.linspace(-3.0, 3.0, count)
-        hi = self.interval[1] if self.interval[0] == "segment" else 3.0
+        hi = self.interval[1]
         return np.linspace(hi / (count + 1), hi * (1 - 1.0 / (count + 1)), count)
 
 
-def warped_sectional_curvature(w: WarpedProduct, t: float, plane) -> float:
-    """Closed-form sectional curvature at parameter t.
+def warped_sectional_curvature(w: WarpedProduct, t: float, v, u) -> float:
+    """Closed-form sectional curvature at parameter t of the plane span{v, u}.
 
-    ``plane`` is ``("mixed", x)`` for span{d/dt, x}, ``("fiber", x, y)`` for a
-    tangent plane of the fiber, or ``("general", a, x, b, y)`` for
-    span{a d/dt + x, b d/dt + y}; fiber vectors are given in the fiber's
-    orthonormal frame.  Mixed planes see -f''/f, fiber planes
-    (K_F - f'^2) / f^2, and a general plane mixes the two with no cross term.
+    ``v = (a, x)`` stands for a d/dt + x, with the fiber part x in the
+    fiber's orthonormal frame, and so does ``u = (b, y)``.  Mixed planes
+    span{d/dt, x} see -f''/f, fiber planes (K_F - f'^2) / f^2, and any other
+    plane mixes the two with no cross term.
     """
     f, df, ddf = (w.profile.f(t), w.profile.df(t), w.profile.ddf(t))
     if not f > 0:
         raise ValidationError("t must be an interior point (f > 0)", residual=float(f))
-    d = w.fiber.fiber_dim()
-    kind = plane[0]
-    if kind == "mixed":
-        a, x, b, y = 1.0, np.zeros(d), 0.0, np.asarray(plane[1], dtype=float)
-    elif kind == "fiber":
-        a, x, b, y = 0.0, np.asarray(plane[1], dtype=float), 0.0, np.asarray(plane[2], float)
-    elif kind == "general":
-        a, x, b, y = float(plane[1]), np.asarray(plane[2], float), float(plane[3]), \
-            np.asarray(plane[4], dtype=float)
-    else:
-        raise ValueError(f"unknown plane spec {plane!r}")
+    v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
+    a, x, b, y = v[0], v[1:], u[0], u[1:]
     r4f = w.fiber.r4_orthonormal()
     z = a * y - b * x
     num = (-ddf * f * (z @ z)
@@ -335,7 +315,7 @@ def riemann_finite_difference(metric_fn, dim: int) -> np.ndarray:
 def _warped_chart_metric(w: WarpedProduct, t: float):
     """Batched coordinate metric (t-offset, fiber normal coordinates) around a point."""
     r4f = w.fiber.r4_orthonormal()
-    d = w.fiber.fiber_dim()
+    d = w.fiber.dim
     f = w.profile.f
 
     def metric_fn(x):
@@ -349,21 +329,12 @@ def _warped_chart_metric(w: WarpedProduct, t: float):
     return metric_fn
 
 
-def warped_sectional_fd(w: WarpedProduct, t: float, plane) -> float:
+def warped_sectional_fd(w: WarpedProduct, t: float, v, u) -> float:
     """Finite-difference value of the same sectional curvature as the closed form."""
-    d = w.fiber.fiber_dim()
+    d = w.fiber.dim
     metric_fn = _warped_chart_metric(w, t)
     r4 = riemann_finite_difference(metric_fn, 1 + d)
-    kind = plane[0]
-    if kind == "mixed":
-        v = np.concatenate([[1.0], np.zeros(d)])
-        u = np.concatenate([[0.0], np.asarray(plane[1], dtype=float)])
-    elif kind == "fiber":
-        v = np.concatenate([[0.0], np.asarray(plane[1], dtype=float)])
-        u = np.concatenate([[0.0], np.asarray(plane[2], dtype=float)])
-    else:
-        v = np.concatenate([[float(plane[1])], np.asarray(plane[2], dtype=float)])
-        u = np.concatenate([[float(plane[3])], np.asarray(plane[4], dtype=float)])
+    v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
     g0 = metric_fn(np.zeros((1, 1 + d)))[0]
     num = np.einsum("ijkl,i,j,k,l->", r4, v, u, u, v)
     area2 = (v @ g0 @ v) * (u @ g0 @ u) - (v @ g0 @ u) ** 2

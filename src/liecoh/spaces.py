@@ -6,12 +6,13 @@ complement into invariant blocks m_1, m_2, ...  Constructors cover:
 
 * the Clifford-parameter family g = k0 + k1 + m1 + m2: spin(n) rotations
   acting on a vector block m1 and a Clifford-module block m2, with bracket
-  scales lam on m1 x m1, mu on m1 x m2, and a selectable m2 x m2 mode,
+  scales lam on m1 x m1, mu on m1 x m2, and an m2 x m2 block that is zero or
+  a solved completion,
 * two-step nilpotent algebras whose center acts by skew maps J_Z with
   J_Z J_W + J_W J_Z = -2 <Z, W> I ("generalized Heisenberg"),
 * unitary quotients whose isotropy action fixes a line, and the flat screw
   group,
-* rank-one solvable extensions R x| K^l with a non-isometric dilation,
+* rank-one solvable extensions R x| K with a non-isometric dilation,
 * a catalog of the model spaces exercised by the verification suite.
 
 The Jacobi identity is enforced at construction: a violation raises
@@ -51,6 +52,7 @@ from .algebra import (
 )
 from .builders import (
     clifford_isotropy,
+    quaternion_left,
     realify_complex,
     su_basis,
     su_standard,
@@ -79,6 +81,7 @@ __all__ = [
     "catalog_entry",
     "catalog_ids",
     "clifford_completion_problem",
+    "euclidean_screw",
     "hyperbolic_semidirect",
     "isotropy_representation",
 ]
@@ -191,9 +194,10 @@ def isotropy_representation(space: ReductiveSpace):
 class CliffordSpaceSpec:
     """Parameters of the Clifford construction.
 
-    ``m2_mode`` is ``("zero",)``, ``("heisenberg", kappa)`` or
+    ``m2_mode`` is ``("zero",)`` (no m2 x m2 bracket) or
     ``("completed", selector)``; a selector, ``"negative-definite"`` or
     ``("signature", p, q)``, names the Killing signature of the filling.
+    More than one module copy in m2 is wired only for n = 2, 3, zero mode.
     """
 
     n: int
@@ -206,20 +210,24 @@ class CliffordSpaceSpec:
         self.m2_mode = tuple(self.m2_mode)
         if self.n not in (2, 3, 6, 7):
             raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
-        if self.m2_mode[0] not in ("zero", "heisenberg", "completed"):
+        completed = len(self.m2_mode) == 2 and self.m2_mode[0] == "completed"
+        sel = self.m2_mode[1] if completed else None
+        if self.m2_mode != ("zero",) and not (sel == "negative-definite" or (
+                isinstance(sel, tuple) and len(sel) == 3 and sel[0] == "signature"
+                and all(isinstance(v, int) for v in sel[1:]))):
             raise ValueError(f"unknown m2 mode {self.m2_mode!r}")
-        if self.m2_mode[0] == "heisenberg":
-            if self.mu != 0.0 or self.lam != 0.0:
-                raise ValueError("the nilpotent mode requires lam = 2 mu^2 = 0")
-            if len(self.m2_mode) < 2 or self.m2_mode[1] == 0.0:
-                raise ValueError("the nilpotent mode requires kappa != 0")
+        if self.copies < 1 or (self.copies > 1 and (self.n in (6, 7)
+                                                    or self.m2_mode != ("zero",))):
+            raise ValueError(f"{self.copies} module copies: one is required, and more "
+                             f"are wired only for n = 2, 3 without a completion")
 
 
 def _clifford_skeleton(spec: CliffordSpaceSpec):
     """Structure tensor with the fixed brackets of the construction.
 
-    The m2 x m2 block is left empty here; modes fill it afterwards.  Returns
-    the tensor with its labels, the module gammas and the index layout.
+    The m2 x m2 block is left empty here; a completion or ``build_heisenberg``
+    fills it.  Returns the tensor with its labels, the module gammas and the
+    index layout.
     """
     data = clifford_isotropy(spec.n, spec.copies)
     dk = data.algebra.dim
@@ -246,19 +254,17 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
     return c, labels, gam, (k_idx, m1_idx, m2_idx)
 
 
-def clifford_completion_problem(n: int, lam: float, mu: float,
-                                copies: int = 1) -> CompletionProblem:
+def clifford_completion_problem(n: int, lam: float, mu: float) -> CompletionProblem:
     """Completion problem for the unknown m2 x m2 block of the construction."""
-    spec = CliffordSpaceSpec(n, lam, mu, copies)
-    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
+    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(CliffordSpaceSpec(n, lam, mu))
     skeleton = LieAlgebra(c, labels=labels)
     target = Subspace.coordinate(skeleton.dim, list(k_idx) + list(m1_idx))
     return CompletionProblem(skeleton, tuple(int(i) for i in m2_idx), target)
 
 
 @lru_cache(maxsize=None)
-def _cached_completion(n: int, lam: float, mu: float, copies: int) -> CompletionSolution:
-    return complete_bracket(clifford_completion_problem(n, lam, mu, copies))
+def _cached_completion(n: int, lam: float, mu: float) -> CompletionSolution:
+    return complete_bracket(clifford_completion_problem(n, lam, mu))
 
 
 def _select_completion(solution: CompletionSolution, selector) -> np.ndarray:
@@ -276,13 +282,10 @@ def _select_completion(solution: CompletionSolution, selector) -> np.ndarray:
     if solution.nullity != 1:
         raise ValidationError(f"a completion is selected by the sign of one null direction, "
                               f"but the solution space has nullity {solution.nullity}")
-    dim = solution.problem.skeleton.dim
     if selector == "negative-definite":
-        want = (0, dim, 0)
-    elif isinstance(selector, tuple) and selector[0] == "signature":
-        want = (selector[1], selector[2], 0)
+        want = (0, solution.problem.skeleton.dim, 0)
     else:
-        raise ValueError(f"unknown completion selector {selector!r}")
+        want = (selector[1], selector[2], 0)
     for w in (np.ones(1), -np.ones(1)):
         if signature(killing_form(solution.realize(w))) == want:
             return w
@@ -295,14 +298,9 @@ def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
     Raises ``ValidationError`` with the residual triple when the parameters
     are Jacobi-incompatible (any mu != 0 with lam != 2 mu^2).
     """
-    c, labels, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
-    if spec.m2_mode[0] == "heisenberg":
-        # <Z | [X, Y]> = kappa <Z . X | Y>; skewness of Gamma_i gives the
-        # antisymmetry of the block for free
-        c[np.ix_(m2_idx, m2_idx, m1_idx)] = float(spec.m2_mode[1]) * gam.transpose(2, 1, 0)
-        alg = LieAlgebra(c, labels=labels)
-    elif spec.m2_mode[0] == "completed":
-        solution = _cached_completion(spec.n, spec.lam, spec.mu, spec.copies)
+    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
+    if spec.m2_mode[0] == "completed":
+        solution = _cached_completion(spec.n, spec.lam, spec.mu)
         weights = _select_completion(solution, spec.m2_mode[1])
         alg = LieAlgebra(solution.realize(weights).c, labels=labels)
     else:
@@ -319,17 +317,17 @@ def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
 
 @dataclass
 class HeisenbergSpec:
-    """Two-step nilpotent data: center dimension, module copies, raw kappa."""
+    """Two-step nilpotent data: center dimension and module copies."""
 
     center_dim: int
     copies: int = 1
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.center_dim not in (1, 2, 3, 6, 7):
             raise ValueError("center dimension must be one of 1, 2, 3, 6, 7")
-        if self.center_dim in (6, 7) and self.copies != 1:
-            raise ValueError("only one module copy is wired for center dimension 6, 7")
+        if self.copies < 1 or (self.center_dim in (6, 7) and self.copies != 1):
+            raise ValueError(f"{self.copies} module copies: one is required, and more "
+                             f"are wired only for center dimension 1, 2, 3")
 
 
 def heisenberg_label(spec: HeisenbergSpec) -> str:
@@ -341,36 +339,32 @@ def heisenberg_label(spec: HeisenbergSpec) -> str:
 def build_heisenberg(spec: HeisenbergSpec) -> ReductiveSpace:
     """Normalized generalized Heisenberg space with its canonical isotropy.
 
-    Any kappa != 0 is normalized away by Z -> sgn(kappa) Z, X -> X/sqrt|kappa|,
-    after which <Z | [X, Y]> = <Z . X | Y> holds exactly; the returned tensor
-    is the normalized one.  kappa = 0 degenerates to the flat abelian case,
-    which is returned with a note rather than raised.
+    The center is m1 and the module m2 of the Clifford skeleton with
+    lam = mu = 0, with <Z | [X, Y]> = <Z . X | Y> exactly.  This is the
+    normalized form: Z -> sgn(kappa) Z, X -> X / sqrt|kappa| takes the bracket
+    <Z | [X, Y]> = kappa <Z . X | Y> of any kappa != 0 to it.
     """
-    if spec.kappa == 0.0:
-        note = "degenerate: kappa = 0 gives the flat abelian case"
-    else:
-        note = None
     if spec.center_dim == 1:
-        return _heisenberg_center_one(spec, note)
-    mode = ("heisenberg", 1.0) if spec.kappa != 0.0 else ("zero",)
-    space = build_clifford_space(CliffordSpaceSpec(spec.center_dim, 0.0, 0.0, spec.copies, mode))
-    return replace(space, label=heisenberg_label(spec),
-                   notes=space.notes + ((note,) if note else ()))
+        return _heisenberg_center_one(spec)
+    c, labels, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(
+        CliffordSpaceSpec(spec.center_dim, 0.0, 0.0, spec.copies))
+    # skewness of Gamma_i gives the antisymmetry of the block for free
+    c[np.ix_(m2_idx, m2_idx, m1_idx)] = gam.transpose(2, 1, 0)
+    alg = require_valid(LieAlgebra(c, labels=labels), f"nilpotent space n={spec.center_dim}")
+    return _coordinate_space(heisenberg_label(spec), alg, len(k_idx),
+                             (len(m1_idx), len(m2_idx)))
 
 
-def _heisenberg_center_one(spec: HeisenbergSpec, note: str | None) -> ReductiveSpace:
+def _heisenberg_center_one(spec: HeisenbergSpec) -> ReductiveSpace:
     """N(1, k): center R, module C^k, isotropy u(k)."""
     u_k = u_standard(spec.copies)
     dk = u_k.algebra.dim
     c = np.array(semidirect_sum(u_k.algebra,
                                 rep_direct_sum(trivial_representation(u_k.algebra, 1), u_k)).c)
-    if spec.kappa != 0.0:
-        # [X, Y] = <F X, Y> Z, with F the invariant complex structure
-        c[dk + 1:, dk + 1:, dk] = realify_complex(1.0j * np.eye(spec.copies)).T
-    alg = LieAlgebra(c)
-    require_valid(alg, "center-one nilpotent space")
-    return _coordinate_space(heisenberg_label(spec), alg, dk, (1, 2 * spec.copies),
-                             (note,) if note else ())
+    # [X, Y] = <F X, Y> Z, with F the invariant complex structure
+    c[dk + 1:, dk + 1:, dk] = realify_complex(1.0j * np.eye(spec.copies)).T
+    alg = require_valid(LieAlgebra(c), "center-one nilpotent space")
+    return _coordinate_space(heisenberg_label(spec), alg, dk, (1, 2 * spec.copies))
 
 
 def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:
@@ -412,15 +406,12 @@ def _su_adapted_matrices(n: int) -> tuple[np.ndarray, int]:
     return real, n * n - 1
 
 
-def build_trivial_module_space(branch: str, n: int = 2) -> ReductiveSpace:
-    """Spaces whose isotropy representation fixes a line.
+def build_trivial_module_space(branch: str, n: int) -> ReductiveSpace:
+    """Unitary quotients whose isotropy representation fixes a line.
 
-    Branches: ``su_compact`` (unitary quotient, n >= 2), ``su_noncompact``
-    (its Lorentz dual), ``euclidean_screw`` (the flat simply transitive screw
-    group on R^(1+2n)).
+    Branches: ``su_compact`` (SU(n+1)/SU(n), n >= 2) and ``su_noncompact``
+    (its Lorentz dual).
     """
-    if branch == "euclidean_screw":
-        return _euclidean_screw(n)
     if branch not in ("su_compact", "su_noncompact"):
         raise ValueError(f"unknown branch {branch!r}")
     if n < 2:
@@ -444,7 +435,10 @@ def _line_extension(deriv: np.ndarray, what: str) -> LieAlgebra:
     return require_valid(semidirect_sum(line, Representation(line, deriv[None])), what)
 
 
-def _euclidean_screw(n: int) -> ReductiveSpace:
+def euclidean_screw(n: int) -> ReductiveSpace:
+    """The flat simply transitive screw group on R^(1+2n), n >= 1."""
+    if n < 1:
+        raise ValueError(f"the screw group needs n >= 1, got {n}")
     alg = _line_extension(realify_complex(1.0j * np.eye(n)), "screw group")
     return _coordinate_space(f"R|xC^{n} screw", alg, 0, (1, 2 * n),
                              ("flat: simply transitive isometric screw action",))
@@ -457,17 +451,15 @@ def _euclidean_screw(n: int) -> ReductiveSpace:
 
 @dataclass
 class SemidirectHyperbolicSpec:
-    """R x| K^copies with derivation rate * I + rotation.
+    """R x| K with derivation rate * I + rotation.
 
     ``field`` is "R", "C" or "H"; the symmetric part of the derivation is
     rate times the identity (rate != 0), the skew part is scalar
-    multiplication by ``rotation`` times the imaginary unit (ignored for R).
+    multiplication by the imaginary unit (none for R).
     """
 
     field: str
-    copies: int = 1
     rate: float = 1.0
-    rotation: float = 1.0
 
     def __post_init__(self):
         if self.field not in ("R", "C", "H"):
@@ -476,25 +468,14 @@ class SemidirectHyperbolicSpec:
             raise ValueError("rate must be nonzero (otherwise the extension is isometric)")
 
 
-def _field_dim(field: str) -> int:
-    return {"R": 1, "C": 2, "H": 4}[field]
-
-
 def hyperbolic_semidirect(spec: SemidirectHyperbolicSpec) -> ReductiveSpace:
     """Solvable model with derivation rate * I + rotation on the ideal."""
-    e = _field_dim(spec.field) * spec.copies
-    deriv = spec.rate * np.eye(e)
-    if spec.field == "C":
-        deriv = deriv + spec.rotation * np.kron(np.eye(spec.copies),
-                                                np.array([[0.0, -1.0], [1.0, 0.0]]))
-    elif spec.field == "H":
-        from .builders import quaternion_left
-
-        deriv = deriv + spec.rotation * np.kron(np.eye(spec.copies),
-                                                quaternion_left((0.0, 1.0, 0.0, 0.0)))
-    alg = _line_extension(deriv, "solvable extension")
-    label = f"R|x{spec.field}^{spec.copies}(rate={spec.rate:g})"
-    return _coordinate_space(label, alg, 0, (1, e))
+    # scalar multiplication by the imaginary unit; the real line has none
+    rotation = {"R": np.zeros((1, 1)), "C": np.array([[0.0, -1.0], [1.0, 0.0]]),
+                "H": quaternion_left((0.0, 1.0, 0.0, 0.0))}[spec.field]
+    e = len(rotation)
+    alg = _line_extension(spec.rate * np.eye(e) + rotation, "solvable extension")
+    return _coordinate_space(f"R|x{spec.field}(rate={spec.rate:g})", alg, 0, (1, e))
 
 
 # ---------------------------------------------------------------------------

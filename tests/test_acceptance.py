@@ -77,7 +77,7 @@ def test_criterion_4_completion_fingerprints():
     split = sps.build_clifford_space(
         sps.CliffordSpaceSpec(7, 1.0, MU, 1, ("completed", ("signature", 8, 28))))
     assert la.signature(la.killing_form(split.algebra)) == (8, 28, 0)
-    sol6 = sps._cached_completion(6, 1.0, MU, 1)
+    sol6 = sps._cached_completion(6, 1.0, MU)
     assert sol6.nullity == 0 and not sol6.empty
     assert np.abs(sol6.particular).max(initial=0.0) < 1e-9
     _ok("4 algebra fingerprints", "(36-dim signatures exact; 29-dim rigid)")
@@ -104,7 +104,7 @@ def test_criterion_6_curvature():
     rng = np.random.default_rng(0x5EED)
     for field in ("R", "C", "H"):
         for rate in (1.0, 0.5):
-            space = sps.hyperbolic_semidirect(sps.SemidirectHyperbolicSpec(field, 1, rate))
+            space = sps.hyperbolic_semidirect(sps.SemidirectHyperbolicSpec(field, rate))
             ms = geo.InvariantMetricSpace(space)
             r4 = geo.curvature_tensor(ms)
             worst = 0.0
@@ -118,7 +118,7 @@ def test_criterion_6_curvature():
                 worst = max(worst, abs(geo.sectional_curvature(ms, x, y, r4) + rate ** 2))
             assert worst < 1e-8, (field, rate)
 
-    w = geo.WarpedProduct(("line",), geo.Profile.from_name("exp(-1*t)"),
+    w = geo.WarpedProduct(("line",), geo.Profile.exp(-1.0),
                           geo.RoundSphere(2))
     ts = w.interior_samples(10)
     worst_fd = 0.0
@@ -126,12 +126,13 @@ def test_criterion_6_curvature():
         t = float(ts[s % len(ts)])
         x = random_unit_vector(2, rng)
         y = np.array([-x[1], x[0]])
-        plane = (("mixed", x), ("fiber", x, y), ("general", 0.5, x, 0.0, y))[s % 3]
-        worst_fd = max(worst_fd, abs(geo.warped_sectional_curvature(w, t, plane)
-                                     - geo.warped_sectional_fd(w, t, plane)))
+        x0, y0 = np.concatenate([[0.0], x]), np.concatenate([[0.0], y])
+        v, u = ((np.eye(3)[0], x0), (x0, y0), (np.concatenate([[0.5], x]), y0))[s % 3]
+        worst_fd = max(worst_fd, abs(geo.warped_sectional_curvature(w, t, v, u)
+                                     - geo.warped_sectional_fd(w, t, v, u)))
     assert worst_fd < 1e-5
 
-    screw = sps.build_trivial_module_space("euclidean_screw", 1)
+    screw = sps.euclidean_screw(1)
     flat = np.abs(geo.curvature_tensor(geo.InvariantMetricSpace(screw))).max()
     assert flat < 1e-9
     _ok("6 curvature", f"(hyperbolic dev, fd gap {worst_fd:.1e}, screw {flat:.1e})")

@@ -246,7 +246,7 @@ def test_jacobi_residual_is_memoised_on_the_algebra(jacobi_kernel_calls):
     first = la.worst_jacobi_triple(alg)
     assert la.worst_jacobi_triple(alg) == first
     assert la.jacobi_residual(alg) == first[1]
-    la.require_valid(alg)
+    la.require_valid(alg, "algebra")
     assert len(seen) == 1
 
 
@@ -284,7 +284,7 @@ def test_require_valid_rejects_non_finite_constants():
     with np.errstate(invalid="ignore"):
         assert np.isnan(jacobi_residual(alg))
         with pytest.raises(ValidationError):
-            la.require_valid(alg)
+            la.require_valid(alg, "algebra")
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -303,7 +303,7 @@ def test_non_finite_constants_give_a_nan_residual(value):
             triple, res = la.worst_jacobi_triple(alg)
             assert np.isnan(res)
             with pytest.raises(ValidationError) as err:
-                la.require_valid(alg)
+                la.require_valid(alg, "algebra")
         assert np.isnan(err.value.residual)
 
 

@@ -6,7 +6,7 @@ import pytest
 from liecoh import algebra as la
 from liecoh import claims
 from liecoh.claims import RunConfig, build_claims, run_suite
-from liecoh.cli import ConfigError, export_space, load_config, main
+from liecoh.cli import ConfigError, load_config, main
 
 
 def run_cli(capsys, *argv):

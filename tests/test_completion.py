@@ -16,7 +16,12 @@ from liecoh.algebra import (
 from liecoh.clifford import bivector_pairs, so_structure_tensor
 from liecoh.completion import CompletionProblem, complete_bracket
 from liecoh.linalg import RANK_RTOL, ValidationError, subspace_gap
-from liecoh.spaces import _select_completion, catalog_entry, clifford_completion_problem
+from liecoh.spaces import (
+    CliffordSpaceSpec,
+    _select_completion,
+    catalog_entry,
+    clifford_completion_problem,
+)
 
 MU = 1.0 / np.sqrt(2.0)
 
@@ -123,8 +128,8 @@ def test_a_selection_needs_a_solution_space_of_nullity_one():
     n2 = complete_bracket(clifford_completion_problem(2, 1.0, MU))
     assert np.array_equal(_select_completion(n2, ("signature", 4, 6)), np.ones(1))
     assert np.array_equal(_select_completion(n2, "negative-definite"), -np.ones(1))
-    with pytest.raises(ValueError, match="unknown completion selector 'abelian'"):
-        _select_completion(n2, "abelian")
+    with pytest.raises(ValueError, match="unknown m2 mode"):
+        CliffordSpaceSpec(2, 1.0, MU, 1, ("completed", "abelian"))
 
 
 @pytest.mark.parametrize("unknown", [(4, -1), (5, -1), (-2, 5), (1, 99)])

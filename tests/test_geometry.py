@@ -23,8 +23,8 @@ from liecoh.linalg import random_unit_vector
 from liecoh.spaces import (
     ReductiveSpace,
     SemidirectHyperbolicSpec,
-    build_trivial_module_space,
     catalog_entry,
+    euclidean_screw,
     hyperbolic_semidirect,
 )
 
@@ -47,7 +47,7 @@ def orthonormal_plane(rng, dim):
 def test_flat_space_zero_tensor():
     # u(3) acting by the determinant on a plane and standardly on C^3: the
     # complement is an abelian ideal
-    rep = unitary_determinant_action(3, 1).rep
+    rep = unitary_determinant_action(3).rep
     alg = semidirect_sum(rep.algebra, rep)
     space = ReductiveSpace("flat", alg, Subspace.coordinate(17, range(9)),
                            (Subspace.coordinate(17, range(9, 11)),
@@ -79,13 +79,13 @@ def test_hyperbolic_fiber_from_sign_flip():
 
 
 def test_screw_space_flat():
-    ms = InvariantMetricSpace(build_trivial_module_space("euclidean_screw", 2))
+    ms = InvariantMetricSpace(euclidean_screw(2))
     assert np.abs(curvature_tensor(ms)).max() < 1e-9
 
 
 @pytest.mark.parametrize("field,rate", [("R", 1.0), ("C", 0.5), ("H", 1.0)])
 def test_hyperbolic_constant_curvature(field, rate):
-    space = hyperbolic_semidirect(SemidirectHyperbolicSpec(field, 1, rate))
+    space = hyperbolic_semidirect(SemidirectHyperbolicSpec(field, rate))
     ms = InvariantMetricSpace(space)
     r4 = curvature_tensor(ms)
     rng = np.random.default_rng(17)
@@ -104,7 +104,8 @@ def test_curvature_symmetries_on_catalog():
 def test_sectional_rejects_degenerate_plane():
     ms = InvariantMetricSpace(sphere_space(2))
     with pytest.raises(ValueError):
-        sectional_curvature(ms, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        sectional_curvature(ms, np.array([1.0, 0.0]), np.array([2.0, 0.0]),
+                            curvature_tensor(ms))
 
 
 def test_block_scale_divides_fiber_curvature():
@@ -139,16 +140,14 @@ def test_invariance_residual_zero_on_catalog():
 # ---------------------------------------------------------------------------
 
 
-def test_profile_grammar():
-    p = Profile.from_name("exp(-0.5*t)")
+def test_profile_constructors():
+    p = Profile.exp(-0.5)
     assert abs(p.f(1.0) - np.exp(-0.5)) < 1e-15
     assert abs(p.df(1.0) + 0.5 * np.exp(-0.5)) < 1e-15
-    q = Profile.from_name("poly(1,0,2)")
+    q = Profile.poly(1, 0, 2)
     assert q.f(2.0) == 9.0 and q.df(2.0) == 8.0 and q.ddf(2.0) == 4.0
-    c = Profile.from_name("const(3.5)")
-    assert c.f(10.0) == 3.5 and c.ddf(10.0) == 0.0
-    with pytest.raises(ValueError):
-        Profile.from_name("tan")
+    c = Profile.poly(3.5)
+    assert c.f(10.0) == 3.5 and c.df(10.0) == 0.0 and c.ddf(10.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +156,26 @@ def test_profile_grammar():
 
 
 def test_sine_profile_round_sphere():
-    w = WarpedProduct(("segment", float(np.pi)), Profile.from_name("sin"), RoundSphere(1))
+    w = WarpedProduct(("segment", float(np.pi)), Profile.sin(), RoundSphere(1))
+    mixed = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     for t in (0.4, 1.2, 2.5):
-        cf = warped_sectional_curvature(w, t, ("mixed", np.array([1.0])))
+        cf = warped_sectional_curvature(w, t, *mixed)
         assert abs(cf - 1.0) < 1e-12
-        fd = warped_sectional_fd(w, t, ("mixed", np.array([1.0])))
+        fd = warped_sectional_fd(w, t, *mixed)
         assert abs(cf - fd) < 1e-5
 
 
 def test_warped_closed_form_vs_fd_oracle():
-    w = WarpedProduct(("line",), Profile.from_name("poly(1,0,1)"), RoundSphere(3))
+    w = WarpedProduct(("line",), Profile.poly(1, 0, 1), RoundSphere(3))
     rng = np.random.default_rng(12)
     worst = 0.0
     for t in (-0.8, 0.3, 1.4):
         x, y = orthonormal_plane(rng, 3)
-        for plane in (("mixed", x), ("fiber", x, y), ("general", 0.7, 0.4 * x, 0.0, y)):
-            cf = warped_sectional_curvature(w, t, plane)
-            fd = warped_sectional_fd(w, t, plane)
+        x0, y0 = np.concatenate([[0.0], x]), np.concatenate([[0.0], y])
+        # mixed, fiber, and a plane across both
+        for v, u in ((np.eye(4)[0], x0), (x0, y0), (np.concatenate([[0.7], 0.4 * x]), y0)):
+            cf = warped_sectional_curvature(w, t, v, u)
+            fd = warped_sectional_fd(w, t, v, u)
             worst = max(worst, abs(cf - fd))
     assert worst < 1e-5
 
@@ -229,7 +231,7 @@ def _per_point_riemann_fd(metric_fn, dim):
 @pytest.mark.parametrize("case", WARPED_CASES, ids=[c[0] for c in WARPED_CASES])
 def test_batched_fd_oracle_equals_the_per_point_loop(case):
     _, interval, profile, fiber_dim = case
-    w = WarpedProduct(interval, Profile.from_name(profile), RoundSphere(fiber_dim))
+    w = WarpedProduct(interval, profile, RoundSphere(fiber_dim))
     for t in w.interior_samples(5):
         metric_fn = _warped_chart_metric(w, t)
         assert np.array_equal(riemann_finite_difference(metric_fn, 1 + fiber_dim),
@@ -249,6 +251,6 @@ def test_fd_oracle_evaluates_the_whole_stencil_in_one_call():
 
 
 def test_degenerate_t_rejected():
-    w = WarpedProduct(("half_line",), Profile.from_name("poly(0,1)"), RoundSphere(2))
+    w = WarpedProduct(("line",), Profile.poly(0, 1), RoundSphere(2))
     with pytest.raises(ValueError):
-        warped_sectional_curvature(w, 0.0, ("mixed", np.array([1.0, 0.0])))
+        warped_sectional_curvature(w, 0.0, np.eye(3)[0], np.eye(3)[1])

@@ -11,8 +11,16 @@ the runs calls must be listed in ``NEVER_CALLED`` with its reason, and
 nothing else may be: a name that becomes unreachable, or one that a claim
 starts to check, changes the list.
 
+The same runs record, for every parameter with a default of those functions
+and every dataclass field with a default, whether it received its default
+and whether it received another value (calls made while the package is
+imported do not count).  Each one that the runs set to only one of the two
+must be listed in ``ONE_VALUE`` with its reason: a setting with one value in
+use is a constant, and a default that is never used is a required argument.
+
 A second inventory, read from the source with ``ast``, keeps every
-module-level import in use or re-exported through ``__all__``.
+module-level import of the package and of its tests in use or re-exported
+through ``__all__``.
 """
 
 import ast
@@ -21,10 +29,14 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import liecoh
 
 REFERENCE = "reference model: the gamma matrices are tested against the blade arithmetic"
 ORACLE = "test oracle"
+ERROR_PATH = ("error report: the one error a passing run raises, the Jacobi gate's, "
+              "carries a residual and a triple")
 
 NEVER_CALLED = {
     "algebra.ad_matrix": ORACLE,
@@ -49,19 +61,65 @@ NEVER_CALLED = {
     "spaces.catalog": "the benchmark's claims-warm set-up builds the catalog with it",
 }
 
+ONE_VALUE = {
+    "claims.RunConfig.groups": "set by --group and the config file",
+    "claims.RunConfig.seed": "set by --seed and the config file",
+    "claims.VerificationReport.runtime_ms": "stamped by _run_one after the claim returns",
+    "claims.run_suite.jobs": "the benchmark passes it (ROADMAP item 8)",
+    "cli.main.argv": "the console entry point passes None",
+    "geometry.InvariantMetricSpace.block_scales": "ROADMAP item 3 needs block-scaled metrics",
+    "linalg.ValidationError.residual": ERROR_PATH,
+    "linalg.ValidationError.triple": ERROR_PATH,
+    "reps.cohomogeneity.seed": "the claims pass the run seed",
+}
+
 SCRIPT = """
 import sys
 
 called = set()
+received = {}  # parameter key -> {whether the value was the default}
+params = {}    # code object -> [(parameter key, name, default)], filled after the imports
 
 def profile(frame, event, arg):
     if event == "call":
         called.add(frame.f_code)
+        for key, name, default in params.get(frame.f_code, ()):
+            received.setdefault(key, set()).add(same(frame.f_locals[name], default))
+
+def same(value, default):
+    try:
+        return bool(value is default or value == default)
+    except ValueError:  # an array against a scalar default
+        return False
 
 sys.setprofile(profile)  # before the imports: what they run is reached too
 import contextlib, importlib, inspect, io, json, pkgutil
 import liecoh
 from liecoh import cli, spaces
+
+def function(obj):
+    obj = getattr(obj, "__func__", getattr(obj, "fget", obj))  # class/static method, property
+    obj = getattr(obj, "__wrapped__", obj)                      # lru_cache
+    return obj if inspect.isfunction(obj) else None
+
+def defaulted(mod):
+    # (key, function) of every function, method and dataclass __init__ defined in mod
+    for name, obj in vars(mod).items():
+        if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+            for attr, member in vars(obj).items():  # a dataclass's __init__ included
+                if function(member) is not None:
+                    yield name + "." + attr, function(member)
+        elif function(obj) is not None and function(obj).__module__ == mod.__name__:
+            yield name, function(obj)
+
+modules = [importlib.import_module("liecoh." + info.name)
+           for info in pkgutil.iter_modules(liecoh.__path__)]
+for mod in modules:
+    short = mod.__name__.split(".", 1)[1]
+    for key, func in defaulted(mod):
+        params[func.__code__] = [
+            (f"{short}.{key}.{p.name}".replace(".__init__", ""), p.name, p.default)
+            for p in inspect.signature(func).parameters.values() if p.default is not p.empty]
 try:
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["verify", "--json"])
@@ -70,11 +128,6 @@ try:
             cli.main(["export", sid])
 finally:
     sys.setprofile(None)
-
-def function(obj):
-    obj = getattr(obj, "__func__", getattr(obj, "fget", obj))  # class/static method, property
-    obj = getattr(obj, "__wrapped__", obj)                      # lru_cache
-    return obj if inspect.isfunction(obj) else None
 
 def inventory(mod):
     # (name, code objects) of every function, method and class written in mod
@@ -91,20 +144,30 @@ def inventory(mod):
                     yield name + "." + attr, {function(member).__code__}
 
 never = []
-for info in pkgutil.iter_modules(liecoh.__path__):
-    mod = importlib.import_module("liecoh." + info.name)
-    never += [info.name + "." + name for name, codes in inventory(mod) if not codes & called]
-print(json.dumps(sorted(never)))
+for mod in modules:
+    short = mod.__name__.split(".", 1)[1]
+    never += [short + "." + name for name, codes in inventory(mod) if not codes & called]
+one_value = [key for key, seen in received.items() if len(seen) == 1]
+print(json.dumps({"never": sorted(never), "one_value": sorted(one_value)}))
 """
 
 
-def test_functions_and_methods_that_verify_catalog_and_export_never_call():
+@pytest.fixture(scope="module")
+def product_run():
     src = os.path.dirname(os.path.dirname(liecoh.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == sorted(NEVER_CALLED)
+    return json.loads(out.stdout)
+
+
+def test_functions_and_methods_that_verify_catalog_and_export_never_call(product_run):
+    assert product_run["never"] == sorted(NEVER_CALLED)
+
+
+def test_every_default_and_every_other_value_is_used(product_run):
+    assert product_run["one_value"] == sorted(ONE_VALUE)
 
 
 def _unused_imports(path):
@@ -126,7 +189,7 @@ def _unused_imports(path):
 
 
 def test_every_module_level_import_is_used_or_re_exported():
-    src = os.path.dirname(liecoh.__file__)
-    stale = {name: _unused_imports(os.path.join(src, name))
-             for name in sorted(os.listdir(src)) if name.endswith(".py")}
+    dirs = (os.path.dirname(liecoh.__file__), os.path.dirname(__file__))
+    stale = {f"{os.path.basename(d)}/{name}": _unused_imports(os.path.join(d, name))
+             for d in dirs for name in sorted(os.listdir(d)) if name.endswith(".py")}
     assert {name: found for name, found in stale.items() if found} == {}

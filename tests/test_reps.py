@@ -235,11 +235,11 @@ def test_tensor_spin7_unique_module():
 
 def test_tensor_weighted_circle_obstruction():
     # doubling the circle weight on the plane empties the intertwiner space
-    row_k2 = bld.reducible_row(2, weight=2)
-    m1 = restrict(row_k2.rep, row_k2.m1)
-    m2 = restrict(row_k2.rep, row_k2.m2)
+    data = bld.clifford_isotropy(2)
+    m1 = Representation(data.algebra, 2.0 * data.m1_matrices)
+    m2 = Representation(data.algebra, data.m2_matrices)
     assert hom_space_dimension(tensor_product(m1, m2), m2) == 0
-    row_k1 = bld.reducible_row(2, weight=1)
+    row_k1 = bld.reducible_row(2)
     m1 = restrict(row_k1.rep, row_k1.m1)
     m2 = restrict(row_k1.rep, row_k1.m2)
     assert hom_space_dimension(tensor_product(m1, m2), m2) == 2

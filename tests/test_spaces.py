@@ -3,6 +3,7 @@ import pytest
 
 from liecoh import spaces as sps
 from liecoh.algebra import (
+    LieAlgebra,
     Subspace,
     ValidationError,
     center_dimension,
@@ -48,7 +49,7 @@ def test_clifford_construction_shapes(n, k_dim, m2_dim):
 
 
 def test_clifford_heisenberg_mode_n7():
-    space = build_clifford_space(CliffordSpaceSpec(7, 0.0, 0.0, 1, ("heisenberg", 1.0)))
+    space = build_heisenberg(HeisenbergSpec(7))
     assert space.dim == 36  # 21 + 7 + 8
     nil = nilpotent_part(space)
     assert nil.dim == 15
@@ -86,10 +87,40 @@ def test_completed_mode_refuses_inconsistent_scale(selector):
 
 
 def test_clifford_rejects_kappa_zero_mode():
+    # the nilpotent bracket is build_heisenberg's, not a mode of the family
+    for kappa in (0.0, 1.0):
+        with pytest.raises(ValueError, match="unknown m2 mode"):
+            CliffordSpaceSpec(7, 0.0, 0.0, 1, ("heisenberg", kappa))
+
+
+@pytest.mark.parametrize("mode", [("completed",), ("completed", "bogus"),
+                                  ("completed", ("signature", 4)),
+                                  ("completed", ("signature", "4", "6")), ("zero", "extra"), ()])
+def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
+    monkeypatch.setattr(sps, "_cached_completion", lambda *a: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="unknown m2 mode"):
+        CliffordSpaceSpec(2, 1.0, MU, 1, mode)
+
+
+@pytest.mark.parametrize("n,copies,mode", [
+    (2, 0, ("zero",)), (2, -1, ("zero",)), (6, 2, ("zero",)), (7, 2, ("zero",)),
+    (2, 2, ("completed", "negative-definite")),
+])
+def test_clifford_spec_rejects_unwired_module_counts(n, copies, mode):
+    with pytest.raises(ValueError, match="module cop"):
+        CliffordSpaceSpec(n, 1.0, MU, copies, mode)
+
+
+@pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (3, -1), (6, 2)])
+def test_heisenberg_spec_rejects_unwired_module_counts(center, copies):
+    with pytest.raises(ValueError, match="module cop"):
+        HeisenbergSpec(center, copies)
+
+
+def test_euclidean_screw_rejects_an_empty_module():
+    assert sps.euclidean_screw(1).dim == 3
     with pytest.raises(ValueError):
-        CliffordSpaceSpec(7, 0.0, 0.0, 1, ("heisenberg", 0.0))
-    with pytest.raises(ValueError):
-        CliffordSpaceSpec(7, 1.0, MU, 1, ("heisenberg", 1.0))
+        sps.euclidean_screw(0)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.0 / 3.0, -1.0])
@@ -136,22 +167,24 @@ def test_heisenberg_n310_j_anticommutation():
 
 def test_heisenberg_normalization_kills_kappa():
     """Raw kappa = -2 pulled back by the sign-and-scale map gives kappa = 1."""
-    raw = build_clifford_space(CliffordSpaceSpec(3, 0.0, 0.0, 1, ("heisenberg", -2.0)))
-    normalized = build_heisenberg(HeisenbergSpec(3, 1, kappa=-2.0))
+    normalized = build_heisenberg(HeisenbergSpec(3, 1))
     kappa = -2.0
+    z_idx = [int(np.argmax(np.abs(c))) for c in normalized.blocks[0].basis.T]
+    x_idx = [int(np.argmax(np.abs(c))) for c in normalized.blocks[1].basis.T]
+    c = np.array(normalized.algebra.c)
+    c[np.ix_(x_idx, x_idx, z_idx)] *= kappa  # <Z | [X, Y]> = kappa <Z . X | Y>
+    raw = LieAlgebra(c)
+    assert np.abs(raw.c - normalized.algebra.c).max() > 1.0
     eps, rho = np.sign(kappa), np.sqrt(abs(kappa))
     f = np.eye(raw.dim)
-    for i in [int(np.argmax(np.abs(c))) for c in raw.blocks[0].basis.T]:
-        f[i, i] = eps
-    for i in [int(np.argmax(np.abs(c))) for c in raw.blocks[1].basis.T]:
-        f[i, i] = 1.0 / rho
-    pulled = pullback_structure(raw.algebra, f)
+    f[z_idx, z_idx] = eps
+    f[x_idx, x_idx] = 1.0 / rho
+    pulled = pullback_structure(raw, f)
     assert np.abs(pulled.c - normalized.algebra.c).max() < 1e-12
 
 
-def test_heisenberg_kappa_zero_degenerates():
-    space = build_heisenberg(HeisenbergSpec(2, 1, kappa=0.0))
-    assert any("degenerate" in n for n in space.notes)
+def test_zero_mode_at_n2_has_an_abelian_m():
+    space = build_clifford_space(CliffordSpaceSpec(2, 0.0, 0.0))
     assert np.abs(nilpotent_part(space).c).max() == 0.0
 
 
@@ -204,7 +237,7 @@ def test_flat_unitary_bracket_rigidity():
     from liecoh.completion import CompletionProblem, complete_bracket
 
     # u(3) acting by the determinant on a plane (m1) and standardly on C^3 (m2)
-    rep = unitary_determinant_action(3, 1).rep
+    rep = unitary_determinant_action(3).rep
     alg = semidirect_sum(rep.algebra, rep)
     m1, m2 = list(range(9, 11)), list(range(11, 17))
     center_dir = list(range(8, 9))  # the trace direction of u(3)

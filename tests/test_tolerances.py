@@ -72,11 +72,16 @@ def _inf_space(k_idx, block_idx):
 def _profile_nan_inside():
     """A profile that is NaN on the whole interior of a line."""
     f = lambda t: np.nan + 0.0 * t  # noqa: E731
-    return geo.WarpedProduct(("line",), geo.Profile("nan", f, f, f), geo.RoundSphere(2))
+    return geo.WarpedProduct(("line",), geo.Profile(f, f, f), geo.RoundSphere(2))
 
 
 def _round_sphere_line():
-    return geo.WarpedProduct(("line",), geo.Profile.from_name("const(1)"), geo.RoundSphere(2))
+    return geo.WarpedProduct(("line",), geo.Profile.poly(1), geo.RoundSphere(2))
+
+
+def _sphere_sectional(x, y):
+    ms = geo.InvariantMetricSpace(geo.sphere_space(2))
+    return geo.sectional_curvature(ms, x, y, geo.curvature_tensor(ms))
 
 
 def _isotropy_gate(monkeypatch, gate):
@@ -127,17 +132,15 @@ GATES = {
     "geometry.InvariantMetricSpace.block_scales":
         lambda mp: geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (np.nan, 1.0)),
     "geometry.WarpedProduct.segment":
-        lambda mp: geo.WarpedProduct(("segment", np.nan), geo.Profile.from_name("const(1)"),
+        lambda mp: geo.WarpedProduct(("segment", np.nan), geo.Profile.poly(1),
                                      geo.RoundSphere(2)),
-    "geometry.sectional_curvature.plane":
-        lambda mp: geo.sectional_curvature(geo.InvariantMetricSpace(geo.sphere_space(2)),
-                                           [np.nan, 0.0], [0.0, 1.0]),
+    "geometry.sectional_curvature.plane": lambda mp: _sphere_sectional([np.nan, 0.0], [0.0, 1.0]),
     "geometry.warped_sectional_curvature.plane":
         lambda mp: geo.warped_sectional_curvature(_round_sphere_line(), 0.0,
-                                                  ("mixed", [np.nan, 1.0])),
+                                                  [1.0, 0.0, 0.0], [0.0, np.nan, 1.0]),
     "geometry.warped_sectional_curvature.profile":
         lambda mp: geo.warped_sectional_curvature(_profile_nan_inside(), 0.0,
-                                                  ("mixed", [1.0, 0.0])),
+                                                  [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
 }
 
 
@@ -155,7 +158,7 @@ def test_block_scales_and_segment_lengths_are_positive_and_finite(value):
         geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (value, 1.0))
     assert err.value.residual == value
     with pytest.raises(la.ValidationError) as err:
-        geo.WarpedProduct(("segment", value), geo.Profile.from_name("const(1)"),
+        geo.WarpedProduct(("segment", value), geo.Profile.poly(1),
                           geo.RoundSphere(2))
     assert err.value.residual == value
 
