@@ -2,15 +2,13 @@
 
 Complex and quaternionic modules are realified with stacked real coordinates:
 C^n becomes (Re v, Im v), H^n becomes n blocks of (1, i, j, k) components.
-All the transitive-sphere actions and the reducible two-block actions used by
-the catalog are produced here as ``Representation`` values; the underlying
-algebras carry structure constants recomputed from the matrices themselves,
-so homomorphism residuals are round-off only.
+The transitive-sphere actions and the isotropy of the Clifford constructions
+are produced here as ``Representation`` values; the underlying algebras carry
+structure constants recomputed from the matrices themselves, so homomorphism
+residuals are round-off only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +25,6 @@ from .clifford import (
 from .reps import Representation, isotropy_subalgebra, rep_direct_sum
 
 __all__ = [
-    "CliffordIsotropy",
-    "ReducibleAction",
     "algebra_of_matrices",
     "clifford_isotropy",
     "g2_seven",
@@ -42,8 +38,8 @@ __all__ = [
     "spin7_eight",
     "spin9_sixteen",
     "su_standard",
-    "reducible_row",
     "u_standard",
+    "unitary_determinant_action",
 ]
 
 
@@ -196,13 +192,11 @@ def sp_u1(n: int) -> Representation:
 
 
 def spin7_eight() -> Representation:
-    emb = spin_algebra(spin_module(7))
-    return Representation(emb.algebra, emb.matrices)
+    return spin_algebra(spin_module(7))
 
 
 def spin9_sixteen() -> Representation:
-    alg, mats = spin_plus_one(spin_module(8))
-    return Representation(alg, mats)
+    return spin_plus_one(spin_module(8))
 
 
 def g2_seven() -> Representation:
@@ -212,8 +206,7 @@ def g2_seven() -> Representation:
     computed inside the bivector coordinates of spin(7), then pushed to the
     7-dimensional vector representation.
     """
-    emb = spin_algebra(spin_module(7))
-    rep8 = Representation(emb.algebra, emb.matrices)
+    rep8 = spin_algebra(spin_module(7))
     psi = np.zeros(8)
     psi[0] = 1.0
     stab = isotropy_subalgebra(rep8, psi)
@@ -223,90 +216,36 @@ def g2_seven() -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# reducible two-block actions
+# isotropy actions of the two-block spaces
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CliffordIsotropy:
-    """Isotropy data of the Clifford constructions.
+def clifford_isotropy(module: CliffordModule, copies: int) -> Representation:
+    """Isotropy of the Clifford constructions on m1 + m2 = R^n + copies of the module.
 
-    k0 is so(n) acting on m1 = R^n (rotations) and on the module copies by
-    halved bivectors; k1 is the commutant sp(copies) acting on the module
-    copies only.
+    k0 is so(n) acting on m1 by rotations and on each module copy by halved
+    bivectors; for n = 2, 3 it is followed by k1, the commutant sp(copies),
+    which acts on the module copies only.
     """
-
-    n: int
-    copies: int
-    module: CliffordModule
-    algebra: LieAlgebra
-    m1_matrices: np.ndarray
-    m2_matrices: np.ndarray
-    k0_dim: int
-    k1_dim: int
-
-
-def clifford_isotropy(n: int, copies: int = 1) -> CliffordIsotropy:
-    module = spin_module(n)
-    emb = spin_algebra(module)
-    k0 = emb.algebra.dim
-    m1_mats = list(so_vector_matrices(n))
-    m2_mats = [np.kron(np.eye(copies), g) for g in emb.matrices]
+    n, d2 = module.n, copies * module.module_dim
+    spin = spin_algebra(module)
+    k0 = spin.algebra.dim
+    alg, k1 = spin.algebra, np.zeros((0, d2, d2))
     if n in (2, 3):
-        units = quaternion_units(module)
-        full_units = np.concatenate([np.eye(4)[None], units])
-        qbasis = sp_quaternion_basis(copies)
-        k1_real = [_realize_quaternionic(q, full_units) for q in qbasis]
-        k1_alg = LieAlgebra(structure_constants_from_matrices(np.array(k1_real)))
-        alg = direct_sum(emb.algebra, k1_alg)
-        zero7 = np.zeros((n, n))
-        m1_mats += [zero7.copy() for _ in k1_real]
-        m2_mats += k1_real
-        k1 = len(k1_real)
-    else:
-        if copies != 1:
-            raise ValueError("multiple module copies are only wired for n = 2, 3")
-        alg = emb.algebra
-        k1 = 0
-    return CliffordIsotropy(n, copies, module, alg,
-                            np.array(m1_mats), np.array(m2_mats), k0, k1)
+        units = np.concatenate([np.eye(4)[None], quaternion_units(module)])
+        k1 = np.array([_realize_quaternionic(q, units) for q in sp_quaternion_basis(copies)])
+        alg = direct_sum(alg, LieAlgebra(structure_constants_from_matrices(k1)))
+    mats = np.zeros((alg.dim, n + d2, n + d2))
+    mats[:k0, :n, :n] = so_vector_matrices(n)
+    mats[:k0, n:, n:] = np.kron(np.eye(copies), spin.matrices)
+    mats[k0:, n:, n:] = k1
+    return Representation(alg, mats)
 
 
-@dataclass
-class ReducibleAction:
-    """A two-block representation with its designated decomposition."""
-
-    label: str
-    rep: Representation
-    m1: tuple[int, ...]
-    m2: tuple[int, ...]
-
-
-def _combine_blocks(alg: LieAlgebra, m1_mats: np.ndarray, m2_mats: np.ndarray,
-                    label: str) -> ReducibleAction:
-    d1, d2 = m1_mats.shape[1], m2_mats.shape[1]
-    rep = rep_direct_sum(Representation(alg, m1_mats), Representation(alg, m2_mats))
-    return ReducibleAction(label, rep, tuple(range(d1)), tuple(range(d1, d1 + d2)))
-
-
-def unitary_determinant_action(n: int) -> ReducibleAction:
-    """u(n) on C + C^n: determinant on the line, standard on the rest."""
+def unitary_determinant_action(n: int) -> tuple[Representation, list[tuple[int, ...]]]:
+    """u(n) on C + C^n, determinant on the line and standard on the rest, with its blocks."""
     std = u_standard(n)
     basis = su_basis(n) + [1.0j * np.eye(n)]  # the basis of u_standard
     m1 = np.array([realify_complex(np.array([[np.trace(m)]])) for m in basis])
-    return _combine_blocks(std.algebra, m1, std.matrices, f"U({n}) det + C^{n}")
-
-
-def reducible_row(row: int) -> ReducibleAction:
-    """The five reducible cohomogeneity-two actions, numbered 1 to 5.
-
-    Row 1 is the unitary determinant action; rows 2 to 5 come from the
-    Clifford isotropy data with n = 2, 3, 6, 7 and one module copy.
-    """
-    if row == 1:
-        return unitary_determinant_action(3)
-    n = {2: 2, 3: 3, 4: 6, 5: 7}[row]
-    data = clifford_isotropy(n)
-    names = {2: "U(1)Sp(1) on C+H", 3: "Sp(1)Sp(1) on R3+H",
-             4: "Spin(6) on R6+R8", 5: "Spin(7) on R7+R8"}
-    return _combine_blocks(data.algebra, data.m1_matrices, data.m2_matrices, names[row])
+    rep = rep_direct_sum(Representation(std.algebra, m1), std)
+    return rep, [tuple(range(2)), tuple(range(2, 2 + 2 * n))]

@@ -137,12 +137,22 @@ def _claim_sphere_row(factory, iso_dim, cfg: RunConfig):
     return _exact_claim(computed, expected, "sphere-transitive row")
 
 
-def _claim_reducible_row(row, cfg: RunConfig):
-    act = bld.reducible_row(row)
-    coh = cohomogeneity(act.rep, seed=cfg.seed)
-    ker = kernel_ideal(restrict(act.rep, act.m2)).dim
-    m1_mats = act.rep.matrices[:, :len(act.m1), :len(act.m1)]
-    nontrivial = bool(np.abs(m1_mats).max(initial=0.0) > 0)
+# The reducible cohomogeneity-two rows, each a source of ``(rep, blocks)``:
+# the unitary determinant action, then the isotropy of the four Clifford
+# entries without an m2 x m2 bracket.
+COH2_ROWS = (
+    lambda: bld.unitary_determinant_action(3),
+    *(lambda sid=sid: sps.isotropy_representation(sps.catalog_entry(sid))
+      for sid in ("Sp(1)Sp(1)|xR4/U(1)Sp(1)", "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)",
+                  "Spin(7)|xR8/Spin(6)", "Spin(8)|xR8+/Spin(7)")),
+)
+
+
+def _claim_coh2_row(source, cfg: RunConfig):
+    rep, (m1, m2) = source()
+    coh = cohomogeneity(rep, seed=cfg.seed)
+    ker = kernel_ideal(restrict(rep, m2)).dim
+    nontrivial = bool(np.abs(restrict(rep, m1).matrices).max(initial=0.0) > 0)
     computed = {"cohomogeneity": coh, "m2_kernel_dim": ker, "m1_nontrivial": nontrivial}
     expected = {"cohomogeneity": 2, "m2_kernel_dim": 0, "m1_nontrivial": True}
     return _exact_claim(computed, expected, "reducible cohomogeneity-two row")
@@ -371,9 +381,9 @@ def build_claims() -> list[tuple[str, str, object]]:
     for name, factory, iso in SPHERE_TRANSITIVE_ROWS:
         claims.append((f"coh1.{name}", "tables",
                        lambda cfg, f=factory, i=iso: _claim_sphere_row(f, i, cfg)))
-    for row in (1, 2, 3, 4, 5):
+    for row, source in enumerate(COH2_ROWS, 1):
         claims.append((f"coh2.row{row}", "tables",
-                       lambda cfg, r=row: _claim_reducible_row(r, cfg)))
+                       lambda cfg, s=source: _claim_coh2_row(s, cfg)))
 
     for n in (2, 3, 6, 7):
         for mu, tag in _MU_VALUES:

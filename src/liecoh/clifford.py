@@ -19,11 +19,11 @@ from functools import reduce
 import numpy as np
 
 from .algebra import LieAlgebra, antisymmetrized
+from .reps import Representation
 
 __all__ = [
     "CliffordElement",
     "CliffordModule",
-    "SpinEmbedding",
     "blade",
     "clifford_multiply",
     "generator",
@@ -241,31 +241,21 @@ def so_vector_matrices(n: int) -> np.ndarray:
     return mats
 
 
-@dataclass
-class SpinEmbedding:
-    """so(n) realized as halved bivectors inside a Clifford module.
+def spin_algebra(module: CliffordModule) -> Representation:
+    """so(n) acting on the module by halved bivectors.
 
-    ``matrices[a] = (1/2) Gamma_i Gamma_j`` for the a-th pair (i, j); the map
-    L_ij -> A_ij onto ``so_vector_matrices`` is the vector representation.
+    ``matrices[a] = (1/2) Gamma_i Gamma_j`` for the a-th pair (i, j) of
+    ``bivector_pairs``; the map L_ij -> A_ij onto ``so_vector_matrices`` is the
+    vector representation.
     """
-
-    module: CliffordModule
-    pairs: tuple[tuple[int, int], ...]
-    algebra: LieAlgebra
-    matrices: np.ndarray
-
-
-def spin_algebra(module: CliffordModule) -> SpinEmbedding:
-    """Lie algebra spanned by (1/2) Gamma_i Gamma_j with its module action."""
     n = module.n
     pairs = bivector_pairs(n)
     mats = np.array([0.5 * module.gammas[i - 1] @ module.gammas[j - 1] for i, j in pairs])
     labels = tuple(f"e{i}e{j}" for i, j in pairs)
-    alg = LieAlgebra(so_structure_tensor(n), labels=labels)
-    return SpinEmbedding(module, tuple(pairs), alg, mats)
+    return Representation(LieAlgebra(so_structure_tensor(n), labels=labels), mats)
 
 
-def spin_plus_one(module: CliffordModule) -> tuple[LieAlgebra, np.ndarray]:
+def spin_plus_one(module: CliffordModule) -> Representation:
     """so(n+1) acting on the Cl_n module by bivectors plus halved vectors.
 
     Basis order follows ``bivector_pairs(n + 1)`` where index n+1 plays the
@@ -282,8 +272,7 @@ def spin_plus_one(module: CliffordModule) -> tuple[LieAlgebra, np.ndarray]:
         else:
             mats.append(0.5 * module.gammas[i - 1])
     labels = tuple(f"L{i},{j}" for i, j in pairs)
-    alg = LieAlgebra(so_structure_tensor(n + 1), labels=labels)
-    return alg, np.array(mats)
+    return Representation(LieAlgebra(so_structure_tensor(n + 1), labels=labels), mats)
 
 
 def quaternion_units(module: CliffordModule) -> np.ndarray:

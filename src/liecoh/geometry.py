@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import LieAlgebra, Subspace, span_brackets
 from .clifford import bivector_pairs, so_structure_tensor
 from .linalg import ValidationError, residual_scale
-from .spaces import ReductiveSpace, _isotropy_action, isotropy_representation
+from .spaces import ReductiveSpace, isotropy_representation
 
 __all__ = [
     "FD_STEP",
@@ -90,13 +90,11 @@ class InvariantMetricSpace:
 def _connection_data(ms: InvariantMetricSpace):
     """Brackets of the m-basis split into m- and k-parts, plus k-action."""
     space = ms.space
-    alg = space.algebra
-    kb = space.isotropy.basis
     mb = space.m_basis()
-    amb = span_brackets(alg, mb, mb)                    # [m_i, m_j] ambient
+    amb = span_brackets(space.algebra, mb, mb)          # [m_i, m_j] ambient
     bm = amb @ mb                                       # m-part coordinates
-    bk = amb @ kb
-    _, rho = _isotropy_action(alg, kb, mb)              # rho[a][j, i]
+    bk = amb @ space.isotropy.basis
+    rho = isotropy_representation(space)[0].matrices   # rho[a][j, i]
     return bm, bk, rho
 
 

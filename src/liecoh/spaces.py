@@ -58,7 +58,7 @@ from .builders import (
     su_standard,
     u_standard,
 )
-from .clifford import bivector_pairs, so_structure_tensor, so_vector_matrices
+from .clifford import bivector_pairs, so_structure_tensor, so_vector_matrices, spin_module
 from .completion import CompletionProblem, CompletionSolution, complete_bracket
 from .linalg import residual_scale, signature
 from .reps import (
@@ -157,12 +157,6 @@ def _span_subalgebra(alg: LieAlgebra, basis: np.ndarray, what: str) -> tuple[Lie
     return LieAlgebra(0.5 * (sub - sub.transpose(1, 0, 2))), leak
 
 
-def _isotropy_action(alg: LieAlgebra, kb: np.ndarray, mb: np.ndarray):
-    """Brackets ``km[a, i] = [k_a, m_i]`` and their m-coordinates ``rho[a][j, i]``."""
-    km = span_brackets(alg, kb, mb)
-    return km, (km @ mb).transpose(0, 2, 1)
-
-
 def isotropy_representation(space: ReductiveSpace):
     """Isotropy action of k on m in block coordinates.
 
@@ -174,7 +168,8 @@ def isotropy_representation(space: ReductiveSpace):
     alg = space.algebra
     mb = space.m_basis()
     k_alg, _ = _span_subalgebra(alg, space.isotropy.basis, "isotropy is not a subalgebra")
-    km, mats = _isotropy_action(alg, space.isotropy.basis, mb)
+    km = span_brackets(alg, space.isotropy.basis, mb)     # km[a, i] = [k_a, m_i]
+    mats = (km @ mb).transpose(0, 2, 1)                   # mats[a][j, i] = <[k_a, m_i], m_j>
     leak = np.abs(km - mats.transpose(0, 2, 1) @ mb.T).max(initial=0.0) / residual_scale(alg.c)
     require_below(leak, LEAK_TOL, "blocks are not invariant under k")
     rep = Representation(k_alg, mats)
@@ -194,30 +189,27 @@ def isotropy_representation(space: ReductiveSpace):
 class CliffordSpaceSpec:
     """Parameters of the Clifford construction.
 
-    ``m2_mode`` is ``("zero",)`` (no m2 x m2 bracket) or
-    ``("completed", selector)``; a selector, ``"negative-definite"`` or
-    ``("signature", p, q)``, names the Killing signature of the filling.
-    More than one module copy in m2 is wired only for n = 2, 3, zero mode.
+    ``filling`` is ``None`` (no m2 x m2 bracket) or the Killing signature
+    ``(p, q)`` of the completed algebra, which picks the solved m2 x m2 block.
+    More than one module copy in m2 is wired only for n = 2, 3 without a filling.
     """
 
     n: int
     lam: float
     mu: float
     copies: int = 1
-    m2_mode: tuple = ("zero",)
+    filling: tuple[int, int] | None = None
 
     def __post_init__(self):
-        self.m2_mode = tuple(self.m2_mode)
         if self.n not in (2, 3, 6, 7):
             raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
-        completed = len(self.m2_mode) == 2 and self.m2_mode[0] == "completed"
-        sel = self.m2_mode[1] if completed else None
-        if self.m2_mode != ("zero",) and not (sel == "negative-definite" or (
-                isinstance(sel, tuple) and len(sel) == 3 and sel[0] == "signature"
-                and all(isinstance(v, int) for v in sel[1:]))):
-            raise ValueError(f"unknown m2 mode {self.m2_mode!r}")
+        if self.filling is not None and not (
+                isinstance(self.filling, tuple) and len(self.filling) == 2
+                and all(isinstance(v, int) for v in self.filling)):
+            raise ValueError(f"unknown filling {self.filling!r}: it is None or a Killing "
+                             f"signature (p, q) of integers")
         if self.copies < 1 or (self.copies > 1 and (self.n in (6, 7)
-                                                    or self.m2_mode != ("zero",))):
+                                                    or self.filling is not None)):
             raise ValueError(f"{self.copies} module copies: one is required, and more "
                              f"are wired only for n = 2, 3 without a completion")
 
@@ -229,25 +221,25 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
     fills it.  Returns the tensor with its labels, the module gammas and the
     index layout.
     """
-    data = clifford_isotropy(spec.n, spec.copies)
-    dk = data.algebra.dim
-    d = dk + spec.n + data.m2_matrices.shape[1]
+    module = spin_module(spec.n)
+    iso = clifford_isotropy(module, spec.copies)
+    dk, pairs = iso.algebra.dim, bivector_pairs(spec.n)
+    d = dk + iso.space_dim
     k_idx, m1_idx, m2_idx = np.split(np.arange(d), [dk, dk + spec.n])
     c = np.zeros((d, d, d))
-    c[:dk, :dk, :dk] = data.algebra.c
-    place_action(c, k_idx, m1_idx, data.m1_matrices)
-    place_action(c, k_idx, m2_idx, data.m2_matrices)
+    c[:dk, :dk, :dk] = iso.algebra.c
+    place_action(c, k_idx, np.arange(dk, d), iso.matrices)
 
     # [e_i, e_j] = 2 lam L_ij, with L_ij = E_ji - E_ij on m1
-    c[np.ix_(m1_idx, m1_idx, k_idx[:data.k0_dim])] = (
+    c[np.ix_(m1_idx, m1_idx, k_idx[:len(pairs)])] = (
         -2.0 * spec.lam * so_vector_matrices(spec.n).transpose(1, 2, 0))
 
     # [e_i, w] = mu Gamma_i w on each module copy
-    gam = np.array([np.kron(np.eye(spec.copies), g) for g in data.module.gammas])
+    gam = np.kron(np.eye(spec.copies), module.gammas)
     place_action(c, m1_idx, m2_idx, spec.mu * gam)
     labels = tuple(
-        [f"L{i}{j}" for i, j in bivector_pairs(spec.n)]
-        + [f"s{a}" for a in range(data.k1_dim)]
+        [f"L{i}{j}" for i, j in pairs]
+        + [f"s{a}" for a in range(dk - len(pairs))]
         + [f"e{i}" for i in range(1, spec.n + 1)]
         + [f"w{a}" for a in range(len(m2_idx))]
     )
@@ -267,29 +259,26 @@ def _cached_completion(n: int, lam: float, mu: float) -> CompletionSolution:
     return complete_bracket(clifford_completion_problem(n, lam, mu))
 
 
-def _select_completion(solution: CompletionSolution, selector) -> np.ndarray:
+def _select_completion(solution: CompletionSolution, filling: tuple[int, int]) -> np.ndarray:
     """Sign of the one null direction whose filling has the requested Killing signature.
 
     ``complete_bracket`` orients each null vector canonically, so the weights
     +1 and then -1 along it name fixed fillings; the first whose realized
-    algebra matches the selector is returned.  A solution space of nullity
-    other than 1 has no such sign and raises ``ValidationError``.  Every point
-    of a nonempty solution space satisfies the Jacobi system, so candidates
-    are not re-checked here; the caller validates the chosen algebra.
+    algebra has the Killing signature ``filling = (p, q)`` is returned.  A
+    solution space of nullity other than 1 has no such sign and raises
+    ``ValidationError``.  Every point of a nonempty solution space satisfies
+    the Jacobi system, so candidates are not re-checked here; the caller
+    validates the chosen algebra.
     """
     if solution.empty:
         raise ValidationError("completion problem has no admissible filling")
     if solution.nullity != 1:
         raise ValidationError(f"a completion is selected by the sign of one null direction, "
                               f"but the solution space has nullity {solution.nullity}")
-    if selector == "negative-definite":
-        want = (0, solution.problem.skeleton.dim, 0)
-    else:
-        want = (selector[1], selector[2], 0)
     for w in (np.ones(1), -np.ones(1)):
-        if signature(killing_form(solution.realize(w))) == want:
+        if signature(killing_form(solution.realize(w))) == (*filling, 0):
             return w
-    raise ValidationError(f"no completion matching {selector!r} at either sign")
+    raise ValidationError(f"no completion with Killing signature {filling!r} at either sign")
 
 
 def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
@@ -299,14 +288,15 @@ def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
     are Jacobi-incompatible (any mu != 0 with lam != 2 mu^2).
     """
     c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
-    if spec.m2_mode[0] == "completed":
+    if spec.filling is not None:
         solution = _cached_completion(spec.n, spec.lam, spec.mu)
-        weights = _select_completion(solution, spec.m2_mode[1])
+        weights = _select_completion(solution, spec.filling)
         alg = LieAlgebra(solution.realize(weights).c, labels=labels)
     else:
         alg = LieAlgebra(c, labels=labels)
     require_valid(alg, f"clifford construction n={spec.n}")
-    label = f"Cl(n={spec.n},lam={spec.lam:g},mu={spec.mu:g},{spec.m2_mode[0]})"
+    mode = "zero" if spec.filling is None else "completed"
+    label = f"Cl(n={spec.n},lam={spec.lam:g},mu={spec.mu:g},{mode})"
     return _coordinate_space(label, alg, len(k_idx), (len(m1_idx), len(m2_idx)))
 
 
@@ -454,7 +444,7 @@ class SemidirectHyperbolicSpec:
     """R x| K with derivation rate * I + rotation.
 
     ``field`` is "R", "C" or "H"; the symmetric part of the derivation is
-    rate times the identity (rate != 0), the skew part is scalar
+    rate times the identity (rate finite and nonzero), the skew part is scalar
     multiplication by the imaginary unit (none for R).
     """
 
@@ -464,8 +454,9 @@ class SemidirectHyperbolicSpec:
     def __post_init__(self):
         if self.field not in ("R", "C", "H"):
             raise ValueError("field must be R, C or H")
-        if self.rate == 0.0:
-            raise ValueError("rate must be nonzero (otherwise the extension is isometric)")
+        if not (np.isfinite(self.rate) and self.rate != 0.0):
+            raise ValueError(f"rate must be finite and nonzero, got {self.rate!r} "
+                             f"(zero makes the extension isometric)")
 
 
 def hyperbolic_semidirect(spec: SemidirectHyperbolicSpec) -> ReductiveSpace:
@@ -521,19 +512,19 @@ def _catalog_builders() -> dict:
         builders[heisenberg_label(spec)] = lambda s=spec: build_heisenberg(s)
 
     clifford_entries = {
-        "Sp(2)/U(1)Sp(1)": (2, ("completed", "negative-definite")),
-        "Sp(1,1)/U(1)Sp(1)": (2, ("completed", ("signature", 4, 6))),
-        "Sp(1)Sp(2)/dSp(1)Sp(1)": (3, ("completed", "negative-definite")),
-        "Sp(1)Sp(1,1)/dSp(1)Sp(1)": (3, ("completed", ("signature", 4, 9))),
-        "Spin(9)/Spin(7)": (7, ("completed", "negative-definite")),
-        "Spin(8,1)/Spin(7)": (7, ("completed", ("signature", 8, 28))),
-        "Sp(1)Sp(1)|xR4/U(1)Sp(1)": (2, ("zero",)),
-        "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)": (3, ("zero",)),
-        "Spin(7)|xR8/Spin(6)": (6, ("zero",)),
-        "Spin(8)|xR8+/Spin(7)": (7, ("zero",)),
+        "Sp(2)/U(1)Sp(1)": (2, (0, 10)),
+        "Sp(1,1)/U(1)Sp(1)": (2, (4, 6)),
+        "Sp(1)Sp(2)/dSp(1)Sp(1)": (3, (0, 13)),
+        "Sp(1)Sp(1,1)/dSp(1)Sp(1)": (3, (4, 9)),
+        "Spin(9)/Spin(7)": (7, (0, 36)),
+        "Spin(8,1)/Spin(7)": (7, (8, 28)),
+        "Sp(1)Sp(1)|xR4/U(1)Sp(1)": (2, None),
+        "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)": (3, None),
+        "Spin(7)|xR8/Spin(6)": (6, None),
+        "Spin(8)|xR8+/Spin(7)": (7, None),
     }
-    for label, (n, mode) in clifford_entries.items():
-        spec = CliffordSpaceSpec(n, 1.0, 1.0 / np.sqrt(2.0), 1, mode)
+    for label, (n, filling) in clifford_entries.items():
+        spec = CliffordSpaceSpec(n, 1.0, 1.0 / np.sqrt(2.0), 1, filling)
         builders[label] = lambda s=spec, lb=label: replace(build_clifford_space(s), label=lb)
     builders["SU(3)/SU(2)"] = lambda: build_trivial_module_space("su_compact", 2)
     builders["SU(2,1)/SU(2)"] = lambda: build_trivial_module_space("su_noncompact", 2)

@@ -13,7 +13,7 @@ from liecoh import algebra as la
 from liecoh import builders as bld
 from liecoh import geometry as geo
 from liecoh import spaces as sps
-from liecoh.claims import RunConfig, _j_matrices, run_suite
+from liecoh.claims import COH2_ROWS, RunConfig, _j_matrices, run_suite
 from liecoh.linalg import random_unit_vector
 from liecoh.reps import (
     cohomogeneity,
@@ -49,12 +49,14 @@ def test_criterion_1_cohomogeneity_one_table():
 
 
 def test_criterion_2_cohomogeneity_two_table():
-    for row in (1, 2, 3, 4, 5):
-        act = bld.reducible_row(row)
-        assert cohomogeneity(act.rep) == 2, row
-        assert kernel_ideal(restrict(act.rep, act.m2)).dim == 0, row
-        m1_mats = act.rep.matrices[:, :len(act.m1), :len(act.m1)]
-        assert np.abs(m1_mats).max() > 0, row
+    # the row sources of the coh2 claims: the determinant action, then the
+    # isotropy of the four Clifford catalog entries without an m2 x m2 bracket
+    assert len(COH2_ROWS) == 5
+    for row, source in enumerate(COH2_ROWS, 1):
+        rep, (m1, m2) = source()
+        assert cohomogeneity(rep) == 2, row
+        assert kernel_ideal(restrict(rep, m2)).dim == 0, row
+        assert np.abs(restrict(rep, m1).matrices).max() > 0, row
     _ok("2 reducible cohomogeneity-two rows", "(5 rows, exact integers)")
 
 
@@ -71,11 +73,11 @@ def test_criterion_3_jacobi_gate():
 
 def test_criterion_4_completion_fingerprints():
     compact = sps.build_clifford_space(
-        sps.CliffordSpaceSpec(7, 1.0, MU, 1, ("completed", "negative-definite")))
+        sps.CliffordSpaceSpec(7, 1.0, MU, 1, (0, 36)))
     assert compact.dim == 36
     assert la.signature(la.killing_form(compact.algebra)) == (0, 36, 0)
     split = sps.build_clifford_space(
-        sps.CliffordSpaceSpec(7, 1.0, MU, 1, ("completed", ("signature", 8, 28))))
+        sps.CliffordSpaceSpec(7, 1.0, MU, 1, (8, 28)))
     assert la.signature(la.killing_form(split.algebra)) == (8, 28, 0)
     sol6 = sps._cached_completion(6, 1.0, MU)
     assert sol6.nullity == 0 and not sol6.empty

@@ -419,9 +419,8 @@ def test_semidirect_so2_gives_euclidean_motions():
 def test_semidirect_spin7_on_spinors():
     from liecoh.clifford import spin_algebra, spin_module
 
-    emb = spin_algebra(spin_module(7))
-    rep = Representation(emb.algebra, emb.matrices)
-    s = semidirect_sum(emb.algebra, rep)
+    rep = spin_algebra(spin_module(7))
+    s = semidirect_sum(rep.algebra, rep)
     assert s.dim == 29
     assert jacobi_residual(s) < 1e-12
     # the ideal is the radical: killing degenerates exactly there

@@ -162,15 +162,15 @@ def test_spin_algebra_matrices_are_a_representation():
 
 
 def test_spin7_acts_irreducibly():
-    from liecoh.reps import Representation, hom_space_dimension
+    from liecoh.reps import hom_space_dimension
 
-    emb = spin_algebra(spin_module(7))
-    rep = Representation(emb.algebra, emb.matrices)
+    rep = spin_algebra(spin_module(7))
     assert hom_space_dimension(rep, rep) == 1
 
 
 def test_spin_plus_one_is_rotation_algebra():
-    alg, mats = spin_plus_one(spin_module(8))
+    rep = spin_plus_one(spin_module(8))
+    alg, mats = rep.algebra, rep.matrices
     assert alg.dim == 36
     assert signature(killing_form(alg)) == (0, 36, 0)
     comm = np.einsum("aij,bjk->abik", mats, mats)

@@ -124,12 +124,12 @@ def test_zero_skeleton_admits_zero_completion():
 def test_a_selection_needs_a_solution_space_of_nullity_one():
     # the filling is chosen by the sign of the one null direction
     with pytest.raises(ValidationError, match="nullity 3"):
-        _select_completion(complete_bracket(PARITY_CASES["zero-skeleton"]()), "negative-definite")
+        _select_completion(complete_bracket(PARITY_CASES["zero-skeleton"]()), (0, 5))
     n2 = complete_bracket(clifford_completion_problem(2, 1.0, MU))
-    assert np.array_equal(_select_completion(n2, ("signature", 4, 6)), np.ones(1))
-    assert np.array_equal(_select_completion(n2, "negative-definite"), -np.ones(1))
-    with pytest.raises(ValueError, match="unknown m2 mode"):
-        CliffordSpaceSpec(2, 1.0, MU, 1, ("completed", "abelian"))
+    assert np.array_equal(_select_completion(n2, (4, 6)), np.ones(1))
+    assert np.array_equal(_select_completion(n2, (0, 10)), -np.ones(1))
+    with pytest.raises(ValueError, match="unknown filling"):
+        CliffordSpaceSpec(2, 1.0, MU, 1, "abelian")
 
 
 @pytest.mark.parametrize("unknown", [(4, -1), (5, -1), (-2, 5), (1, 99)])

@@ -47,7 +47,7 @@ def orthonormal_plane(rng, dim):
 def test_flat_space_zero_tensor():
     # u(3) acting by the determinant on a plane and standardly on C^3: the
     # complement is an abelian ideal
-    rep = unitary_determinant_action(3).rep
+    rep = unitary_determinant_action(3)[0]
     alg = semidirect_sum(rep.algebra, rep)
     space = ReductiveSpace("flat", alg, Subspace.coordinate(17, range(9)),
                            (Subspace.coordinate(17, range(9, 11)),

@@ -20,12 +20,14 @@ use is a constant, and a default that is never used is a required argument.
 
 A second inventory, read from the source with ``ast``, keeps every
 module-level import of the package and of its tests in use or re-exported
-through ``__all__``.
+through ``__all__``; a third keeps every name in an ``__all__`` defined.
 """
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -193,3 +195,13 @@ def test_every_module_level_import_is_used_or_re_exported():
     stale = {f"{os.path.basename(d)}/{name}": _unused_imports(os.path.join(d, name))
              for d in dirs for name in sorted(os.listdir(d)) if name.endswith(".py")}
     assert {name: found for name, found in stale.items() if found} == {}
+
+
+def test_every_name_in_all_exists():
+    # a stale entry would make ``from liecoh.<module> import *`` raise
+    modules = [importlib.import_module("liecoh." + info.name)
+               for info in pkgutil.iter_modules(liecoh.__path__)]
+    missing = {mod.__name__: [name for name in getattr(mod, "__all__", ())
+                              if not hasattr(mod, name)] for mod in modules}
+    assert len(modules) > 1
+    assert {name: found for name, found in missing.items() if found} == {}

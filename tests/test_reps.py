@@ -8,6 +8,7 @@ import pytest
 import liecoh
 from liecoh import builders as bld
 from liecoh.algebra import LieAlgebra, Subspace, direct_sum
+from liecoh.clifford import spin_module
 from liecoh.reps import (
     Representation,
     cohomogeneity,
@@ -37,6 +38,12 @@ def so3_pair(so3):
     mats[:3, :3, :3] = so3.matrices
     mats[3:, 3:, 3:] = so3.matrices
     return Representation(alg, mats)
+
+
+def clifford_row(n):
+    """The Clifford isotropy with one module copy, and its blocks m1 = R^n and m2."""
+    rep = bld.clifford_isotropy(spin_module(n), 1)
+    return rep, (range(n), range(n, rep.space_dim))
 
 
 def unit(v):
@@ -73,10 +80,8 @@ def test_orbit_dimension_rejects_zero(so3):
 
 def test_cohomogeneity_examples():
     assert cohomogeneity(bld.so_standard(5)) == 1
-    row5 = bld.reducible_row(5)
-    assert cohomogeneity(row5.rep) == 2
-    row2 = bld.reducible_row(2)
-    assert cohomogeneity(row2.rep) == 2
+    assert cohomogeneity(clifford_row(7)[0]) == 2
+    assert cohomogeneity(clifford_row(2)[0]) == 2
 
 
 def test_cohomogeneity_of_a_zero_dimensional_space_is_zero():
@@ -177,8 +182,8 @@ def test_kernel_ideal_factor(so3_pair):
 
 def test_kernel_ideal_circle_weight_action():
     # the symplectic factor dies on the weighted plane; the circle survives
-    row2 = bld.reducible_row(2)
-    ker = kernel_ideal(restrict(row2.rep, row2.m1))
+    rep, (m1, _) = clifford_row(2)
+    ker = kernel_ideal(restrict(rep, m1))
     assert ker.dim == 3
 
 
@@ -227,21 +232,17 @@ def test_tensor_cross_product_unique(so3):
 
 
 def test_tensor_spin7_unique_module():
-    row5 = bld.reducible_row(5)
-    m1 = restrict(row5.rep, row5.m1)
-    m2 = restrict(row5.rep, row5.m2)
+    rep, (b1, b2) = clifford_row(7)
+    m1, m2 = restrict(rep, b1), restrict(rep, b2)
     assert hom_space_dimension(tensor_product(m1, m2), m2) == 1
 
 
 def test_tensor_weighted_circle_obstruction():
     # doubling the circle weight on the plane empties the intertwiner space
-    data = bld.clifford_isotropy(2)
-    m1 = Representation(data.algebra, 2.0 * data.m1_matrices)
-    m2 = Representation(data.algebra, data.m2_matrices)
-    assert hom_space_dimension(tensor_product(m1, m2), m2) == 0
-    row_k1 = bld.reducible_row(2)
-    m1 = restrict(row_k1.rep, row_k1.m1)
-    m2 = restrict(row_k1.rep, row_k1.m2)
+    rep, (b1, b2) = clifford_row(2)
+    m1, m2 = restrict(rep, b1), restrict(rep, b2)
+    doubled = Representation(rep.algebra, 2.0 * m1.matrices)
+    assert hom_space_dimension(tensor_product(doubled, m2), m2) == 0
     assert hom_space_dimension(tensor_product(m1, m2), m2) == 2
 
 
@@ -255,8 +256,8 @@ def test_splitting_product_control(so3_pair):
 
 
 def test_splitting_fails_on_effective_block():
-    row2 = bld.reducible_row(2)
-    assert splitting_criterion(row2.rep, row2.m1, row2.m2) is False
+    rep, (m1, m2) = clifford_row(2)
+    assert splitting_criterion(rep, m1, m2) is False
 
 
 def test_splitting_rejects_trivial_decomposition(so3):

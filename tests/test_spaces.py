@@ -14,12 +14,14 @@ from liecoh.algebra import (
     semidirect_sum,
     signature,
 )
-from liecoh.builders import unitary_determinant_action
+from liecoh.builders import clifford_isotropy, unitary_determinant_action
+from liecoh.clifford import spin_module
 from liecoh.reps import cohomogeneity
 from liecoh.spaces import (
     CliffordSpaceSpec,
     HeisenbergSpec,
     ReductiveSpace,
+    SemidirectHyperbolicSpec,
     _span_subalgebra,
     build_clifford_space,
     build_heisenberg,
@@ -64,7 +66,7 @@ def _g1(space):
 
 
 def test_clifford_zero_mode_n7_g1_fingerprint():
-    space = build_clifford_space(CliffordSpaceSpec(7, 1.0, MU, 1, ("zero",)))
+    space = build_clifford_space(CliffordSpaceSpec(7, 1.0, MU, 1, None))
     g1, closure = _g1(space)
     assert g1.dim == 28
     assert signature(killing_form(g1)) == (0, 28, 0)
@@ -80,31 +82,31 @@ def test_clifford_rejects_wrong_scale_with_residual():
     assert err.value.triple is not None
 
 
-@pytest.mark.parametrize("selector", ["negative-definite", ("signature", 4, 6)])
+@pytest.mark.parametrize("selector", [pytest.param((0, 10), id="negative-definite"), (4, 6)])
 def test_completed_mode_refuses_inconsistent_scale(selector):
     with pytest.raises(ValidationError, match="no admissible filling"):
-        build_clifford_space(CliffordSpaceSpec(2, 1.0, 0.3, 1, ("completed", selector)))
+        build_clifford_space(CliffordSpaceSpec(2, 1.0, 0.3, 1, selector))
 
 
 def test_clifford_rejects_kappa_zero_mode():
     # the nilpotent bracket is build_heisenberg's, not a mode of the family
     for kappa in (0.0, 1.0):
-        with pytest.raises(ValueError, match="unknown m2 mode"):
+        with pytest.raises(ValueError, match="unknown filling"):
             CliffordSpaceSpec(7, 0.0, 0.0, 1, ("heisenberg", kappa))
 
 
-@pytest.mark.parametrize("mode", [("completed",), ("completed", "bogus"),
-                                  ("completed", ("signature", 4)),
-                                  ("completed", ("signature", "4", "6")), ("zero", "extra"), ()])
+# the old mode spellings, signatures of the wrong length or type, and names
+@pytest.mark.parametrize("mode", [("zero",), ("completed", (0, 10)), (4,), ("4", "6"),
+                                  (4, 6, 0), (), [4, 6], (4.0, 6.0),
+                                  "negative-definite", "bogus"])
 def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
     monkeypatch.setattr(sps, "_cached_completion", lambda *a: pytest.fail("solved"))
-    with pytest.raises(ValueError, match="unknown m2 mode"):
+    with pytest.raises(ValueError, match="unknown filling"):
         CliffordSpaceSpec(2, 1.0, MU, 1, mode)
 
 
 @pytest.mark.parametrize("n,copies,mode", [
-    (2, 0, ("zero",)), (2, -1, ("zero",)), (6, 2, ("zero",)), (7, 2, ("zero",)),
-    (2, 2, ("completed", "negative-definite")),
+    (2, 0, None), (2, -1, None), (6, 2, None), (7, 2, None), (2, 2, (0, 10)),
 ])
 def test_clifford_spec_rejects_unwired_module_counts(n, copies, mode):
     with pytest.raises(ValueError, match="module cop"):
@@ -115,6 +117,15 @@ def test_clifford_spec_rejects_unwired_module_counts(n, copies, mode):
 def test_heisenberg_spec_rejects_unwired_module_counts(center, copies):
     with pytest.raises(ValueError, match="module cop"):
         HeisenbergSpec(center, copies)
+
+
+@pytest.mark.parametrize("field_name,rate", [
+    ("C", float("nan")), ("C", float("inf")), ("R", float("-inf")), ("H", 0.0), ("Q", 1.0),
+])
+def test_hyperbolic_spec_rejects_a_bad_rate_or_field(field_name, rate):
+    what = "field" if field_name == "Q" else f"rate must be finite and nonzero, got {rate!r}"
+    with pytest.raises(ValueError, match=what):
+        SemidirectHyperbolicSpec(field_name, rate)
 
 
 def test_euclidean_screw_rejects_an_empty_module():
@@ -237,7 +248,7 @@ def test_flat_unitary_bracket_rigidity():
     from liecoh.completion import CompletionProblem, complete_bracket
 
     # u(3) acting by the determinant on a plane (m1) and standardly on C^3 (m2)
-    rep = unitary_determinant_action(3).rep
+    rep = unitary_determinant_action(3)[0]
     alg = semidirect_sum(rep.algebra, rep)
     m1, m2 = list(range(9, 11)), list(range(11, 17))
     center_dir = list(range(8, 9))  # the trace direction of u(3)
@@ -286,6 +297,29 @@ def test_only_the_symmetric_controls_have_one_block():
     # build_claims picks the splitting claims from the constant, without building
     for sid in catalog_ids():
         assert len(catalog_entry(sid).blocks) == (1 if sid in sps.SYMMETRIC_CONTROLS else 2), sid
+
+
+# (n, module copies) of every catalog entry built on the Clifford skeleton
+CLIFFORD_SKELETON_ENTRIES = {
+    "Sp(2)/U(1)Sp(1)": (2, 1), "Sp(1,1)/U(1)Sp(1)": (2, 1),
+    "Sp(1)Sp(1)|xR4/U(1)Sp(1)": (2, 1),
+    "Sp(1)Sp(2)/dSp(1)Sp(1)": (3, 1), "Sp(1)Sp(1,1)/dSp(1)Sp(1)": (3, 1),
+    "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)": (3, 1),
+    "Spin(7)|xR8/Spin(6)": (6, 1),
+    "Spin(9)/Spin(7)": (7, 1), "Spin(8,1)/Spin(7)": (7, 1), "Spin(8)|xR8+/Spin(7)": (7, 1),
+    "N(2,1)": (2, 1), "N(2,2)": (2, 2), "N(3;1,0)": (3, 1), "N(3;2,0)": (3, 2),
+    "N(6,1)": (6, 1), "N(7;1,0)": (7, 1),
+}
+
+
+def test_extracted_isotropy_is_the_clifford_isotropy_bit_for_bit():
+    # the coh2 rows read the extracted isotropy in place of the construction's
+    assert len(CLIFFORD_SKELETON_ENTRIES) == 16
+    for sid, (n, copies) in CLIFFORD_SKELETON_ENTRIES.items():
+        rep, _ = isotropy_representation(catalog_entry(sid))
+        built = clifford_isotropy(spin_module(n), copies)
+        assert np.array_equal(rep.algebra.c, built.algebra.c), sid
+        assert np.array_equal(rep.matrices, built.matrices), sid
 
 
 def test_catalog_unknown_id():
