@@ -488,7 +488,7 @@ def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
     of the block by the imaginary unit.
     """
     b = np.asarray(block_indices, dtype=int)
-    h = np.setdiff1d(np.arange(alg.dim), b)
+    h = np.delete(np.arange(alg.dim), b)  # np.setdiff1d imports numpy.ma
     scale = residual_scale(alg.c)
     bad = max(
         np.abs(alg.c[np.ix_(b, b, b)]).max(initial=0.0),

@@ -14,6 +14,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -101,6 +102,11 @@ def _exact_claim(computed, expected, provenance):
     return _report(ok, computed, expected, provenance, 0.0 if ok else 1.0, 0.0)
 
 
+def _worst(residuals) -> float:
+    """The largest residual, 0 for none; NaN if any is NaN, so the claim fails."""
+    return float(np.max(residuals, initial=0.0))
+
+
 def _residual_claim(residual, tolerance, provenance):
     return _report(residual < tolerance, residual,
                    f"< {tolerance:g}", provenance, residual, tolerance)
@@ -142,7 +148,7 @@ def _claim_sphere_row(factory, iso_dim, cfg: RunConfig):
 # entries without an m2 x m2 bracket.
 COH2_ROWS = (
     lambda: bld.unitary_determinant_action(3),
-    *(lambda sid=sid: sps.isotropy_representation(sps.catalog_entry(sid))
+    *(lambda sid=sid: attrgetter("rep", "slices")(sps.catalog_entry(sid))
       for sid in ("Sp(1)Sp(1)|xR4/U(1)Sp(1)", "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)",
                   "Spin(7)|xR8/Spin(6)", "Spin(8)|xR8+/Spin(7)")),
 )
@@ -166,7 +172,7 @@ _MU_VALUES = ((1.0 / np.sqrt(2.0), "rt2inv"), (1.0, "1"), (2.0, "2"))
 
 
 def _claim_jacobi_valid(n, mu, cfg: RunConfig):
-    space = sps.build_clifford_space(sps.CliffordSpaceSpec(n, 2.0 * mu * mu, mu))
+    space = sps.build_clifford_space(n, 2.0 * mu * mu, mu)
     res = la.jacobi_residual(space.algebra)
     return _residual_claim(res, TOL_ALGEBRAIC, "bracket-scale constraint, consistent side")
 
@@ -175,7 +181,7 @@ def _claim_jacobi_gate(n, cfg: RunConfig):
     mu = 1.0 / np.sqrt(2.0)
     lam = 2.0 * mu * mu + 0.01
     try:
-        sps.build_clifford_space(sps.CliffordSpaceSpec(n, lam, mu))
+        sps.build_clifford_space(n, lam, mu)
         residual = 0.0
     except la.ValidationError as err:
         residual = err.residual
@@ -221,7 +227,7 @@ def _j_matrices(space: sps.ReductiveSpace) -> np.ndarray:
 
 
 def _claim_heisenberg(center, copies, cfg: RunConfig):
-    space = sps.catalog_entry(sps.heisenberg_label(sps.HeisenbergSpec(center, copies)))
+    space = sps.catalog_entry(sps.heisenberg_label(center, copies))
     nil = sps.nilpotent_part(space)
     j = _j_matrices(space)
     d2 = j.shape[1]
@@ -248,12 +254,12 @@ HYPERBOLIC_CASES = tuple((f, r) for f in ("R", "C", "H") for r in (1.0, 0.5))
 
 
 def _claim_hyperbolic(field_name, rate, cfg: RunConfig):
-    space = sps.hyperbolic_semidirect(sps.SemidirectHyperbolicSpec(field_name, rate))
+    space = sps.hyperbolic_semidirect(field_name, rate)
     ms = geo.InvariantMetricSpace(space)
     r4 = geo.curvature_tensor(ms)
     offset = {"R": 1, "C": 2, "H": 3}[field_name] * 1000 + int(100 * rate)
     rng = np.random.default_rng(cfg.seed + offset)
-    worst = 0.0
+    errors = []
     for _ in range(100):
         x = random_unit_vector(ms.m_dim, rng)
         y = random_unit_vector(ms.m_dim, rng)
@@ -261,8 +267,9 @@ def _claim_hyperbolic(field_name, rate, cfg: RunConfig):
         if np.linalg.norm(y) < 1e-6:
             continue
         y /= np.linalg.norm(y)
-        worst = max(worst, abs(geo.sectional_curvature(ms, x, y, r4) + rate * rate))
-    return _residual_claim(worst, 1e-8, "constant negative curvature of the dilation model")
+        errors.append(abs(geo.sectional_curvature(ms, x, y, r4) + rate * rate))
+    return _residual_claim(_worst(errors), 1e-8,
+                           "constant negative curvature of the dilation model")
 
 
 WARPED_CASES = (
@@ -276,7 +283,7 @@ def _claim_warped(name, interval, profile, fiber_dim, cfg: RunConfig):
     w = geo.WarpedProduct(interval, profile, geo.RoundSphere(fiber_dim))
     rng = np.random.default_rng(cfg.seed + len(name))
     ts = w.interior_samples(13)
-    worst = 0.0
+    errors = []
     for s in range(50):
         t = float(ts[s % len(ts)])
         x = random_unit_vector(fiber_dim, rng)
@@ -291,8 +298,8 @@ def _claim_warped(name, interval, profile, fiber_dim, cfg: RunConfig):
                 (np.concatenate([[0.6], 0.8 * x]), y0))[s % 3]
         cf = geo.warped_sectional_curvature(w, t, v, u)
         fd = geo.warped_sectional_fd(w, t, v, u)
-        worst = max(worst, abs(cf - fd))
-    return _residual_claim(worst, TOL_FD, "closed form against independent fd oracle")
+        errors.append(abs(cf - fd))
+    return _residual_claim(_worst(errors), TOL_FD, "closed form against independent fd oracle")
 
 
 def _claim_flat_screw(cfg: RunConfig):
@@ -303,10 +310,8 @@ def _claim_flat_screw(cfg: RunConfig):
 
 
 def _claim_curvature_symmetries(cfg: RunConfig):
-    worst = 0.0
-    for sid in sps.catalog_ids():
-        ms = geo.InvariantMetricSpace(sps.catalog_entry(sid))
-        worst = max(worst, geo.curvature_symmetry_residual(geo.curvature_tensor(ms)))
+    worst = _worst([geo.curvature_symmetry_residual(geo.curvature_tensor(
+        geo.InvariantMetricSpace(sps.catalog_entry(sid)))) for sid in sps.catalog_ids()])
     return _residual_claim(worst, 1e-8, "tensor symmetries and first bianchi over the catalog")
 
 
@@ -331,8 +336,7 @@ def _claim_splitting_control(cfg: RunConfig):
 
 def _claim_splitting_catalog(space_id, cfg: RunConfig):
     space = sps.catalog_entry(space_id)
-    rep, slices = sps.isotropy_representation(space)
-    verdict = splitting_criterion(rep, slices[0], slices[1])
+    verdict = splitting_criterion(space.rep, *space.slices)
     return _exact_claim(verdict, False, "effectivity of the catalog isotropy actions")
 
 
@@ -342,19 +346,14 @@ def _claim_catalog_count(cfg: RunConfig):
 
 
 def _claim_catalog_cohomogeneity(space_id, cfg: RunConfig):
-    space = sps.catalog_entry(space_id)
-    rep, _ = sps.isotropy_representation(space)
-    coh = cohomogeneity(rep, seed=cfg.seed)
+    coh = cohomogeneity(sps.catalog_entry(space_id).rep, seed=cfg.seed)
     return _exact_claim(coh, 2, "isotropy cohomogeneity of every catalog entry")
 
 
 def _claim_catalog_invariants(cfg: RunConfig):
-    worst_j, worst_b = 0.0, 0.0
-    for sid in sps.catalog_ids():
-        alg = sps.catalog_entry(sid).algebra
-        worst_j = max(worst_j, la.jacobi_residual(alg))
-        worst_b = max(worst_b, la.killing_invariance_residual(alg))
-    res = max(worst_j, worst_b)
+    algs = [sps.catalog_entry(sid).algebra for sid in sps.catalog_ids()]
+    res = _worst([f(alg) for alg in algs
+                  for f in (la.jacobi_residual, la.killing_invariance_residual)])
     return _residual_claim(res, TOL_ALGEBRAIC,
                            "jacobi and killing ad-invariance over the catalog")
 
@@ -398,7 +397,7 @@ def build_claims() -> list[tuple[str, str, object]]:
     claims.append(("fingerprint.completion.n6.rigid", "jacobi", _claim_completion_n6))
 
     for center, copies in HEISENBERG_CASES:
-        label = sps.heisenberg_label(sps.HeisenbergSpec(center, copies))
+        label = sps.heisenberg_label(center, copies)
         claims.append((f"heisenberg.{label}", "heisenberg",
                        lambda cfg, c=center, k=copies: _claim_heisenberg(c, k, cfg)))
 

@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import LieAlgebra, Subspace, span_brackets
 from .clifford import bivector_pairs, so_structure_tensor
 from .linalg import ValidationError, residual_scale
-from .spaces import ReductiveSpace, isotropy_representation
+from .spaces import ReductiveSpace
 
 __all__ = [
     "FD_STEP",
@@ -81,9 +81,8 @@ class InvariantMetricSpace:
         return np.diag(np.repeat(self.block_scales, [b.dim for b in self.space.blocks]))
 
     def invariance_residual(self) -> float:
-        rep, _ = isotropy_representation(self.space)
         q = self.metric()
-        t = np.einsum("ij,ajk->aik", q, rep.matrices)
+        t = np.einsum("ij,ajk->aik", q, self.space.rep.matrices)
         return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0))
 
 
@@ -94,7 +93,7 @@ def _connection_data(ms: InvariantMetricSpace):
     amb = span_brackets(space.algebra, mb, mb)          # [m_i, m_j] ambient
     bm = amb @ mb                                       # m-part coordinates
     bk = amb @ space.isotropy.basis
-    rho = isotropy_representation(space)[0].matrices   # rho[a][j, i]
+    rho = space.rep.matrices                            # rho[a][j, i]
     return bm, bk, rho
 
 

@@ -196,7 +196,7 @@ def rep_direct_sum(rep_a: Representation, rep_b: Representation) -> Representati
 def block_invariance_residual(rep: Representation, indices) -> float:
     """How far a coordinate block is from being invariant."""
     idx = np.asarray(indices, dtype=int)
-    comp = np.setdiff1d(np.arange(rep.space_dim), idx)
+    comp = np.delete(np.arange(rep.space_dim), idx)  # np.setdiff1d imports numpy.ma
     if comp.size == 0 or idx.size == 0:
         return 0.0
     leak = np.abs(rep.matrices[:, comp[:, None], idx[None, :]]).max(initial=0.0)

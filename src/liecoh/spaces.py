@@ -15,10 +15,12 @@ complement into invariant blocks m_1, m_2, ...  Constructors cover:
 * rank-one solvable extensions R x| K with a non-isometric dilation,
 * a catalog of the model spaces exercised by the verification suite.
 
-The Jacobi identity is enforced at construction: a violation raises
-``ValidationError`` carrying the normalized residual and the worst basis
-triple.  That residual is itself the point of several checks (the constraint
-lam = 2 mu^2 is reproduced as exactly this failure).
+Every check of a space runs once, in the ``ReductiveSpace`` constructor:
+the isotropy and blocks decompose the algebra with jointly orthonormal bases,
+the Jacobi identity holds, and k closes and keeps every block.  A Jacobi
+violation raises ``ValidationError`` carrying the normalized residual and the
+worst basis triple; that residual is itself the point of several checks (the
+constraint lam = 2 mu^2 is reproduced as exactly this failure).
 
 The isotropy and the blocks are read only through their bases (with
 ``span_brackets``), so a space whose blocks are given in any orthonormal
@@ -29,7 +31,7 @@ once, as one array assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -69,11 +71,8 @@ from .reps import (
 )
 
 __all__ = [
-    "CliffordSpaceSpec",
-    "HeisenbergSpec",
     "ReductiveSpace",
     "SYMMETRIC_CONTROLS",
-    "SemidirectHyperbolicSpec",
     "build_clifford_space",
     "build_heisenberg",
     "build_trivial_module_space",
@@ -94,13 +93,20 @@ __all__ = [
 
 @dataclass
 class ReductiveSpace:
-    """Algebra with isotropy subalgebra and invariant complement blocks."""
+    """Algebra with isotropy subalgebra and invariant complement blocks.
+
+    The constructor runs every check of the space and keeps the isotropy
+    action as ``rep``, with the block coordinate ranges as ``slices``; every
+    reader uses those two fields.
+    """
 
     label: str
     algebra: LieAlgebra
     isotropy: Subspace
     blocks: tuple[Subspace, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+    rep: Representation = field(init=False)
+    slices: list[tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
@@ -109,6 +115,12 @@ class ReductiveSpace:
             raise ValueError("isotropy and blocks must live in the algebra")
         if self.isotropy.dim + sum(b.dim for b in self.blocks) != d:
             raise ValueError("isotropy and blocks must decompose the algebra")
+        frame = np.hstack([self.isotropy.basis, self.m_basis()])
+        require_below(np.abs(frame.T @ frame - np.eye(d)).max(initial=0.0), LEAK_TOL,
+                      "isotropy and blocks are not orthonormal together")
+        require_valid(self.algebra, self.label)
+        self.rep, self.slices = isotropy_representation(self)
+        self.rep.validate()
 
     @property
     def dim(self) -> int:
@@ -120,18 +132,6 @@ class ReductiveSpace:
 
     def m_basis(self) -> np.ndarray:
         return np.hstack([b.basis for b in self.blocks])
-
-    def block_slices(self) -> list[tuple[int, ...]]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(tuple(range(start, start + b.dim)))
-            start += b.dim
-        return out
-
-    def validate(self) -> "ReductiveSpace":
-        require_valid(self.algebra, self.label)
-        isotropy_representation(self)[0].validate()
-        return self
 
 
 def _coordinate_space(label, alg, k_dim, block_dims, notes=()) -> ReductiveSpace:
@@ -163,7 +163,8 @@ def isotropy_representation(space: ReductiveSpace):
     Returns ``(rep, slices)``: a ``Representation`` of the isotropy
     subalgebra on the stacked block coordinates, and the coordinate ranges of
     the blocks.  Verifies closure of k and invariance of every block (each
-    within ``LEAK_TOL``).
+    within ``LEAK_TOL``).  The constructor is its one caller and keeps the
+    result as ``space.rep`` and ``space.slices``.
     """
     alg = space.algebra
     mb = space.m_basis()
@@ -173,10 +174,12 @@ def isotropy_representation(space: ReductiveSpace):
     leak = np.abs(km - mats.transpose(0, 2, 1) @ mb.T).max(initial=0.0) / residual_scale(alg.c)
     require_below(leak, LEAK_TOL, "blocks are not invariant under k")
     rep = Representation(k_alg, mats)
-    slices = space.block_slices()
-    for idx in slices:
-        require_below(block_invariance_residual(rep, idx), LEAK_TOL,
+    slices, start = [], 0
+    for b in space.blocks:
+        slices.append(tuple(range(start, start + b.dim)))
+        require_below(block_invariance_residual(rep, slices[-1]), LEAK_TOL,
                       "a designated block is not invariant under k")
+        start += b.dim
     return rep, slices
 
 
@@ -185,62 +188,38 @@ def isotropy_representation(space: ReductiveSpace):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CliffordSpaceSpec:
-    """Parameters of the Clifford construction.
-
-    ``filling`` is ``None`` (no m2 x m2 bracket) or the Killing signature
-    ``(p, q)`` of the completed algebra, which picks the solved m2 x m2 block.
-    More than one module copy in m2 is wired only for n = 2, 3 without a filling.
-    """
-
-    n: int
-    lam: float
-    mu: float
-    copies: int = 1
-    filling: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.n not in (2, 3, 6, 7):
-            raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
-        if self.filling is not None and not (
-                isinstance(self.filling, tuple) and len(self.filling) == 2
-                and all(isinstance(v, int) for v in self.filling)):
-            raise ValueError(f"unknown filling {self.filling!r}: it is None or a Killing "
-                             f"signature (p, q) of integers")
-        if self.copies < 1 or (self.copies > 1 and (self.n in (6, 7)
-                                                    or self.filling is not None)):
-            raise ValueError(f"{self.copies} module copies: one is required, and more "
-                             f"are wired only for n = 2, 3 without a completion")
-
-
-def _clifford_skeleton(spec: CliffordSpaceSpec):
+def _clifford_skeleton(n: int, lam: float, mu: float, copies: int):
     """Structure tensor with the fixed brackets of the construction.
 
     The m2 x m2 block is left empty here; a completion or ``build_heisenberg``
     fills it.  Returns the tensor with its labels, the module gammas and the
-    index layout.
+    index layout.  More than one module copy is wired only for n = 2, 3.
     """
-    module = spin_module(spec.n)
-    iso = clifford_isotropy(module, spec.copies)
-    dk, pairs = iso.algebra.dim, bivector_pairs(spec.n)
+    if n not in (2, 3, 6, 7):
+        raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
+    if copies < 1 or (copies > 1 and n in (6, 7)):
+        raise ValueError(f"{copies} module copies: one is required, and more "
+                         f"are wired only for n = 2, 3")
+    module = spin_module(n)
+    iso = clifford_isotropy(module, copies)
+    dk, pairs = iso.algebra.dim, bivector_pairs(n)
     d = dk + iso.space_dim
-    k_idx, m1_idx, m2_idx = np.split(np.arange(d), [dk, dk + spec.n])
+    k_idx, m1_idx, m2_idx = np.split(np.arange(d), [dk, dk + n])
     c = np.zeros((d, d, d))
     c[:dk, :dk, :dk] = iso.algebra.c
     place_action(c, k_idx, np.arange(dk, d), iso.matrices)
 
     # [e_i, e_j] = 2 lam L_ij, with L_ij = E_ji - E_ij on m1
     c[np.ix_(m1_idx, m1_idx, k_idx[:len(pairs)])] = (
-        -2.0 * spec.lam * so_vector_matrices(spec.n).transpose(1, 2, 0))
+        -2.0 * lam * so_vector_matrices(n).transpose(1, 2, 0))
 
     # [e_i, w] = mu Gamma_i w on each module copy
-    gam = np.kron(np.eye(spec.copies), module.gammas)
-    place_action(c, m1_idx, m2_idx, spec.mu * gam)
+    gam = np.kron(np.eye(copies), module.gammas)
+    place_action(c, m1_idx, m2_idx, mu * gam)
     labels = tuple(
         [f"L{i}{j}" for i, j in pairs]
         + [f"s{a}" for a in range(dk - len(pairs))]
-        + [f"e{i}" for i in range(1, spec.n + 1)]
+        + [f"e{i}" for i in range(1, n + 1)]
         + [f"w{a}" for a in range(len(m2_idx))]
     )
     return c, labels, gam, (k_idx, m1_idx, m2_idx)
@@ -248,7 +227,7 @@ def _clifford_skeleton(spec: CliffordSpaceSpec):
 
 def clifford_completion_problem(n: int, lam: float, mu: float) -> CompletionProblem:
     """Completion problem for the unknown m2 x m2 block of the construction."""
-    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(CliffordSpaceSpec(n, lam, mu))
+    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(n, lam, mu, 1)
     skeleton = LieAlgebra(c, labels=labels)
     target = Subspace.coordinate(skeleton.dim, list(k_idx) + list(m1_idx))
     return CompletionProblem(skeleton, tuple(int(i) for i in m2_idx), target)
@@ -267,8 +246,8 @@ def _select_completion(solution: CompletionSolution, filling: tuple[int, int]) -
     algebra has the Killing signature ``filling = (p, q)`` is returned.  A
     solution space of nullity other than 1 has no such sign and raises
     ``ValidationError``.  Every point of a nonempty solution space satisfies
-    the Jacobi system, so candidates are not re-checked here; the caller
-    validates the chosen algebra.
+    the Jacobi system, so candidates are not re-checked here; the space
+    constructor validates the chosen algebra.
     """
     if solution.empty:
         raise ValidationError("completion problem has no admissible filling")
@@ -281,23 +260,28 @@ def _select_completion(solution: CompletionSolution, filling: tuple[int, int]) -
     raise ValidationError(f"no completion with Killing signature {filling!r} at either sign")
 
 
-def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
-    """Assemble and validate one member of the Clifford-parameter family.
+def build_clifford_space(n: int, lam: float, mu: float,
+                         filling: tuple[int, int] | None = None) -> ReductiveSpace:
+    """Assemble one member of the Clifford-parameter family.
 
+    ``filling`` is ``None`` (no m2 x m2 bracket) or the Killing signature
+    ``(p, q)`` of the completed algebra, which picks the solved m2 x m2 block.
     Raises ``ValidationError`` with the residual triple when the parameters
     are Jacobi-incompatible (any mu != 0 with lam != 2 mu^2).
     """
-    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(spec)
-    if spec.filling is not None:
-        solution = _cached_completion(spec.n, spec.lam, spec.mu)
-        weights = _select_completion(solution, spec.filling)
-        alg = LieAlgebra(solution.realize(weights).c, labels=labels)
-    else:
-        alg = LieAlgebra(c, labels=labels)
-    require_valid(alg, f"clifford construction n={spec.n}")
-    mode = "zero" if spec.filling is None else "completed"
-    label = f"Cl(n={spec.n},lam={spec.lam:g},mu={spec.mu:g},{mode})"
-    return _coordinate_space(label, alg, len(k_idx), (len(m1_idx), len(m2_idx)))
+    if filling is not None and not (
+            isinstance(filling, tuple) and len(filling) == 2
+            and all(isinstance(v, int) for v in filling)):
+        raise ValueError(f"unknown filling {filling!r}: it is None or a Killing "
+                         f"signature (p, q) of integers")
+    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(n, lam, mu, 1)
+    if filling is not None:
+        solution = _cached_completion(n, lam, mu)
+        c = solution.realize(_select_completion(solution, filling)).c
+    mode = "zero" if filling is None else "completed"
+    return _coordinate_space(f"Cl(n={n},lam={lam:g},mu={mu:g},{mode})",
+                             LieAlgebra(c, labels=labels), len(k_idx),
+                             (len(m1_idx), len(m2_idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,56 +289,43 @@ def build_clifford_space(spec: CliffordSpaceSpec) -> ReductiveSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HeisenbergSpec:
-    """Two-step nilpotent data: center dimension and module copies."""
-
-    center_dim: int
-    copies: int = 1
-
-    def __post_init__(self):
-        if self.center_dim not in (1, 2, 3, 6, 7):
-            raise ValueError("center dimension must be one of 1, 2, 3, 6, 7")
-        if self.copies < 1 or (self.center_dim in (6, 7) and self.copies != 1):
-            raise ValueError(f"{self.copies} module copies: one is required, and more "
-                             f"are wired only for center dimension 1, 2, 3")
+def heisenberg_label(center_dim: int, copies: int) -> str:
+    if center_dim in (3, 7):
+        return f"N({center_dim};{copies},0)"
+    return f"N({center_dim},{copies})"
 
 
-def heisenberg_label(spec: HeisenbergSpec) -> str:
-    if spec.center_dim in (3, 7):
-        return f"N({spec.center_dim};{spec.copies},0)"
-    return f"N({spec.center_dim},{spec.copies})"
-
-
-def build_heisenberg(spec: HeisenbergSpec) -> ReductiveSpace:
+def build_heisenberg(center_dim: int, copies: int) -> ReductiveSpace:
     """Normalized generalized Heisenberg space with its canonical isotropy.
 
-    The center is m1 and the module m2 of the Clifford skeleton with
-    lam = mu = 0, with <Z | [X, Y]> = <Z . X | Y> exactly.  This is the
-    normalized form: Z -> sgn(kappa) Z, X -> X / sqrt|kappa| takes the bracket
+    The center is m1 and the module m2 (``copies`` copies of the Clifford
+    module) of the Clifford skeleton with lam = mu = 0, with
+    <Z | [X, Y]> = <Z . X | Y> exactly.  This is the normalized form:
+    Z -> sgn(kappa) Z, X -> X / sqrt|kappa| takes the bracket
     <Z | [X, Y]> = kappa <Z . X | Y> of any kappa != 0 to it.
     """
-    if spec.center_dim == 1:
-        return _heisenberg_center_one(spec)
-    c, labels, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(
-        CliffordSpaceSpec(spec.center_dim, 0.0, 0.0, spec.copies))
+    if center_dim not in (1, 2, 3, 6, 7):
+        raise ValueError("center dimension must be one of 1, 2, 3, 6, 7")
+    if center_dim == 1:
+        return _heisenberg_center_one(copies)
+    c, labels, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(center_dim, 0.0, 0.0, copies)
     # skewness of Gamma_i gives the antisymmetry of the block for free
     c[np.ix_(m2_idx, m2_idx, m1_idx)] = gam.transpose(2, 1, 0)
-    alg = require_valid(LieAlgebra(c, labels=labels), f"nilpotent space n={spec.center_dim}")
-    return _coordinate_space(heisenberg_label(spec), alg, len(k_idx),
-                             (len(m1_idx), len(m2_idx)))
+    return _coordinate_space(heisenberg_label(center_dim, copies), LieAlgebra(c, labels=labels),
+                             len(k_idx), (len(m1_idx), len(m2_idx)))
 
 
-def _heisenberg_center_one(spec: HeisenbergSpec) -> ReductiveSpace:
+def _heisenberg_center_one(copies: int) -> ReductiveSpace:
     """N(1, k): center R, module C^k, isotropy u(k)."""
-    u_k = u_standard(spec.copies)
+    if copies < 1:
+        raise ValueError(f"{copies} module copies: at least one is required")
+    u_k = u_standard(copies)
     dk = u_k.algebra.dim
     c = np.array(semidirect_sum(u_k.algebra,
                                 rep_direct_sum(trivial_representation(u_k.algebra, 1), u_k)).c)
     # [X, Y] = <F X, Y> Z, with F the invariant complex structure
-    c[dk + 1:, dk + 1:, dk] = realify_complex(1.0j * np.eye(spec.copies)).T
-    alg = require_valid(LieAlgebra(c), "center-one nilpotent space")
-    return _coordinate_space(heisenberg_label(spec), alg, dk, (1, 2 * spec.copies))
+    c[dk + 1:, dk + 1:, dk] = realify_complex(1.0j * np.eye(copies)).T
+    return _coordinate_space(heisenberg_label(1, copies), LieAlgebra(c), dk, (1, 2 * copies))
 
 
 def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:
@@ -407,29 +378,25 @@ def build_trivial_module_space(branch: str, n: int) -> ReductiveSpace:
     if n < 2:
         raise ValueError("the unitary branch needs n >= 2")
     mats, k_dim = _su_adapted_matrices(n)
-    c = structure_constants_from_matrices(mats)
-    alg = LieAlgebra(c)
-    require_valid(alg, "unitary quotient")
+    alg = LieAlgebra(structure_constants_from_matrices(mats))
     label = f"SU({n + 1})/SU({n})"
     if branch == "su_noncompact":
-        m2_idx = list(range(k_dim + 1, alg.dim))
-        alg = weyl_flip(alg, m2_idx)
-        require_valid(alg, "unitary quotient, noncompact dual")
+        alg = weyl_flip(alg, list(range(k_dim + 1, alg.dim)))
         label = f"SU({n},1)/SU({n})"
     return _coordinate_space(label, alg, k_dim, (1, 2 * n))
 
 
-def _line_extension(deriv: np.ndarray, what: str) -> LieAlgebra:
-    """R acting on R^e by one derivation, as a validated semidirect sum."""
+def _line_extension(deriv: np.ndarray) -> LieAlgebra:
+    """R acting on R^e by one derivation, as a semidirect sum."""
     line = abelian(1)
-    return require_valid(semidirect_sum(line, Representation(line, deriv[None])), what)
+    return semidirect_sum(line, Representation(line, deriv[None]))
 
 
 def euclidean_screw(n: int) -> ReductiveSpace:
     """The flat simply transitive screw group on R^(1+2n), n >= 1."""
     if n < 1:
         raise ValueError(f"the screw group needs n >= 1, got {n}")
-    alg = _line_extension(realify_complex(1.0j * np.eye(n)), "screw group")
+    alg = _line_extension(realify_complex(1.0j * np.eye(n)))
     return _coordinate_space(f"R|xC^{n} screw", alg, 0, (1, 2 * n),
                              ("flat: simply transitive isometric screw action",))
 
@@ -439,34 +406,22 @@ def euclidean_screw(n: int) -> ReductiveSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SemidirectHyperbolicSpec:
-    """R x| K with derivation rate * I + rotation.
+def hyperbolic_semidirect(field: str, rate: float) -> ReductiveSpace:
+    """Solvable model R x| K with derivation rate * I + rotation on the ideal.
 
-    ``field`` is "R", "C" or "H"; the symmetric part of the derivation is
-    rate times the identity (rate finite and nonzero), the skew part is scalar
-    multiplication by the imaginary unit (none for R).
+    ``field`` is "R", "C" or "H"; ``rate`` is finite and nonzero, and the
+    rotation is scalar multiplication by the imaginary unit (none for R).
     """
-
-    field: str
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if self.field not in ("R", "C", "H"):
-            raise ValueError("field must be R, C or H")
-        if not (np.isfinite(self.rate) and self.rate != 0.0):
-            raise ValueError(f"rate must be finite and nonzero, got {self.rate!r} "
-                             f"(zero makes the extension isometric)")
-
-
-def hyperbolic_semidirect(spec: SemidirectHyperbolicSpec) -> ReductiveSpace:
-    """Solvable model with derivation rate * I + rotation on the ideal."""
-    # scalar multiplication by the imaginary unit; the real line has none
+    if field not in ("R", "C", "H"):
+        raise ValueError("field must be R, C or H")
+    if not (np.isfinite(rate) and rate != 0.0):
+        raise ValueError(f"rate must be finite and nonzero, got {rate!r} "
+                         f"(zero makes the extension isometric)")
     rotation = {"R": np.zeros((1, 1)), "C": np.array([[0.0, -1.0], [1.0, 0.0]]),
-                "H": quaternion_left((0.0, 1.0, 0.0, 0.0))}[spec.field]
+                "H": quaternion_left((0.0, 1.0, 0.0, 0.0))}[field]
     e = len(rotation)
-    alg = _line_extension(spec.rate * np.eye(e) + rotation, "solvable extension")
-    return _coordinate_space(f"R|x{spec.field}(rate={spec.rate:g})", alg, 0, (1, e))
+    alg = _line_extension(rate * np.eye(e) + rotation)
+    return _coordinate_space(f"R|x{field}(rate={rate:g})", alg, 0, (1, e))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +463,8 @@ def _group_manifold_control() -> ReductiveSpace:
 def _catalog_builders() -> dict:
     builders = {}
     for cdim, copies in [(c, k) for k in (1, 2) for c in (1, 2, 3)] + [(6, 1), (7, 1)]:
-        spec = HeisenbergSpec(cdim, copies)
-        builders[heisenberg_label(spec)] = lambda s=spec: build_heisenberg(s)
+        builders[heisenberg_label(cdim, copies)] = (
+            lambda c=cdim, k=copies: build_heisenberg(c, k))
 
     clifford_entries = {
         "Sp(2)/U(1)Sp(1)": (2, (0, 10)),
@@ -524,8 +479,8 @@ def _catalog_builders() -> dict:
         "Spin(8)|xR8+/Spin(7)": (7, None),
     }
     for label, (n, filling) in clifford_entries.items():
-        spec = CliffordSpaceSpec(n, 1.0, 1.0 / np.sqrt(2.0), 1, filling)
-        builders[label] = lambda s=spec, lb=label: replace(build_clifford_space(s), label=lb)
+        builders[label] = (
+            lambda n=n, f=filling: build_clifford_space(n, 1.0, 1.0 / np.sqrt(2.0), f))
     builders["SU(3)/SU(2)"] = lambda: build_trivial_module_space("su_compact", 2)
     builders["SU(2,1)/SU(2)"] = lambda: build_trivial_module_space("su_noncompact", 2)
     builders.update(zip(SYMMETRIC_CONTROLS, (_grassmannian_control, _group_manifold_control)))
@@ -538,14 +493,15 @@ def catalog_ids() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def catalog_entry(space_id: str) -> ReductiveSpace:
+    """The catalog space ``space_id``, built (and so checked) once, labelled by its id."""
     builders = _catalog_builders()
     if space_id not in builders:
         raise KeyError(f"unknown catalog id {space_id!r}")
     space = builders[space_id]()
-    space.validate()
+    space.label = space_id  # renamed in place: a rebuilt copy would run every check again
     return space
 
 
 def catalog() -> list[ReductiveSpace]:
-    """All catalog spaces, validated, in id order."""
+    """All catalog spaces in id order."""
     return [catalog_entry(i) for i in catalog_ids()]

@@ -63,21 +63,19 @@ def test_criterion_2_cohomogeneity_two_table():
 def test_criterion_3_jacobi_gate():
     for n in (2, 3, 6, 7):
         for mu in (MU, 1.0, 2.0):
-            space = sps.build_clifford_space(sps.CliffordSpaceSpec(n, 2 * mu * mu, mu))
+            space = sps.build_clifford_space(n, 2 * mu * mu, mu)
             assert la.jacobi_residual(space.algebra) < 1e-9, (n, mu)
         with pytest.raises(la.ValidationError) as err:
-            sps.build_clifford_space(sps.CliffordSpaceSpec(n, 2 * MU * MU + 0.01, MU))
+            sps.build_clifford_space(n, 2 * MU * MU + 0.01, MU)
         assert err.value.residual > 1e-3, n
     _ok("3 bracket-scale gate", "(residual < 1e-9 consistent, > 1e-3 at +0.01)")
 
 
 def test_criterion_4_completion_fingerprints():
-    compact = sps.build_clifford_space(
-        sps.CliffordSpaceSpec(7, 1.0, MU, 1, (0, 36)))
+    compact = sps.build_clifford_space(7, 1.0, MU, (0, 36))
     assert compact.dim == 36
     assert la.signature(la.killing_form(compact.algebra)) == (0, 36, 0)
-    split = sps.build_clifford_space(
-        sps.CliffordSpaceSpec(7, 1.0, MU, 1, (8, 28)))
+    split = sps.build_clifford_space(7, 1.0, MU, (8, 28))
     assert la.signature(la.killing_form(split.algebra)) == (8, 28, 0)
     sol6 = sps._cached_completion(6, 1.0, MU)
     assert sol6.nullity == 0 and not sol6.empty
@@ -87,7 +85,7 @@ def test_criterion_4_completion_fingerprints():
 
 def test_criterion_5_heisenberg_suite():
     for center, copies in ((1, 2), (2, 1), (3, 1), (6, 1), (7, 1)):
-        space = sps.build_heisenberg(sps.HeisenbergSpec(center, copies))
+        space = sps.build_heisenberg(center, copies)
         nil = sps.nilpotent_part(space)
         assert la.nilpotency_class(nil) == 2, (center, copies)
         assert la.center_dimension(nil) == center, (center, copies)
@@ -106,7 +104,7 @@ def test_criterion_6_curvature():
     rng = np.random.default_rng(0x5EED)
     for field in ("R", "C", "H"):
         for rate in (1.0, 0.5):
-            space = sps.hyperbolic_semidirect(sps.SemidirectHyperbolicSpec(field, rate))
+            space = sps.hyperbolic_semidirect(field, rate)
             ms = geo.InvariantMetricSpace(space)
             r4 = geo.curvature_tensor(ms)
             worst = 0.0
@@ -155,8 +153,7 @@ def test_criterion_7_splitting():
         space = sps.catalog_entry(sid)
         if len(space.blocks) != 2:
             continue  # irreducible-complement controls: no two-block decomposition
-        rep, slices = sps.isotropy_representation(space)
-        assert splitting_criterion(rep, slices[0], slices[1]) is False, sid
+        assert splitting_criterion(space.rep, *space.slices) is False, sid
         checked += 1
     assert checked >= 16
     _ok("7 splitting criterion", f"(control True; {checked} catalog entries False)")
@@ -164,8 +161,7 @@ def test_criterion_7_splitting():
 
 def test_criterion_8_catalog_cohomogeneity():
     for sid in sps.catalog_ids():
-        rep, _ = sps.isotropy_representation(sps.catalog_entry(sid))
-        assert cohomogeneity(rep) == 2, sid
+        assert cohomogeneity(sps.catalog_entry(sid).rep) == 2, sid
     _ok("8 catalog cohomogeneity", f"({len(sps.catalog_ids())} entries, exactly 2)")
 
 

@@ -25,7 +25,7 @@ from liecoh.algebra import (
 )
 from liecoh.builders import so_standard
 from liecoh.reps import Representation
-from liecoh.spaces import build_heisenberg, HeisenbergSpec
+from liecoh.spaces import build_heisenberg
 
 
 def su2_epsilon() -> LieAlgebra:
@@ -56,7 +56,7 @@ def test_bracket_epsilon_relation():
 
 def test_bracket_heisenberg_center_line():
     # basis (v, X, Y) after the isotropy block: [X, Y] = v
-    space = build_heisenberg(HeisenbergSpec(1, 1))
+    space = build_heisenberg(1, 1)
     alg = space.algebra
     v = space.blocks[0].basis[:, 0]
     x = space.blocks[1].basis[:, 0]
@@ -313,8 +313,7 @@ def _catalog_and_constructions():
     algs = {sid: sps.catalog_entry(sid).algebra for sid in sps.catalog_ids()}
     mu = 1.0 / np.sqrt(2.0)
     for n in (6, 7):
-        spec = sps.CliffordSpaceSpec(n, 2.0 * mu * mu, mu)
-        algs[f"construction n={n}"] = sps.build_clifford_space(spec).algebra
+        algs[f"construction n={n}"] = sps.build_clifford_space(n, 2.0 * mu * mu, mu).algebra
     algs["perturbed Spin(9)/Spin(7)"] = LieAlgebra(_perturbed_spin9())
     return algs
 
@@ -446,7 +445,7 @@ def test_structure_constants_from_matrices_roundtrip():
 
 
 def test_nilpotency_class_and_center():
-    space = build_heisenberg(HeisenbergSpec(1, 1))
+    space = build_heisenberg(1, 1)
     from liecoh.spaces import nilpotent_part
 
     nil = nilpotent_part(space)

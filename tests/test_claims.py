@@ -1,10 +1,14 @@
 """The warm check path, the run configuration and the runner's error reports."""
 
 import threading
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from liecoh import algebra as la
 from liecoh import claims
+from liecoh import geometry as geo
 from liecoh import spaces as sps
 from liecoh.claims import RunConfig, run_suite
 
@@ -17,6 +21,58 @@ def test_a_warm_suite_never_recomputes_a_catalog_residual(jacobi_kernel_calls):
     assert run_suite(cfg, jobs=1).exit_code == 0
     assert jacobi_kernel_calls  # the construction claims build fresh algebras every time
     assert not [c for c in jacobi_kernel_calls if any(c is cc for cc in catalog_constants)]
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Every ``ReductiveSpace`` whose construction starts during the test."""
+    seen = []
+    post_init = sps.ReductiveSpace.__post_init__
+
+    def recording(space):
+        seen.append(space)
+        post_init(space)
+
+    monkeypatch.setattr(sps.ReductiveSpace, "__post_init__", recording)
+    return seen
+
+
+def test_a_fresh_suite_constructs_each_catalog_entry_once(constructed):
+    ids = sps.catalog_ids()
+    sps.catalog_entry.cache_clear()
+    sps.catalog()
+    assert sorted(s.label for s in constructed) == sorted(ids)  # no second construction
+    sps.catalog_entry.cache_clear()
+    del constructed[:]
+    assert run_suite(RunConfig(), jobs=1).exit_code == 0
+    labels = Counter(s.label for s in constructed)  # read after the run: the labels they got
+    assert {sid: labels[sid] for sid in ids} == dict.fromkeys(ids, 1)
+
+
+def test_a_warm_suite_constructs_no_catalog_entry(constructed):
+    sps.catalog()
+    del constructed[:]
+    assert run_suite(RunConfig(), jobs=1).exit_code == 0
+    assert constructed  # the construction and gate claims build their own spaces
+    assert not {s.label for s in constructed} & set(sps.catalog_ids())
+
+
+# claim id prefix -> the residual that the claim reduces over its samples or entries
+NAN_RESIDUALS = {
+    "curvature.warped.": (geo, "warped_sectional_fd"),
+    "curvature.hyperbolic.": (geo, "sectional_curvature"),
+    "curvature.symmetries.catalog": (geo, "curvature_symmetry_residual"),
+    "catalog.invariants": (la, "killing_invariance_residual"),
+}
+
+
+@pytest.mark.parametrize("prefix", sorted(NAN_RESIDUALS))
+def test_a_nan_residual_fails_its_claim(prefix, monkeypatch):
+    module, name = NAN_RESIDUALS[prefix]
+    monkeypatch.setattr(module, name, lambda *args: np.nan)
+    registry = [fn for claim_id, _, fn in claims.build_claims() if claim_id.startswith(prefix)]
+    assert registry
+    assert {fn(RunConfig()).status for fn in registry} == {"fail"}
 
 
 def test_every_claim_runs_on_the_calling_thread(monkeypatch):

@@ -17,8 +17,8 @@ from liecoh.clifford import bivector_pairs, so_structure_tensor
 from liecoh.completion import CompletionProblem, complete_bracket
 from liecoh.linalg import RANK_RTOL, ValidationError, subspace_gap
 from liecoh.spaces import (
-    CliffordSpaceSpec,
     _select_completion,
+    build_clifford_space,
     catalog_entry,
     clifford_completion_problem,
 )
@@ -129,7 +129,7 @@ def test_a_selection_needs_a_solution_space_of_nullity_one():
     assert np.array_equal(_select_completion(n2, (4, 6)), np.ones(1))
     assert np.array_equal(_select_completion(n2, (0, 10)), -np.ones(1))
     with pytest.raises(ValueError, match="unknown filling"):
-        CliffordSpaceSpec(2, 1.0, MU, 1, "abelian")
+        build_clifford_space(2, 1.0, MU, "abelian")
 
 
 @pytest.mark.parametrize("unknown", [(4, -1), (5, -1), (-2, 5), (1, 99)])

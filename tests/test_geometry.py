@@ -22,7 +22,6 @@ from liecoh.geometry import (
 from liecoh.linalg import random_unit_vector
 from liecoh.spaces import (
     ReductiveSpace,
-    SemidirectHyperbolicSpec,
     catalog_entry,
     euclidean_screw,
     hyperbolic_semidirect,
@@ -85,7 +84,7 @@ def test_screw_space_flat():
 
 @pytest.mark.parametrize("field,rate", [("R", 1.0), ("C", 0.5), ("H", 1.0)])
 def test_hyperbolic_constant_curvature(field, rate):
-    space = hyperbolic_semidirect(SemidirectHyperbolicSpec(field, rate))
+    space = hyperbolic_semidirect(field, rate)
     ms = InvariantMetricSpace(space)
     r4 = curvature_tensor(ms)
     rng = np.random.default_rng(17)

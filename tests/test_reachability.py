@@ -150,7 +150,8 @@ for mod in modules:
     short = mod.__name__.split(".", 1)[1]
     never += [short + "." + name for name, codes in inventory(mod) if not codes & called]
 one_value = [key for key, seen in received.items() if len(seen) == 1]
-print(json.dumps({"never": sorted(never), "one_value": sorted(one_value)}))
+print(json.dumps({"never": sorted(never), "one_value": sorted(one_value),
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -170,6 +171,12 @@ def test_functions_and_methods_that_verify_catalog_and_export_never_call(product
 
 def test_every_default_and_every_other_value_is_used(product_run):
     assert product_run["one_value"] == sorted(ONE_VALUE)
+
+
+def test_the_product_never_imports_numpy_ma(product_run):
+    # np.unique and np.setdiff1d import numpy.ma on their first call, a cost
+    # each cold process would pay
+    assert product_run["numpy_ma"] is False
 
 
 def _unused_imports(path):

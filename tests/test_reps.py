@@ -284,11 +284,11 @@ def test_rep_direct_sum_blocks(so3):
 
 def test_orbit_dimension_constant_over_catalog_samples():
     """Principal-orbit genericity: 20 seeded samples, one orbit dimension."""
-    from liecoh.spaces import catalog_ids, catalog_entry, isotropy_representation
+    from liecoh.spaces import catalog_ids, catalog_entry
 
     rng = np.random.default_rng(0x5EED)
     for sid in catalog_ids():
-        rep, _ = isotropy_representation(catalog_entry(sid))
+        rep = catalog_entry(sid).rep
         dims = {orbit_dimension(rep, unit(rng.standard_normal(rep.space_dim)))
                 for _ in range(20)}
         assert len(dims) == 1, sid

@@ -6,6 +6,7 @@ from liecoh.algebra import (
     LieAlgebra,
     Subspace,
     ValidationError,
+    abelian,
     center_dimension,
     jacobi_residual,
     killing_form,
@@ -18,17 +19,14 @@ from liecoh.builders import clifford_isotropy, unitary_determinant_action
 from liecoh.clifford import spin_module
 from liecoh.reps import cohomogeneity
 from liecoh.spaces import (
-    CliffordSpaceSpec,
-    HeisenbergSpec,
     ReductiveSpace,
-    SemidirectHyperbolicSpec,
     _span_subalgebra,
     build_clifford_space,
     build_heisenberg,
     build_trivial_module_space,
     catalog_entry,
     catalog_ids,
-    isotropy_representation,
+    hyperbolic_semidirect,
     nilpotent_part,
 )
 
@@ -42,16 +40,15 @@ MU = 1.0 / np.sqrt(2.0)
 
 @pytest.mark.parametrize("n,k_dim,m2_dim", [(2, 4, 4), (3, 6, 4), (6, 15, 8), (7, 21, 8)])
 def test_clifford_construction_shapes(n, k_dim, m2_dim):
-    space = build_clifford_space(CliffordSpaceSpec(n, 1.0, MU))
+    space = build_clifford_space(n, 1.0, MU)
     assert space.isotropy.dim == k_dim
     assert [b.dim for b in space.blocks] == [n, m2_dim]
     assert jacobi_residual(space.algebra) < 1e-9
-    rep, _ = isotropy_representation(space)
-    assert cohomogeneity(rep) == 2
+    assert cohomogeneity(space.rep) == 2
 
 
 def test_clifford_heisenberg_mode_n7():
-    space = build_heisenberg(HeisenbergSpec(7))
+    space = build_heisenberg(7, 1)
     assert space.dim == 36  # 21 + 7 + 8
     nil = nilpotent_part(space)
     assert nil.dim == 15
@@ -66,7 +63,7 @@ def _g1(space):
 
 
 def test_clifford_zero_mode_n7_g1_fingerprint():
-    space = build_clifford_space(CliffordSpaceSpec(7, 1.0, MU, 1, None))
+    space = build_clifford_space(7, 1.0, MU, None)
     g1, closure = _g1(space)
     assert g1.dim == 28
     assert signature(killing_form(g1)) == (0, 28, 0)
@@ -75,7 +72,7 @@ def test_clifford_zero_mode_n7_g1_fingerprint():
 
 def test_clifford_rejects_wrong_scale_with_residual():
     with pytest.raises(ValidationError) as err:
-        build_clifford_space(CliffordSpaceSpec(7, 1.0, 1.0))
+        build_clifford_space(7, 1.0, 1.0)
     # hand value: the jacobiator on (e_i, e_j, w) is (lam - 2 mu^2) G_i G_j w,
     # whose columns are unit vectors; the largest constant is 2 lam = 2
     assert abs(err.value.residual - 0.5) < 1e-12
@@ -85,14 +82,14 @@ def test_clifford_rejects_wrong_scale_with_residual():
 @pytest.mark.parametrize("selector", [pytest.param((0, 10), id="negative-definite"), (4, 6)])
 def test_completed_mode_refuses_inconsistent_scale(selector):
     with pytest.raises(ValidationError, match="no admissible filling"):
-        build_clifford_space(CliffordSpaceSpec(2, 1.0, 0.3, 1, selector))
+        build_clifford_space(2, 1.0, 0.3, selector)
 
 
 def test_clifford_rejects_kappa_zero_mode():
     # the nilpotent bracket is build_heisenberg's, not a mode of the family
     for kappa in (0.0, 1.0):
         with pytest.raises(ValueError, match="unknown filling"):
-            CliffordSpaceSpec(7, 0.0, 0.0, 1, ("heisenberg", kappa))
+            build_clifford_space(7, 0.0, 0.0, ("heisenberg", kappa))
 
 
 # the old mode spellings, signatures of the wrong length or type, and names
@@ -102,21 +99,14 @@ def test_clifford_rejects_kappa_zero_mode():
 def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
     monkeypatch.setattr(sps, "_cached_completion", lambda *a: pytest.fail("solved"))
     with pytest.raises(ValueError, match="unknown filling"):
-        CliffordSpaceSpec(2, 1.0, MU, 1, mode)
+        build_clifford_space(2, 1.0, MU, mode)
 
 
-@pytest.mark.parametrize("n,copies,mode", [
-    (2, 0, None), (2, -1, None), (6, 2, None), (7, 2, None), (2, 2, (0, 10)),
-])
-def test_clifford_spec_rejects_unwired_module_counts(n, copies, mode):
-    with pytest.raises(ValueError, match="module cop"):
-        CliffordSpaceSpec(n, 1.0, MU, copies, mode)
-
-
-@pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (3, -1), (6, 2)])
+# the Clifford skeleton's module-copy check (n = 2, 3, 6, 7), and the center-one path's
+@pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (2, -1), (3, -1), (6, 2), (7, 2)])
 def test_heisenberg_spec_rejects_unwired_module_counts(center, copies):
     with pytest.raises(ValueError, match="module cop"):
-        HeisenbergSpec(center, copies)
+        build_heisenberg(center, copies)
 
 
 @pytest.mark.parametrize("field_name,rate", [
@@ -125,7 +115,14 @@ def test_heisenberg_spec_rejects_unwired_module_counts(center, copies):
 def test_hyperbolic_spec_rejects_a_bad_rate_or_field(field_name, rate):
     what = "field" if field_name == "Q" else f"rate must be finite and nonzero, got {rate!r}"
     with pytest.raises(ValueError, match=what):
-        SemidirectHyperbolicSpec(field_name, rate)
+        hyperbolic_semidirect(field_name, rate)
+
+
+def test_overlapping_isotropy_and_blocks_are_rejected():
+    # e0 lies in both k and m1, and e2 in neither
+    coord = lambda idx: Subspace.coordinate(3, idx)  # noqa: E731
+    with pytest.raises(ValidationError, match="not orthonormal together"):
+        ReductiveSpace("overlap", abelian(3), coord([0]), (coord([0]), coord([1])))
 
 
 def test_euclidean_screw_rejects_an_empty_module():
@@ -138,9 +135,8 @@ def test_euclidean_screw_rejects_an_empty_module():
 def test_rescaling_equivariance(alpha):
     """Pulling back by (k, x, v) -> (k, alpha x, v) rescales (lam, mu)."""
     lam, mu = 0.5, 0.5
-    base = build_clifford_space(CliffordSpaceSpec(3, lam, mu))
-    scaled = build_clifford_space(
-        CliffordSpaceSpec(3, alpha * alpha * lam, alpha * mu))
+    base = build_clifford_space(3, lam, mu)
+    scaled = build_clifford_space(3, alpha * alpha * lam, alpha * mu)
     f = np.eye(base.dim)
     m1_ambient = [int(np.argmax(np.abs(col))) for col in base.blocks[0].basis.T]
     for i in m1_ambient:
@@ -158,7 +154,7 @@ def test_rescaling_equivariance(alpha):
     (1, 1, 3), (1, 2, 5), (2, 1, 6), (3, 1, 7), (6, 1, 14), (7, 1, 15),
 ])
 def test_heisenberg_types(center, copies, nil_dim):
-    space = build_heisenberg(HeisenbergSpec(center, copies))
+    space = build_heisenberg(center, copies)
     nil = nilpotent_part(space)
     assert nil.dim == nil_dim
     assert center_dimension(nil) == center
@@ -166,7 +162,7 @@ def test_heisenberg_types(center, copies, nil_dim):
 
 
 def test_heisenberg_n310_j_anticommutation():
-    space = build_heisenberg(HeisenbergSpec(3, 1))
+    space = build_heisenberg(3, 1)
     from liecoh.claims import _j_matrices
 
     j = _j_matrices(space)
@@ -178,7 +174,7 @@ def test_heisenberg_n310_j_anticommutation():
 
 def test_heisenberg_normalization_kills_kappa():
     """Raw kappa = -2 pulled back by the sign-and-scale map gives kappa = 1."""
-    normalized = build_heisenberg(HeisenbergSpec(3, 1))
+    normalized = build_heisenberg(3, 1)
     kappa = -2.0
     z_idx = [int(np.argmax(np.abs(c))) for c in normalized.blocks[0].basis.T]
     x_idx = [int(np.argmax(np.abs(c))) for c in normalized.blocks[1].basis.T]
@@ -195,7 +191,7 @@ def test_heisenberg_normalization_kills_kappa():
 
 
 def test_zero_mode_at_n2_has_an_abelian_m():
-    space = build_clifford_space(CliffordSpaceSpec(2, 0.0, 0.0))
+    space = build_clifford_space(2, 0.0, 0.0)
     assert np.abs(nilpotent_part(space).c).max() == 0.0
 
 
@@ -207,8 +203,7 @@ def test_zero_mode_at_n2_has_an_abelian_m():
 def test_su_compact_branch():
     space = build_trivial_module_space("su_compact", 2)
     assert space.dim == 8 and space.isotropy.dim == 3
-    rep, _ = isotropy_representation(space)
-    assert cohomogeneity(rep) == 2
+    assert cohomogeneity(space.rep) == 2
     assert signature(killing_form(space.algebra)) == (0, 8, 0)
 
 
@@ -316,7 +311,7 @@ def test_extracted_isotropy_is_the_clifford_isotropy_bit_for_bit():
     # the coh2 rows read the extracted isotropy in place of the construction's
     assert len(CLIFFORD_SKELETON_ENTRIES) == 16
     for sid, (n, copies) in CLIFFORD_SKELETON_ENTRIES.items():
-        rep, _ = isotropy_representation(catalog_entry(sid))
+        rep = catalog_entry(sid).rep
         built = clifford_isotropy(spin_module(n), copies)
         assert np.array_equal(rep.algebra.c, built.algebra.c), sid
         assert np.array_equal(rep.matrices, built.matrices), sid
@@ -331,7 +326,7 @@ def test_catalog_unknown_id():
 def test_scale_violation_residual_grows_with_delta(delta):
     """Residual exceeds delta / 10 whenever the scales are off by delta."""
     with pytest.raises(ValidationError) as err:
-        build_clifford_space(CliffordSpaceSpec(7, 2 * MU * MU + delta, MU))
+        build_clifford_space(7, 2 * MU * MU + delta, MU)
     assert err.value.residual > delta / 10.0
 
 

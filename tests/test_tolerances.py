@@ -63,10 +63,18 @@ def _gl2_with_inf():
     return mats
 
 
-def _inf_space(k_idx, block_idx):
-    alg = _eps_with_inf()
-    return sps.ReductiveSpace("inf", alg, la.Subspace.coordinate(3, k_idx),
+def _inf_space(monkeypatch, k_idx, block_idx):
+    """A space over ``_eps_with_inf``; its Jacobi gate is switched off to reach the later ones."""
+    monkeypatch.setattr(sps, "require_valid", lambda alg, what: alg)
+    return sps.ReductiveSpace("inf", _eps_with_inf(), la.Subspace.coordinate(3, k_idx),
                               tuple(la.Subspace.coordinate(3, b) for b in block_idx))
+
+
+def _nan_frame_space(monkeypatch):
+    """A space whose isotropy basis holds a NaN, set past the ``Subspace`` check."""
+    k = la.Subspace.coordinate(3, [0])
+    monkeypatch.setattr(k, "basis", np.array([[np.nan], [0.0], [0.0]]))
+    sps.ReductiveSpace("nan", la.abelian(3), k, (la.Subspace.coordinate(3, [1, 2]),))
 
 
 def _profile_nan_inside():
@@ -92,11 +100,11 @@ def _isotropy_gate(monkeypatch, gate):
     if gate == "invariance":
         monkeypatch.setattr(sps, "_span_subalgebra",
                             lambda alg, basis, *rest: (la.abelian(basis.shape[1]), 0.0))
-        space = _inf_space([0], [[1, 2]])
+        _inf_space(monkeypatch, [0], [[1, 2]])
     else:
         space = sps.catalog_entry("SO(5)/SO(2)SO(3)")
         monkeypatch.setattr(sps, "block_invariance_residual", lambda rep, idx: np.nan)
-    sps.isotropy_representation(space)
+        sps.isotropy_representation(space)
 
 
 def _completion_with_inf():
@@ -107,48 +115,64 @@ def _completion_with_inf():
                                         la.Subspace.coordinate(5, [0, 1, 2]))
 
 
+# gate -> (a fragment of its own message, a call that reaches it with a NaN residual)
 GATES = {
-    "algebra.semidirect_sum":
-        lambda mp: la.semidirect_sum(bld.so_standard(3).algebra, _so3_rep((0, 0, 0))),
-    "algebra.weyl_flip": lambda mp: la.weyl_flip(_eps_with_inf(), [0, 1, 2]),
-    "algebra.structure_constants_from_matrices":
-        lambda mp: la.structure_constants_from_matrices(_gl2_with_inf()),
-    "algebra.Subspace": lambda mp: la.Subspace(2, np.array([[INF, 0.0], [0.0, 1.0]])),
-    "completion.complete_bracket":
-        lambda mp: completion.complete_bracket(_completion_with_inf()),
-    "linalg.signature.inf": lambda mp: linalg.signature([[1.0, INF], [INF, 1.0]]),
-    "linalg.signature.nan": lambda mp: linalg.signature([[np.nan, 0.0], [0.0, 1.0]]),
-    "reps.Representation.validate.homomorphism": lambda mp: _so3_rep((0, 0, 0)).validate(),
-    "reps.kernel_ideal":
-        lambda mp: reps.kernel_ideal(reps.Representation(_eps_with_inf(), np.zeros((3, 2, 2)))),
-    "reps.restrict": lambda mp: reps.restrict(_so3_plus_line_with_inf(), [0, 1, 2]),
-    "reps.splitting_criterion":
-        lambda mp: reps.splitting_criterion(_so3_plus_line_with_inf(), [0, 1, 2], [3]),
-    "spaces.isotropy_representation.closure":
-        lambda mp: sps.isotropy_representation(_inf_space([0], [[1, 2]])),
-    "spaces.isotropy_representation.invariance": lambda mp: _isotropy_gate(mp, "invariance"),
-    "spaces.isotropy_representation.blocks": lambda mp: _isotropy_gate(mp, "blocks"),
-    "spaces.nilpotent_part": lambda mp: sps.nilpotent_part(_inf_space([], [[0, 1], [2]])),
-    "geometry.InvariantMetricSpace.block_scales":
-        lambda mp: geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (np.nan, 1.0)),
-    "geometry.WarpedProduct.segment":
-        lambda mp: geo.WarpedProduct(("segment", np.nan), geo.Profile.poly(1),
-                                     geo.RoundSphere(2)),
-    "geometry.sectional_curvature.plane": lambda mp: _sphere_sectional([np.nan, 0.0], [0.0, 1.0]),
-    "geometry.warped_sectional_curvature.plane":
+    "algebra.semidirect_sum": ("invalid representation: commutation", lambda mp:
+        la.semidirect_sum(bld.so_standard(3).algebra, _so3_rep((0, 0, 0)))),
+    "algebra.weyl_flip": ("not the odd part of a symmetric pair",
+                          lambda mp: la.weyl_flip(_eps_with_inf(), [0, 1, 2])),
+    "algebra.structure_constants_from_matrices": ("non-finite entry",
+        lambda mp: la.structure_constants_from_matrices(_gl2_with_inf())),
+    "algebra.Subspace": ("basis columns must be orthonormal",
+                         lambda mp: la.Subspace(2, np.array([[INF, 0.0], [0.0, 1.0]]))),
+    "completion.complete_bracket": ("non-finite entry",
+        lambda mp: completion.complete_bracket(_completion_with_inf())),
+    "linalg.signature.inf": ("non-finite entry",
+                             lambda mp: linalg.signature([[1.0, INF], [INF, 1.0]])),
+    "linalg.signature.nan": ("non-finite entry",
+                             lambda mp: linalg.signature([[np.nan, 0.0], [0.0, 1.0]])),
+    "reps.Representation.validate.homomorphism": ("representation: homomorphism",
+        lambda mp: _so3_rep((0, 0, 0)).validate()),
+    "reps.kernel_ideal": ("kernel is not an ideal", lambda mp:
+        reps.kernel_ideal(reps.Representation(_eps_with_inf(), np.zeros((3, 2, 2))))),
+    "reps.restrict": ("block is not invariant",
+                      lambda mp: reps.restrict(_so3_plus_line_with_inf(), [0, 1, 2])),
+    "reps.splitting_criterion": ("block is not invariant", lambda mp:
+        reps.splitting_criterion(_so3_plus_line_with_inf(), [0, 1, 2], [3])),
+    "spaces.ReductiveSpace.orthonormal": ("not orthonormal together", _nan_frame_space),
+    "spaces.ReductiveSpace.jacobi": ("inf: Jacobi identity", lambda mp:
+        sps.ReductiveSpace("inf", _eps_with_inf(), la.Subspace.coordinate(3, [0]),
+                           (la.Subspace.coordinate(3, [1, 2]),))),
+    "spaces.isotropy_representation.closure": ("isotropy is not a subalgebra",
+                                               lambda mp: _inf_space(mp, [0], [[1, 2]])),
+    "spaces.isotropy_representation.invariance": ("blocks are not invariant under k",
+                                                  lambda mp: _isotropy_gate(mp, "invariance")),
+    "spaces.isotropy_representation.blocks": ("a designated block is not invariant",
+                                              lambda mp: _isotropy_gate(mp, "blocks")),
+    "spaces.nilpotent_part": ("m is not a subalgebra",
+                              lambda mp: sps.nilpotent_part(_inf_space(mp, [], [[0, 1], [2]]))),
+    "geometry.InvariantMetricSpace.block_scales": ("block scales must be positive", lambda mp:
+        geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (np.nan, 1.0))),
+    "geometry.WarpedProduct.segment": ("segment needs a positive finite length", lambda mp:
+        geo.WarpedProduct(("segment", np.nan), geo.Profile.poly(1), geo.RoundSphere(2))),
+    "geometry.sectional_curvature.plane": ("degenerate plane",
+        lambda mp: _sphere_sectional([np.nan, 0.0], [0.0, 1.0])),
+    "geometry.warped_sectional_curvature.plane": ("degenerate plane",
         lambda mp: geo.warped_sectional_curvature(_round_sphere_line(), 0.0,
-                                                  [1.0, 0.0, 0.0], [0.0, np.nan, 1.0]),
-    "geometry.warped_sectional_curvature.profile":
+                                                  [1.0, 0.0, 0.0], [0.0, np.nan, 1.0])),
+    "geometry.warped_sectional_curvature.profile": ("t must be an interior point",
         lambda mp: geo.warped_sectional_curvature(_profile_nan_inside(), 0.0,
-                                                  [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                                                  [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])),
 }
 
 
 @pytest.mark.parametrize("gate", sorted(GATES))
 def test_non_finite_residual_fails_every_gate(gate, monkeypatch):
+    fragment, reach = GATES[gate]
     with np.errstate(invalid="ignore"), pytest.raises(la.ValidationError) as err:
-        GATES[gate](monkeypatch)
+        reach(monkeypatch)
     assert np.isnan(err.value.residual)
+    assert fragment in str(err.value)
 
 
 @pytest.mark.parametrize("value", [INF, 0.0, -1.0])
