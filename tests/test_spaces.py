@@ -102,8 +102,17 @@ def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
         build_clifford_space(2, 1.0, MU, mode)
 
 
-# the Clifford skeleton's module-copy check (n = 2, 3, 6, 7), and the center-one path's
-@pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (2, -1), (3, -1), (6, 2), (7, 2)])
+# the Clifford skeleton's module-copy check on the lam, mu family; the ids name
+# the filling, which the skeleton leaves empty (None) for every build on it
+@pytest.mark.parametrize("n,copies", [(2, 0), (2, -1), (6, 2), (7, 2)],
+                         ids=["2-0-None", "2--1-None", "6-2-None", "7-2-None"])
+def test_clifford_spec_rejects_unwired_module_counts(n, copies):
+    with pytest.raises(ValueError, match="module cop"):
+        sps._clifford_skeleton(n, 1.0, MU, copies)
+
+
+# the same check reached through build_heisenberg, and the center-one path's
+@pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (3, -1), (6, 2)])
 def test_heisenberg_spec_rejects_unwired_module_counts(center, copies):
     with pytest.raises(ValueError, match="module cop"):
         build_heisenberg(center, copies)
