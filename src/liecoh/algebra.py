@@ -87,7 +87,7 @@ def require_below(residual: float, bound: float, what: str, triple=None) -> None
                               residual=residual, triple=triple)
 
 
-@dataclass
+@dataclass(eq=False)
 class LieAlgebra:
     """Real Lie algebra as a structure-constant tensor in an orthonormal basis.
 
@@ -104,7 +104,7 @@ class LieAlgebra:
     _: KW_ONLY
     labels: tuple[str, ...] | None = None
     # (c, worst Jacobi triple, residual), set by ``worst_jacobi_triple``
-    _jacobi: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _jacobi: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)  # a copy: the caller's array stays writable
@@ -527,7 +527,7 @@ def structure_constants_from_matrices(matrices) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Subspace:
     """Subspace of R^n stored as orthonormal basis columns.
 

@@ -59,6 +59,8 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config: {err}")
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}")
+    if parser.defaults():  # configparser would read its keys into every section
+        raise ConfigError("unknown config section [DEFAULT]")
     known = {"run": {"seed", "groups"}}
     for section in parser.sections():
         if section not in known:

@@ -135,7 +135,7 @@ def clifford_multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class CliffordModule:
     """Real module given by gamma matrices Gamma_1..Gamma_n.
 

@@ -58,7 +58,7 @@ __all__ = ["CompletionProblem", "CompletionSolution", "complete_bracket"]
 GRAM_RTOL = 1e-4
 
 
-@dataclass
+@dataclass(eq=False)
 class CompletionProblem:
     """Bracket completion data.
 
@@ -94,7 +94,7 @@ class CompletionProblem:
         return [(s[a], s[b]) for a in range(len(s)) for b in range(a + 1, len(s))]
 
 
-@dataclass
+@dataclass(eq=False)
 class CompletionSolution:
     """Affine solution space of a completion problem.
 

@@ -43,8 +43,8 @@ __all__ = [
     "riemann_finite_difference",
     "sectional_curvature",
     "sphere_space",
+    "warped_curvature_fd",
     "warped_sectional_curvature",
-    "warped_sectional_fd",
 ]
 
 FD_STEP = 1e-4
@@ -55,7 +55,7 @@ FD_STEP = 1e-4
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class InvariantMetricSpace:
     """Reductive space with one positive scale per complement block."""
 
@@ -131,12 +131,11 @@ def curvature_symmetry_residual(r4: np.ndarray) -> float:
     return float(res / scale)
 
 
-def sectional_curvature(ms: InvariantMetricSpace, x, y, r4: np.ndarray) -> float:
-    """g(R(x, y) y, x) over the squared area of the plane; ``r4`` is ``curvature_tensor(ms)``."""
+def sectional_curvature(r4: np.ndarray, g: np.ndarray, x, y) -> float:
+    """R4(x, y, y, x) over the squared area of the plane span{x, y} in the metric ``g``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    q = ms.metric()
-    area2 = (x @ q @ x) * (y @ q @ y) - (x @ q @ y) ** 2
+    area2 = (x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2
     if not area2 >= 1e-12:
         raise ValidationError("degenerate plane", residual=float(area2))
     val = np.einsum("ijkl,i,j,k,l->", r4, x, y, y, x)
@@ -326,13 +325,13 @@ def _warped_chart_metric(w: WarpedProduct, t: float):
     return metric_fn
 
 
-def warped_sectional_fd(w: WarpedProduct, t: float, v, u) -> float:
-    """Finite-difference value of the same sectional curvature as the closed form."""
+def warped_curvature_fd(w: WarpedProduct, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference (0,4) curvature and metric at parameter t, as ``(r4, g0)``.
+
+    Both are read in the chart whose coordinates at its origin are the plane
+    vectors of ``warped_sectional_curvature``, so ``sectional_curvature(r4,
+    g0, v, u)`` is the oracle's value of the same sectional curvature.
+    """
     d = w.fiber.dim
     metric_fn = _warped_chart_metric(w, t)
-    r4 = riemann_finite_difference(metric_fn, 1 + d)
-    v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
-    g0 = metric_fn(np.zeros((1, 1 + d)))[0]
-    num = np.einsum("ijkl,i,j,k,l->", r4, v, u, u, v)
-    area2 = (v @ g0 @ v) * (u @ g0 @ u) - (v @ g0 @ u) ** 2
-    return float(num / area2)
+    return riemann_finite_difference(metric_fn, 1 + d), metric_fn(np.zeros((1, 1 + d)))[0]

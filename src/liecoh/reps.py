@@ -40,7 +40,7 @@ DEFAULT_SEED = 0x5EED
 GENERIC_SAMPLES = 20
 
 
-@dataclass
+@dataclass(eq=False)
 class Representation:
     """A Lie algebra acting on a real vector space by matrices.
 

@@ -19,8 +19,8 @@ Every check of a space runs once, in the ``ReductiveSpace`` constructor:
 the isotropy and blocks decompose the algebra with jointly orthonormal bases,
 the Jacobi identity holds, and k closes and keeps every block.  A Jacobi
 violation raises ``ValidationError`` carrying the normalized residual and the
-worst basis triple; that residual is itself the point of several checks (the
-constraint lam = 2 mu^2 is reproduced as exactly this failure).
+worst basis triple; off the constraint lam = 2 mu^2 the Clifford construction
+fails so, and the claims read the same residual off its skeleton.
 
 The isotropy and the blocks are read only through their bases (with
 ``span_brackets``), so a space whose blocks are given in any orthonormal
@@ -91,7 +91,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ReductiveSpace:
     """Algebra with isotropy subalgebra and invariant complement blocks.
 

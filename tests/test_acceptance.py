@@ -106,7 +106,7 @@ def test_criterion_6_curvature():
         for rate in (1.0, 0.5):
             space = sps.hyperbolic_semidirect(field, rate)
             ms = geo.InvariantMetricSpace(space)
-            r4 = geo.curvature_tensor(ms)
+            r4, g = geo.curvature_tensor(ms), ms.metric()
             worst = 0.0
             for _ in range(100):
                 x = random_unit_vector(ms.m_dim, rng)
@@ -115,7 +115,7 @@ def test_criterion_6_curvature():
                 if np.linalg.norm(y) < 1e-6:
                     continue
                 y /= np.linalg.norm(y)
-                worst = max(worst, abs(geo.sectional_curvature(ms, x, y, r4) + rate ** 2))
+                worst = max(worst, abs(geo.sectional_curvature(r4, g, x, y) + rate ** 2))
             assert worst < 1e-8, (field, rate)
 
     w = geo.WarpedProduct(("line",), geo.Profile.exp(-1.0),
@@ -128,8 +128,8 @@ def test_criterion_6_curvature():
         y = np.array([-x[1], x[0]])
         x0, y0 = np.concatenate([[0.0], x]), np.concatenate([[0.0], y])
         v, u = ((np.eye(3)[0], x0), (x0, y0), (np.concatenate([[0.5], x]), y0))[s % 3]
-        worst_fd = max(worst_fd, abs(geo.warped_sectional_curvature(w, t, v, u)
-                                     - geo.warped_sectional_fd(w, t, v, u)))
+        fd = geo.sectional_curvature(*geo.warped_curvature_fd(w, t), v, u)
+        worst_fd = max(worst_fd, abs(geo.warped_sectional_curvature(w, t, v, u) - fd))
     assert worst_fd < 1e-5
 
     screw = sps.euclidean_screw(1)

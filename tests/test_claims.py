@@ -19,7 +19,7 @@ def test_a_warm_suite_never_recomputes_a_catalog_residual(jacobi_kernel_calls):
     catalog_constants = [sps.catalog_entry(sid).algebra.c for sid in sps.catalog_ids()]
     del jacobi_kernel_calls[:]
     assert run_suite(cfg, jobs=1).exit_code == 0
-    assert jacobi_kernel_calls  # the construction claims build fresh algebras every time
+    assert jacobi_kernel_calls  # the construction claims build fresh skeletons every time
     assert not [c for c in jacobi_kernel_calls if any(c is cc for cc in catalog_constants)]
 
 
@@ -51,25 +51,52 @@ def test_a_fresh_suite_constructs_each_catalog_entry_once(constructed):
 
 def test_a_warm_suite_constructs_no_catalog_entry(constructed):
     sps.catalog()
+    # only the curvature models: the jacobi claims read a bracket tensor, not a space
+    models = [sps.hyperbolic_semidirect(f, r).label for f, r in claims.HYPERBOLIC_CASES]
+    models.append(sps.euclidean_screw(1).label)
     del constructed[:]
     assert run_suite(RunConfig(), jobs=1).exit_code == 0
-    assert constructed  # the construction and gate claims build their own spaces
+    assert sorted(s.label for s in constructed) == sorted(models)
     assert not {s.label for s in constructed} & set(sps.catalog_ids())
 
 
-# claim id prefix -> the residual that the claim reduces over its samples or entries
+def test_each_warped_claim_takes_one_fd_tensor_per_sample_point(monkeypatch):
+    calls = []
+    riemann = geo.riemann_finite_difference
+
+    def counting(metric_fn, dim):
+        calls.append(dim)
+        return riemann(metric_fn, dim)
+
+    monkeypatch.setattr(geo, "riemann_finite_difference", counting)
+    registry = [fn for claim_id, _, fn in claims.build_claims()
+                if claim_id.startswith("curvature.warped.")]
+    assert len(registry) == len(claims.WARPED_CASES)
+    for fn in registry:
+        del calls[:]
+        assert fn(RunConfig()).status == "pass"
+        assert len(calls) == 13
+
+
+def _nan_fd_tensor(w, t, fd=geo.warped_curvature_fd):
+    r4, g0 = fd(w, t)
+    return np.full_like(r4, np.nan), g0
+
+
+# claim id prefix -> the residual that the claim reduces over its samples or
+# entries, and a stand-in for it that returns NaN
 NAN_RESIDUALS = {
-    "curvature.warped.": (geo, "warped_sectional_fd"),
-    "curvature.hyperbolic.": (geo, "sectional_curvature"),
-    "curvature.symmetries.catalog": (geo, "curvature_symmetry_residual"),
-    "catalog.invariants": (la, "killing_invariance_residual"),
+    "curvature.warped.": (geo, "warped_curvature_fd", _nan_fd_tensor),
+    "curvature.hyperbolic.": (geo, "sectional_curvature", lambda *args: np.nan),
+    "curvature.symmetries.catalog": (geo, "curvature_symmetry_residual", lambda *args: np.nan),
+    "catalog.invariants": (la, "killing_invariance_residual", lambda *args: np.nan),
 }
 
 
 @pytest.mark.parametrize("prefix", sorted(NAN_RESIDUALS))
 def test_a_nan_residual_fails_its_claim(prefix, monkeypatch):
-    module, name = NAN_RESIDUALS[prefix]
-    monkeypatch.setattr(module, name, lambda *args: np.nan)
+    module, name, nan = NAN_RESIDUALS[prefix]
+    monkeypatch.setattr(module, name, nan)
     registry = [fn for claim_id, _, fn in claims.build_claims() if claim_id.startswith(prefix)]
     assert registry
     assert {fn(RunConfig()).status for fn in registry} == {"fail"}

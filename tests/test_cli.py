@@ -60,6 +60,15 @@ def test_tolerances_section_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert "unknown config section [tolerances]" in capsys.readouterr().err
 
 
+def test_a_default_section_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # its keys belong to no section of the run, so its seed would go unused
+    monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
+    cfg_file = tmp_path / "default.ini"
+    cfg_file.write_text("[DEFAULT]\nbogus = 1\nseed = 5\n")
+    assert main(["verify", "--config", str(cfg_file), "--group", "tables"]) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
 def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
     assert main(["verify", "--out", str(tmp_path / "missing" / "out.jsonl")]) == 2

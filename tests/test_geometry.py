@@ -16,8 +16,8 @@ from liecoh.geometry import (
     riemann_finite_difference,
     sectional_curvature,
     sphere_space,
+    warped_curvature_fd,
     warped_sectional_curvature,
-    warped_sectional_fd,
 )
 from liecoh.linalg import random_unit_vector
 from liecoh.spaces import (
@@ -62,7 +62,7 @@ def test_round_sphere_unit_curvature():
         rng = np.random.default_rng(n)
         for _ in range(5):
             x, y = orthonormal_plane(rng, n)
-            assert abs(sectional_curvature(ms, x, y, r4) - 1.0) < 1e-12
+            assert abs(sectional_curvature(r4, ms.metric(), x, y) - 1.0) < 1e-12
 
 
 def test_hyperbolic_fiber_from_sign_flip():
@@ -73,7 +73,7 @@ def test_hyperbolic_fiber_from_sign_flip():
     hyper = ReductiveSpace("H2", flipped, sphere.isotropy, sphere.blocks)
     ms = InvariantMetricSpace(hyper)
     r4 = curvature_tensor(ms)
-    assert abs(sectional_curvature(ms, np.array([1.0, 0]), np.array([0, 1.0]), r4)
+    assert abs(sectional_curvature(r4, ms.metric(), np.array([1.0, 0]), np.array([0, 1.0]))
                + 1.0) < 1e-12
 
 
@@ -88,7 +88,7 @@ def test_hyperbolic_constant_curvature(field, rate):
     ms = InvariantMetricSpace(space)
     r4 = curvature_tensor(ms)
     rng = np.random.default_rng(17)
-    vals = np.array([sectional_curvature(ms, *orthonormal_plane(rng, ms.m_dim), r4)
+    vals = np.array([sectional_curvature(r4, ms.metric(), *orthonormal_plane(rng, ms.m_dim))
                      for _ in range(100)])
     assert np.abs(vals + rate * rate).max() < 1e-8
     assert vals.std() < 1e-8
@@ -103,8 +103,8 @@ def test_curvature_symmetries_on_catalog():
 def test_sectional_rejects_degenerate_plane():
     ms = InvariantMetricSpace(sphere_space(2))
     with pytest.raises(ValueError):
-        sectional_curvature(ms, np.array([1.0, 0.0]), np.array([2.0, 0.0]),
-                            curvature_tensor(ms))
+        sectional_curvature(curvature_tensor(ms), ms.metric(),
+                            np.array([1.0, 0.0]), np.array([2.0, 0.0]))
 
 
 def test_block_scale_divides_fiber_curvature():
@@ -113,7 +113,7 @@ def test_block_scale_divides_fiber_curvature():
     r4 = curvature_tensor(ms)
     x = np.array([1.0, 0.0, 0.0]) / 2.0  # unit for the scaled metric
     y = np.array([0.0, 1.0, 0.0]) / 2.0
-    assert abs(sectional_curvature(ms, x, y, r4) - 0.25) < 1e-12
+    assert abs(sectional_curvature(r4, ms.metric(), x, y) - 0.25) < 1e-12
 
 
 @pytest.mark.parametrize("sid", ["Sp(2)/U(1)Sp(1)", "Spin(9)/Spin(7)", "N(3;1,0)", "SU(3)/SU(2)"])
@@ -160,7 +160,7 @@ def test_sine_profile_round_sphere():
     for t in (0.4, 1.2, 2.5):
         cf = warped_sectional_curvature(w, t, *mixed)
         assert abs(cf - 1.0) < 1e-12
-        fd = warped_sectional_fd(w, t, *mixed)
+        fd = sectional_curvature(*warped_curvature_fd(w, t), *mixed)
         assert abs(cf - fd) < 1e-5
 
 
@@ -174,7 +174,7 @@ def test_warped_closed_form_vs_fd_oracle():
         # mixed, fiber, and a plane across both
         for v, u in ((np.eye(4)[0], x0), (x0, y0), (np.concatenate([[0.7], 0.4 * x]), y0)):
             cf = warped_sectional_curvature(w, t, v, u)
-            fd = warped_sectional_fd(w, t, v, u)
+            fd = sectional_curvature(*warped_curvature_fd(w, t), v, u)
             worst = max(worst, abs(cf - fd))
     assert worst < 1e-5
 

@@ -384,3 +384,21 @@ def test_fingerprint_claims_read_the_catalog(monkeypatch):
         assert claims._claim_completion_n7(sign, cfg).status == "pass"
     for center, copies in claims.HEISENBERG_CASES:
         assert claims._claim_heisenberg(center, copies, cfg).status == "pass"
+
+
+def test_distinct_objects_compare_unequal_and_each_equals_itself():
+    from liecoh.completion import complete_bracket
+    from liecoh.geometry import InvariantMetricSpace
+
+    # equal labels and equal arrays, but two objects: == is identity, and never
+    # asks an array for its truth value
+    a, b = catalog_entry("N(1,1)"), build_heisenberg(1, 1)
+    problem = sps.clifford_completion_problem(2, 1.0, MU)
+    pairs = [(a, b), (a.algebra, b.algebra), (a.rep, b.rep), (a.isotropy, b.isotropy),
+             (spin_module(2), spin_module(2)),
+             (problem, sps.clifford_completion_problem(2, 1.0, MU)),
+             (complete_bracket(problem), complete_bracket(problem)),
+             (InvariantMetricSpace(a), InvariantMetricSpace(a))]
+    for x, y in pairs:
+        assert x != y, type(x).__name__
+        assert x == x, type(x).__name__

@@ -89,7 +89,7 @@ def _round_sphere_line():
 
 def _sphere_sectional(x, y):
     ms = geo.InvariantMetricSpace(geo.sphere_space(2))
-    return geo.sectional_curvature(ms, x, y, geo.curvature_tensor(ms))
+    return geo.sectional_curvature(geo.curvature_tensor(ms), ms.metric(), x, y)
 
 
 def _isotropy_gate(monkeypatch, gate):
