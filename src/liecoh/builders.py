@@ -10,13 +10,14 @@ residuals are round-off only.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .algebra import LieAlgebra, direct_sum, structure_constants_from_matrices
 from .clifford import (
-    CliffordModule,
     quaternion_units,
-    so_structure_tensor,
+    so_algebra,
     so_vector_matrices,
     spin_algebra,
     spin_module,
@@ -43,11 +44,10 @@ __all__ = [
 ]
 
 
-def algebra_of_matrices(matrices) -> tuple[LieAlgebra, Representation]:
-    """Algebra spanned by the matrices, together with its defining action."""
+def algebra_of_matrices(matrices) -> Representation:
+    """Defining action of the algebra spanned by the matrices."""
     mats = np.asarray(matrices, dtype=float)
-    alg = LieAlgebra(structure_constants_from_matrices(mats))
-    return alg, Representation(alg, mats)
+    return Representation(LieAlgebra(structure_constants_from_matrices(mats)), mats)
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +148,23 @@ _LEFT_UNITS = np.array([quaternion_left(q) for q in
 
 
 def so_standard(n: int) -> Representation:
-    alg = LieAlgebra(so_structure_tensor(n),
-                     labels=tuple(f"L{i}{j}" for i in range(1, n + 1)
-                                  for j in range(i + 1, n + 1)))
-    return Representation(alg, so_vector_matrices(n))
+    return Representation(so_algebra(n), so_vector_matrices(n))
 
 
 def su_standard(n: int) -> Representation:
     mats = np.array([realify_complex(m) for m in su_basis(n)])
-    return algebra_of_matrices(mats)[1]
+    return algebra_of_matrices(mats)
 
 
 def u_standard(n: int) -> Representation:
     mats = [realify_complex(m) for m in su_basis(n)]
     mats.append(realify_complex(1.0j * np.eye(n)))
-    return algebra_of_matrices(np.array(mats))[1]
+    return algebra_of_matrices(np.array(mats))
 
 
 def sp_standard(n: int) -> Representation:
     mats = np.array([_realize_quaternionic(q, _LEFT_UNITS) for q in sp_quaternion_basis(n)])
-    return algebra_of_matrices(mats)[1]
+    return algebra_of_matrices(mats)
 
 
 def _right_scalar_blocks(n: int, q) -> np.ndarray:
@@ -182,13 +179,13 @@ def sp_sp1(n: int) -> Representation:
     # minus sign turns the right-multiplication antihomomorphism into an action
     for q in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
         mats.append(-_right_scalar_blocks(n, q))
-    return algebra_of_matrices(np.array(mats))[1]
+    return algebra_of_matrices(np.array(mats))
 
 
 def sp_u1(n: int) -> Representation:
     mats = [_realize_quaternionic(q, _LEFT_UNITS) for q in sp_quaternion_basis(n)]
     mats.append(-_right_scalar_blocks(n, (0, 1, 0, 0)))
-    return algebra_of_matrices(np.array(mats))[1]
+    return algebra_of_matrices(np.array(mats))
 
 
 def spin7_eight() -> Representation:
@@ -212,7 +209,7 @@ def g2_seven() -> Representation:
     stab = isotropy_subalgebra(rep8, psi)
     vec = so_vector_matrices(7)
     mats = np.einsum("am,aij->mij", stab.basis, vec)
-    return algebra_of_matrices(mats)[1]
+    return algebra_of_matrices(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +217,25 @@ def g2_seven() -> Representation:
 # ---------------------------------------------------------------------------
 
 
-def clifford_isotropy(module: CliffordModule, copies: int) -> Representation:
+@lru_cache(maxsize=None)
+def clifford_isotropy(n: int, copies: int) -> Representation:
     """Isotropy of the Clifford constructions on m1 + m2 = R^n + copies of the module.
 
-    k0 is so(n) acting on m1 by rotations and on each module copy by halved
-    bivectors; for n = 2, 3 it is followed by k1, the commutant sp(copies),
-    which acts on the module copies only.
+    k0 is so(n) acting on m1 by rotations and on each copy of ``spin_module(n)``
+    by halved bivectors; for n = 2, 3 it is followed by k1, the commutant
+    sp(copies), labelled s0, s1, ..., which acts on the module copies only.
+    Built once per key; its arrays are read-only.
     """
-    n, d2 = module.n, copies * module.module_dim
+    module = spin_module(n)
+    d2 = copies * module.module_dim
     spin = spin_algebra(module)
     k0 = spin.algebra.dim
     alg, k1 = spin.algebra, np.zeros((0, d2, d2))
     if n in (2, 3):
         units = np.concatenate([np.eye(4)[None], quaternion_units(module)])
         k1 = np.array([_realize_quaternionic(q, units) for q in sp_quaternion_basis(copies)])
-        alg = direct_sum(alg, LieAlgebra(structure_constants_from_matrices(k1)))
+        alg = direct_sum(alg, LieAlgebra(structure_constants_from_matrices(k1),
+                                         labels=tuple(f"s{a}" for a in range(len(k1)))))
     mats = np.zeros((alg.dim, n + d2, n + d2))
     mats[:k0, :n, :n] = so_vector_matrices(n)
     mats[:k0, n:, n:] = np.kron(np.eye(copies), spin.matrices)

@@ -14,7 +14,7 @@ minimal real ones: 4, 4, 8, 8, 8, 8, 16, 32 for n = 2..9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "generator",
     "quaternion_units",
     "scalar",
+    "so_algebra",
     "spin_algebra",
     "spin_module",
     "spin_plus_one",
@@ -182,12 +183,14 @@ class CliffordModule:
         return m
 
 
+@lru_cache(maxsize=None)
 def spin_module(n: int) -> CliffordModule:
-    """Minimal real Clifford module for Cl_n, 2 <= n <= 9.
+    """Minimal real Clifford module for Cl_n, 2 <= n <= 9, built once per n.
 
     Module dimensions are 4, 4, 8, 8, 8, 8, 16, 32.  The n = 8 and n = 9
     systems are produced from the R^8 system by the doubling step
-    {Gamma_i} -> {Q (x) Gamma_i} + {J (x) I}.
+    {Gamma_i} -> {Q (x) Gamma_i} + {J (x) I}.  The gammas are read-only, so
+    no caller can change the shared module.
     """
     if n == 2:
         gammas = [_kron(_J, _P), _kron(_J, _Q)]
@@ -241,6 +244,12 @@ def so_vector_matrices(n: int) -> np.ndarray:
     return mats
 
 
+def so_algebra(n: int) -> LieAlgebra:
+    """so(n) on the bivector basis, labelled L{i}{j} in ``bivector_pairs`` order."""
+    return LieAlgebra(so_structure_tensor(n),
+                      labels=tuple(f"L{i}{j}" for i, j in bivector_pairs(n)))
+
+
 def spin_algebra(module: CliffordModule) -> Representation:
     """so(n) acting on the module by halved bivectors.
 
@@ -248,11 +257,9 @@ def spin_algebra(module: CliffordModule) -> Representation:
     ``bivector_pairs``; the map L_ij -> A_ij onto ``so_vector_matrices`` is the
     vector representation.
     """
-    n = module.n
-    pairs = bivector_pairs(n)
-    mats = np.array([0.5 * module.gammas[i - 1] @ module.gammas[j - 1] for i, j in pairs])
-    labels = tuple(f"e{i}e{j}" for i, j in pairs)
-    return Representation(LieAlgebra(so_structure_tensor(n), labels=labels), mats)
+    g = module.gammas
+    mats = np.array([0.5 * g[i - 1] @ g[j - 1] for i, j in bivector_pairs(module.n)])
+    return Representation(so_algebra(module.n), mats)
 
 
 def spin_plus_one(module: CliffordModule) -> Representation:
@@ -263,16 +270,10 @@ def spin_plus_one(module: CliffordModule) -> Representation:
     Gamma_i.  This is the spinor realization behind the transitive sphere
     actions in dimension 16 (n = 8).
     """
-    n = module.n
-    pairs = bivector_pairs(n + 1)
-    mats = []
-    for (i, j) in pairs:
-        if j <= n:
-            mats.append(0.5 * module.gammas[i - 1] @ module.gammas[j - 1])
-        else:
-            mats.append(0.5 * module.gammas[i - 1])
-    labels = tuple(f"L{i},{j}" for i, j in pairs)
-    return Representation(LieAlgebra(so_structure_tensor(n + 1), labels=labels), mats)
+    n, g = module.n, module.gammas
+    mats = [0.5 * g[i - 1] @ g[j - 1] if j <= n else 0.5 * g[i - 1]
+            for i, j in bivector_pairs(n + 1)]
+    return Representation(so_algebra(n + 1), mats)
 
 
 def quaternion_units(module: CliffordModule) -> np.ndarray:

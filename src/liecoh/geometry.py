@@ -27,8 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import LieAlgebra, Subspace, span_brackets
-from .clifford import bivector_pairs, so_structure_tensor
+from .algebra import Subspace, span_brackets
+from .clifford import bivector_pairs, so_algebra
 from .linalg import ValidationError, residual_scale
 from .spaces import ReductiveSpace
 
@@ -191,7 +191,7 @@ def sphere_space(n: int) -> ReductiveSpace:
     ``RoundSphere`` states and that ``curvature_tensor`` is tested against.
     """
     pairs = bivector_pairs(n + 1)
-    alg = LieAlgebra(so_structure_tensor(n + 1))
+    alg = so_algebra(n + 1)
     k_idx = [p for p, (i, j) in enumerate(pairs) if j <= n]
     m_idx = [p for p, (i, j) in enumerate(pairs) if j == n + 1]
     return ReductiveSpace(f"S{n}", alg, Subspace.coordinate(alg.dim, k_idx),

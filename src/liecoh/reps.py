@@ -154,11 +154,14 @@ def kernel_ideal(rep: Representation) -> Subspace:
     return ker
 
 
+def _require_shared_algebra(rep_a: Representation, rep_b: Representation) -> None:
+    if not np.array_equal(rep_a.algebra.c, rep_b.algebra.c):  # False on unequal shapes
+        raise ValueError("representations must share the algebra")
+
+
 def hom_space_dimension(rep_a: Representation, rep_b: Representation) -> int:
     """Dimension of intertwiners {A : A rho_a(xi) = rho_b(xi) A for all xi}."""
-    if rep_a.algebra.dim != rep_b.algebra.dim or not np.array_equal(
-            rep_a.algebra.c, rep_b.algebra.c):
-        raise ValueError("representations must share the algebra")
+    _require_shared_algebra(rep_a, rep_b)
     da, db = rep_a.space_dim, rep_b.space_dim
     blocks = []
     for a in range(rep_a.algebra.dim):
@@ -170,9 +173,7 @@ def hom_space_dimension(rep_a: Representation, rep_b: Representation) -> int:
 
 def tensor_product(rep_a: Representation, rep_b: Representation) -> Representation:
     """Kronecker-sum action rho_a (x) I + I (x) rho_b on the tensor space."""
-    if rep_a.algebra.dim != rep_b.algebra.dim or not np.array_equal(
-            rep_a.algebra.c, rep_b.algebra.c):
-        raise ValueError("representations must share the algebra")
+    _require_shared_algebra(rep_a, rep_b)
     da, db = rep_a.space_dim, rep_b.space_dim
     mats = np.array([
         np.kron(rep_a.matrices[x], np.eye(db)) + np.kron(np.eye(da), rep_b.matrices[x])
@@ -183,9 +184,7 @@ def tensor_product(rep_a: Representation, rep_b: Representation) -> Representati
 
 def rep_direct_sum(rep_a: Representation, rep_b: Representation) -> Representation:
     """Block sum of two modules over the same algebra."""
-    if rep_a.algebra.dim != rep_b.algebra.dim or not np.array_equal(
-            rep_a.algebra.c, rep_b.algebra.c):
-        raise ValueError("representations must share the algebra")
+    _require_shared_algebra(rep_a, rep_b)
     da, db = rep_a.space_dim, rep_b.space_dim
     mats = np.zeros((rep_a.algebra.dim, da + db, da + db))
     mats[:, :da, :da] = rep_a.matrices

@@ -60,7 +60,7 @@ from .builders import (
     su_standard,
     u_standard,
 )
-from .clifford import bivector_pairs, so_structure_tensor, so_vector_matrices, spin_module
+from .clifford import bivector_pairs, so_algebra, so_vector_matrices, spin_module
 from .completion import CompletionProblem, CompletionSolution, complete_bracket
 from .linalg import residual_scale, signature
 from .reps import (
@@ -188,21 +188,22 @@ def isotropy_representation(space: ReductiveSpace):
 # ---------------------------------------------------------------------------
 
 
-def _clifford_skeleton(n: int, lam: float, mu: float, copies: int):
-    """Structure tensor with the fixed brackets of the construction.
+def clifford_completion_problem(n: int, lam: float, mu: float,
+                                copies: int = 1) -> CompletionProblem:
+    """The construction's fixed brackets, with its m2 x m2 block as the unknown.
 
-    The m2 x m2 block is left empty here; a completion or ``build_heisenberg``
-    fills it.  Returns the tensor with its labels, the module gammas and the
-    index layout.  More than one module copy is wired only for n = 2, 3.
+    The skeleton holds every bracket but m2 x m2, which is left empty for a
+    completion (into the target k + m1) or ``build_heisenberg`` to fill.  This
+    is the one writer of the Clifford skeleton.  More than one module copy is
+    wired only for n = 2, 3.
     """
     if n not in (2, 3, 6, 7):
         raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
     if copies < 1 or (copies > 1 and n in (6, 7)):
         raise ValueError(f"{copies} module copies: one is required, and more "
                          f"are wired only for n = 2, 3")
-    module = spin_module(n)
-    iso = clifford_isotropy(module, copies)
-    dk, pairs = iso.algebra.dim, bivector_pairs(n)
+    iso = clifford_isotropy(n, copies)
+    dk = iso.algebra.dim
     d = dk + iso.space_dim
     k_idx, m1_idx, m2_idx = np.split(np.arange(d), [dk, dk + n])
     c = np.zeros((d, d, d))
@@ -210,27 +211,15 @@ def _clifford_skeleton(n: int, lam: float, mu: float, copies: int):
     place_action(c, k_idx, np.arange(dk, d), iso.matrices)
 
     # [e_i, e_j] = 2 lam L_ij, with L_ij = E_ji - E_ij on m1
-    c[np.ix_(m1_idx, m1_idx, k_idx[:len(pairs)])] = (
+    c[np.ix_(m1_idx, m1_idx, k_idx[:len(bivector_pairs(n))])] = (
         -2.0 * lam * so_vector_matrices(n).transpose(1, 2, 0))
 
     # [e_i, w] = mu Gamma_i w on each module copy
-    gam = np.kron(np.eye(copies), module.gammas)
-    place_action(c, m1_idx, m2_idx, mu * gam)
-    labels = tuple(
-        [f"L{i}{j}" for i, j in pairs]
-        + [f"s{a}" for a in range(dk - len(pairs))]
-        + [f"e{i}" for i in range(1, n + 1)]
-        + [f"w{a}" for a in range(len(m2_idx))]
-    )
-    return c, labels, gam, (k_idx, m1_idx, m2_idx)
-
-
-def clifford_completion_problem(n: int, lam: float, mu: float) -> CompletionProblem:
-    """Completion problem for the unknown m2 x m2 block of the construction."""
-    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(n, lam, mu, 1)
-    skeleton = LieAlgebra(c, labels=labels)
-    target = Subspace.coordinate(skeleton.dim, list(k_idx) + list(m1_idx))
-    return CompletionProblem(skeleton, tuple(int(i) for i in m2_idx), target)
+    place_action(c, m1_idx, m2_idx, mu * np.kron(np.eye(copies), spin_module(n).gammas))
+    labels = (iso.algebra.labels + tuple(f"e{i}" for i in range(1, n + 1))
+              + tuple(f"w{a}" for a in range(len(m2_idx))))
+    return CompletionProblem(LieAlgebra(c, labels=labels), m2_idx,
+                             Subspace.coordinate(d, range(dk + n)))
 
 
 @lru_cache(maxsize=None)
@@ -274,14 +263,15 @@ def build_clifford_space(n: int, lam: float, mu: float,
             and all(isinstance(v, int) for v in filling)):
         raise ValueError(f"unknown filling {filling!r}: it is None or a Killing "
                          f"signature (p, q) of integers")
-    c, labels, _, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(n, lam, mu, 1)
-    if filling is not None:
+    if filling is None:
+        problem = clifford_completion_problem(n, lam, mu)
+        alg = problem.skeleton
+    else:
         solution = _cached_completion(n, lam, mu)
-        c = solution.realize(_select_completion(solution, filling)).c
+        problem, alg = solution.problem, solution.realize(_select_completion(solution, filling))
     mode = "zero" if filling is None else "completed"
-    return _coordinate_space(f"Cl(n={n},lam={lam:g},mu={mu:g},{mode})",
-                             LieAlgebra(c, labels=labels), len(k_idx),
-                             (len(m1_idx), len(m2_idx)))
+    return _coordinate_space(f"Cl(n={n},lam={lam:g},mu={mu:g},{mode})", alg,
+                             problem.target.dim - n, (n, len(problem.unknown_indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +298,15 @@ def build_heisenberg(center_dim: int, copies: int) -> ReductiveSpace:
         raise ValueError("center dimension must be one of 1, 2, 3, 6, 7")
     if center_dim == 1:
         return _heisenberg_center_one(copies)
-    c, labels, gam, (k_idx, m1_idx, m2_idx) = _clifford_skeleton(center_dim, 0.0, 0.0, copies)
+    problem = clifford_completion_problem(center_dim, 0.0, 0.0, copies)
+    m2_idx, dk = problem.unknown_indices, problem.target.dim - center_dim
+    c = np.array(problem.skeleton.c)
+    gam = np.kron(np.eye(copies), spin_module(center_dim).gammas)
     # skewness of Gamma_i gives the antisymmetry of the block for free
-    c[np.ix_(m2_idx, m2_idx, m1_idx)] = gam.transpose(2, 1, 0)
-    return _coordinate_space(heisenberg_label(center_dim, copies), LieAlgebra(c, labels=labels),
-                             len(k_idx), (len(m1_idx), len(m2_idx)))
+    c[np.ix_(m2_idx, m2_idx, range(dk, dk + center_dim))] = gam.transpose(2, 1, 0)
+    return _coordinate_space(heisenberg_label(center_dim, copies),
+                             LieAlgebra(c, labels=problem.skeleton.labels), dk,
+                             (center_dim, len(m2_idx)))
 
 
 def _heisenberg_center_one(copies: int) -> ReductiveSpace:
@@ -435,8 +429,7 @@ SYMMETRIC_CONTROLS = ("SO(5)/SO(2)SO(3)", "SU(3)xSU(3)/dSU(3)")
 def _grassmannian_control() -> ReductiveSpace:
     """Rank-two symmetric control: so(5) over so(2) + so(3)."""
     pairs = bivector_pairs(5)
-    alg = LieAlgebra(so_structure_tensor(5),
-                     labels=tuple(f"L{i}{j}" for i, j in pairs))
+    alg = so_algebra(5)
     k_idx = [p for p, (i, j) in enumerate(pairs) if (j <= 2) or (i >= 3)]
     m_idx = [p for p in range(len(pairs)) if p not in k_idx]
     d = alg.dim

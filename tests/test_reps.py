@@ -8,7 +8,6 @@ import pytest
 import liecoh
 from liecoh import builders as bld
 from liecoh.algebra import LieAlgebra, Subspace, direct_sum
-from liecoh.clifford import spin_module
 from liecoh.reps import (
     Representation,
     cohomogeneity,
@@ -42,7 +41,7 @@ def so3_pair(so3):
 
 def clifford_row(n):
     """The Clifford isotropy with one module copy, and its blocks m1 = R^n and m2."""
-    rep = bld.clifford_isotropy(spin_module(n), 1)
+    rep = bld.clifford_isotropy(n, 1)
     return rep, (range(n), range(n, rep.space_dim))
 
 

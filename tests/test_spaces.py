@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,7 @@ from liecoh.algebra import (
     signature,
 )
 from liecoh.builders import clifford_isotropy, unitary_determinant_action
-from liecoh.clifford import spin_module
+from liecoh.clifford import CliffordModule, spin_module
 from liecoh.reps import cohomogeneity
 from liecoh.spaces import (
     ReductiveSpace,
@@ -108,7 +113,7 @@ def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
                          ids=["2-0-None", "2--1-None", "6-2-None", "7-2-None"])
 def test_clifford_spec_rejects_unwired_module_counts(n, copies):
     with pytest.raises(ValueError, match="module cop"):
-        sps._clifford_skeleton(n, 1.0, MU, copies)
+        sps.clifford_completion_problem(n, 1.0, MU, copies)
 
 
 # the same check reached through build_heisenberg, and the center-one path's
@@ -321,9 +326,43 @@ def test_extracted_isotropy_is_the_clifford_isotropy_bit_for_bit():
     assert len(CLIFFORD_SKELETON_ENTRIES) == 16
     for sid, (n, copies) in CLIFFORD_SKELETON_ENTRIES.items():
         rep = catalog_entry(sid).rep
-        built = clifford_isotropy(spin_module(n), copies)
+        built = clifford_isotropy(n, copies)
         assert np.array_equal(rep.algebra.c, built.algebra.c), sid
         assert np.array_equal(rep.matrices, built.matrices), sid
+
+
+def test_the_cached_isotropy_and_module_are_shared_and_read_only():
+    iso, module = clifford_isotropy(3, 2), spin_module(3)
+    assert clifford_isotropy(3, 2) is iso and spin_module(3) is module
+    for array in (iso.matrices, iso.algebra.c, module.gammas):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 1.0
+
+
+# counts the skeletons, and the cache misses of the isotropy and the module
+BUILD_COUNTS = """
+import contextlib, io, json
+from liecoh import builders, clifford, cli, spaces
+problem, calls = spaces.clifford_completion_problem, []
+spaces.clifford_completion_problem = lambda *a: calls.append(a) or problem(*a)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "--json"])
+print(json.dumps([len(calls), builders.clifford_isotropy.cache_info().misses,
+                  clifford.spin_module.cache_info().misses]))
+"""
+
+
+def test_one_verify_builds_each_isotropy_and_module_once_per_key():
+    # a fresh process, so no cache filled by another test hides a build
+    src = os.path.dirname(os.path.dirname(sps.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", BUILD_COUNTS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    # skeletons: 16 jacobi claims, 6 Heisenberg spaces, 4 zero fillings and
+    # 4 completions; isotropies: (n, copies) in (2|3, 1|2), (6, 1), (7, 1);
+    # modules: n = 2, 3, 6, 7 and the n = 8 of spin9_sixteen
+    assert json.loads(out.stdout) == [30, 6, 5]
 
 
 def test_catalog_unknown_id():
@@ -394,8 +433,9 @@ def test_distinct_objects_compare_unequal_and_each_equals_itself():
     # asks an array for its truth value
     a, b = catalog_entry("N(1,1)"), build_heisenberg(1, 1)
     problem = sps.clifford_completion_problem(2, 1.0, MU)
+    gammas = spin_module(2).gammas  # spin_module itself returns one cached module
     pairs = [(a, b), (a.algebra, b.algebra), (a.rep, b.rep), (a.isotropy, b.isotropy),
-             (spin_module(2), spin_module(2)),
+             (CliffordModule(2, gammas), CliffordModule(2, gammas)),
              (problem, sps.clifford_completion_problem(2, 1.0, MU)),
              (complete_bracket(problem), complete_bracket(problem)),
              (InvariantMetricSpace(a), InvariantMetricSpace(a))]

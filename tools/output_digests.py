@@ -1,4 +1,5 @@
-"""Print the SHA-256 digests of the three outputs that every change must keep.
+"""Print the SHA-256 digests of the three outputs that every change must keep,
+then the line count of the package source.
 
     python tools/output_digests.py
 
@@ -10,9 +11,12 @@ with ``OPENBLAS_NUM_THREADS=1``:
   ``timestamp``, the lines joined by ``"\\n"``;
 * ``catalog``: the raw stdout of ``liecoh catalog --json``;
 * ``export``: the stdout of ``liecoh export ID`` for every catalog id, in
-  ``catalog_ids()`` order, concatenated.
+  ``catalog_ids()`` order, concatenated;
+* ``src_lines``: the line count of ``src/liecoh/*.py``, as
+  ``cat src/liecoh/*.py | wc -l`` gives it.
 """
 
+import glob
 import hashlib
 import json
 import os
@@ -47,6 +51,8 @@ def main() -> None:
     from liecoh.spaces import catalog_ids
 
     print("export ", sha256("".join(run("export", sid) for sid in catalog_ids())))
+    sources = sorted(glob.glob(os.path.join(SRC, "liecoh", "*.py")))
+    print("src_lines", sum(open(path).read().count("\n") for path in sources))
 
 
 if __name__ == "__main__":
