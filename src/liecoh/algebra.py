@@ -18,8 +18,8 @@ same constants in any basis.  No function recovers indices from a
 ``Subspace``; index sets are passed explicitly where a block is written
 (``place_action``) or flipped (``weyl_flip``).
 
-Structure constants of catalog algebras are integers, halves or multiples of
-1/sqrt(2); all residuals on valid algebras therefore reflect round-off only.
+Structure constants of catalog algebras are plus or minus square roots of
+rationals; all residuals on valid algebras therefore reflect round-off only.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .linalg import (
     orthonormal_columns,
     projector,
     residual_scale,
+    require_finite,
     signature,
-    solve_least_squares,
     subspace_gap,
 )
 
@@ -502,24 +502,29 @@ def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
 
 
 def structure_constants_from_matrices(matrices) -> np.ndarray:
-    """Structure constants of a matrix Lie algebra with the given basis.
+    """Structure constants of a matrix Lie algebra with the given orthogonal basis.
 
-    The commutator of every basis pair is expanded in the basis by least
-    squares; a residual above ``LEAK_TOL`` (relative) means the matrices do not
-    close under commutators and raises ``ValidationError``.  Antisymmetry of
-    the result is exact by construction.
+    The coefficient of ``A_p`` in ``[A_a, A_b]`` is their Frobenius product
+    divided by ``|A_p|^2``, so constants that are exact in the matrices stay
+    exact.  The commutators are then rebuilt from the constants: a residual
+    above ``LEAK_TOL`` (relative) raises ``ValidationError``, whether the
+    matrices do not close under commutators, are not orthogonal or include a
+    zero matrix.  Antisymmetry of the result is exact by construction.
     """
-    mats = np.asarray(matrices, dtype=float)
-    k = mats.shape[0]
-    flat = mats.reshape(k, -1)
-    comms = np.einsum("aij,bjk->abik", mats, mats)
-    comms = (comms - comms.transpose(1, 0, 2, 3)).reshape(k, k, -1)
-    coeffs = solve_least_squares(flat.T, comms.reshape(k * k, -1).T)
-    coeffs = coeffs.T.reshape(k, k, k)
-    recon = np.einsum("abm,md->abd", coeffs, flat)
-    res = np.abs(recon - comms).max(initial=0.0) / residual_scale(mats)
+    mats = require_finite(np.asarray(matrices, dtype=float))
+    k, n = mats.shape[:2]
+    flat = mats.reshape(k, n * n)
+    # ab[a, i, b, l] = (A_a A_b)[i, l]: one matrix product of the stacked basis
+    ab = (mats.reshape(k * n, n) @ mats.transpose(1, 0, 2).reshape(n, k * n)).reshape(k, n, k, n)
+    comm = (ab - ab.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(k * k, n * n)
+    del ab  # from here on at most two arrays of k^2 n^2 entries are held
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero matrix fails the gate
+        coeffs = (comm @ flat.T) / np.square(flat).sum(axis=1)
+        recon = coeffs @ flat
+        recon -= comm
+        res = np.abs(recon, out=recon).max(initial=0.0) / residual_scale(mats)
     require_below(res, LEAK_TOL, "matrices do not close under commutators")
-    return antisymmetrized(coeffs)
+    return antisymmetrized(coeffs.reshape(k, k, k))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .algebra import LieAlgebra, antisymmetrized
+from .algebra import LieAlgebra, structure_constants_from_matrices
 from .reps import Representation
 
 __all__ = [
@@ -136,12 +136,13 @@ def clifford_multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CliffordModule:
     """Real module given by gamma matrices Gamma_1..Gamma_n.
 
     Invariants (exact, integer entries): each Gamma_i is skew and orthogonal,
-    and Gamma_i Gamma_j + Gamma_j Gamma_i = -2 delta_ij I.
+    and Gamma_i Gamma_j + Gamma_j Gamma_i = -2 delta_ij I.  The fields are
+    frozen and the gammas read-only, so a cached module cannot be changed.
     """
 
     n: int
@@ -161,7 +162,7 @@ class CliffordModule:
                 if not np.array_equal(anti, target):
                     raise ValueError(f"anticommutation fails at ({i + 1}, {j + 1})")
         g.setflags(write=False)
-        self.gammas = g
+        object.__setattr__(self, "gammas", g)
 
     @property
     def module_dim(self) -> int:
@@ -213,27 +214,6 @@ def bivector_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def so_structure_tensor(n: int) -> np.ndarray:
-    """Structure constants of so(n) on the bivector basis L_ij (i < j).
-
-    With L_ij realized as E_ji - E_ij (or as (1/2) Gamma_i Gamma_j, which has
-    the same commutators):
-
-        [L_ij, L_kl] = -d_jk L_il + d_ik L_jl + d_jl L_ik - d_il L_jk,
-
-    under the conventions L_ji = -L_ij and L_ii = 0.  The constants are read
-    off the commutators of ``so_vector_matrices``: the coefficient of L_p in
-    [A_a, A_b] is half its Frobenius product with A_p.
-    """
-    a = so_vector_matrices(n)
-    m = a.shape[0]
-    # ab[a, i, b, k] = (A_a A_b)[i, k]: one matrix product of the stacked generators
-    ab = (a.reshape(m * n, n) @ a.transpose(1, 0, 2).reshape(n, m * n)).reshape(m, n, m, n)
-    comm = (ab - ab.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    # the A_p are orthogonal with squared Frobenius norm 2
-    return antisymmetrized(0.5 * (comm @ a.reshape(m, n * n).T).reshape(m, m, m))
-
-
 def so_vector_matrices(n: int) -> np.ndarray:
     """Standard rotation generators A_ij = E_ji - E_ij matching bivector_pairs."""
     pairs = bivector_pairs(n)
@@ -245,8 +225,17 @@ def so_vector_matrices(n: int) -> np.ndarray:
 
 
 def so_algebra(n: int) -> LieAlgebra:
-    """so(n) on the bivector basis, labelled L{i}{j} in ``bivector_pairs`` order."""
-    return LieAlgebra(so_structure_tensor(n),
+    """so(n) on the bivector basis, labelled L{i}{j} in ``bivector_pairs`` order.
+
+    The constants are read off the commutators of ``so_vector_matrices``
+    (realizing L_ij as E_ji - E_ij, or as (1/2) Gamma_i Gamma_j, which has the
+    same commutators):
+
+        [L_ij, L_kl] = -d_jk L_il + d_ik L_jl + d_jl L_ik - d_il L_jk,
+
+    under the conventions L_ji = -L_ij and L_ii = 0.
+    """
+    return LieAlgebra(structure_constants_from_matrices(so_vector_matrices(n)),
                       labels=tuple(f"L{i}{j}" for i, j in bivector_pairs(n)))
 
 

@@ -100,7 +100,10 @@ class CompletionSolution:
 
     ``particular`` and the rows of ``homogeneous`` are coefficient arrays of
     shape (n_pairs, target_dim): entry [p, a] multiplies target basis vector a
-    in the bracket of unknown pair p (ordered as ``problem.pairs``).
+    in the bracket of unknown pair p (ordered as ``problem.pairs``).  The
+    three arrays are made read-only, so a cached solution stays as solved;
+    ``complete_bracket``, the one constructor, hands over arrays it holds
+    no other reference to.
     """
 
     problem: CompletionProblem
@@ -109,6 +112,10 @@ class CompletionSolution:
     residual: float
     empty: bool
     singular_values: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.particular, self.homogeneous, self.singular_values):
+            array.setflags(write=False)
 
     @property
     def nullity(self) -> int:

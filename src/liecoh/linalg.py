@@ -94,16 +94,6 @@ def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     return u[:, s > RANK_RTOL * s[0]].copy()
 
 
-def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``a x = b`` via SVD."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    u, s, vt = np.linalg.svd(require_finite(a), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(a.shape[1] if b.ndim == 1 else (a.shape[1],) + b.shape[1:])
-    inv = np.where(s > RANK_RTOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return vt.T @ (inv[:, None] * (u.T @ b) if b.ndim > 1 else inv * (u.T @ b))
-
-
 def signature(sym: np.ndarray) -> tuple[int, int, int]:
     """Eigenvalue signature ``(n_pos, n_neg, n_zero)`` of a symmetric matrix.
 

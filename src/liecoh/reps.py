@@ -40,7 +40,7 @@ DEFAULT_SEED = 0x5EED
 GENERIC_SAMPLES = 20
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Representation:
     """A Lie algebra acting on a real vector space by matrices.
 
@@ -53,7 +53,8 @@ class Representation:
 
     Invariants (checked by :meth:`validate`): the homomorphism residual
     ``max |rho([x,y]) - [rho(x), rho(y)]|`` and the skewness of every
-    operator are below tolerance.
+    operator are below tolerance.  The fields are frozen and the matrices
+    read-only, so a cached representation cannot be changed.
     """
 
     algebra: LieAlgebra
@@ -64,7 +65,7 @@ class Representation:
         if m.ndim != 3 or m.shape[0] != self.algebra.dim or m.shape[1] != m.shape[2]:
             raise ValueError("matrices must be (algebra.dim, D, D)")
         m.setflags(write=False)
-        self.matrices = m
+        object.__setattr__(self, "matrices", m)
 
     @property
     def space_dim(self) -> int:

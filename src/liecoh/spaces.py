@@ -106,7 +106,7 @@ class ReductiveSpace:
     blocks: tuple[Subspace, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
     rep: Representation = field(init=False)
-    slices: list[tuple[int, ...]] = field(init=False)
+    slices: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
@@ -180,7 +180,7 @@ def isotropy_representation(space: ReductiveSpace):
         require_below(block_invariance_residual(rep, slices[-1]), LEAK_TOL,
                       "a designated block is not invariant under k")
         start += b.dim
-    return rep, slices
+    return rep, tuple(slices)
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,18 @@ def test_semidirect_rejects_non_representation():
 def test_structure_constants_from_matrices_roundtrip():
     rep = so_standard(3)
     c = structure_constants_from_matrices(rep.matrices)
-    assert np.allclose(c, rep.algebra.c, atol=1e-12)
+    assert np.array_equal(c, rep.algebra.c)
+
+
+@pytest.mark.parametrize("extra", ["sum", "zero"])
+def test_structure_constants_need_an_orthogonal_basis_without_zero_matrices(extra):
+    mats = np.array(so_standard(3).matrices)
+    if extra == "sum":  # so(3) again, on a basis that is not orthogonal
+        mats[2] += mats[0]
+    else:  # so(3) plus a zero matrix used to read as a 4-dimensional algebra
+        mats = np.concatenate([mats, np.zeros((1, 3, 3))])
+    with pytest.raises(ValidationError, match="do not close under commutators"):
+        structure_constants_from_matrices(mats)
 
 
 def test_nilpotency_class_and_center():

@@ -2,9 +2,9 @@
 
 Each digest covers the structure constants, the isotropy and block bases and
 the notes of one catalog entry.  Values are rounded to 10 decimals (with
-negative zero folded into zero) before hashing: the entries built by least
-squares or by the completion solve carry round-off of order 1e-16 that
-changes with the BLAS thread count, while every value sits at least 1e-12
+negative zero folded into zero) before hashing: the entries built by the
+completion solve carry round-off of order 1e-16 that changes with the BLAS
+thread count, while every value sits at least 1e-12
 away from a rounding boundary.  The Killing fingerprint floats are left out
 on purpose, so a kernel change that only moves residuals does not trip this.
 """

@@ -34,7 +34,7 @@ def test_so_structure_tensor_is_the_bivector_bracket_formula(n):
             add(a, b, j, l, float(i == k))
             add(a, b, i, k, float(j == l))
             add(a, b, j, k, -float(i == l))
-    assert np.array_equal(cl.so_structure_tensor(n), want)
+    assert np.array_equal(cl.so_algebra(n).c, want)
 
 
 @pytest.mark.parametrize("n", sorted(MODULE_DIMS))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,14 @@ from liecoh.algebra import (
     killing_form,
     signature,
 )
-from liecoh.clifford import bivector_pairs, so_structure_tensor
+from liecoh.clifford import bivector_pairs, so_algebra
 from liecoh.completion import CompletionProblem, complete_bracket
 from liecoh.linalg import RANK_RTOL, ValidationError, subspace_gap
 from liecoh.spaces import (
     _select_completion,
     build_clifford_space,
     catalog_entry,
+    catalog_ids,
     clifford_completion_problem,
 )
 
@@ -136,7 +139,7 @@ def test_a_selection_needs_a_solution_space_of_nullity_one():
 def test_unknown_indices_outside_the_skeleton_are_rejected(unknown):
     # so(4) with the bracket of b_4 and b_5 removed; (4, -1) used to name the
     # pair (4, 5) and (5, -1) to pass the duplicate check as two indices
-    c = so_structure_tensor(4)
+    c = np.array(so_algebra(4).c)
     c[4, 5] = c[5, 4] = 0.0
     with pytest.raises(ValueError, match=r"unknown indices must lie in \[0, 6\)"):
         CompletionProblem(LieAlgebra(c), unknown, Subspace.coordinate(6, range(4)))
@@ -278,8 +281,17 @@ def test_non_finite_residual_is_empty():
 
 
 def test_completed_constants_carry_no_round_off():
-    c = catalog_entry("Spin(9)/Spin(7)").algebra.c
-    assert not np.any((np.abs(c) > 0.0) & (np.abs(c) < 1e-12))
+    for sid in catalog_ids():
+        c = catalog_entry(sid).algebra.c
+        assert not np.any((np.abs(c) > 0.0) & (np.abs(c) < 1e-12)), sid
+
+
+def test_catalog_constants_are_square_roots_of_rationals():
+    for sid in catalog_ids():
+        c = catalog_entry(sid).algebra.c
+        for square in np.unique(np.square(c[c != 0.0])).tolist():
+            exact = Fraction(square).limit_denominator(1000)
+            assert abs(square - exact) <= 1e-12 * square, (sid, square)
 
 
 def test_blocks_are_solved_from_their_gram_matrices(monkeypatch):
@@ -406,7 +418,7 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
 @pytest.mark.parametrize("n,joins", [(5, False), (8, True)])
 def test_so_n_with_one_bracket_removed_completes_back_to_it(n, joins):
     # an inhomogeneous problem: the rows of [L_12, L_23] also carry fixed chains
-    c = so_structure_tensor(n)
+    c = np.array(so_algebra(n).c)
     pairs = bivector_pairs(n)
     a, b = pairs.index((1, 2)), pairs.index((2, 3))
     skeleton = c.copy()

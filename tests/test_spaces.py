@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -337,6 +338,24 @@ def test_the_cached_isotropy_and_module_are_shared_and_read_only():
     for array in (iso.matrices, iso.algebra.c, module.gammas):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0, 0] = 1.0
+
+
+def test_the_cached_isotropy_and_module_keep_their_fields():
+    module, iso = spin_module(2), clifford_isotropy(2, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        module.gammas = np.zeros((2, 4, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iso.matrices = np.zeros_like(iso.matrices)
+    assert spin_module(2).gammas.any() and clifford_isotropy(2, 1).matrices.any()
+
+
+def test_cached_completions_and_catalog_slices_cannot_be_changed():
+    # a zeroed homogeneous basis used to break every later n = 2 completed entry
+    sol = sps._cached_completion(2, 1.0, 1.0 / np.sqrt(2.0))
+    for array in (sol.particular, sol.homogeneous, sol.singular_values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array  # writes nothing new where it is allowed
+    assert isinstance(catalog_entry("Sp(2)/U(1)Sp(1)").slices, tuple)
 
 
 # counts the skeletons, and the cache misses of the isotropy and the module

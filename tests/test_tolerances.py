@@ -192,12 +192,12 @@ def test_svd_of_a_non_finite_matrix_fails_instead_of_hanging():
     # child process that a timeout can stop
     script = (
         "import numpy as np\n"
-        "from liecoh import algebra as la, builders as bld\n"
-        "mats = np.array(bld.so_standard(3).matrices)\n"
-        "mats[0, 1, 2] = np.inf\n"
+        "from liecoh import linalg\n"
+        "a = np.eye(3)\n"
+        "a[1, 2] = np.inf\n"
         "try:\n"
-        "    la.structure_constants_from_matrices(mats)\n"
-        "except la.ValidationError as err:\n"
+        "    linalg.nullspace(a)\n"
+        "except linalg.ValidationError as err:\n"
         "    print('ValidationError', err.residual)\n"
     )
     src = os.path.dirname(os.path.dirname(liecoh.__file__))

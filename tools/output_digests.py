@@ -13,7 +13,12 @@ with ``OPENBLAS_NUM_THREADS=1``:
 * ``export``: the stdout of ``liecoh export ID`` for every catalog id, in
   ``catalog_ids()`` order, concatenated;
 * ``src_lines``: the line count of ``src/liecoh/*.py``, as
-  ``cat src/liecoh/*.py | wc -l`` gives it.
+  ``cat src/liecoh/*.py | wc -l`` gives it;
+* ``verify_r10``, ``catalog_r10``, ``export_r10``: the same three outputs,
+  parsed and put in the canonical form of the golden tests (every float
+  rounded to 10 decimals, negative zero folded into zero, and algebra
+  triples that round to zero dropped from each export) before hashing.  A
+  change that moves the outputs by round-off only keeps these three.
 """
 
 import glob
@@ -38,21 +43,45 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def canonical(value):
+    """``value`` with every float rounded to 10 decimals and -0.0 folded into 0.0."""
+    if isinstance(value, float):
+        return round(value, 10) + 0.0
+    if isinstance(value, dict):
+        return {k: canonical(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [canonical(v) for v in value]
+    return value
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
 def main() -> None:
     rows = []
     for line in run("verify", "--json").splitlines():
         row = json.loads(line)
         for key in TIMING_KEYS:
             row.pop(key, None)
-        rows.append(json.dumps(row, sort_keys=True))
-    print("verify ", sha256("\n".join(rows)))
-    print("catalog", sha256(run("catalog", "--json")))
+        rows.append(row)
+    print("verify ", sha256("\n".join(dumps(row) for row in rows)))
+    catalog = run("catalog", "--json")
+    print("catalog", sha256(catalog))
     sys.path.insert(0, SRC)
     from liecoh.spaces import catalog_ids
 
-    print("export ", sha256("".join(run("export", sid) for sid in catalog_ids())))
+    exports = [run("export", sid) for sid in catalog_ids()]
+    print("export ", sha256("".join(exports)))
     sources = sorted(glob.glob(os.path.join(SRC, "liecoh", "*.py")))
     print("src_lines", sum(open(path).read().count("\n") for path in sources))
+
+    print("verify_r10 ", sha256("\n".join(dumps(canonical(row)) for row in rows)))
+    print("catalog_r10", sha256(dumps(canonical(json.loads(catalog)))))
+    spaces = [canonical(json.loads(text)) for text in exports]
+    for space in spaces:
+        space["algebra"]["c"] = [t for t in space["algebra"]["c"] if t[3] != 0.0]
+    print("export_r10 ", sha256("".join(dumps(space) for space in spaces)))
 
 
 if __name__ == "__main__":
