@@ -48,6 +48,7 @@ __all__ = [
     "bracket",
     "center",
     "center_dimension",
+    "commutators",
     "direct_sum",
     "from_json_dict",
     "jacobi_residual",
@@ -381,7 +382,9 @@ def require_valid(alg: LieAlgebra, what: str) -> LieAlgebra:
 
 def killing_form(alg: LieAlgebra) -> np.ndarray:
     """Killing form ``B(x, y) = trace(ad_x ad_y)`` on the basis."""
-    b = np.einsum("ajl,blj->ab", alg.c, alg.c)
+    c, d = alg.c, alg.dim
+    # B[a, b] = sum_{j,l} c[a, j, l] c[b, l, j]: one product of two flattenings
+    b = c.reshape(d, d * d) @ c.transpose(0, 2, 1).reshape(d, d * d).T
     return 0.5 * (b + b.T)
 
 
@@ -391,9 +394,10 @@ def killing_invariance_residual(alg: LieAlgebra) -> float:
     scale = np.abs(b).max(initial=0.0)
     if scale == 0.0:
         return 0.0
-    # term[z,x,y] = B([b_z, b_x], y) + B(x, [b_z, b_y])
-    t = np.einsum("zxm,my->zxy", alg.c, b) + np.einsum("zym,xm->zxy", alg.c, b)
-    return float(np.abs(t).max() / scale)
+    # term[z,x,y] = B([b_z, b_x], y) + B(x, [b_z, b_y]) = a[z,x,y] + a[z,y,x], B symmetric
+    d = alg.dim
+    a = (alg.c.reshape(d * d, d) @ b).reshape(d, d, d)
+    return float(np.abs(a + a.transpose(0, 2, 1)).max() / scale)
 
 
 def center(alg: LieAlgebra) -> "Subspace":
@@ -501,6 +505,17 @@ def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
     return LieAlgebra(c, labels=alg.labels)
 
 
+def commutators(mats: np.ndarray) -> np.ndarray:
+    """Every ``[A_a, A_b]`` of a stack ``(k, n, n)``, as ``(k, k, n, n)``.
+
+    The products ``A_a A_b`` come from one matrix product of the stacked basis.
+    """
+    k, n = mats.shape[:2]
+    # ab[a, i, b, l] = (A_a A_b)[i, l]
+    ab = (mats.reshape(k * n, n) @ mats.transpose(1, 0, 2).reshape(n, k * n)).reshape(k, n, k, n)
+    return (ab - ab.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3)
+
+
 def structure_constants_from_matrices(matrices) -> np.ndarray:
     """Structure constants of a matrix Lie algebra with the given orthogonal basis.
 
@@ -514,10 +529,7 @@ def structure_constants_from_matrices(matrices) -> np.ndarray:
     mats = require_finite(np.asarray(matrices, dtype=float))
     k, n = mats.shape[:2]
     flat = mats.reshape(k, n * n)
-    # ab[a, i, b, l] = (A_a A_b)[i, l]: one matrix product of the stacked basis
-    ab = (mats.reshape(k * n, n) @ mats.transpose(1, 0, 2).reshape(n, k * n)).reshape(k, n, k, n)
-    comm = (ab - ab.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(k * k, n * n)
-    del ab  # from here on at most two arrays of k^2 n^2 entries are held
+    comm = commutators(mats).reshape(k * k, n * n)  # at most two arrays of k^2 n^2 entries held
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero matrix fails the gate
         coeffs = (comm @ flat.T) / np.square(flat).sum(axis=1)
         recon = coeffs @ flat

@@ -14,6 +14,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -107,9 +108,15 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
+@lru_cache(maxsize=None)
+def _below(tolerance: float) -> str:
+    """The expected field of a residual claim: one string per tolerance."""
+    return f"< {tolerance:g}"
+
+
 def _residual_claim(residual, tolerance, provenance):
     return _report(residual < tolerance, residual,
-                   f"< {tolerance:g}", provenance, residual, tolerance)
+                   _below(tolerance), provenance, residual, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +139,13 @@ SPHERE_TRANSITIVE_ROWS = (
 )
 
 
-def _claim_sphere_row(factory, iso_dim, cfg: RunConfig):
+def _claim_sphere_row(factory, expected, cfg: RunConfig):
     rep = factory()
     coh = cohomogeneity(rep, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     v = random_unit_vector(rep.space_dim, rng)
     iso = isotropy_subalgebra(rep, v).dim
     computed = {"cohomogeneity": coh, "isotropy_dim": iso}
-    expected = {"cohomogeneity": 1, "isotropy_dim": iso_dim}
     return _exact_claim(computed, expected, "sphere-transitive row")
 
 
@@ -152,6 +158,7 @@ COH2_ROWS = (
       for sid in ("Sp(1)Sp(1)|xR4/U(1)Sp(1)", "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)",
                   "Spin(7)|xR8/Spin(6)", "Spin(8)|xR8+/Spin(7)")),
 )
+COH2_EXPECTED = {"cohomogeneity": 2, "m2_kernel_dim": 0, "m1_nontrivial": True}
 
 
 def _claim_coh2_row(source, cfg: RunConfig):
@@ -160,8 +167,7 @@ def _claim_coh2_row(source, cfg: RunConfig):
     ker = kernel_ideal(restrict(rep, m2)).dim
     nontrivial = bool(np.abs(restrict(rep, m1).matrices).max(initial=0.0) > 0)
     computed = {"cohomogeneity": coh, "m2_kernel_dim": ker, "m1_nontrivial": nontrivial}
-    expected = {"cohomogeneity": 2, "m2_kernel_dim": 0, "m1_nontrivial": True}
-    return _exact_claim(computed, expected, "reducible cohomogeneity-two row")
+    return _exact_claim(computed, COH2_EXPECTED, "reducible cohomogeneity-two row")
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +193,14 @@ def _claim_jacobi_gate(n, cfg: RunConfig):
                    "bracket-scale constraint, violated side", residual, 1e-3)
 
 
-def _claim_completion_n7(sign, cfg: RunConfig):
-    space = sps.catalog_entry("Spin(9)/Spin(7)" if sign > 0 else "Spin(8,1)/Spin(7)")
+def _claim_completion_n7(space_id, expected, cfg: RunConfig):
+    space = sps.catalog_entry(space_id)
     sig = la.signature(la.killing_form(space.algebra))
-    want = (0, 36, 0) if sign > 0 else (8, 28, 0)
     computed = {"dim": space.dim, "killing_signature": list(sig)}
-    expected = {"dim": 36, "killing_signature": list(want)}
     return _exact_claim(computed, expected, "solver output + eigenvalue fingerprint")
+
+
+N6_EXPECTED = {"nullity": 0, "abelian_solution_norm": 0.0, "empty": False}
 
 
 def _claim_completion_n6(cfg: RunConfig):
@@ -202,8 +209,7 @@ def _claim_completion_n6(cfg: RunConfig):
     computed = {"nullity": sol.nullity, "abelian_solution_norm": abelian_norm,
                 "empty": sol.empty}
     ok = (sol.nullity == 0) and (not sol.empty) and abelian_norm < TOL_ALGEBRAIC
-    expected = {"nullity": 0, "abelian_solution_norm": 0.0, "empty": False}
-    return _report(ok, computed, expected, "solver rigidity in dimension 29",
+    return _report(ok, computed, N6_EXPECTED, "solver rigidity in dimension 29",
                    abelian_norm, TOL_ALGEBRAIC)
 
 
@@ -223,7 +229,7 @@ def _j_matrices(space: sps.ReductiveSpace) -> np.ndarray:
     return (la.span_brackets(space.algebra, m2, m2) @ m1).transpose(2, 1, 0)
 
 
-def _claim_heisenberg(center, copies, cfg: RunConfig):
+def _claim_heisenberg(center, copies, expected, cfg: RunConfig):
     space = sps.catalog_entry(sps.heisenberg_label(center, copies))
     nil = sps.nilpotent_part(space)
     j = _j_matrices(space)
@@ -238,8 +244,6 @@ def _claim_heisenberg(center, copies, cfg: RunConfig):
                 "j_anticommutation_residual": j_res}
     ok = (computed["center_dim"] == center and computed["nilpotency_class"] == 2
           and j_res < 1e-12)
-    expected = {"center_dim": center, "nilpotency_class": 2,
-                "j_anticommutation_residual": "< 1e-12"}
     return _report(ok, computed, expected, "nilpotent normal form", j_res, 1e-12)
 
 
@@ -355,14 +359,15 @@ def _claim_catalog_invariants(cfg: RunConfig):
                            "jacobi and killing ad-invariance over the catalog")
 
 
+DIMS_EXPECTED = {"N(6,1).m_dim": 14, "Spin(9)/Spin(7).dim": 36, "Spin(9)/Spin(7).blocks": [7, 8]}
+
+
 def _claim_catalog_dims(cfg: RunConfig):
     n61 = sps.catalog_entry("N(6,1)")
     s9 = sps.catalog_entry("Spin(9)/Spin(7)")
     computed = {"N(6,1).m_dim": n61.m_dim, "Spin(9)/Spin(7).dim": s9.dim,
                 "Spin(9)/Spin(7).blocks": [b.dim for b in s9.blocks]}
-    expected = {"N(6,1).m_dim": 14, "Spin(9)/Spin(7).dim": 36,
-                "Spin(9)/Spin(7).blocks": [7, 8]}
-    return _exact_claim(computed, expected, "named entry dimensions")
+    return _exact_claim(computed, DIMS_EXPECTED, "named entry dimensions")
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +375,19 @@ def _claim_catalog_dims(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def build_claims() -> list[tuple[str, str, object]]:
-    """The full claim registry as (id, group, fn(config) -> report)."""
+@lru_cache(maxsize=None)
+def build_claims() -> tuple[tuple[str, str, object], ...]:
+    """The full claim registry as (id, group, fn(config) -> report), built once.
+
+    Each claim's expected value is built here or is a module constant, so the
+    reports of every run share it: report fields are read-only.
+    """
     claims: list[tuple[str, str, object]] = []
 
     for name, factory, iso in SPHERE_TRANSITIVE_ROWS:
+        expected = {"cohomogeneity": 1, "isotropy_dim": iso}
         claims.append((f"coh1.{name}", "tables",
-                       lambda cfg, f=factory, i=iso: _claim_sphere_row(f, i, cfg)))
+                       lambda cfg, f=factory, e=expected: _claim_sphere_row(f, e, cfg)))
     for row, source in enumerate(COH2_ROWS, 1):
         claims.append((f"coh2.row{row}", "tables",
                        lambda cfg, s=source: _claim_coh2_row(s, cfg)))
@@ -387,16 +398,20 @@ def build_claims() -> list[tuple[str, str, object]]:
                            lambda cfg, nn=n, m=mu: _claim_jacobi_valid(nn, m, cfg)))
         claims.append((f"jacobi.gate.n{n}", "jacobi",
                        lambda cfg, nn=n: _claim_jacobi_gate(nn, cfg)))
-    claims.append(("fingerprint.completion.n7.compact", "jacobi",
-                   lambda cfg: _claim_completion_n7(+1, cfg)))
-    claims.append(("fingerprint.completion.n7.split", "jacobi",
-                   lambda cfg: _claim_completion_n7(-1, cfg)))
+    for suffix, space_id, sig in (("compact", "Spin(9)/Spin(7)", [0, 36, 0]),
+                                  ("split", "Spin(8,1)/Spin(7)", [8, 28, 0])):
+        expected = {"dim": 36, "killing_signature": sig}
+        claims.append((f"fingerprint.completion.n7.{suffix}", "jacobi",
+                       lambda cfg, s=space_id, e=expected: _claim_completion_n7(s, e, cfg)))
     claims.append(("fingerprint.completion.n6.rigid", "jacobi", _claim_completion_n6))
 
     for center, copies in HEISENBERG_CASES:
         label = sps.heisenberg_label(center, copies)
+        expected = {"center_dim": center, "nilpotency_class": 2,
+                    "j_anticommutation_residual": _below(1e-12)}
         claims.append((f"heisenberg.{label}", "heisenberg",
-                       lambda cfg, c=center, k=copies: _claim_heisenberg(c, k, cfg)))
+                       lambda cfg, c=center, k=copies, e=expected:
+                       _claim_heisenberg(c, k, e, cfg)))
 
     for field_name, rate in HYPERBOLIC_CASES:
         claims.append((f"curvature.hyperbolic.{field_name}.rate{rate:g}", "curvature",
@@ -420,7 +435,7 @@ def build_claims() -> list[tuple[str, str, object]]:
                        lambda cfg, s=sid: _claim_catalog_cohomogeneity(s, cfg)))
     claims.append(("catalog.invariants", "catalog", _claim_catalog_invariants))
     claims.append(("catalog.dimensions", "catalog", _claim_catalog_dims))
-    return claims
+    return tuple(claims)
 
 
 @dataclass

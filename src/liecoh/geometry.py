@@ -107,16 +107,18 @@ def curvature_tensor(ms: InvariantMetricSpace) -> np.ndarray:
     bm, bk, rho = _connection_data(ms)
     q = ms.metric()
     qinv = np.linalg.inv(q)
-    # 2 <U(x_i, x_j), z> = <[z, i]_m, j> + <i, [z, j]_m>
-    w = np.einsum("zim,mj->ijz", bm, q) + np.einsum("zjm,mi->ijz", bm, q)
-    u = 0.5 * np.einsum("ijz,zm->ijm", w, qinv.T)
+    n, k = bm.shape[0], rho.shape[0]
+    # 2 <U(x_i, x_j), z> = <[z, i]_m, j> + <i, [z, j]_m>; p[z, i, j] = <[z, i]_m, j>
+    p = bm @ q
+    u = 0.5 * ((p + p.transpose(0, 2, 1)).transpose(1, 2, 0) @ qinv.T)
     lam = 0.5 * bm + u                                  # lam[i, j, :] = L(b_i) b_j
-    t1 = np.einsum("jkm,iml->ijkl", lam, lam)
-    t2 = np.einsum("ikm,jml->ijkl", lam, lam)
-    t3 = np.einsum("ijm,mkl->ijkl", bm, lam)
-    t4 = np.einsum("ija,alk->ijkl", bk, rho)
-    r = t1 - t2 - t3 - t4
-    return np.einsum("ijkm,ml->ijkl", r, q)
+    # t1[i, j] = lam[j] @ lam[i], from one product; t2[i, j] = t1[j, i]
+    t1 = lam.reshape(n * n, n) @ lam.transpose(1, 0, 2).reshape(n, n * n)
+    t1 = t1.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+    t2 = t1.transpose(1, 0, 2, 3)
+    t3 = (bm.reshape(n * n, n) @ lam.reshape(n, n * n)).reshape(n, n, n, n)
+    t4 = (bk.reshape(n * n, k) @ rho.transpose(0, 2, 1).reshape(k, n * n)).reshape(n, n, n, n)
+    return (t1 - t2 - t3 - t4) @ q
 
 
 def curvature_symmetry_residual(r4: np.ndarray) -> float:

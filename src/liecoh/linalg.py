@@ -50,15 +50,20 @@ def residual_scale(a: np.ndarray) -> float:
     return max(np.abs(a).max(initial=0.0), 1.0)
 
 
-def matrix_rank(a: np.ndarray) -> int:
-    """Numerical rank with a cutoff relative to the largest singular value."""
+def matrix_rank(a: np.ndarray):
+    """Numerical rank with a cutoff relative to the largest singular value.
+
+    A stack ``(..., m, n)`` gives an integer array of ranks from one stacked
+    SVD, each matrix with its own cutoff.  An all-zero or empty matrix has
+    rank 0.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(require_finite(a), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    if 0 in a.shape[-2:]:
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(require_finite(a), compute_uv=False)
+        ranks = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def nullspace(a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import JACOBI_TOL, LEAK_TOL, LieAlgebra, Subspace, require_below, span_brackets
+from .algebra import (
+    JACOBI_TOL,
+    LEAK_TOL,
+    LieAlgebra,
+    Subspace,
+    commutators,
+    require_below,
+    span_brackets,
+)
 from .linalg import (
     matrix_rank,
     nullspace,
@@ -72,10 +80,11 @@ class Representation:
         return self.matrices.shape[1]
 
     def homomorphism_residual(self) -> float:
-        comm = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
-        comm = comm - comm.transpose(1, 0, 2, 3)
-        expect = np.einsum("abm,mik->abik", self.algebra.c, self.matrices)
-        return float(np.abs(comm - expect).max(initial=0.0) / residual_scale(self.matrices))
+        m = self.matrices
+        k, n = m.shape[:2]
+        # rho([b_a, b_b]) for every pair: one product of the constants and the stacked operators
+        expect = (self.algebra.c.reshape(k * k, k) @ m.reshape(k, n * n)).reshape(k, k, n, n)
+        return float(np.abs(commutators(m) - expect).max(initial=0.0) / residual_scale(m))
 
     def skewness_residual(self) -> float:
         m = self.matrices
@@ -95,14 +104,24 @@ def trivial_representation(algebra: LieAlgebra, space_dim: int) -> Representatio
 
 
 def _evaluation_matrix(rep: Representation, v: np.ndarray) -> np.ndarray:
-    """Columns rho(b_a) v of the evaluation map xi -> rho(xi) v."""
-    return np.einsum("aij,j->ia", rep.matrices, v)
+    """Columns rho(b_a) v of the evaluation map xi -> rho(xi) v.
+
+    A stack of vectors ``(s, D)`` gives the stack ``(s, D, dim)``, from one
+    matrix product.
+    """
+    k, n = rep.algebra.dim, rep.space_dim
+    vs = np.atleast_2d(v)
+    e = (rep.matrices.reshape(k * n, n) @ vs.T).reshape(k, n, vs.shape[0]).transpose(2, 1, 0)
+    return e if v.ndim > 1 else e[0]
 
 
-def orbit_dimension(rep: Representation, v) -> int:
-    """Rank of xi -> rho(xi) v; the dimension of the orbit through v."""
+def orbit_dimension(rep: Representation, v):
+    """Rank of xi -> rho(xi) v; the dimension of the orbit through v.
+
+    A stack of vectors ``(s, D)`` gives an integer array of ``s`` dimensions.
+    """
     v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0:
+    if np.any(np.linalg.norm(v, axis=-1) == 0):
         raise ValueError("orbit dimension is undefined at the zero vector")
     return matrix_rank(_evaluation_matrix(rep, v))
 
@@ -110,16 +129,14 @@ def orbit_dimension(rep: Representation, v) -> int:
 def cohomogeneity(rep: Representation, seed: int = DEFAULT_SEED) -> int:
     """space_dim minus the maximal orbit dimension over ``GENERIC_SAMPLES`` seeded unit samples.
 
-    A zero-dimensional space is one point: cohomogeneity 0.
+    The samples are ranked together, by one stacked SVD.  A zero-dimensional
+    space is one point: cohomogeneity 0.
     """
     if rep.space_dim == 0:
         return 0
     rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(GENERIC_SAMPLES):
-        v = random_unit_vector(rep.space_dim, rng)
-        best = max(best, orbit_dimension(rep, v))
-    return rep.space_dim - best
+    samples = np.array([random_unit_vector(rep.space_dim, rng) for _ in range(GENERIC_SAMPLES)])
+    return rep.space_dim - int(orbit_dimension(rep, samples).max())
 
 
 def isotropy_subalgebra(rep: Representation, v) -> Subspace:

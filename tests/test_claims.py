@@ -1,5 +1,6 @@
 """The warm check path, the run configuration and the runner's error reports."""
 
+import copy
 import threading
 from collections import Counter
 
@@ -143,3 +144,16 @@ def test_an_internal_error_names_its_type_and_frame(monkeypatch):
     line = boom.__code__.co_firstlineno + 1
     assert failed[0].computed == ("internal error: ZeroDivisionError: division by zero "
                                   f"(at test_claims.py:{line} in boom)")
+
+
+def test_the_registry_and_its_expected_values_are_built_once():
+    assert claims.build_claims() is claims.build_claims()
+    first = run_suite(RunConfig()).reports
+    declared = copy.deepcopy([r.expected for r in first])
+    second = run_suite(RunConfig()).reports
+    for a, b in zip(first, second, strict=True):
+        assert a.claim_id is b.claim_id
+        assert a.expected is b.expected
+        assert a.provenance is b.provenance
+    # the shared values are read, never written: both suites leave them as declared
+    assert [r.expected for r in second] == declared

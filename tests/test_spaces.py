@@ -437,11 +437,11 @@ def test_fingerprint_claims_read_the_catalog(monkeypatch):
         catalog_entry(sid)
     monkeypatch.setattr(sps, "build_clifford_space", lambda *a: pytest.fail("rebuilt"))
     monkeypatch.setattr(sps, "build_heisenberg", lambda *a: pytest.fail("rebuilt"))
-    cfg = claims.RunConfig()
-    for sign in (+1, -1):
-        assert claims._claim_completion_n7(sign, cfg).status == "pass"
-    for center, copies in claims.HEISENBERG_CASES:
-        assert claims._claim_heisenberg(center, copies, cfg).status == "pass"
+    registry = [fn for claim_id, _, fn in claims.build_claims()
+                if claim_id.startswith(("fingerprint.completion.n7.", "heisenberg."))]
+    assert len(registry) == 2 + len(claims.HEISENBERG_CASES)
+    for fn in registry:
+        assert fn(claims.RunConfig()).status == "pass"
 
 
 def test_distinct_objects_compare_unequal_and_each_equals_itself():
