@@ -63,8 +63,29 @@ class RunConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+class _ReadOnlyDict(dict):
+    """A claim's expected value: built once and shared by the reports of every run.
+
+    Writes raise ``TypeError``, so no caller can move a later verdict by editing
+    one report; its values are immutable too (tuples, not lists).  JSON encodes
+    it as a plain dict; a copy or an unpickled one is read-only again.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a claim's expected value is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass
 class VerificationReport:
+    """One claim's verdict.  ``expected`` may be shared with every other report
+    of the claim in the process; a dict there is a read-only ``_ReadOnlyDict``."""
+
     claim_id: str
     group: str
     status: str
@@ -158,7 +179,7 @@ COH2_ROWS = (
       for sid in ("Sp(1)Sp(1)|xR4/U(1)Sp(1)", "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)",
                   "Spin(7)|xR8/Spin(6)", "Spin(8)|xR8+/Spin(7)")),
 )
-COH2_EXPECTED = {"cohomogeneity": 2, "m2_kernel_dim": 0, "m1_nontrivial": True}
+COH2_EXPECTED = _ReadOnlyDict(cohomogeneity=2, m2_kernel_dim=0, m1_nontrivial=True)
 
 
 def _claim_coh2_row(source, cfg: RunConfig):
@@ -196,11 +217,11 @@ def _claim_jacobi_gate(n, cfg: RunConfig):
 def _claim_completion_n7(space_id, expected, cfg: RunConfig):
     space = sps.catalog_entry(space_id)
     sig = la.signature(la.killing_form(space.algebra))
-    computed = {"dim": space.dim, "killing_signature": list(sig)}
+    computed = {"dim": space.dim, "killing_signature": sig}
     return _exact_claim(computed, expected, "solver output + eigenvalue fingerprint")
 
 
-N6_EXPECTED = {"nullity": 0, "abelian_solution_norm": 0.0, "empty": False}
+N6_EXPECTED = _ReadOnlyDict(nullity=0, abelian_solution_norm=0.0, empty=False)
 
 
 def _claim_completion_n6(cfg: RunConfig):
@@ -359,14 +380,15 @@ def _claim_catalog_invariants(cfg: RunConfig):
                            "jacobi and killing ad-invariance over the catalog")
 
 
-DIMS_EXPECTED = {"N(6,1).m_dim": 14, "Spin(9)/Spin(7).dim": 36, "Spin(9)/Spin(7).blocks": [7, 8]}
+DIMS_EXPECTED = _ReadOnlyDict({"N(6,1).m_dim": 14, "Spin(9)/Spin(7).dim": 36,
+                               "Spin(9)/Spin(7).blocks": (7, 8)})
 
 
 def _claim_catalog_dims(cfg: RunConfig):
     n61 = sps.catalog_entry("N(6,1)")
     s9 = sps.catalog_entry("Spin(9)/Spin(7)")
     computed = {"N(6,1).m_dim": n61.m_dim, "Spin(9)/Spin(7).dim": s9.dim,
-                "Spin(9)/Spin(7).blocks": [b.dim for b in s9.blocks]}
+                "Spin(9)/Spin(7).blocks": tuple(b.dim for b in s9.blocks)}
     return _exact_claim(computed, DIMS_EXPECTED, "named entry dimensions")
 
 
@@ -380,12 +402,12 @@ def build_claims() -> tuple[tuple[str, str, object], ...]:
     """The full claim registry as (id, group, fn(config) -> report), built once.
 
     Each claim's expected value is built here or is a module constant, so the
-    reports of every run share it: report fields are read-only.
+    reports of every run share it; a dict there is a read-only ``_ReadOnlyDict``.
     """
     claims: list[tuple[str, str, object]] = []
 
     for name, factory, iso in SPHERE_TRANSITIVE_ROWS:
-        expected = {"cohomogeneity": 1, "isotropy_dim": iso}
+        expected = _ReadOnlyDict(cohomogeneity=1, isotropy_dim=iso)
         claims.append((f"coh1.{name}", "tables",
                        lambda cfg, f=factory, e=expected: _claim_sphere_row(f, e, cfg)))
     for row, source in enumerate(COH2_ROWS, 1):
@@ -398,17 +420,17 @@ def build_claims() -> tuple[tuple[str, str, object], ...]:
                            lambda cfg, nn=n, m=mu: _claim_jacobi_valid(nn, m, cfg)))
         claims.append((f"jacobi.gate.n{n}", "jacobi",
                        lambda cfg, nn=n: _claim_jacobi_gate(nn, cfg)))
-    for suffix, space_id, sig in (("compact", "Spin(9)/Spin(7)", [0, 36, 0]),
-                                  ("split", "Spin(8,1)/Spin(7)", [8, 28, 0])):
-        expected = {"dim": 36, "killing_signature": sig}
+    for suffix, space_id, sig in (("compact", "Spin(9)/Spin(7)", (0, 36, 0)),
+                                  ("split", "Spin(8,1)/Spin(7)", (8, 28, 0))):
+        expected = _ReadOnlyDict(dim=36, killing_signature=sig)
         claims.append((f"fingerprint.completion.n7.{suffix}", "jacobi",
                        lambda cfg, s=space_id, e=expected: _claim_completion_n7(s, e, cfg)))
     claims.append(("fingerprint.completion.n6.rigid", "jacobi", _claim_completion_n6))
 
     for center, copies in HEISENBERG_CASES:
         label = sps.heisenberg_label(center, copies)
-        expected = {"center_dim": center, "nilpotency_class": 2,
-                    "j_anticommutation_residual": _below(1e-12)}
+        expected = _ReadOnlyDict(center_dim=center, nilpotency_class=2,
+                                 j_anticommutation_residual=_below(1e-12))
         claims.append((f"heisenberg.{label}", "heisenberg",
                        lambda cfg, c=center, k=copies, e=expected:
                        _claim_heisenberg(c, k, e, cfg)))

@@ -121,7 +121,9 @@ def test_every_claim_runs_on_the_calling_thread(monkeypatch):
 
 def test_building_the_registry_builds_no_catalog_entry():
     sps.catalog_entry.cache_clear()
+    claims.build_claims.cache_clear()   # else the registry cached by an earlier test is read
     claims.build_claims()
+    assert claims.build_claims.cache_info().misses == 1
     assert sps.catalog_entry.cache_info().currsize == 0
 
 
@@ -157,3 +159,19 @@ def test_the_registry_and_its_expected_values_are_built_once():
         assert a.provenance is b.provenance
     # the shared values are read, never written: both suites leave them as declared
     assert [r.expected for r in second] == declared
+
+
+def test_a_shared_expected_value_cannot_be_edited():
+    first = run_suite(RunConfig()).reports
+    shared = [r.expected for r in first if isinstance(r.expected, dict)]
+    assert len(shared) == 26   # 12 sphere rows, 5 coh2 rows, 3 fingerprints, 5 heisenberg, dims
+    for expected in shared:
+        key = next(iter(expected))
+        for edit in (lambda: expected.__setitem__(key, 0), lambda: expected.pop(key),
+                     lambda: expected.update({key: 0}), expected.clear):
+            with pytest.raises(TypeError, match="read-only"):
+                edit()
+        for value in expected.values():
+            hash(value)   # no list or other mutable value inside either
+        assert copy.deepcopy(expected) == expected
+    assert run_suite(RunConfig()).exit_code == 0

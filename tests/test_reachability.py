@@ -38,12 +38,24 @@ import liecoh
 REFERENCE = "reference model: the gamma matrices are tested against the blade arithmetic"
 ORACLE = "test oracle"
 ERROR_PATH = "error path: a passing run raises no ValidationError"
+READ_ONLY = "guard: no run writes or copies a claim's shared expected value"
 
 NEVER_CALLED = {
     "algebra.ad_matrix": ORACLE,
     "algebra.bracket": ORACLE,
     "algebra.from_json_dict": ORACLE + ": the inverse of the export schema",
     "algebra.pullback_structure": ORACLE,
+    "claims._ReadOnlyDict": READ_ONLY,
+    "claims._ReadOnlyDict.__delitem__": READ_ONLY,
+    "claims._ReadOnlyDict.__ior__": READ_ONLY,
+    "claims._ReadOnlyDict.__reduce__": READ_ONLY,
+    "claims._ReadOnlyDict.__setitem__": READ_ONLY,
+    "claims._ReadOnlyDict._read_only": READ_ONLY,
+    "claims._ReadOnlyDict.clear": READ_ONLY,
+    "claims._ReadOnlyDict.pop": READ_ONLY,
+    "claims._ReadOnlyDict.popitem": READ_ONLY,
+    "claims._ReadOnlyDict.setdefault": READ_ONLY,
+    "claims._ReadOnlyDict.update": READ_ONLY,
     "clifford.CliffordElement": REFERENCE,
     "clifford.CliffordElement.__eq__": REFERENCE,
     "clifford.CliffordElement.__post_init__": REFERENCE,

@@ -1,13 +1,13 @@
 """Per-claim warm times of one or more ``src`` trees, as minima over many suites.
 
-    python tools/claim_times.py [--suites N] [--processes P] [--seed S] SRC [SRC ...]
+    python tools/claim_times.py [--suites N] SRC [SRC ...]
 
-Each tree runs in ``P`` fresh processes (default 4), taken in alternation:
+Each tree runs in ``PROCESSES = 4`` fresh processes, taken in alternation:
 tree 1, tree 2, ..., tree 1, tree 2, ...  A process imports ``liecoh`` from
 its tree with ``OPENBLAS_NUM_THREADS=1`` (unless set), builds the catalog,
 runs one suite to warm every cache, then times each claim of ``N`` more
-suites (default 10) with ``time.perf_counter`` around ``claims._run_one``, the
-call ``run_suite`` makes.  The script prints, for every tree, the minimum
+suites (default 10) of the default ``RunConfig`` with ``time.perf_counter``
+around ``claims._run_one``, the call ``run_suite`` makes.  The script prints, for every tree, the minimum
 over all suites of every claim, then the sums of those minima per family
 (the first two parts of the claim id, such as ``catalog.cohomogeneity``),
 per group and in total, in milliseconds.  With two trees or more, a last
@@ -26,12 +26,14 @@ import sys
 import time
 from collections import defaultdict
 
+PROCESSES = 4
 
-def child(src: str, suites: int, seed: int) -> None:
+
+def child(src: str, suites: int) -> None:
     sys.path.insert(0, src)
     from liecoh import claims, spaces
 
-    cfg = claims.RunConfig(seed=seed)
+    cfg = claims.RunConfig()
     spaces.catalog()
     claims.run_suite(cfg)
     times = defaultdict(list)
@@ -47,11 +49,11 @@ def child(src: str, suites: int, seed: int) -> None:
     json.dump({"times": times, "groups": groups}, sys.stdout)
 
 
-def run_tree(src: str, suites: int, seed: int) -> dict:
+def run_tree(src: str, suites: int) -> dict:
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", src,
-                          "--suites", str(suites), "--seed", str(seed)],
+                          "--suites", str(suites)],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -64,19 +66,17 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="+", help="a src directory holding the liecoh package")
     parser.add_argument("--suites", type=int, default=10, help="timed suites per process")
-    parser.add_argument("--processes", type=int, default=4, help="fresh processes per tree")
-    parser.add_argument("--seed", type=int, default=0x5EED, help="the run seed of the suites")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.src[0], args.suites, args.seed)
+        child(args.src[0], args.suites)
         return
     trees = [os.path.abspath(src) for src in args.src]
     best = [defaultdict(lambda: float("inf")) for _ in trees]
     groups = {}
-    for _ in range(args.processes):
+    for _ in range(PROCESSES):
         for k, src in enumerate(trees):
-            run = run_tree(src, args.suites, args.seed)
+            run = run_tree(src, args.suites)
             groups.update(run["groups"])
             for claim_id, seconds in run["times"].items():
                 best[k][claim_id] = min(best[k][claim_id], min(seconds))
@@ -92,7 +92,7 @@ def main(argv=None) -> None:
 
     for k, src in enumerate(trees):
         print(f"# tree {k + 1}: {src}")
-    print(f"# minima over {args.processes} processes x {args.suites} suites, in ms")
+    print(f"# minima over {PROCESSES} processes x {args.suites} suites, in ms")
     for name, values in rows:
         cells = " ".join(f"{1000 * v:9.3f}" for v in values)
         if len(trees) > 1 and values[0]:
