@@ -44,19 +44,15 @@ __all__ = [
     "Subspace",
     "ValidationError",
     "abelian",
-    "ad_matrix",
-    "bracket",
     "center",
     "center_dimension",
     "commutators",
     "direct_sum",
-    "from_json_dict",
     "jacobi_residual",
     "killing_form",
     "killing_invariance_residual",
     "nilpotency_class",
     "place_action",
-    "pullback_structure",
     "require_below",
     "semidirect_sum",
     "signature",
@@ -88,7 +84,7 @@ def require_below(residual: float, bound: float, what: str, triple=None) -> None
                               residual=residual, triple=triple)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class LieAlgebra:
     """Real Lie algebra as a structure-constant tensor in an orthonormal basis.
 
@@ -99,6 +95,9 @@ class LieAlgebra:
         indices.
     labels : tuple of str, optional
         Basis labels for display and export (keyword only).
+
+    The fields are frozen and ``c`` is read-only, so a cached algebra cannot
+    be changed.
     """
 
     c: np.ndarray
@@ -114,9 +113,9 @@ class LieAlgebra:
         if not np.array_equal(c, -c.transpose(1, 0, 2)):
             raise ValueError("structure constants must be exactly antisymmetric")
         c.setflags(write=False)
-        self.c = c
+        object.__setattr__(self, "c", c)
         if self.labels is not None:
-            self.labels = tuple(self.labels)
+            object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != c.shape[0]:
                 raise ValueError("label count must match dimension")
 
@@ -137,21 +136,6 @@ def antisymmetrized(upper: np.ndarray) -> np.ndarray:
 
 def abelian(dim: int) -> LieAlgebra:
     return LieAlgebra(np.zeros((dim, dim, dim)))
-
-
-def bracket(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bracket of two coefficient vectors, ``sum_{ij} x_i y_j c[i,j,:]``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (alg.dim,) or y.shape != (alg.dim,):
-        raise ValueError("vector length must equal the algebra dimension")
-    return np.einsum("i,j,ijk->k", x, y, alg.c)
-
-
-def ad_matrix(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
-    """Matrix of ``ad(x) : y -> [x, y]`` in the given basis."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum("i,ijk->kj", x, alg.c)
 
 
 def span_brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -369,7 +353,7 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
         if norm > 0.0:
             triple, res = worst, float(norm / scale)
     if not c.flags.writeable:
-        alg._jacobi = (c, triple, res)  # racing threads store equal values
+        object.__setattr__(alg, "_jacobi", (c, triple, res))  # racing threads store equal values
     return triple, res
 
 
@@ -471,18 +455,6 @@ def semidirect_sum(acting: LieAlgebra, rep) -> LieAlgebra:
     return LieAlgebra(c)
 
 
-def pullback_structure(alg: LieAlgebra, f: np.ndarray) -> LieAlgebra:
-    """Structure constants of the bracket pulled back by an invertible map.
-
-    ``[x, y]' = f^{-1} [f x, f y]`` expressed in the original basis.
-    """
-    f = np.asarray(f, dtype=float)
-    finv = np.linalg.inv(f)
-    c = span_brackets(alg, f, f) @ finv.T
-    c = 0.5 * (c - c.transpose(1, 0, 2))  # kill round-off asymmetry exactly
-    return LieAlgebra(c, labels=alg.labels)
-
-
 def weyl_flip(alg: LieAlgebra, block_indices) -> LieAlgebra:
     """Noncompact dual: flip the sign of brackets inside one block.
 
@@ -544,12 +516,13 @@ def structure_constants_from_matrices(matrices) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Subspace:
     """Subspace of R^n stored as orthonormal basis columns.
 
     The basis is the only way a subspace is read: brackets of spans go
-    through ``span_brackets``, whatever the basis.
+    through ``span_brackets``, whatever the basis.  The fields are frozen and
+    the basis is read-only.
     """
 
     ambient_dim: int
@@ -565,7 +538,7 @@ class Subspace:
             require_below(np.abs(b.T @ b - np.eye(b.shape[1])).max(), LEAK_TOL,
                           "basis columns must be orthonormal")
         b.setflags(write=False)
-        self.basis = b
+        object.__setattr__(self, "basis", b)
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices) -> "Subspace":
@@ -589,7 +562,7 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON form
 # ---------------------------------------------------------------------------
 
 
@@ -607,29 +580,3 @@ def to_json_dict(alg: LieAlgebra) -> dict:
     if alg.labels is not None:
         out["labels"] = list(alg.labels)
     return out
-
-
-def from_json_dict(data: dict) -> LieAlgebra:
-    """Inverse of ``to_json_dict``; ``ValueError`` on input it cannot have written.
-
-    Each triple needs integer indices with ``0 <= i < j < dim`` and
-    ``0 <= k < dim`` and may appear once.  An ``inner_product`` key is
-    rejected: every basis is orthonormal.
-    """
-    if "inner_product" in data:
-        raise ValueError("inner_product is not supported: the basis is orthonormal")
-    d = int(data["dim"])
-    c = np.zeros((d, d, d))
-    seen = set()
-    for i, j, k, v in data["c"]:
-        if not all(type(n) is int for n in (i, j, k)):
-            raise ValueError(f"triple indices must be integers, got {[i, j, k]}")
-        if not (0 <= i < j < d and 0 <= k < d):
-            raise ValueError("sparse triples must satisfy 0 <= i < j < dim and 0 <= k < dim")
-        if (i, j, k) in seen:
-            raise ValueError(f"triple {[i, j, k]} appears twice")
-        seen.add((i, j, k))
-        c[i, j, k] = v
-        c[j, i, k] = -v
-    labels = tuple(data["labels"]) if "labels" in data else None
-    return LieAlgebra(c, labels=labels)

@@ -53,7 +53,10 @@ class RunConfig:
     groups: tuple[str, ...] = GROUPS
 
     def __post_init__(self):
-        self.groups = tuple(self.groups)
+        if isinstance(self.groups, str):
+            raise ValueError(f"groups must be a sequence of group names such as "
+                             f"({self.groups!r},), not the string {self.groups!r}")
+        self.groups = tuple(dict.fromkeys(self.groups))  # repeats dropped, first order kept
         if not self.groups:
             raise ValueError("no claim group selected")
         bad = [g for g in self.groups if g not in GROUPS]

@@ -2,10 +2,11 @@
 
 Subcommands:
 
-* ``liecoh verify [--group G ...] [--config PATH] [--seed N] [--json] [--jobs N]``
-  runs the claim suite on one thread; exit code 0 when every claim passes,
-  1 on any failure, 2 on a configuration error.  ``--jobs`` must be at least
-  1 and is otherwise ignored, because the claims hold the GIL.
+* ``liecoh verify [--group G ...] [--config PATH] [--seed N] [--json] [--jobs N]
+  [--out PATH]`` runs the claim suite on one thread and writes to ``PATH``
+  when given; exit code 0 when every claim passes, 1 on any failure, 2 on a
+  configuration error.  ``--jobs`` must be at least 1 and is otherwise
+  ignored, because the claims hold the GIL.
 * ``liecoh catalog [--json]`` lists the model spaces with their fingerprints.
 * ``liecoh export SPACE_ID [--out PATH]`` writes one space in the sparse
   JSON algebra schema with block annotations.

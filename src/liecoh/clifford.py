@@ -1,9 +1,5 @@
-"""Clifford algebra Cl_n with e_i e_j + e_j e_i = -2 delta_ij.
-
-Two realizations live here and are cross-checked against each other:
-
-* blade arithmetic on formal products of generators (exact sign bookkeeping),
-* gamma-matrix modules: n anticommuting, skew, orthogonal integer matrices.
+"""Clifford algebra Cl_n with e_i e_j + e_j e_i = -2 delta_ij, realized by
+gamma-matrix modules: n anticommuting, skew, orthogonal integer matrices.
 
 The gamma systems are assembled from 2x2 tiles I, J, P, Q (identity, rotation,
 swap, parity) by tensoring, so every matrix has entries in {0, +-1} and all
@@ -22,13 +18,8 @@ from .algebra import LieAlgebra, structure_constants_from_matrices
 from .reps import Representation
 
 __all__ = [
-    "CliffordElement",
     "CliffordModule",
-    "blade",
-    "clifford_multiply",
-    "generator",
     "quaternion_units",
-    "scalar",
     "so_algebra",
     "spin_algebra",
     "spin_module",
@@ -56,79 +47,6 @@ _CL7 = [
     _kron(_P, _I, _J),
     _kron(_Q, _I, _J),
 ]
-
-
-# ---------------------------------------------------------------------------
-# Blades
-# ---------------------------------------------------------------------------
-
-
-def _mul_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-    """Sign and sorted index set of the product of two basis blades."""
-    seq = list(a) + list(b)
-    sign = 1.0
-    # insertion sort counting transpositions, contracting equal neighbours
-    i = 0
-    while i < len(seq) - 1:
-        if seq[i] == seq[i + 1]:
-            del seq[i:i + 2]
-            sign = -sign  # e_k e_k = -1
-            i = max(i - 1, 0)
-        elif seq[i] > seq[i + 1]:
-            seq[i], seq[i + 1] = seq[i + 1], seq[i]
-            sign = -sign
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return sign, tuple(seq)
-
-
-@dataclass
-class CliffordElement:
-    """Element of Cl_n: map from sorted generator index tuples to coefficients."""
-
-    n: int
-    blades: dict
-
-    def __post_init__(self):
-        clean = {}
-        for idx, coeff in self.blades.items():
-            idx = tuple(int(i) for i in idx)
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"blade index set {idx} is not strictly increasing")
-            if any(i < 1 or i > self.n for i in idx):
-                raise ValueError("blade index out of range")
-            if coeff != 0.0:
-                clean[idx] = float(coeff)
-        self.blades = clean
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CliffordElement) and self.n == other.n \
-            and self.blades == other.blades
-
-
-def scalar(n: int, value: float) -> CliffordElement:
-    return CliffordElement(n, {(): value})
-
-
-def generator(n: int, i: int) -> CliffordElement:
-    return CliffordElement(n, {(i,): 1.0})
-
-
-def blade(n: int, indices, coeff: float = 1.0) -> CliffordElement:
-    return CliffordElement(n, {tuple(indices): coeff})
-
-
-def clifford_multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Associative product under the relation e_i e_j + e_j e_i = -2 delta_ij."""
-    if a.n != b.n:
-        raise ValueError("mismatched generator counts")
-    out: dict = {}
-    for ia, ca in a.blades.items():
-        for ib, cb in b.blades.items():
-            sign, idx = _mul_indices(ia, ib)
-            out[idx] = out.get(idx, 0.0) + sign * ca * cb
-    return CliffordElement(a.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +85,6 @@ class CliffordModule:
     @property
     def module_dim(self) -> int:
         return self.gammas.shape[1]
-
-    def blade_matrix(self, indices) -> np.ndarray:
-        """Matrix of a basis blade acting on the module (empty tuple: identity)."""
-        m = np.eye(self.module_dim)
-        for i in indices:
-            m = m @ self.gammas[i - 1]
-        return m
-
-    def element_matrix(self, x: CliffordElement) -> np.ndarray:
-        if x.n != self.n:
-            raise ValueError("element belongs to a different Cl_n")
-        m = np.zeros((self.module_dim, self.module_dim))
-        for idx, coeff in x.blades.items():
-            m += coeff * self.blade_matrix(idx)
-        return m
 
 
 @lru_cache(maxsize=None)

@@ -94,16 +94,16 @@ class CompletionProblem:
         return [(s[a], s[b]) for a in range(len(s)) for b in range(a + 1, len(s))]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CompletionSolution:
     """Affine solution space of a completion problem.
 
     ``particular`` and the rows of ``homogeneous`` are coefficient arrays of
     shape (n_pairs, target_dim): entry [p, a] multiplies target basis vector a
     in the bracket of unknown pair p (ordered as ``problem.pairs``).  The
-    three arrays are made read-only, so a cached solution stays as solved;
-    ``complete_bracket``, the one constructor, hands over arrays it holds
-    no other reference to.
+    fields are frozen and the three arrays made read-only, so a cached
+    solution stays as solved; ``complete_bracket``, the one constructor,
+    hands over arrays it holds no other reference to.
     """
 
     problem: CompletionProblem
@@ -121,16 +121,13 @@ class CompletionSolution:
     def nullity(self) -> int:
         return self.homogeneous.shape[0]
 
-    def coefficients(self, weights=None) -> np.ndarray:
-        u = np.array(self.particular)
-        if weights is not None:
-            w = np.atleast_1d(np.asarray(weights, dtype=float))
-            if w.shape != (self.nullity,):
-                raise ValueError("one weight per homogeneous basis element expected")
-            u += np.tensordot(w, self.homogeneous, axes=1)
-        return u
+    def coefficients(self, weights) -> np.ndarray:
+        w = np.atleast_1d(np.asarray(weights, dtype=float))
+        if w.shape != (self.nullity,):
+            raise ValueError("one weight per homogeneous basis element expected")
+        return self.particular + np.tensordot(w, self.homogeneous, axes=1)
 
-    def realize(self, weights=None) -> LieAlgebra:
+    def realize(self, weights) -> LieAlgebra:
         """Substitute a point of the solution space back into the skeleton."""
         return _substitute(self.problem, self.coefficients(weights))
 
@@ -348,8 +345,5 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
                    if basis else np.zeros((0, npairs, q)))
 
     particular = u_part.reshape(npairs, q)
-    solution = CompletionSolution(problem, particular, homogeneous, 0.0, False, sv_all)
-    res = jacobi_residual(solution.realize())
-    solution.residual = res
-    solution.empty = not res < JACOBI_TOL
-    return solution
+    res = jacobi_residual(_substitute(problem, particular))
+    return CompletionSolution(problem, particular, homogeneous, res, not res < JACOBI_TOL, sv_all)

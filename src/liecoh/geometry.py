@@ -27,8 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import Subspace, span_brackets
-from .clifford import bivector_pairs, so_algebra
+from .algebra import span_brackets
 from .linalg import ValidationError, residual_scale
 from .spaces import ReductiveSpace
 
@@ -42,7 +41,6 @@ __all__ = [
     "curvature_tensor",
     "riemann_finite_difference",
     "sectional_curvature",
-    "sphere_space",
     "warped_curvature_fd",
     "warped_sectional_curvature",
 ]
@@ -79,11 +77,6 @@ class InvariantMetricSpace:
 
     def metric(self) -> np.ndarray:
         return np.diag(np.repeat(self.block_scales, [b.dim for b in self.space.blocks]))
-
-    def invariance_residual(self) -> float:
-        q = self.metric()
-        t = np.einsum("ij,ajk->aik", q, self.space.rep.matrices)
-        return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0))
 
 
 def _connection_data(ms: InvariantMetricSpace):
@@ -182,22 +175,8 @@ class Profile:
 
 
 # ---------------------------------------------------------------------------
-# the round sphere: a reductive model and the warped-product fiber
+# the round sphere: the warped-product fiber
 # ---------------------------------------------------------------------------
-
-
-def sphere_space(n: int) -> ReductiveSpace:
-    """Round sphere model: rotation algebra one dimension up over so(n).
-
-    Its invariant metric has sectional curvature +1, the closed form that
-    ``RoundSphere`` states and that ``curvature_tensor`` is tested against.
-    """
-    pairs = bivector_pairs(n + 1)
-    alg = so_algebra(n + 1)
-    k_idx = [p for p, (i, j) in enumerate(pairs) if j <= n]
-    m_idx = [p for p, (i, j) in enumerate(pairs) if j == n + 1]
-    return ReductiveSpace(f"S{n}", alg, Subspace.coordinate(alg.dim, k_idx),
-                          (Subspace.coordinate(alg.dim, m_idx),))
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Numerical representation theory of compact Lie algebras.
 
-Orbit dimensions, cohomogeneity, isotropy and fixed subspaces, effectivity
-kernels, and equivariant-homomorphism counts.  Everything reduces to ranks
-and nullspaces of explicit matrices; genericity is handled by seeded random
-sampling (default seed ``DEFAULT_SEED``), so every result is reproducible.
+Orbit dimensions, cohomogeneity, isotropy and fixed subspaces, and
+effectivity kernels.  Everything reduces to ranks and nullspaces of explicit
+matrices; genericity is handled by seeded random sampling (default seed
+``DEFAULT_SEED``), so every result is reproducible.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ __all__ = [
     "Representation",
     "cohomogeneity",
     "fixed_subspace",
-    "hom_space_dimension",
     "isotropy_subalgebra",
     "kernel_ideal",
     "orbit_dimension",
     "rep_direct_sum",
     "restrict",
     "splitting_criterion",
-    "tensor_product",
     "trivial_representation",
 ]
 
@@ -175,29 +173,6 @@ def kernel_ideal(rep: Representation) -> Subspace:
 def _require_shared_algebra(rep_a: Representation, rep_b: Representation) -> None:
     if not np.array_equal(rep_a.algebra.c, rep_b.algebra.c):  # False on unequal shapes
         raise ValueError("representations must share the algebra")
-
-
-def hom_space_dimension(rep_a: Representation, rep_b: Representation) -> int:
-    """Dimension of intertwiners {A : A rho_a(xi) = rho_b(xi) A for all xi}."""
-    _require_shared_algebra(rep_a, rep_b)
-    da, db = rep_a.space_dim, rep_b.space_dim
-    blocks = []
-    for a in range(rep_a.algebra.dim):
-        m1 = np.kron(np.eye(db), rep_a.matrices[a].T)   # A -> A rho_a
-        m2 = np.kron(rep_b.matrices[a], np.eye(da))     # A -> rho_b A
-        blocks.append(m1 - m2)
-    return nullspace(np.vstack(blocks)).shape[1]
-
-
-def tensor_product(rep_a: Representation, rep_b: Representation) -> Representation:
-    """Kronecker-sum action rho_a (x) I + I (x) rho_b on the tensor space."""
-    _require_shared_algebra(rep_a, rep_b)
-    da, db = rep_a.space_dim, rep_b.space_dim
-    mats = np.array([
-        np.kron(rep_a.matrices[x], np.eye(db)) + np.kron(np.eye(da), rep_b.matrices[x])
-        for x in range(rep_a.algebra.dim)
-    ])
-    return Representation(rep_a.algebra, mats)
 
 
 def rep_direct_sum(rep_a: Representation, rep_b: Representation) -> Representation:

@@ -91,13 +91,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ReductiveSpace:
     """Algebra with isotropy subalgebra and invariant complement blocks.
 
     The constructor runs every check of the space and keeps the isotropy
     action as ``rep``, with the block coordinate ranges as ``slices``; every
-    reader uses those two fields.
+    reader uses those two fields.  The fields are frozen, so a cached space
+    cannot be changed.
     """
 
     label: str
@@ -109,7 +110,7 @@ class ReductiveSpace:
     slices: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        self.blocks = tuple(self.blocks)
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         d = self.algebra.dim
         if self.isotropy.ambient_dim != d or any(b.ambient_dim != d for b in self.blocks):
             raise ValueError("isotropy and blocks must live in the algebra")
@@ -119,8 +120,9 @@ class ReductiveSpace:
         require_below(np.abs(frame.T @ frame - np.eye(d)).max(initial=0.0), LEAK_TOL,
                       "isotropy and blocks are not orthonormal together")
         require_valid(self.algebra, self.label)
-        self.rep, self.slices = isotropy_representation(self)
-        self.rep.validate()
+        rep, slices = isotropy_representation(self)
+        object.__setattr__(self, "rep", rep.validate())
+        object.__setattr__(self, "slices", slices)
 
     @property
     def dim(self) -> int:
@@ -491,7 +493,7 @@ def catalog_entry(space_id: str) -> ReductiveSpace:
     if space_id not in builders:
         raise KeyError(f"unknown catalog id {space_id!r}")
     space = builders[space_id]()
-    space.label = space_id  # renamed in place: a rebuilt copy would run every check again
+    object.__setattr__(space, "label", space_id)  # not replace(): it would run every check again
     return space
 
 

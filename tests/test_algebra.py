@@ -9,15 +9,12 @@ from liecoh.algebra import (
     Subspace,
     ValidationError,
     abelian,
-    ad_matrix,
-    bracket,
     center_dimension,
     direct_sum,
     jacobi_residual,
     killing_form,
     killing_invariance_residual,
     nilpotency_class,
-    pullback_structure,
     semidirect_sum,
     signature,
     structure_constants_from_matrices,
@@ -26,6 +23,7 @@ from liecoh.algebra import (
 from liecoh.builders import so_standard
 from liecoh.reps import Representation
 from liecoh.spaces import build_heisenberg
+from oracles import ad_matrix, bracket, pullback_structure, read_algebra
 
 
 def su2_epsilon() -> LieAlgebra:
@@ -258,11 +256,11 @@ def test_replaced_constants_are_checked_again(jacobi_kernel_calls):
     c = np.zeros((3, 3, 3))
     c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
     c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
-    alg.c = LieAlgebra(c).c
+    object.__setattr__(alg, "c", LieAlgebra(c).c)
     assert abs(jacobi_residual(alg) - 1.0) < 1e-12
     assert len(seen) == 2
     # a writable array may change in place, so it is never memoised
-    alg.c = c
+    object.__setattr__(alg, "c", c)
     jacobi_residual(alg)
     jacobi_residual(alg)
     assert len(seen) == 4
@@ -298,7 +296,8 @@ def test_non_finite_constants_give_a_nan_residual(value):
         alg = su2_epsilon()
         bad = np.array(c)
         bad[(0, 1, 3) if lone else (0, 1, 2)] = value  # nothing brackets into e3
-        alg.c = bad  # NaN is never exactly antisymmetric, so it is set after construction
+        # NaN is never exactly antisymmetric, so it is set after construction
+        object.__setattr__(alg, "c", bad)
         with np.errstate(invalid="ignore"):
             triple, res = la.worst_jacobi_triple(alg)
             assert np.isnan(res)
@@ -507,9 +506,9 @@ def test_json_roundtrip_bit_exact():
     from liecoh.spaces import catalog_entry
 
     alg = catalog_entry("Sp(2)/U(1)Sp(1)").algebra
-    back = la.from_json_dict(json.loads(json.dumps(la.to_json_dict(alg))))
-    assert np.array_equal(back.c, alg.c)
-    assert back.labels == alg.labels
+    back = json.loads(json.dumps(la.to_json_dict(alg)))
+    assert np.array_equal(read_algebra(back), alg.c)
+    assert tuple(back["labels"]) == alg.labels
 
 
 def test_json_sparse_triples_upper_only():
@@ -517,25 +516,7 @@ def test_json_sparse_triples_upper_only():
     data = la.to_json_dict(alg)
     assert data["dim"] == 3
     assert all(i < j for i, j, _, _ in data["c"])
-    assert la.from_json_dict(data).c.shape == (3, 3, 3)
-
-
-def test_json_rejects_bad_triples():
-    with pytest.raises(ValueError):
-        la.from_json_dict({"dim": 2, "c": [[1, 0, 0, 1.0]]})
-
-
-@pytest.mark.parametrize("data", [
-    {"dim": 3, "c": [[0, 1, -1, 1.0]]},                      # would land on k = 2
-    {"dim": 3, "c": [[0, 1, 3, 1.0]]},                       # k = dim
-    {"dim": 3, "c": [[0, 1, 1.5, 1.0]]},                     # non-integer index
-    {"dim": 3, "c": [[0.0, 1, 2, 1.0]]},
-    {"dim": 3, "c": [[0, 1, 2, 1.0], [0, 1, 2, 2.0]]},       # repeated triple
-    {"dim": 3, "c": [], "inner_product": np.eye(3).tolist()},
-], ids=["negative-k", "k-is-dim", "half-index", "float-index", "repeat", "inner-product"])
-def test_json_rejects_what_to_json_dict_cannot_write(data):
-    with pytest.raises(ValueError):
-        la.from_json_dict(data)
+    assert np.array_equal(read_algebra(data), alg.c)
 
 
 def test_subspace_basics():

@@ -132,6 +132,12 @@ def test_an_empty_group_selection_is_rejected():
         RunConfig(groups=())
 
 
+def test_a_bare_string_of_groups_is_rejected():
+    # it used to be read letter by letter: "unknown claim groups: ['t', 'a', ...]"
+    with pytest.raises(ValueError, match=r"sequence of group names such as \('tables',\)"):
+        RunConfig(groups="tables")
+
+
 def test_an_internal_error_names_its_type_and_frame(monkeypatch):
     def boom(cfg):
         return 1 / 0

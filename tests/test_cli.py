@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from liecoh import algebra as la
 from liecoh import claims
 from liecoh.claims import RunConfig, build_claims, run_suite
 from liecoh.cli import ConfigError, load_config, main
+from oracles import read_algebra
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +99,12 @@ def test_config_parsing(tmp_path):
     assert cfg.groups == ("tables", "jacobi")
 
 
+def test_a_repeated_group_is_selected_once(capsys):
+    assert RunConfig(groups=("jacobi", "tables", "jacobi")).groups == ("jacobi", "tables")
+    code, out = run_cli(capsys, "verify", "--group", "tables", "--group", "tables", "--json")
+    assert code == 0 and json.loads(out.splitlines()[-1])["groups"] == ["tables"]
+
+
 def test_impossible_tolerance_fails_claims(monkeypatch):
     for bound, group in (("TOL_ALGEBRAIC", "jacobi"), ("TOL_FD", "curvature")):
         with monkeypatch.context() as mp:
@@ -135,10 +141,9 @@ def test_export_roundtrip(capsys, tmp_path):
     code = main(["export", "N(2,1)", "--out", str(path)])
     assert code == 0
     payload = json.loads(path.read_text())
-    alg = la.from_json_dict(payload["algebra"])
     from liecoh.spaces import catalog_entry
 
-    assert np.array_equal(alg.c, catalog_entry("N(2,1)").algebra.c)
+    assert np.array_equal(read_algebra(payload["algebra"]), catalog_entry("N(2,1)").algebra.c)
     assert payload["schema_version"] == 1
 
 

@@ -121,7 +121,7 @@ def test_zero_skeleton_admits_zero_completion():
     assert np.abs(sol.particular).max(initial=0.0) < 1e-12
     # with everything else zero, any filling is two-step nilpotent: full freedom
     assert sol.nullity == 1 * 3
-    assert jacobi_residual(sol.realize()) < 1e-12
+    assert jacobi_residual(sol.realize(np.ones(sol.nullity))) < 1e-12
 
 
 def test_a_selection_needs_a_solution_space_of_nullity_one():

@@ -35,16 +35,10 @@ import pytest
 
 import liecoh
 
-REFERENCE = "reference model: the gamma matrices are tested against the blade arithmetic"
-ORACLE = "test oracle"
 ERROR_PATH = "error path: a passing run raises no ValidationError"
 READ_ONLY = "guard: no run writes or copies a claim's shared expected value"
 
 NEVER_CALLED = {
-    "algebra.ad_matrix": ORACLE,
-    "algebra.bracket": ORACLE,
-    "algebra.from_json_dict": ORACLE + ": the inverse of the export schema",
-    "algebra.pullback_structure": ORACLE,
     "claims._ReadOnlyDict": READ_ONLY,
     "claims._ReadOnlyDict.__delitem__": READ_ONLY,
     "claims._ReadOnlyDict.__ior__": READ_ONLY,
@@ -56,23 +50,8 @@ NEVER_CALLED = {
     "claims._ReadOnlyDict.popitem": READ_ONLY,
     "claims._ReadOnlyDict.setdefault": READ_ONLY,
     "claims._ReadOnlyDict.update": READ_ONLY,
-    "clifford.CliffordElement": REFERENCE,
-    "clifford.CliffordElement.__eq__": REFERENCE,
-    "clifford.CliffordElement.__post_init__": REFERENCE,
-    "clifford.CliffordModule.blade_matrix": REFERENCE,
-    "clifford.CliffordModule.element_matrix": REFERENCE,
-    "clifford._mul_indices": REFERENCE,
-    "clifford.blade": REFERENCE,
-    "clifford.clifford_multiply": REFERENCE,
-    "clifford.generator": REFERENCE,
-    "clifford.scalar": REFERENCE,
-    "geometry.InvariantMetricSpace.invariance_residual":
-        ORACLE + ": the block-scaled metrics the curvature tests use are invariant",
-    "geometry.sphere_space": ORACLE + ": the round sphere of curvature +1",
     "linalg.ValidationError": ERROR_PATH,
     "linalg.ValidationError.__init__": ERROR_PATH,
-    "reps.hom_space_dimension": ORACLE + ": the Schur trichotomy",
-    "reps.tensor_product": ORACLE + ": the weighted-circle obstruction",
     "spaces.catalog": "the benchmark's claims-warm set-up builds the catalog with it",
 }
 

@@ -12,16 +12,15 @@ from liecoh.reps import (
     Representation,
     cohomogeneity,
     fixed_subspace,
-    hom_space_dimension,
     isotropy_subalgebra,
     kernel_ideal,
     orbit_dimension,
     rep_direct_sum,
     restrict,
     splitting_criterion,
-    tensor_product,
     trivial_representation,
 )
+from oracles import hom_space_dimension, tensor_product
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from liecoh.algebra import (
     jacobi_residual,
     killing_form,
     nilpotency_class,
-    pullback_structure,
     semidirect_sum,
     signature,
 )
@@ -35,6 +34,7 @@ from liecoh.spaces import (
     hyperbolic_semidirect,
     nilpotent_part,
 )
+from oracles import pullback_structure
 
 MU = 1.0 / np.sqrt(2.0)
 
@@ -356,6 +356,16 @@ def test_cached_completions_and_catalog_slices_cannot_be_changed():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array  # writes nothing new where it is allowed
     assert isinstance(catalog_entry("Sp(2)/U(1)Sp(1)").slices, tuple)
+
+
+def test_cached_spaces_algebras_subspaces_and_solutions_keep_their_fields():
+    # a relabelled catalog entry used to change every later export of it
+    space, sol = catalog_entry("N(1,1)"), sps._cached_completion(6, 1.0, MU)
+    for obj in (space, space.algebra, space.isotropy, sol):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    assert catalog_entry("N(1,1)").label == "N(1,1)" and not sol.empty
 
 
 # counts the skeletons, and the cache misses of the isotropy and the module

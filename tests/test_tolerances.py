@@ -26,6 +26,7 @@ from liecoh import geometry as geo
 from liecoh import linalg
 from liecoh import reps
 from liecoh import spaces as sps
+from oracles import sphere_space
 
 INF = np.inf
 
@@ -71,9 +72,9 @@ def _inf_space(monkeypatch, k_idx, block_idx):
 
 
 def _nan_frame_space(monkeypatch):
-    """A space whose isotropy basis holds a NaN, set past the ``Subspace`` check."""
+    """A space whose isotropy basis holds a NaN, set past the frozen ``Subspace``'s check."""
     k = la.Subspace.coordinate(3, [0])
-    monkeypatch.setattr(k, "basis", np.array([[np.nan], [0.0], [0.0]]))
+    object.__setattr__(k, "basis", np.array([[np.nan], [0.0], [0.0]]))
     sps.ReductiveSpace("nan", la.abelian(3), k, (la.Subspace.coordinate(3, [1, 2]),))
 
 
@@ -88,7 +89,7 @@ def _round_sphere_line():
 
 
 def _sphere_sectional(x, y):
-    ms = geo.InvariantMetricSpace(geo.sphere_space(2))
+    ms = geo.InvariantMetricSpace(sphere_space(2))
     return geo.sectional_curvature(geo.curvature_tensor(ms), ms.metric(), x, y)
 
 

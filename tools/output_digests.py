@@ -1,5 +1,5 @@
 """Print the SHA-256 digests of the three outputs that every change must keep,
-then the line count of the package source.
+then the line counts of the package source and of the tests.
 
     python tools/output_digests.py
 
@@ -14,6 +14,8 @@ with ``OPENBLAS_NUM_THREADS=1``:
   ``catalog_ids()`` order, concatenated;
 * ``src_lines``: the line count of ``src/liecoh/*.py``, as
   ``cat src/liecoh/*.py | wc -l`` gives it;
+* ``tests_lines``: the line count of ``tests/*.py``, the same way, so that
+  code moved from the package into the tests shows as a move;
 * ``verify_r10``, ``catalog_r10``, ``export_r10``: the same three outputs,
   parsed and put in the canonical form of the golden tests (every float
   rounded to 10 decimals, negative zero folded into zero, and algebra
@@ -28,7 +30,8 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
 TIMING_KEYS = ("runtime_ms", "timestamp")
 
@@ -73,8 +76,9 @@ def main() -> None:
 
     exports = [run("export", sid) for sid in catalog_ids()]
     print("export ", sha256("".join(exports)))
-    sources = sorted(glob.glob(os.path.join(SRC, "liecoh", "*.py")))
-    print("src_lines", sum(open(path).read().count("\n") for path in sources))
+    for name, pattern in (("src_lines", (SRC, "liecoh")), ("tests_lines", (ROOT, "tests"))):
+        paths = glob.glob(os.path.join(*pattern, "*.py"))
+        print(name, sum(open(path).read().count("\n") for path in paths))
 
     print("verify_r10 ", sha256("\n".join(dumps(canonical(row)) for row in rows)))
     print("catalog_r10", sha256(dumps(canonical(json.loads(catalog)))))
