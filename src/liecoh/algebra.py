@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import (
     ValidationError,
-    nullspace,
+    matrix_rank,
     orthonormal_columns,
     projector,
     residual_scale,
@@ -44,7 +44,6 @@ __all__ = [
     "Subspace",
     "ValidationError",
     "abelian",
-    "center",
     "center_dimension",
     "commutators",
     "direct_sum",
@@ -384,15 +383,10 @@ def killing_invariance_residual(alg: LieAlgebra) -> float:
     return float(np.abs(a + a.transpose(0, 2, 1)).max() / scale)
 
 
-def center(alg: LieAlgebra) -> "Subspace":
-    """Center ``{x : [x, g] = 0}`` as a subspace of the algebra."""
-    d = alg.dim
-    a = alg.c.transpose(1, 2, 0).reshape(d * d, d)
-    return Subspace(d, nullspace(a))
-
-
 def center_dimension(alg: LieAlgebra) -> int:
-    return center(alg).dim
+    """Dimension of the center ``{x : [x, g] = 0}``: the nullity of ``x -> ad x``."""
+    d = alg.dim
+    return d - matrix_rank(alg.c.transpose(1, 2, 0).reshape(d * d, d))
 
 
 def nilpotency_class(alg: LieAlgebra) -> int | None:

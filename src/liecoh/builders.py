@@ -140,6 +140,7 @@ def _realize_quaternionic(qmat: np.ndarray, unit_matrices: np.ndarray) -> np.nda
 _LEFT_UNITS = np.array([quaternion_left(q) for q in
                         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))],
                        dtype=float)
+_LEFT_UNITS.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------

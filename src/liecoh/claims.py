@@ -3,9 +3,12 @@
 Claims are small deterministic checks with stable string ids, grouped as
 ``tables``, ``jacobi``, ``heisenberg``, ``curvature``, ``splitting`` and
 ``catalog``.  A run produces one ``VerificationReport`` per claim plus a
-summary.  Claims run one after another on the calling thread; reports are
-canonically ordered by claim id, and byte-identical across runs with the
-same seed (timing fields aside, which live in dedicated keys).
+summary.  The registry is a tuple of plain rows ``(claim_id, group, fn,
+args)``: ``fn(*args, config)`` returns the claim's verdict fields, and the
+runner builds the one report from them.  Claims run one after another on the
+calling thread; reports are canonically ordered by claim id, and
+byte-identical across runs with the same seed (timing fields aside, which
+live in dedicated keys).
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .reps import (
     splitting_criterion,
 )
 
-__all__ = ["RunConfig", "VerificationReport", "all_groups", "build_claims", "run_suite"]
+__all__ = ["RunConfig", "VerificationReport", "build_claims", "run_suite"]
 
 GROUPS = ("tables", "jacobi", "heisenberg", "curvature", "splitting", "catalog")
 # Pass bounds of the residual claims: exact algebra, and closed-form curvature
@@ -43,11 +46,7 @@ TOL_ALGEBRAIC = 1e-9
 TOL_FD = 1e-5
 
 
-def all_groups() -> tuple[str, ...]:
-    return GROUPS
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = DEFAULT_SEED
     groups: tuple[str, ...] = GROUPS
@@ -56,7 +55,8 @@ class RunConfig:
         if isinstance(self.groups, str):
             raise ValueError(f"groups must be a sequence of group names such as "
                              f"({self.groups!r},), not the string {self.groups!r}")
-        self.groups = tuple(dict.fromkeys(self.groups))  # repeats dropped, first order kept
+        # repeats dropped, first order kept
+        object.__setattr__(self, "groups", tuple(dict.fromkeys(self.groups)))
         if not self.groups:
             raise ValueError("no claim group selected")
         bad = [g for g in self.groups if g not in GROUPS]
@@ -84,10 +84,11 @@ class _ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
-    """One claim's verdict.  ``expected`` may be shared with every other report
-    of the claim in the process; a dict there is a read-only ``_ReadOnlyDict``."""
+    """One claim's verdict, built once by ``_run_one``.  ``expected`` may be shared
+    with every other report of the claim in the process; a dict there is a
+    read-only ``_ReadOnlyDict``."""
 
     claim_id: str
     group: str
@@ -97,34 +98,22 @@ class VerificationReport:
     provenance: str
     residual: float
     tolerance: float
-    runtime_ms: int = 0
+    runtime_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "type": "report",
-            "claim_id": self.claim_id,
-            "group": self.group,
-            "status": self.status,
-            "computed": self.computed,
-            "expected": self.expected,
-            "provenance": self.provenance,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "runtime_ms": self.runtime_ms,
-        }
+        # the fields in order, holding the shared expected value itself (asdict would copy it)
+        return {"schema_version": 1, "type": "report", **vars(self)}
 
 
-def _report(ok, computed, expected, provenance, residual, tolerance):
-    """A claim's verdict; ``_run_one`` stamps the id and group from the registry."""
-    return VerificationReport("", "", "pass" if ok else "fail",
-                              computed, expected, provenance,
-                              float(residual), float(tolerance))
+def _verdict(ok, computed, expected, provenance, residual, tolerance):
+    """A claim's verdict fields, in ``VerificationReport`` order from ``status`` on."""
+    return ("pass" if ok else "fail", computed, expected, provenance,
+            float(residual), float(tolerance))
 
 
 def _exact_claim(computed, expected, provenance):
     ok = computed == expected
-    return _report(ok, computed, expected, provenance, 0.0 if ok else 1.0, 0.0)
+    return _verdict(ok, computed, expected, provenance, 0.0 if ok else 1.0, 0.0)
 
 
 def _worst(residuals) -> float:
@@ -139,8 +128,8 @@ def _below(tolerance: float) -> str:
 
 
 def _residual_claim(residual, tolerance, provenance):
-    return _report(residual < tolerance, residual,
-                   _below(tolerance), provenance, residual, tolerance)
+    return _verdict(residual < tolerance, residual,
+                    _below(tolerance), provenance, residual, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +137,15 @@ def _residual_claim(residual, tolerance, provenance):
 # ---------------------------------------------------------------------------
 
 SPHERE_TRANSITIVE_ROWS = (
-    ("SO(3)", lambda: bld.so_standard(3), 1),
-    ("SO(5)", lambda: bld.so_standard(5), 6),
-    ("SU(2)", lambda: bld.su_standard(2), 0),
-    ("SU(3)", lambda: bld.su_standard(3), 3),
-    ("Sp(1)", lambda: bld.sp_standard(1), 0),
-    ("Sp(2)", lambda: bld.sp_standard(2), 3),
-    ("U(2)", lambda: bld.u_standard(2), 1),
-    ("Sp(1)Sp(1)", lambda: bld.sp_sp1(1), 3),
-    ("Sp(1)U(1)", lambda: bld.sp_u1(1), 1),
+    ("SO(3)", partial(bld.so_standard, 3), 1),
+    ("SO(5)", partial(bld.so_standard, 5), 6),
+    ("SU(2)", partial(bld.su_standard, 2), 0),
+    ("SU(3)", partial(bld.su_standard, 3), 3),
+    ("Sp(1)", partial(bld.sp_standard, 1), 0),
+    ("Sp(2)", partial(bld.sp_standard, 2), 3),
+    ("U(2)", partial(bld.u_standard, 2), 1),
+    ("Sp(1)Sp(1)", partial(bld.sp_sp1, 1), 3),
+    ("Sp(1)U(1)", partial(bld.sp_u1, 1), 1),
     ("G2", bld.g2_seven, 8),
     ("Spin(7)", bld.spin7_eight, 14),
     ("Spin(9)", bld.spin9_sixteen, 21),
@@ -173,12 +162,18 @@ def _claim_sphere_row(factory, expected, cfg: RunConfig):
     return _exact_claim(computed, expected, "sphere-transitive row")
 
 
+def _isotropy_blocks(space_id):
+    """The isotropy representation of a catalog entry and its block slices."""
+    space = sps.catalog_entry(space_id)
+    return space.rep, space.slices
+
+
 # The reducible cohomogeneity-two rows, each a source of ``(rep, blocks)``:
 # the unitary determinant action, then the isotropy of the four Clifford
 # entries without an m2 x m2 bracket.
 COH2_ROWS = (
-    lambda: bld.unitary_determinant_action(3),
-    *(lambda sid=sid: attrgetter("rep", "slices")(sps.catalog_entry(sid))
+    partial(bld.unitary_determinant_action, 3),
+    *(partial(_isotropy_blocks, sid)
       for sid in ("Sp(1)Sp(1)|xR4/U(1)Sp(1)", "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)",
                   "Spin(7)|xR8/Spin(6)", "Spin(8)|xR8+/Spin(7)")),
 )
@@ -213,8 +208,8 @@ def _claim_jacobi_gate(n, cfg: RunConfig):
     mu = 1.0 / np.sqrt(2.0)
     skeleton = sps.clifford_completion_problem(n, 2.0 * mu * mu + 0.01, mu).skeleton
     residual = la.jacobi_residual(skeleton)
-    return _report(residual > 1e-3, residual, "> 0.001",
-                   "bracket-scale constraint, violated side", residual, 1e-3)
+    return _verdict(residual > 1e-3, residual, "> 0.001",
+                    "bracket-scale constraint, violated side", residual, 1e-3)
 
 
 def _claim_completion_n7(space_id, expected, cfg: RunConfig):
@@ -233,8 +228,8 @@ def _claim_completion_n6(cfg: RunConfig):
     computed = {"nullity": sol.nullity, "abelian_solution_norm": abelian_norm,
                 "empty": sol.empty}
     ok = (sol.nullity == 0) and (not sol.empty) and abelian_norm < TOL_ALGEBRAIC
-    return _report(ok, computed, N6_EXPECTED, "solver rigidity in dimension 29",
-                   abelian_norm, TOL_ALGEBRAIC)
+    return _verdict(ok, computed, N6_EXPECTED, "solver rigidity in dimension 29",
+                    abelian_norm, TOL_ALGEBRAIC)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def _claim_heisenberg(center, copies, expected, cfg: RunConfig):
                 "j_anticommutation_residual": j_res}
     ok = (computed["center_dim"] == center and computed["nilpotency_class"] == 2
           and j_res < 1e-12)
-    return _report(ok, computed, expected, "nilpotent normal form", j_res, 1e-12)
+    return _verdict(ok, computed, expected, "nilpotent normal form", j_res, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +302,7 @@ WARPED_CASES = (
 
 
 def _claim_warped(name, interval, profile, fiber_dim, cfg: RunConfig):
-    w = geo.WarpedProduct(interval, profile, geo.RoundSphere(fiber_dim))
+    w = geo.WarpedProduct(interval, profile, fiber_dim)
     rng = np.random.default_rng(cfg.seed + len(name))
     ts = [float(t) for t in w.interior_samples(13)]
     oracle = [geo.warped_curvature_fd(w, t) for t in ts]   # (r4, g0) per sample point
@@ -367,7 +362,7 @@ def _claim_splitting_catalog(space_id, cfg: RunConfig):
 
 def _claim_catalog_count(cfg: RunConfig):
     n = len(sps.catalog_ids())
-    return _report(n >= 16, n, ">= 16", "catalog enumeration", 0.0 if n >= 16 else 1.0, 0.0)
+    return _verdict(n >= 16, n, ">= 16", "catalog enumeration", 0.0 if n >= 16 else 1.0, 0.0)
 
 
 def _claim_catalog_cohomogeneity(space_id, cfg: RunConfig):
@@ -401,69 +396,64 @@ def _claim_catalog_dims(cfg: RunConfig):
 
 
 @lru_cache(maxsize=None)
-def build_claims() -> tuple[tuple[str, str, object], ...]:
-    """The full claim registry as (id, group, fn(config) -> report), built once.
+def build_claims() -> tuple[tuple[str, str, object, tuple], ...]:
+    """The full claim registry as rows (id, group, fn, args), built once.
 
-    Each claim's expected value is built here or is a module constant, so the
-    reports of every run share it; a dict there is a read-only ``_ReadOnlyDict``.
+    ``fn(*args, config)`` returns the claim's verdict fields.  Each claim's
+    expected value is built here or is a module constant, so the reports of
+    every run share it; a dict there is a read-only ``_ReadOnlyDict``.
     """
-    claims: list[tuple[str, str, object]] = []
+    claims: list[tuple[str, str, object, tuple]] = []
 
     for name, factory, iso in SPHERE_TRANSITIVE_ROWS:
         expected = _ReadOnlyDict(cohomogeneity=1, isotropy_dim=iso)
-        claims.append((f"coh1.{name}", "tables",
-                       lambda cfg, f=factory, e=expected: _claim_sphere_row(f, e, cfg)))
+        claims.append((f"coh1.{name}", "tables", _claim_sphere_row, (factory, expected)))
     for row, source in enumerate(COH2_ROWS, 1):
-        claims.append((f"coh2.row{row}", "tables",
-                       lambda cfg, s=source: _claim_coh2_row(s, cfg)))
+        claims.append((f"coh2.row{row}", "tables", _claim_coh2_row, (source,)))
 
     for n in (2, 3, 6, 7):
         for mu, tag in _MU_VALUES:
             claims.append((f"jacobi.construction.n{n}.mu_{tag}", "jacobi",
-                           lambda cfg, nn=n, m=mu: _claim_jacobi_valid(nn, m, cfg)))
-        claims.append((f"jacobi.gate.n{n}", "jacobi",
-                       lambda cfg, nn=n: _claim_jacobi_gate(nn, cfg)))
+                           _claim_jacobi_valid, (n, mu)))
+        claims.append((f"jacobi.gate.n{n}", "jacobi", _claim_jacobi_gate, (n,)))
     for suffix, space_id, sig in (("compact", "Spin(9)/Spin(7)", (0, 36, 0)),
                                   ("split", "Spin(8,1)/Spin(7)", (8, 28, 0))):
         expected = _ReadOnlyDict(dim=36, killing_signature=sig)
         claims.append((f"fingerprint.completion.n7.{suffix}", "jacobi",
-                       lambda cfg, s=space_id, e=expected: _claim_completion_n7(s, e, cfg)))
-    claims.append(("fingerprint.completion.n6.rigid", "jacobi", _claim_completion_n6))
+                       _claim_completion_n7, (space_id, expected)))
+    claims.append(("fingerprint.completion.n6.rigid", "jacobi", _claim_completion_n6, ()))
 
     for center, copies in HEISENBERG_CASES:
-        label = sps.heisenberg_label(center, copies)
         expected = _ReadOnlyDict(center_dim=center, nilpotency_class=2,
                                  j_anticommutation_residual=_below(1e-12))
-        claims.append((f"heisenberg.{label}", "heisenberg",
-                       lambda cfg, c=center, k=copies, e=expected:
-                       _claim_heisenberg(c, k, e, cfg)))
+        claims.append((f"heisenberg.{sps.heisenberg_label(center, copies)}", "heisenberg",
+                       _claim_heisenberg, (center, copies, expected)))
 
     for field_name, rate in HYPERBOLIC_CASES:
         claims.append((f"curvature.hyperbolic.{field_name}.rate{rate:g}", "curvature",
-                       lambda cfg, f=field_name, r=rate: _claim_hyperbolic(f, r, cfg)))
-    for name, interval, profile, fdim in WARPED_CASES:
-        claims.append((f"curvature.warped.{name}", "curvature",
-                       lambda cfg, a=name, b=interval, c=profile, d=fdim:
-                       _claim_warped(a, b, c, d, cfg)))
-    claims.append(("curvature.flat.euclidean_screw", "curvature", _claim_flat_screw))
-    claims.append(("curvature.symmetries.catalog", "curvature", _claim_curvature_symmetries))
+                       _claim_hyperbolic, (field_name, rate)))
+    for case in WARPED_CASES:
+        claims.append((f"curvature.warped.{case[0]}", "curvature", _claim_warped, case))
+    claims.append(("curvature.flat.euclidean_screw", "curvature", _claim_flat_screw, ()))
+    claims.append(("curvature.symmetries.catalog", "curvature",
+                   _claim_curvature_symmetries, ()))
 
-    claims.append(("splitting.control.product", "splitting", _claim_splitting_control))
+    claims.append(("splitting.control.product", "splitting", _claim_splitting_control, ()))
     for sid in sps.catalog_ids():
         if sid not in sps.SYMMETRIC_CONTROLS:
             claims.append((f"splitting.catalog.{sid}", "splitting",
-                           lambda cfg, s=sid: _claim_splitting_catalog(s, cfg)))
+                           _claim_splitting_catalog, (sid,)))
 
-    claims.append(("catalog.count", "catalog", _claim_catalog_count))
+    claims.append(("catalog.count", "catalog", _claim_catalog_count, ()))
     for sid in sps.catalog_ids():
         claims.append((f"catalog.cohomogeneity.{sid}", "catalog",
-                       lambda cfg, s=sid: _claim_catalog_cohomogeneity(s, cfg)))
-    claims.append(("catalog.invariants", "catalog", _claim_catalog_invariants))
-    claims.append(("catalog.dimensions", "catalog", _claim_catalog_dims))
+                       _claim_catalog_cohomogeneity, (sid,)))
+    claims.append(("catalog.invariants", "catalog", _claim_catalog_invariants, ()))
+    claims.append(("catalog.dimensions", "catalog", _claim_catalog_dims, ()))
     return tuple(claims)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteResult:
     reports: list[VerificationReport]
     summary: dict
@@ -474,19 +464,17 @@ class SuiteResult:
 
 
 def _run_one(entry, cfg: RunConfig) -> VerificationReport:
-    claim_id, group, fn = entry
+    claim_id, group, fn, args = entry
     t0 = time.perf_counter()
     try:
-        rep = fn(cfg)
+        verdict = fn(*args, cfg)
     except Exception as err:  # an internal failure is a reported failure
         frame = traceback.extract_tb(err.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-        rep = VerificationReport("", "", "fail",
-                                 f"internal error: {type(err).__name__}: {err} (at {where})",
-                                 None, "runner", 1.0, 0.0)
-    rep.claim_id, rep.group = claim_id, group
-    rep.runtime_ms = int(round(1000 * (time.perf_counter() - t0)))
-    return rep
+        verdict = ("fail", f"internal error: {type(err).__name__}: {err} (at {where})",
+                   None, "runner", 1.0, 0.0)
+    runtime_ms = int(round(1000 * (time.perf_counter() - t0)))
+    return VerificationReport(claim_id, group, *verdict, runtime_ms)
 
 
 def run_suite(cfg: RunConfig, jobs: int = 1) -> SuiteResult:
@@ -497,17 +485,8 @@ def run_suite(cfg: RunConfig, jobs: int = 1) -> SuiteResult:
     """
     reports = [_run_one(e, cfg) for e in build_claims() if e[1] in cfg.groups]
     reports.sort(key=lambda r: r.claim_id)
-    passed = sum(r.status == "pass" for r in reports)
-    failed = sum(r.status == "fail" for r in reports)
-    skipped = sum(r.status == "skipped" for r in reports)
-    summary = {
-        "schema_version": 1,
-        "type": "summary",
-        "total": len(reports),
-        "passed": passed,
-        "failed": failed,
-        "skipped": skipped,
-        "seed": cfg.seed,
-        "groups": list(cfg.groups),
-    }
+    counts = Counter(r.status for r in reports)
+    summary = {"schema_version": 1, "type": "summary", "total": len(reports),
+               "passed": counts["pass"], "failed": counts["fail"],
+               "skipped": counts["skipped"], "seed": cfg.seed, "groups": list(cfg.groups)}
     return SuiteResult(reports, summary)

@@ -11,6 +11,10 @@ Subcommands:
 * ``liecoh export SPACE_ID [--out PATH]`` writes one space in the sparse
   JSON algebra schema with block annotations.
 
+An output path that cannot be opened is a configuration error (exit code 2);
+output that cannot be written (a closed pipe, a full disk) ends the command
+with one line on stderr and exit code 3.
+
 ``LIECOH_CONFIG`` names a default configuration file.  The configuration is
 an INI-style text file::
 
@@ -35,10 +39,10 @@ import sys
 
 from . import algebra as la
 from . import spaces as sps
-from .claims import RunConfig, all_groups, run_suite
+from .claims import GROUPS, RunConfig, run_suite
 
 CONFIG_ENV = "LIECOH_CONFIG"
-EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_WRITE = 0, 1, 2, 3
 
 
 class ConfigError(Exception):
@@ -106,6 +110,36 @@ def export_space(space_id: str) -> dict:
     }
 
 
+def _open_out(path: str | None):
+    """``path`` opened for writing, or stdout in a context that leaves it open."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _write(out, lines) -> int:
+    """Write ``lines`` to ``out``, the ``--out`` file or stdout, and close the file.
+
+    An ``OSError`` (a closed pipe, a full disk) prints one line on stderr and
+    gives ``EXIT_WRITE``.  A failed stdout is first pointed at ``os.devnull``,
+    so that the interpreter's flush at exit has nowhere to fail again.
+    """
+    try:
+        try:
+            out.writelines(line + "\n" for line in lines)
+        finally:
+            if out is sys.stdout:
+                out.flush()
+            else:
+                out.close()
+    except OSError as err:
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        print(f"write error: {err}", file=sys.stderr)
+        return EXIT_WRITE
+    return EXIT_OK
+
+
 def cmd_verify(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -115,31 +149,24 @@ def cmd_verify(args) -> int:
             cfg = dataclasses.replace(cfg, groups=tuple(args.group))
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        out = open(args.out, "w") if args.out else sys.stdout
+        out = _open_out(args.out)
     except (ConfigError, ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
+    with out as fh:  # closed also when the suite raises
         result = run_suite(cfg)
         if args.json:
-            for rep in result.reports:
-                print(json.dumps(rep.to_json_dict(), sort_keys=True), file=out)
             summary = dict(result.summary)
-            summary["timestamp"] = datetime.datetime.now(
-                datetime.timezone.utc).isoformat()
-            print(json.dumps(summary, sort_keys=True), file=out)
+            summary["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            rows = [rep.to_json_dict() for rep in result.reports] + [summary]
+            lines = [json.dumps(row, sort_keys=True) for row in rows]
         else:
-            for rep in result.reports:
-                mark = rep.status.upper()
-                print(f"{mark:5s} {rep.claim_id}  (residual={rep.residual:.3g}, "
-                      f"tol={rep.tolerance:g}, {rep.runtime_ms} ms)", file=out)
             s = result.summary
-            print(f"{s['passed']}/{s['total']} passed, {s['failed']} failed, "
-                  f"{s['skipped']} skipped (seed {s['seed']})", file=out)
-    finally:
-        if args.out:
-            out.close()
-    return result.exit_code
+            lines = [f"{rep.status.upper():5s} {rep.claim_id}  (residual={rep.residual:.3g}, "
+                     f"tol={rep.tolerance:g}, {rep.runtime_ms} ms)" for rep in result.reports]
+            lines.append(f"{s['passed']}/{s['total']} passed, {s['failed']} failed, "
+                         f"{s['skipped']} skipped (seed {s['seed']})")
+        return _write(fh, lines) or result.exit_code
 
 
 def cmd_catalog(args) -> int:
@@ -148,17 +175,16 @@ def cmd_catalog(args) -> int:
         space = sps.catalog_entry(sid)
         rows.append({"id": sid, **_space_fingerprint(space)})
     if args.json:
-        print(json.dumps({"schema_version": 1, "spaces": rows}, sort_keys=True))
-        return EXIT_OK
+        return _write(sys.stdout, [json.dumps({"schema_version": 1, "spaces": rows},
+                                              sort_keys=True)])
     head = f"{'id':44s} {'dim':>4s} {'k':>3s} {'blocks':12s} {'killing':14s} {'z(g)':>4s}"
-    print(head)
-    print("-" * len(head))
+    lines = [head, "-" * len(head)]
     for r in rows:
         sig = ",".join(str(v) for v in r["killing_signature"])
         blocks = "+".join(str(v) for v in r["block_dims"])
-        print(f"{r['id']:44s} {r['dim']:4d} {r['isotropy_dim']:3d} {blocks:12s} "
-              f"({sig:12s}) {r['center_dim']:4d}")
-    return EXIT_OK
+        lines.append(f"{r['id']:44s} {r['dim']:4d} {r['isotropy_dim']:3d} {blocks:12s} "
+                     f"({sig:12s}) {r['center_dim']:4d}")
+    return _write(sys.stdout, lines)
 
 
 def cmd_export(args) -> int:
@@ -166,13 +192,12 @@ def cmd_export(args) -> int:
         print(f"error: unknown catalog id {args.space_id!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        out = _open_out(args.out)
     except OSError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     with out as fh:
-        print(json.dumps(export_space(args.space_id), sort_keys=True, indent=2), file=fh)
-    return EXIT_OK
+        return _write(fh, [json.dumps(export_space(args.space_id), sort_keys=True, indent=2)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the claim suite")
-    p_verify.add_argument("--group", action="append", choices=all_groups(),
+    p_verify.add_argument("--group", action="append", choices=GROUPS,
                           help="restrict to a claim group (repeatable)")
     p_verify.add_argument("--config", default=None, help="INI config path")
     p_verify.add_argument("--seed", type=int, default=None, help="sampling seed")

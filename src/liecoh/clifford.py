@@ -26,10 +26,17 @@ __all__ = [
     "spin_plus_one",
 ]
 
-_I = np.eye(2)
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
-_P = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Q = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: the tiles and ``_CL7`` are shared by every build."""
+    a.setflags(write=False)
+    return a
+
+
+_I = _read_only(np.eye(2))
+_J = _read_only(np.array([[0.0, -1.0], [1.0, 0.0]]))
+_P = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]]))
+_Q = _read_only(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 def _kron(*tiles: np.ndarray) -> np.ndarray:
@@ -38,15 +45,15 @@ def _kron(*tiles: np.ndarray) -> np.ndarray:
 
 # Seven anticommuting complex structures on R^8 (the most Radon-Hurwitz
 # allows); truncations give the minimal modules for n = 4..7.
-_CL7 = [
-    _kron(_J, _P, _I),
-    _kron(_J, _Q, _I),
-    _kron(_J, _J, _J),
-    _kron(_I, _J, _P),
-    _kron(_I, _J, _Q),
-    _kron(_P, _I, _J),
-    _kron(_Q, _I, _J),
-]
+_CL7 = tuple(_read_only(_kron(*tiles)) for tiles in (
+    (_J, _P, _I),
+    (_J, _Q, _I),
+    (_J, _J, _J),
+    (_I, _J, _P),
+    (_I, _J, _Q),
+    (_P, _I, _J),
+    (_Q, _I, _J),
+))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ __all__ = ["CompletionProblem", "CompletionSolution", "complete_bracket"]
 GRAM_RTOL = 1e-4
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CompletionProblem:
     """Bracket completion data.
 
@@ -79,7 +79,7 @@ class CompletionProblem:
     target: Subspace
 
     def __post_init__(self):
-        self.unknown_indices = tuple(int(i) for i in self.unknown_indices)
+        object.__setattr__(self, "unknown_indices", tuple(int(i) for i in self.unknown_indices))
         s, d = list(self.unknown_indices), self.skeleton.dim
         if not all(0 <= i < d for i in s):
             raise ValueError(f"unknown indices must lie in [0, {d}), got {s}")

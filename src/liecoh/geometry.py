@@ -35,7 +35,6 @@ __all__ = [
     "FD_STEP",
     "InvariantMetricSpace",
     "Profile",
-    "RoundSphere",
     "WarpedProduct",
     "curvature_symmetry_residual",
     "curvature_tensor",
@@ -53,7 +52,7 @@ FD_STEP = 1e-4
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class InvariantMetricSpace:
     """Reductive space with one positive scale per complement block."""
 
@@ -62,9 +61,8 @@ class InvariantMetricSpace:
 
     def __post_init__(self):
         nb = len(self.space.blocks)
-        if self.block_scales is None:
-            self.block_scales = (1.0,) * nb
-        self.block_scales = tuple(float(s) for s in self.block_scales)
+        scales = (1.0,) * nb if self.block_scales is None else self.block_scales
+        object.__setattr__(self, "block_scales", tuple(float(s) for s in scales))
         if len(self.block_scales) != nb:
             raise ValueError("one positive scale per block is required")
         for s in self.block_scales:
@@ -142,7 +140,7 @@ def sectional_curvature(r4: np.ndarray, g: np.ndarray, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Profile:
     """Warping function with two derivatives: ``exp(a)``, ``sin()`` or ``poly(c0, c1, ...)``.
 
@@ -169,27 +167,13 @@ class Profile:
 
         ``np.polyval``, not ``numpy.polynomial``: the claims build their
         profiles at import, and importing that package costs every process.
+        The coefficient arrays are read-only, so a shared profile stays as built.
         """
         a = np.array(coeffs, dtype=float)[::-1]
-        return cls(*(partial(np.polyval, np.polyder(a, k)) for k in (0, 1, 2)))
-
-
-# ---------------------------------------------------------------------------
-# the round sphere: the warped-product fiber
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RoundSphere:
-    """Unit round sphere fiber; curvature is the constant-1 closed form."""
-
-    dim: int
-
-    def r4_orthonormal(self) -> np.ndarray:
-        d = self.dim
-        delta = np.eye(d)
-        return (np.einsum("bc,ad->abcd", delta, delta)
-                - np.einsum("ac,bd->abcd", delta, delta))
+        derivatives = [np.polyder(a, k) for k in (0, 1, 2)]
+        for d in derivatives:
+            d.setflags(write=False)
+        return cls(*(partial(np.polyval, d) for d in derivatives))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +181,16 @@ class RoundSphere:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _sphere_r4(d: int) -> np.ndarray:
+    """(0,4) curvature of the unit round sphere S^d in an orthonormal frame."""
+    delta = np.eye(d)
+    return (np.einsum("bc,ad->abcd", delta, delta)
+            - np.einsum("ac,bd->abcd", delta, delta))
+
+
+@dataclass(frozen=True)
 class WarpedProduct:
-    """Interval warped over a fiber: dt^2 + f(t)^2 g_F.
+    """Interval warped over the unit round sphere S^fiber_dim: dt^2 + f(t)^2 g_S.
 
     ``interval`` is ``("line",)`` or ``("segment", L)``; it fixes where
     ``interior_samples`` lie.  The curvature is evaluated only
@@ -208,10 +199,10 @@ class WarpedProduct:
 
     interval: tuple
     profile: Profile
-    fiber: RoundSphere
+    fiber_dim: int
 
     def __post_init__(self):
-        self.interval = tuple(self.interval)
+        object.__setattr__(self, "interval", tuple(self.interval))
         if self.interval[0] not in ("line", "segment"):
             raise ValueError("interval kind must be line or segment")
         if self.interval[0] == "segment":
@@ -241,7 +232,7 @@ def warped_sectional_curvature(w: WarpedProduct, t: float, v, u) -> float:
         raise ValidationError("t must be an interior point (f > 0)", residual=float(f))
     v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
     a, x, b, y = v[0], v[1:], u[0], u[1:]
-    r4f = w.fiber.r4_orthonormal()
+    r4f = _sphere_r4(w.fiber_dim)
     z = a * y - b * x
     num = (-ddf * f * (z @ z)
            + f * f * np.einsum("ijkl,i,j,k,l->", r4f, x, y, y, x)
@@ -291,8 +282,8 @@ def riemann_finite_difference(metric_fn, dim: int) -> np.ndarray:
 
 def _warped_chart_metric(w: WarpedProduct, t: float):
     """Batched coordinate metric (t-offset, fiber normal coordinates) around a point."""
-    r4f = w.fiber.r4_orthonormal()
-    d = w.fiber.dim
+    d = w.fiber_dim
+    r4f = _sphere_r4(d)
     f = w.profile.f
 
     def metric_fn(x):
@@ -313,6 +304,6 @@ def warped_curvature_fd(w: WarpedProduct, t: float) -> tuple[np.ndarray, np.ndar
     vectors of ``warped_sectional_curvature``, so ``sectional_curvature(r4,
     g0, v, u)`` is the oracle's value of the same sectional curvature.
     """
-    d = w.fiber.dim
+    d = w.fiber_dim
     metric_fn = _warped_chart_metric(w, t)
     return riemann_finite_difference(metric_fn, 1 + d), metric_fn(np.zeros((1, 1 + d)))[0]

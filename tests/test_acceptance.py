@@ -118,8 +118,7 @@ def test_criterion_6_curvature():
                 worst = max(worst, abs(geo.sectional_curvature(r4, g, x, y) + rate ** 2))
             assert worst < 1e-8, (field, rate)
 
-    w = geo.WarpedProduct(("line",), geo.Profile.exp(-1.0),
-                          geo.RoundSphere(2))
+    w = geo.WarpedProduct(("line",), geo.Profile.exp(-1.0), 2)
     ts = w.interior_samples(10)
     worst_fd = 0.0
     for s in range(50):

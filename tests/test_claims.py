@@ -70,12 +70,12 @@ def test_each_warped_claim_takes_one_fd_tensor_per_sample_point(monkeypatch):
         return riemann(metric_fn, dim)
 
     monkeypatch.setattr(geo, "riemann_finite_difference", counting)
-    registry = [fn for claim_id, _, fn in claims.build_claims()
-                if claim_id.startswith("curvature.warped.")]
+    registry = [entry for entry in claims.build_claims()
+                if entry[0].startswith("curvature.warped.")]
     assert len(registry) == len(claims.WARPED_CASES)
-    for fn in registry:
+    for entry in registry:
         del calls[:]
-        assert fn(RunConfig()).status == "pass"
+        assert claims._run_one(entry, RunConfig()).status == "pass"
         assert len(calls) == 13
 
 
@@ -98,9 +98,12 @@ NAN_RESIDUALS = {
 def test_a_nan_residual_fails_its_claim(prefix, monkeypatch):
     module, name, nan = NAN_RESIDUALS[prefix]
     monkeypatch.setattr(module, name, nan)
-    registry = [fn for claim_id, _, fn in claims.build_claims() if claim_id.startswith(prefix)]
+    registry = [entry for entry in claims.build_claims() if entry[0].startswith(prefix)]
     assert registry
-    assert {fn(RunConfig()).status for fn in registry} == {"fail"}
+    for report in (claims._run_one(entry, RunConfig()) for entry in registry):
+        # the claim's own verdict: an exception would be the runner's internal error
+        assert report.provenance != "runner", report.computed
+        assert report.status == "fail"
 
 
 def test_every_claim_runs_on_the_calling_thread(monkeypatch):
@@ -143,8 +146,9 @@ def test_an_internal_error_names_its_type_and_frame(monkeypatch):
         return 1 / 0
 
     registry = claims.build_claims()
-    claim_id, group, _ = next(c for c in registry if c[1] == "tables")
-    registry = [(i, g, boom if i == claim_id else fn) for i, g, fn in registry]
+    claim_id = next(c[0] for c in registry if c[1] == "tables")
+    registry = [(i, g, boom, ()) if i == claim_id else (i, g, fn, args)
+                for i, g, fn, args in registry]
     monkeypatch.setattr(claims, "build_claims", lambda: registry)
     result = run_suite(RunConfig(groups=("tables",)), jobs=1)
     failed = [r for r in result.reports if r.status == "fail"]

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import liecoh
 from liecoh import claims
 from liecoh.claims import RunConfig, build_claims, run_suite
 from liecoh.cli import ConfigError, load_config, main
@@ -167,3 +171,38 @@ def test_non_positive_jobs_is_a_config_error(jobs, capsys, monkeypatch):
     monkeypatch.setattr("liecoh.cli.run_suite", lambda *a, **k: pytest.fail("suite ran"))
     assert main(["verify", "--group", "tables", "--jobs", jobs]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+WRITES = {"verify": ["verify", "--group", "heisenberg", "--json"], "export": ["export", "N(1,1)"]}
+
+# the child waits until the parent has closed the read end of its stdout pipe
+CLOSED_STDOUT = """
+import sys
+sys.stdin.read()
+from liecoh.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_a_closed_stdout_exits_3_with_one_line(command):
+    src = os.path.dirname(os.path.dirname(liecoh.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.Popen([sys.executable, "-c", CLOSED_STDOUT, *WRITES[command]], env=env,
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    child.stdin.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=300) == 3
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert err.startswith("write error: [Errno 32]") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_a_full_device_exits_3_with_one_line(command, capsys):
+    assert main([*WRITES[command], "--out", "/dev/full"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("write error: [Errno 28]") and err.count("\n") == 1, err

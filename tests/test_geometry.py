@@ -8,8 +8,8 @@ from liecoh.geometry import (
     FD_STEP,
     InvariantMetricSpace,
     Profile,
-    RoundSphere,
     WarpedProduct,
+    _sphere_r4,
     _warped_chart_metric,
     curvature_symmetry_residual,
     curvature_tensor,
@@ -155,7 +155,7 @@ def test_profile_constructors():
 
 
 def test_sine_profile_round_sphere():
-    w = WarpedProduct(("segment", float(np.pi)), Profile.sin(), RoundSphere(1))
+    w = WarpedProduct(("segment", float(np.pi)), Profile.sin(), 1)
     mixed = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     for t in (0.4, 1.2, 2.5):
         cf = warped_sectional_curvature(w, t, *mixed)
@@ -165,7 +165,7 @@ def test_sine_profile_round_sphere():
 
 
 def test_warped_closed_form_vs_fd_oracle():
-    w = WarpedProduct(("line",), Profile.poly(1, 0, 1), RoundSphere(3))
+    w = WarpedProduct(("line",), Profile.poly(1, 0, 1), 3)
     rng = np.random.default_rng(12)
     worst = 0.0
     for t in (-0.8, 0.3, 1.4):
@@ -181,8 +181,7 @@ def test_warped_closed_form_vs_fd_oracle():
 
 def test_fd_oracle_standalone_sphere_chart():
     """The oracle alone reproduces constant curvature from a metric chart."""
-    sphere = RoundSphere(3)
-    r4f = sphere.r4_orthonormal()
+    r4f = _sphere_r4(3)
 
     def metric_fn(x):
         return np.eye(3) + np.einsum("ikjl,nk,nl->nij", r4f, x, x) / 3.0
@@ -230,7 +229,7 @@ def _per_point_riemann_fd(metric_fn, dim):
 @pytest.mark.parametrize("case", WARPED_CASES, ids=[c[0] for c in WARPED_CASES])
 def test_batched_fd_oracle_equals_the_per_point_loop(case):
     _, interval, profile, fiber_dim = case
-    w = WarpedProduct(interval, profile, RoundSphere(fiber_dim))
+    w = WarpedProduct(interval, profile, fiber_dim)
     for t in w.interior_samples(5):
         metric_fn = _warped_chart_metric(w, t)
         assert np.array_equal(riemann_finite_difference(metric_fn, 1 + fiber_dim),
@@ -250,6 +249,6 @@ def test_fd_oracle_evaluates_the_whole_stencil_in_one_call():
 
 
 def test_degenerate_t_rejected():
-    w = WarpedProduct(("line",), Profile.poly(0, 1), RoundSphere(2))
+    w = WarpedProduct(("line",), Profile.poly(0, 1), 2)
     with pytest.raises(ValueError):
         warped_sectional_curvature(w, 0.0, np.eye(3)[0], np.eye(3)[1])

@@ -58,7 +58,6 @@ NEVER_CALLED = {
 ONE_VALUE = {
     "claims.RunConfig.groups": "set by --group and the config file",
     "claims.RunConfig.seed": "set by --seed and the config file",
-    "claims.VerificationReport.runtime_ms": "stamped by _run_one after the claim returns",
     "claims.run_suite.jobs": "the benchmark passes it (ROADMAP item 12)",
     "cli.main.argv": "the console entry point passes None",
     "geometry.InvariantMetricSpace.block_scales": "ROADMAP item 6 needs block-scaled metrics",

@@ -359,6 +359,8 @@ def test_cached_completions_and_catalog_slices_cannot_be_changed():
 
 
 def test_cached_spaces_algebras_subspaces_and_solutions_keep_their_fields():
+    from liecoh import claims
+
     # a relabelled catalog entry used to change every later export of it
     space, sol = catalog_entry("N(1,1)"), sps._cached_completion(6, 1.0, MU)
     for obj in (space, space.algebra, space.isotropy, sol):
@@ -366,6 +368,17 @@ def test_cached_spaces_algebras_subspaces_and_solutions_keep_their_fields():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, f.name, getattr(obj, f.name))
     assert catalog_entry("N(1,1)").label == "N(1,1)" and not sol.empty
+    # a shared warped profile used to fail its claim in every later suite, and the
+    # problem of a cached solution to change every later build from it
+    curvature = claims.RunConfig(groups=("curvature",))
+    report = claims.run_suite(curvature).reports[0]
+    edits = ((claims.WARPED_CASES[1][2], "ddf", lambda t: 0.0 * t),
+             (sol.problem, "target", sol.problem.skeleton), (curvature, "seed", 1),
+             (report, "status", "fail"))
+    for obj, name, value in edits:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert claims.run_suite(curvature).exit_code == 0
 
 
 # counts the skeletons, and the cache misses of the isotropy and the module
@@ -447,11 +460,11 @@ def test_fingerprint_claims_read_the_catalog(monkeypatch):
         catalog_entry(sid)
     monkeypatch.setattr(sps, "build_clifford_space", lambda *a: pytest.fail("rebuilt"))
     monkeypatch.setattr(sps, "build_heisenberg", lambda *a: pytest.fail("rebuilt"))
-    registry = [fn for claim_id, _, fn in claims.build_claims()
-                if claim_id.startswith(("fingerprint.completion.n7.", "heisenberg."))]
+    registry = [entry for entry in claims.build_claims()
+                if entry[0].startswith(("fingerprint.completion.n7.", "heisenberg."))]
     assert len(registry) == 2 + len(claims.HEISENBERG_CASES)
-    for fn in registry:
-        assert fn(claims.RunConfig()).status == "pass"
+    for entry in registry:
+        assert claims._run_one(entry, claims.RunConfig()).status == "pass"
 
 
 def test_distinct_objects_compare_unequal_and_each_equals_itself():

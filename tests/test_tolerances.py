@@ -81,11 +81,11 @@ def _nan_frame_space(monkeypatch):
 def _profile_nan_inside():
     """A profile that is NaN on the whole interior of a line."""
     f = lambda t: np.nan + 0.0 * t  # noqa: E731
-    return geo.WarpedProduct(("line",), geo.Profile(f, f, f), geo.RoundSphere(2))
+    return geo.WarpedProduct(("line",), geo.Profile(f, f, f), 2)
 
 
 def _round_sphere_line():
-    return geo.WarpedProduct(("line",), geo.Profile.poly(1), geo.RoundSphere(2))
+    return geo.WarpedProduct(("line",), geo.Profile.poly(1), 2)
 
 
 def _sphere_sectional(x, y):
@@ -155,7 +155,7 @@ GATES = {
     "geometry.InvariantMetricSpace.block_scales": ("block scales must be positive", lambda mp:
         geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (np.nan, 1.0))),
     "geometry.WarpedProduct.segment": ("segment needs a positive finite length", lambda mp:
-        geo.WarpedProduct(("segment", np.nan), geo.Profile.poly(1), geo.RoundSphere(2))),
+        geo.WarpedProduct(("segment", np.nan), geo.Profile.poly(1), 2)),
     "geometry.sectional_curvature.plane": ("degenerate plane",
         lambda mp: _sphere_sectional([np.nan, 0.0], [0.0, 1.0])),
     "geometry.warped_sectional_curvature.plane": ("degenerate plane",
@@ -183,8 +183,7 @@ def test_block_scales_and_segment_lengths_are_positive_and_finite(value):
         geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (value, 1.0))
     assert err.value.residual == value
     with pytest.raises(la.ValidationError) as err:
-        geo.WarpedProduct(("segment", value), geo.Profile.poly(1),
-                          geo.RoundSphere(2))
+        geo.WarpedProduct(("segment", value), geo.Profile.poly(1), 2)
     assert err.value.residual == value
 
 
