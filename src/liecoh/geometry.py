@@ -124,15 +124,38 @@ def curvature_symmetry_residual(r4: np.ndarray) -> float:
     return float(res / scale)
 
 
-def sectional_curvature(r4: np.ndarray, g: np.ndarray, x, y) -> float:
-    """R4(x, y, y, x) over the squared area of the plane span{x, y} in the metric ``g``."""
+def _plane_value(value, area2):
+    """``value / area2`` per plane, a float for one plane; every area must be at least 1e-12.
+
+    The gate fails closed: a NaN area fails it, and the error names the
+    smallest area of the stack (NaN if any is NaN).
+    """
+    if not np.all(area2 >= 1e-12):
+        raise ValidationError("degenerate plane", residual=float(np.min(area2)))
+    out = value / area2
+    return float(out) if out.ndim == 0 else out
+
+
+def sectional_curvature(r4: np.ndarray, g: np.ndarray, x, y):
+    """R4(x, y, y, x) over the squared area of the plane span{x, y} in the metric ``g``.
+
+    ``x`` and ``y`` may be stacks ``(..., n)`` of planes, and ``r4`` and ``g``
+    stacks ``(..., n, n, n, n)`` and ``(..., n, n)`` with one tensor per
+    plane; the stack axes lead and broadcast.  One plane gives a float, a
+    stack an array.  ``r4`` enters as an ``(n*n, n*n)`` matrix between the
+    products ``x_i y_j`` and ``y_k x_l``, one matrix product for the stack.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    area2 = (x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2
-    if not area2 >= 1e-12:
-        raise ValidationError("degenerate plane", residual=float(area2))
-    val = np.einsum("ijkl,i,j,k,l->", r4, x, y, y, x)
-    return float(val / area2)
+    n = x.shape[-1]
+    outer = x[..., :, None] * y[..., None, :]           # x_i y_j, and y_k x_l transposed
+    xy = outer.reshape(outer.shape[:-2] + (n * n,))
+    yx = np.swapaxes(outer, -1, -2).reshape(xy.shape)
+    r = np.reshape(r4, np.shape(r4)[:-4] + (n * n, n * n))
+    val = (np.matmul(xy[..., None, :], r)[..., 0, :] * yx).sum(-1)
+    gxy = partial(np.einsum, "...i,...ij,...j->...")
+    area2 = gxy(x, g, x) * gxy(y, g, y) - gxy(x, g, y) ** 2
+    return _plane_value(val, area2)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +192,8 @@ class Profile:
         profiles at import, and importing that package costs every process.
         The coefficient arrays are read-only, so a shared profile stays as built.
         """
+        if not coeffs:
+            raise ValueError("a polynomial profile needs at least one coefficient")
         a = np.array(coeffs, dtype=float)[::-1]
         derivatives = [np.polyder(a, k) for k in (0, 1, 2)]
         for d in derivatives:
@@ -199,10 +224,13 @@ class WarpedProduct:
 
     interval: tuple
     profile: Profile
-    fiber_dim: int
+    fiber_dim: int   # a positive integer
 
     def __post_init__(self):
         object.__setattr__(self, "interval", tuple(self.interval))
+        d = self.fiber_dim
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise ValueError(f"fiber_dim must be a positive integer, got {d!r}")
         if self.interval[0] not in ("line", "segment"):
             raise ValueError("interval kind must be line or segment")
         if self.interval[0] == "segment":
@@ -219,31 +247,31 @@ class WarpedProduct:
         return np.linspace(hi / (count + 1), hi * (1 - 1.0 / (count + 1)), count)
 
 
-def warped_sectional_curvature(w: WarpedProduct, t: float, v, u) -> float:
+def warped_sectional_curvature(w: WarpedProduct, t, v, u):
     """Closed-form sectional curvature at parameter t of the plane span{v, u}.
 
     ``v = (a, x)`` stands for a d/dt + x, with the fiber part x in the
     fiber's orthonormal frame, and so does ``u = (b, y)``.  Mixed planes
-    span{d/dt, x} see -f''/f, fiber planes (K_F - f'^2) / f^2, and any other
-    plane mixes the two with no cross term.
+    span{d/dt, x} see -f''/f, fiber planes (K_F - f'^2) / f^2 with K_F = 1,
+    and any other plane mixes the two with no cross term.  ``v`` and ``u``
+    may be stacks ``(..., 1 + fiber_dim)`` of planes and ``t`` a stack of
+    parameters, one per plane; one plane gives a float, a stack an array.
+    Every t must be interior (f > 0).
     """
+    t = np.asarray(t, dtype=float)
     f, df, ddf = (w.profile.f(t), w.profile.df(t), w.profile.ddf(t))
-    if not f > 0:
-        raise ValidationError("t must be an interior point (f > 0)", residual=float(f))
+    if not np.all(f > 0):
+        raise ValidationError("t must be an interior point (f > 0)", residual=float(np.min(f)))
     v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
-    a, x, b, y = v[0], v[1:], u[0], u[1:]
-    r4f = _sphere_r4(w.fiber_dim)
+    a, x, b, y = v[..., :1], v[..., 1:], u[..., :1], u[..., 1:]
+    dot = partial(np.einsum, "...i,...i->...")
     z = a * y - b * x
-    num = (-ddf * f * (z @ z)
-           + f * f * np.einsum("ijkl,i,j,k,l->", r4f, x, y, y, x)
-           - df * df * f * f * ((x @ x) * (y @ y) - (x @ y) ** 2))
-    gvv = a * a + f * f * (x @ x)
-    gww = b * b + f * f * (y @ y)
-    gvw = a * b + f * f * (x @ y)
-    area2 = gvv * gww - gvw ** 2
-    if not area2 >= 1e-12:
-        raise ValidationError("degenerate plane", residual=float(area2))
-    return float(num / area2)
+    xx, yy, xy = dot(x, x), dot(y, y), dot(x, y)
+    # the unit sphere's R(x, y, y, x) is the Gram determinant xx yy - xy^2
+    num = -ddf * f * dot(z, z) + f * f * (1.0 - df * df) * (xx * yy - xy ** 2)
+    a, b = a[..., 0], b[..., 0]
+    area2 = (a * a + f * f * xx) * (b * b + f * f * yy) - (a * b + f * f * xy) ** 2
+    return _plane_value(num, area2)
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,24 @@ def subspace_gap(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return float(np.abs(pa - pb).max())
 
 
-def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+def random_unit_vector(dim: int, rng: np.random.Generator,
+                       count: int | None = None) -> np.ndarray:
     """Gaussian direction on the unit sphere; deterministic given the rng state.
 
-    ``ValueError`` for ``dim < 1``: the sphere of R^0 is empty.
+    With ``count``, a ``(count, dim)`` stack of directions from one draw
+    ``rng.standard_normal((count, dim))``: the same stream as ``count``
+    single draws, and the same rows up to the round-off of the norm.  ``ValueError`` for ``dim < 1``: the
+    sphere of R^0 is empty.  ``ValidationError`` for a draw of norm at most
+    1e-12, which is not drawn again: a second draw would shift the stream.
     """
     if dim < 1:
         raise ValueError(f"no unit vector in dimension {dim}")
-    while True:
+    if count is None:
         v = rng.standard_normal(dim)
         n = np.linalg.norm(v)
-        if n > 1e-12:
-            return v / n
+    else:
+        v = rng.standard_normal((count, dim))
+        n = np.linalg.norm(v, axis=1, keepdims=True)
+    if not np.all(n > 1e-12):
+        raise ValidationError("a Gaussian draw has no direction", residual=float(np.min(n)))
+    return v / n

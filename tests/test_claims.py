@@ -3,6 +3,7 @@
 import copy
 import threading
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from liecoh import claims
 from liecoh import geometry as geo
 from liecoh import spaces as sps
 from liecoh.claims import RunConfig, run_suite
+from liecoh.reps import DEFAULT_SEED
+from oracles import hyperbolic_residual, warped_residual
 
 
 def test_a_warm_suite_never_recomputes_a_catalog_residual(jacobi_kernel_calls):
@@ -97,13 +100,38 @@ NAN_RESIDUALS = {
 @pytest.mark.parametrize("prefix", sorted(NAN_RESIDUALS))
 def test_a_nan_residual_fails_its_claim(prefix, monkeypatch):
     module, name, nan = NAN_RESIDUALS[prefix]
-    monkeypatch.setattr(module, name, nan)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nan(*args)
+
+    monkeypatch.setattr(module, name, counted)
     registry = [entry for entry in claims.build_claims() if entry[0].startswith(prefix)]
     assert registry
-    for report in (claims._run_one(entry, RunConfig()) for entry in registry):
+    for entry in registry:
+        del calls[:]
+        report = claims._run_one(entry, RunConfig())
+        assert calls   # the stand-in is what the claim reads
         # the claim's own verdict: an exception would be the runner's internal error
         assert report.provenance != "runner", report.computed
         assert report.status == "fail"
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7001])
+def test_the_sampled_curvature_claims_equal_their_per_plane_loop(seed):
+    # one draw and one curvature call per claim, against a loop over the same planes
+    # with one einsum per plane; equal up to round-off of the largest value summed
+    oracles = {f"curvature.hyperbolic.{f}.rate{r:g}": partial(hyperbolic_residual, f, r)
+               for f, r in claims.HYPERBOLIC_CASES}
+    oracles.update({f"curvature.warped.{case[0]}": partial(warped_residual, *case)
+                    for case in claims.WARPED_CASES})
+    registry = {entry[0]: entry for entry in claims.build_claims()}
+    for claim_id, oracle in oracles.items():
+        report = claims._run_one(registry[claim_id], RunConfig(seed=seed))
+        residual, scale = oracle(seed)
+        assert report.status == "pass"
+        assert abs(report.residual - residual) <= 1e-15 * max(scale, 1.0), claim_id
 
 
 def test_every_claim_runs_on_the_calling_thread(monkeypatch):

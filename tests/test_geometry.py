@@ -18,7 +18,7 @@ from liecoh.geometry import (
     warped_curvature_fd,
     warped_sectional_curvature,
 )
-from liecoh.linalg import random_unit_vector
+from liecoh.linalg import ValidationError, random_unit_vector
 from liecoh.spaces import (
     ReductiveSpace,
     catalog_entry,
@@ -105,6 +105,68 @@ def test_sectional_rejects_degenerate_plane():
     with pytest.raises(ValueError):
         sectional_curvature(curvature_tensor(ms), ms.metric(),
                             np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+
+
+def _planes(rng, dim, count):
+    return tuple(np.array(v) for v in zip(*(orthonormal_plane(rng, dim) for _ in range(count))))
+
+
+def test_a_stack_of_planes_equals_one_plane_at_a_time():
+    ms = InvariantMetricSpace(catalog_entry("Sp(2)/U(1)Sp(1)"), (1.0, 3.0))
+    r4, g = curvature_tensor(ms), ms.metric()
+    x, y = _planes(np.random.default_rng(4), ms.m_dim, 30)
+    one = [sectional_curvature(r4, g, xi, yi) for xi, yi in zip(x, y)]
+    assert all(type(k) is float for k in one)
+    stack = sectional_curvature(r4, g, x, y)
+    assert stack.shape == (30,)
+    assert np.abs(stack - one).max() <= 1e-15 * np.abs(stack).max()
+    # one tensor and one metric per plane, and a (5, 6) stack of planes
+    r4s = np.stack([r4, 2.0 * r4, -r4] * 10)
+    gs = np.stack([g, g, 2.0 * g] * 10)
+    per_plane = sectional_curvature(r4s, gs, x, y)
+    assert np.abs(per_plane - stack * np.tile([1.0, 2.0, -0.25], 10)).max() <= 1e-14
+    grid = sectional_curvature(r4, g, x.reshape(5, 6, -1), y.reshape(5, 6, -1))
+    assert np.array_equal(grid, stack.reshape(5, 6))
+
+
+def test_a_stack_of_warped_planes_equals_one_plane_at_a_time():
+    w = WarpedProduct(("line",), Profile.poly(1, 0, 1), 3)
+    rng = np.random.default_rng(9)
+    x, y = _planes(rng, 3, 12)
+    ts = np.linspace(-2.0, 2.0, 12)
+    v = np.column_stack([np.linspace(0.0, 1.0, 12), x])
+    u = np.column_stack([np.zeros(12), y])
+    one = [warped_sectional_curvature(w, t, vi, ui) for t, vi, ui in zip(ts, v, u)]
+    assert all(type(k) is float for k in one)
+    stack = warped_sectional_curvature(w, ts, v, u)
+    assert np.abs(stack - one).max() <= 1e-15 * np.abs(stack).max()
+    # one t for the whole stack
+    assert np.array_equal(warped_sectional_curvature(w, 0.5, v, u),
+                          warped_sectional_curvature(w, np.full(12, 0.5), v, u))
+
+
+def test_one_bad_plane_fails_its_whole_stack_naming_the_smallest_area():
+    ms = InvariantMetricSpace(sphere_space(3))
+    r4, g = curvature_tensor(ms), ms.metric()
+    x, y = _planes(np.random.default_rng(2), 3, 8)
+    w = WarpedProduct(("line",), Profile.poly(1, 0, 1), 2)
+    v = np.column_stack([np.full(8, 0.5), x[:, :2]])
+    u = np.column_stack([np.zeros(8), y[:, :2]])
+    # plane 5 made parallel, then NaN; the other seven are sound
+    for scale, smallest in ((0.5, 0.0), (np.nan, np.nan)):
+        y_bad, u_bad = y.copy(), u.copy()
+        y_bad[5], u_bad[5] = scale * x[5], scale * v[5]
+        with pytest.raises(ValidationError, match="degenerate plane") as err:
+            sectional_curvature(r4, g, x, y_bad)
+        assert err.value.residual == pytest.approx(smallest, abs=1e-15, nan_ok=True)
+        with pytest.raises(ValidationError, match="degenerate plane") as err:
+            warped_sectional_curvature(w, 0.3, v, u_bad)
+        assert err.value.residual == pytest.approx(smallest, abs=1e-15, nan_ok=True)
+    # the profile gate: one t where f <= 0 fails the stack, naming the least f
+    with pytest.raises(ValidationError, match="interior point") as err:
+        warped_sectional_curvature(WarpedProduct(("line",), Profile.poly(0, 1), 2),
+                                   np.linspace(-0.5, 2.0, 8), v, u)
+    assert err.value.residual == -0.5
 
 
 def test_block_scale_divides_fiber_curvature():

@@ -14,6 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ GATES = {
     "geometry.warped_sectional_curvature.profile": ("t must be an interior point",
         lambda mp: geo.warped_sectional_curvature(_profile_nan_inside(), 0.0,
                                                   [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])),
+    # one NaN plane, or one NaN parameter, among sound ones
+    "geometry.sectional_curvature.stack": ("degenerate plane", lambda mp:
+        _sphere_sectional(np.eye(2)[[0, 0, 0]], [[0.0, 1.0], [np.nan, 1.0], [0.0, 2.0]])),
+    "geometry.warped_sectional_curvature.stack": ("degenerate plane",
+        lambda mp: geo.warped_sectional_curvature(_round_sphere_line(), [0.0, 1.0],
+                                                  np.eye(3)[[0, 0]], [[0.0, 1.0, 0.0],
+                                                                      [0.0, np.nan, 1.0]])),
+    "geometry.warped_sectional_curvature.profile_stack": ("t must be an interior point",
+        lambda mp: geo.warped_sectional_curvature(_round_sphere_line(), [0.0, np.nan],
+                                                  [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])),
 }
 
 
@@ -185,6 +196,24 @@ def test_block_scales_and_segment_lengths_are_positive_and_finite(value):
     with pytest.raises(la.ValidationError) as err:
         geo.WarpedProduct(("segment", value), geo.Profile.poly(1), 2)
     assert err.value.residual == value
+
+
+# malformed input -> (a fragment of the message, the construction that must refuse it)
+CONFIG_ERRORS = {
+    **{f"geometry.WarpedProduct.fiber_dim={d!r}": ("fiber_dim must be a positive integer",
+        partial(geo.WarpedProduct, ("line",), geo.Profile.poly(1, 0, 1), d))
+       for d in (0, -1, 2.5, True)},
+    "geometry.Profile.poly()": ("at least one coefficient", geo.Profile.poly),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_malformed_input_is_refused_when_it_is_built(case):
+    # each used to be accepted and to fail later with an unrelated error, or, for
+    # a polynomial without coefficients, to give f = 0 everywhere
+    fragment, build = CONFIG_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        build()
 
 
 def test_svd_of_a_non_finite_matrix_fails_instead_of_hanging():
