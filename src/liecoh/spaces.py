@@ -7,13 +7,17 @@ complement into invariant blocks m_1, m_2, ...  Constructors cover:
 * the Clifford-parameter family g = k0 + k1 + m1 + m2: spin(n) rotations
   acting on a vector block m1 and a Clifford-module block m2, with bracket
   scales lam on m1 x m1, mu on m1 x m2, and an m2 x m2 block that is zero or
-  a solved completion,
+  the compact solved completion,
 * two-step nilpotent algebras whose center acts by skew maps J_Z with
   J_Z J_W + J_W J_Z = -2 <Z, W> I ("generalized Heisenberg"),
-* unitary quotients whose isotropy action fixes a line, and the flat screw
+* SU(n+1)/SU(n), whose isotropy action fixes a line, and the flat screw
   group,
 * rank-one solvable extensions R x| K with a non-isometric dilation,
-* a catalog of the model spaces exercised by the verification suite.
+* ``noncompact_dual``, the one way a dual is built: where h = k + m1 and the
+  last block m2 grade g as a symmetric pair, Cartan duality (Helgason 1978,
+  ch. V) keeps the grading and flips the sign of [m2, m2],
+* a catalog of the model spaces exercised by the verification suite, whose
+  four noncompact entries are the ``noncompact_dual`` of their compact ones.
 
 Every check of a space runs once, in the ``ReductiveSpace`` constructor:
 the isotropy and blocks decompose the algebra with jointly orthonormal bases,
@@ -83,6 +87,7 @@ __all__ = [
     "euclidean_screw",
     "hyperbolic_semidirect",
     "isotropy_representation",
+    "noncompact_dual",
 ]
 
 
@@ -229,16 +234,17 @@ def _cached_completion(n: int, lam: float, mu: float) -> CompletionSolution:
     return complete_bracket(clifford_completion_problem(n, lam, mu))
 
 
-def _select_completion(solution: CompletionSolution, filling: tuple[int, int]) -> np.ndarray:
-    """Sign of the one null direction whose filling has the requested Killing signature.
+def _select_completion(solution: CompletionSolution) -> np.ndarray:
+    """Sign of the one null direction whose filling is compact.
 
     ``complete_bracket`` orients each null vector canonically, so the weights
     +1 and then -1 along it name fixed fillings; the first whose realized
-    algebra has the Killing signature ``filling = (p, q)`` is returned.  A
-    solution space of nullity other than 1 has no such sign and raises
-    ``ValidationError``.  Every point of a nonempty solution space satisfies
-    the Jacobi system, so candidates are not re-checked here; the space
-    constructor validates the chosen algebra.
+    algebra has a negative-definite Killing form is returned, and
+    ``ValidationError`` is raised when neither has one.  A solution space of
+    nullity other than 1 has no such sign and raises ``ValidationError`` too.
+    Every point of a nonempty solution space satisfies the Jacobi system, so
+    candidates are not re-checked here; the space constructor validates the
+    chosen algebra.
     """
     if solution.empty:
         raise ValidationError("completion problem has no admissible filling")
@@ -246,32 +252,30 @@ def _select_completion(solution: CompletionSolution, filling: tuple[int, int]) -
         raise ValidationError(f"a completion is selected by the sign of one null direction, "
                               f"but the solution space has nullity {solution.nullity}")
     for w in (np.ones(1), -np.ones(1)):
-        if signature(killing_form(solution.realize(w))) == (*filling, 0):
+        alg = solution.realize(w)
+        if signature(killing_form(alg)) == (0, alg.dim, 0):
             return w
-    raise ValidationError(f"no completion with Killing signature {filling!r} at either sign")
+    raise ValidationError("no compact completion at either sign")
 
 
 def build_clifford_space(n: int, lam: float, mu: float,
-                         filling: tuple[int, int] | None = None) -> ReductiveSpace:
+                         completed: bool = False) -> ReductiveSpace:
     """Assemble one member of the Clifford-parameter family.
 
-    ``filling`` is ``None`` (no m2 x m2 bracket) or the Killing signature
-    ``(p, q)`` of the completed algebra, which picks the solved m2 x m2 block.
-    Raises ``ValidationError`` with the residual triple when the parameters
-    are Jacobi-incompatible (any mu != 0 with lam != 2 mu^2).
+    ``completed`` is ``False`` (no m2 x m2 bracket) or ``True`` (the solved
+    m2 x m2 block of the compact completion; ``noncompact_dual`` gives the
+    other ray).  Raises ``ValidationError`` with the residual triple when the
+    parameters are Jacobi-incompatible (any mu != 0 with lam != 2 mu^2).
     """
-    if filling is not None and not (
-            isinstance(filling, tuple) and len(filling) == 2
-            and all(isinstance(v, int) for v in filling)):
-        raise ValueError(f"unknown filling {filling!r}: it is None or a Killing "
-                         f"signature (p, q) of integers")
-    if filling is None:
+    if not isinstance(completed, bool):
+        raise ValueError(f"completed must be a bool, got {completed!r}")
+    if completed:
+        solution = _cached_completion(n, lam, mu)
+        problem, alg = solution.problem, solution.realize(_select_completion(solution))
+    else:
         problem = clifford_completion_problem(n, lam, mu)
         alg = problem.skeleton
-    else:
-        solution = _cached_completion(n, lam, mu)
-        problem, alg = solution.problem, solution.realize(_select_completion(solution, filling))
-    mode = "zero" if filling is None else "completed"
+    mode = "completed" if completed else "zero"
     return _coordinate_space(f"Cl(n={n},lam={lam:g},mu={mu:g},{mode})", alg,
                              problem.target.dim - n, (n, len(problem.unknown_indices)))
 
@@ -334,7 +338,7 @@ def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# trivial-submodule branch and the flat screw group
+# SU(n+1)/SU(n) and the flat screw group
 # ---------------------------------------------------------------------------
 
 
@@ -344,42 +348,27 @@ def _su_adapted_matrices(n: int) -> tuple[np.ndarray, int]:
     Order: su(n) block, the orthogonal torus direction, then the off-block
     column vectors (real parts, imaginary parts).
     """
-    mats = []
-    for m in su_basis(n):
-        big = np.zeros((n + 1, n + 1), dtype=complex)
-        big[:n, :n] = m
-        mats.append(big)
-    t = 1.0j * np.diag([1.0] * n + [-float(n)])
-    mats.append(t)
-    for a in range(n):
-        e = np.zeros((n + 1, n + 1), dtype=complex)
-        e[a, n], e[n, a] = 1.0, -1.0
-        mats.append(e)
-    for a in range(n):
-        f = np.zeros((n + 1, n + 1), dtype=complex)
-        f[a, n] = f[n, a] = 1.0j
-        mats.append(f)
+    a = np.arange(n)
+    off = np.zeros((2 * n, n + 1, n + 1), dtype=complex)
+    off[a, a, n], off[a, n, a] = 1.0, -1.0
+    off[n + a, a, n] = off[n + a, n, a] = 1.0j
+    mats = ([np.pad(m, (0, 1)) for m in su_basis(n)]
+            + [1.0j * np.diag([1.0] * n + [-float(n)])] + list(off))
     real = np.array([realify_complex(m) for m in mats])
     return real, n * n - 1
 
 
-def build_trivial_module_space(branch: str, n: int) -> ReductiveSpace:
-    """Unitary quotients whose isotropy representation fixes a line.
+def build_trivial_module_space(n: int) -> ReductiveSpace:
+    """SU(n+1)/SU(n), n >= 2, whose isotropy representation fixes a line.
 
-    Branches: ``su_compact`` (SU(n+1)/SU(n), n >= 2) and ``su_noncompact``
-    (its Lorentz dual).
+    Its ``noncompact_dual`` is SU(n,1)/SU(n).
     """
-    if branch not in ("su_compact", "su_noncompact"):
-        raise ValueError(f"unknown branch {branch!r}")
     if n < 2:
-        raise ValueError("the unitary branch needs n >= 2")
+        raise ValueError("SU(n+1)/SU(n) needs n >= 2")
     mats, k_dim = _su_adapted_matrices(n)
-    alg = LieAlgebra(structure_constants_from_matrices(mats))
-    label = f"SU({n + 1})/SU({n})"
-    if branch == "su_noncompact":
-        alg = weyl_flip(alg, list(range(k_dim + 1, alg.dim)))
-        label = f"SU({n},1)/SU({n})"
-    return _coordinate_space(label, alg, k_dim, (1, 2 * n))
+    return _coordinate_space(f"SU({n + 1})/SU({n})",
+                             LieAlgebra(structure_constants_from_matrices(mats)),
+                             k_dim, (1, 2 * n))
 
 
 def _line_extension(deriv: np.ndarray) -> LieAlgebra:
@@ -421,8 +410,25 @@ def hyperbolic_semidirect(field: str, rate: float) -> ReductiveSpace:
 
 
 # ---------------------------------------------------------------------------
-# catalog
+# noncompact duals and the catalog
 # ---------------------------------------------------------------------------
+
+
+def noncompact_dual(space: ReductiveSpace) -> ReductiveSpace:
+    """The Cartan dual: the same space with the sign of [m2, m2] flipped.
+
+    m2 is the last block and must be the trailing coordinate block, else
+    ``ValueError``.  ``weyl_flip`` raises ``ValidationError`` unless the rest
+    of g and m2 grade g as a symmetric pair.  The isotropy, blocks and notes
+    are kept, so applying it twice gives back the constants of ``space``.
+    """
+    d, m2 = space.dim, space.blocks[-1]
+    trailing = np.arange(d - m2.dim, d)
+    if not np.array_equal(m2.basis, np.eye(d)[:, trailing]):
+        raise ValueError(f"{space.label}: the last block is not the trailing coordinate block")
+    return ReductiveSpace(f"dual of {space.label}", weyl_flip(space.algebra, trailing),
+                          space.isotropy, space.blocks, space.notes)
+
 
 # The one-block symmetric controls; every other catalog space has two blocks.
 SYMMETRIC_CONTROLS = ("SO(5)/SO(2)SO(3)", "SU(3)xSU(3)/dSU(3)")
@@ -430,29 +436,20 @@ SYMMETRIC_CONTROLS = ("SO(5)/SO(2)SO(3)", "SU(3)xSU(3)/dSU(3)")
 
 def _grassmannian_control() -> ReductiveSpace:
     """Rank-two symmetric control: so(5) over so(2) + so(3)."""
-    pairs = bivector_pairs(5)
     alg = so_algebra(5)
-    k_idx = [p for p, (i, j) in enumerate(pairs) if (j <= 2) or (i >= 3)]
-    m_idx = [p for p in range(len(pairs)) if p not in k_idx]
-    d = alg.dim
-    return ReductiveSpace("SO(5)/SO(2)SO(3)", alg,
-                          Subspace.coordinate(d, k_idx),
-                          (Subspace.coordinate(d, m_idx),))
+    in_k = np.array([(j <= 2) or (i >= 3) for i, j in bivector_pairs(5)])
+    return ReductiveSpace("SO(5)/SO(2)SO(3)", alg, Subspace.coordinate(alg.dim, np.flatnonzero(in_k)),
+                          (Subspace.coordinate(alg.dim, np.flatnonzero(~in_k)),))
 
 
 def _group_manifold_control() -> ReductiveSpace:
     """Rank-two symmetric control: the group manifold of su(3)."""
     su3 = su_standard(3).algebra
     alg = direct_sum(su3, su3)
-    d, h = alg.dim, su3.dim
-    diag = np.zeros((d, h))
-    anti = np.zeros((d, h))
-    for a in range(h):
-        diag[a, a] = diag[h + a, a] = 1.0 / np.sqrt(2.0)
-        anti[a, a] = 1.0 / np.sqrt(2.0)
-        anti[h + a, a] = -1.0 / np.sqrt(2.0)
-    return ReductiveSpace("SU(3)xSU(3)/dSU(3)", alg, Subspace(d, diag),
-                          (Subspace(d, anti),))
+    half = np.eye(su3.dim) / np.sqrt(2.0)
+    # 0.0 - half, not -half, so that the exported basis holds no -0.0
+    return ReductiveSpace("SU(3)xSU(3)/dSU(3)", alg, Subspace(alg.dim, np.vstack([half, half])),
+                          (Subspace(alg.dim, np.vstack([half, 0.0 - half])),))
 
 
 def _catalog_builders() -> dict:
@@ -462,22 +459,24 @@ def _catalog_builders() -> dict:
             lambda c=cdim, k=copies: build_heisenberg(c, k))
 
     clifford_entries = {
-        "Sp(2)/U(1)Sp(1)": (2, (0, 10)),
-        "Sp(1,1)/U(1)Sp(1)": (2, (4, 6)),
-        "Sp(1)Sp(2)/dSp(1)Sp(1)": (3, (0, 13)),
-        "Sp(1)Sp(1,1)/dSp(1)Sp(1)": (3, (4, 9)),
-        "Spin(9)/Spin(7)": (7, (0, 36)),
-        "Spin(8,1)/Spin(7)": (7, (8, 28)),
-        "Sp(1)Sp(1)|xR4/U(1)Sp(1)": (2, None),
-        "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)": (3, None),
-        "Spin(7)|xR8/Spin(6)": (6, None),
-        "Spin(8)|xR8+/Spin(7)": (7, None),
+        "Sp(2)/U(1)Sp(1)": (2, True),
+        "Sp(1)Sp(2)/dSp(1)Sp(1)": (3, True),
+        "Spin(9)/Spin(7)": (7, True),
+        "Sp(1)Sp(1)|xR4/U(1)Sp(1)": (2, False),
+        "Sp(1)(Sp(1)Sp(1)|xR4)/dSp(1)Sp(1)": (3, False),
+        "Spin(7)|xR8/Spin(6)": (6, False),
+        "Spin(8)|xR8+/Spin(7)": (7, False),
     }
-    for label, (n, filling) in clifford_entries.items():
+    for label, (n, completed) in clifford_entries.items():
         builders[label] = (
-            lambda n=n, f=filling: build_clifford_space(n, 1.0, 1.0 / np.sqrt(2.0), f))
-    builders["SU(3)/SU(2)"] = lambda: build_trivial_module_space("su_compact", 2)
-    builders["SU(2,1)/SU(2)"] = lambda: build_trivial_module_space("su_noncompact", 2)
+            lambda n=n, c=completed: build_clifford_space(n, 1.0, 1.0 / np.sqrt(2.0), c))
+    builders["SU(3)/SU(2)"] = lambda: build_trivial_module_space(2)
+    # each noncompact entry is the dual of its compact partner
+    for label, compact in {"SU(2,1)/SU(2)": "SU(3)/SU(2)",
+                           "Sp(1,1)/U(1)Sp(1)": "Sp(2)/U(1)Sp(1)",
+                           "Sp(1)Sp(1,1)/dSp(1)Sp(1)": "Sp(1)Sp(2)/dSp(1)Sp(1)",
+                           "Spin(8,1)/Spin(7)": "Spin(9)/Spin(7)"}.items():
+        builders[label] = lambda c=compact: noncompact_dual(catalog_entry(c))
     builders.update(zip(SYMMETRIC_CONTROLS, (_grassmannian_control, _group_manifold_control)))
     return builders
 

@@ -72,10 +72,10 @@ def test_criterion_3_jacobi_gate():
 
 
 def test_criterion_4_completion_fingerprints():
-    compact = sps.build_clifford_space(7, 1.0, MU, (0, 36))
+    compact = sps.build_clifford_space(7, 1.0, MU, True)
     assert compact.dim == 36
     assert la.signature(la.killing_form(compact.algebra)) == (0, 36, 0)
-    split = sps.build_clifford_space(7, 1.0, MU, (8, 28))
+    split = sps.noncompact_dual(compact)
     assert la.signature(la.killing_form(split.algebra)) == (8, 28, 0)
     sol6 = sps._cached_completion(6, 1.0, MU)
     assert sol6.nullity == 0 and not sol6.empty

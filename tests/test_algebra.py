@@ -22,7 +22,12 @@ from liecoh.algebra import (
 )
 from liecoh.builders import so_standard
 from liecoh.reps import Representation
-from liecoh.spaces import build_heisenberg
+from liecoh.spaces import (
+    ReductiveSpace,
+    build_heisenberg,
+    build_trivial_module_space,
+    noncompact_dual,
+)
 from oracles import ad_matrix, bracket, pullback_structure, read_algebra
 
 
@@ -470,6 +475,13 @@ def test_weyl_flip_requires_symmetric_grading():
     # so(3) with block {0}: [e0, e1] = e2 lands outside the grading
     with pytest.raises(ValidationError):
         weyl_flip(su2_epsilon(), [0])
+    # the dual of SU(3)/SU(2) with m1 + m2 as one block: k does not grade g,
+    # since [m, m] has a part on the torus line inside m
+    su3 = build_trivial_module_space(2)
+    one_block = ReductiveSpace("SU(3)/SU(2) one block", su3.algebra, su3.isotropy,
+                               (Subspace(8, su3.m_basis()),))
+    with pytest.raises(ValidationError, match="not the odd part of a symmetric pair"):
+        noncompact_dual(one_block)
 
 
 def test_weyl_flip_so3_to_lorentz():

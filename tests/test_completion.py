@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -125,14 +126,25 @@ def test_zero_skeleton_admits_zero_completion():
 
 
 def test_a_selection_needs_a_solution_space_of_nullity_one():
-    # the filling is chosen by the sign of the one null direction
+    # the compact filling is chosen by the sign of the one null direction
     with pytest.raises(ValidationError, match="nullity 3"):
-        _select_completion(complete_bracket(PARITY_CASES["zero-skeleton"]()), (0, 5))
-    n2 = complete_bracket(clifford_completion_problem(2, 1.0, MU))
-    assert np.array_equal(_select_completion(n2, (4, 6)), np.ones(1))
-    assert np.array_equal(_select_completion(n2, (0, 10)), -np.ones(1))
-    with pytest.raises(ValueError, match="unknown filling"):
+        _select_completion(complete_bracket(PARITY_CASES["zero-skeleton"]()))
+    for n in (2, 3, 7):
+        sol = complete_bracket(clifford_completion_problem(n, 1.0, MU))
+        assert np.array_equal(_select_completion(sol), -np.ones(1))
+    with pytest.raises(ValueError, match="completed must be a bool"):
         build_clifford_space(2, 1.0, MU, "abelian")
+
+
+def test_a_selection_reads_compactness_and_fails_closed_without_it():
+    sol = complete_bracket(clifford_completion_problem(2, 1.0, MU))
+    # the other orientation of the null direction: the compact sign follows it
+    flipped = dataclasses.replace(sol, homogeneous=-sol.homogeneous)
+    assert np.array_equal(_select_completion(flipped), np.ones(1))
+    # a zero null direction: both signs give the flat filling, neither compact
+    flat = dataclasses.replace(sol, homogeneous=0.0 * sol.homogeneous)
+    with pytest.raises(ValidationError, match="no compact completion at either sign"):
+        _select_completion(flat)
 
 
 @pytest.mark.parametrize("unknown", [(4, -1), (5, -1), (-2, 5), (1, 99)])

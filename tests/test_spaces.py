@@ -33,6 +33,7 @@ from liecoh.spaces import (
     catalog_ids,
     hyperbolic_semidirect,
     nilpotent_part,
+    noncompact_dual,
 )
 from oracles import pullback_structure
 
@@ -69,7 +70,7 @@ def _g1(space):
 
 
 def test_clifford_zero_mode_n7_g1_fingerprint():
-    space = build_clifford_space(7, 1.0, MU, None)
+    space = build_clifford_space(7, 1.0, MU, False)
     g1, closure = _g1(space)
     assert g1.dim == 28
     assert signature(killing_form(g1)) == (0, 28, 0)
@@ -85,26 +86,30 @@ def test_clifford_rejects_wrong_scale_with_residual():
     assert err.value.triple is not None
 
 
-@pytest.mark.parametrize("selector", [pytest.param((0, 10), id="negative-definite"), (4, 6)])
+# the skeleton (n, mu) at lam = 1 off lam = 2 mu^2, whose completion is empty
+@pytest.mark.parametrize("selector", [pytest.param((2, 0.3), id="negative-definite"), (3, 0.3)])
 def test_completed_mode_refuses_inconsistent_scale(selector):
+    n, mu = selector
     with pytest.raises(ValidationError, match="no admissible filling"):
-        build_clifford_space(2, 1.0, 0.3, selector)
+        build_clifford_space(n, 1.0, mu, True)
 
 
 def test_clifford_rejects_kappa_zero_mode():
     # the nilpotent bracket is build_heisenberg's, not a mode of the family
     for kappa in (0.0, 1.0):
-        with pytest.raises(ValueError, match="unknown filling"):
+        with pytest.raises(ValueError, match="completed must be a bool"):
             build_clifford_space(7, 0.0, 0.0, ("heisenberg", kappa))
 
 
-# the old mode spellings, signatures of the wrong length or type, and names
+# the old mode spellings, the old Killing-signature fillings, and the
+# truthy or falsy values that are not a bool
 @pytest.mark.parametrize("mode", [("zero",), ("completed", (0, 10)), (4,), ("4", "6"),
                                   (4, 6, 0), (), [4, 6], (4.0, 6.0),
-                                  "negative-definite", "bogus"])
+                                  "negative-definite", "bogus", (0, 10), (4, 6), None,
+                                  1, 0, np.True_, "True"])
 def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
     monkeypatch.setattr(sps, "_cached_completion", lambda *a: pytest.fail("solved"))
-    with pytest.raises(ValueError, match="unknown filling"):
+    with pytest.raises(ValueError, match="completed must be a bool"):
         build_clifford_space(2, 1.0, MU, mode)
 
 
@@ -211,26 +216,27 @@ def test_zero_mode_at_n2_has_an_abelian_m():
 
 
 # ---------------------------------------------------------------------------
-# trivial-submodule branch
+# SU(3)/SU(2) and the noncompact duals
 # ---------------------------------------------------------------------------
 
 
 def test_su_compact_branch():
-    space = build_trivial_module_space("su_compact", 2)
+    space = build_trivial_module_space(2)
     assert space.dim == 8 and space.isotropy.dim == 3
     assert cohomogeneity(space.rep) == 2
     assert signature(killing_form(space.algebra)) == (0, 8, 0)
 
 
 def test_su_noncompact_branch_signature():
-    space = build_trivial_module_space("su_noncompact", 2)
+    space = noncompact_dual(build_trivial_module_space(2))
     assert signature(killing_form(space.algebra)) == (4, 4, 0)
 
 
-@pytest.mark.parametrize("branch", ["su_compact", "su_noncompact"])
-def test_cartan_relations(branch):
-    space = build_trivial_module_space(branch, 2)
-    c = space.algebra.c
+@pytest.mark.parametrize("build", [lambda: build_trivial_module_space(2),
+                                   lambda: noncompact_dual(build_trivial_module_space(2))],
+                         ids=["su_compact", "su_noncompact"])
+def test_cartan_relations(build):
+    c = build().algebra.c
     g1 = list(range(4))
     m2 = list(range(4, 8))
     assert np.abs(c[np.ix_(g1, m2)][:, :, g1]).max() < 1e-12
@@ -238,10 +244,38 @@ def test_cartan_relations(branch):
 
 
 def test_bad_branch_rejected():
-    with pytest.raises(ValueError):
-        build_trivial_module_space("so_compact", 2)
-    with pytest.raises(ValueError):
-        build_trivial_module_space("su_compact", 1)
+    # SU(n+1)/SU(n) needs n >= 2, and the branch string is gone
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        build_trivial_module_space(1)
+    with pytest.raises(TypeError):
+        build_trivial_module_space("su_compact", 2)
+
+
+# each dual, its compact partner, and its Killing signature from the family:
+# Cartan duality keeps k + m1 compact and makes m2 the positive part, so the
+# signature is (dim m2, dim k + dim m1, 0)
+DUALS = {"SU(2,1)/SU(2)": ("SU(3)/SU(2)", (4, 3 + 1, 0)),
+         "Sp(1,1)/U(1)Sp(1)": ("Sp(2)/U(1)Sp(1)", (4, 4 + 2, 0)),
+         "Sp(1)Sp(1,1)/dSp(1)Sp(1)": ("Sp(1)Sp(2)/dSp(1)Sp(1)", (4, 6 + 3, 0)),
+         "Spin(8,1)/Spin(7)": ("Spin(9)/Spin(7)", (8, 21 + 7, 0))}
+
+
+@pytest.mark.parametrize("dual", sorted(DUALS))
+def test_dual_killing_signature_is_m2_against_k_plus_m1(dual):
+    compact, expected = DUALS[dual]
+    space = catalog_entry(dual)
+    assert expected == (space.blocks[1].dim, space.isotropy.dim + space.blocks[0].dim, 0)
+    assert signature(killing_form(space.algebra)) == expected
+    assert signature(killing_form(catalog_entry(compact).algebra)) == (0, space.dim, 0)
+
+
+@pytest.mark.parametrize("compact", sorted(c for c, _ in DUALS.values()))
+def test_dual_twice_is_the_compact_space(compact):
+    space = catalog_entry(compact)
+    once = noncompact_dual(space)
+    assert not np.array_equal(once.algebra.c, space.algebra.c)
+    # bit for bit: each flipped zero comes back as +0.0
+    assert noncompact_dual(once).algebra.c.tobytes() == space.algebra.c.tobytes()
 
 
 # ---------------------------------------------------------------------------

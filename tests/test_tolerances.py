@@ -204,6 +204,10 @@ CONFIG_ERRORS = {
         partial(geo.WarpedProduct, ("line",), geo.Profile.poly(1, 0, 1), d))
        for d in (0, -1, 2.5, True)},
     "geometry.Profile.poly()": ("at least one coefficient", geo.Profile.poly),
+    # a dual needs m2 as the trailing coordinate block
+    **{f"spaces.noncompact_dual({sid})": ("the last block is not the trailing coordinate block",
+        lambda sid=sid: sps.noncompact_dual(sps.catalog_entry(sid)))
+       for sid in sps.SYMMETRIC_CONTROLS},
 }
 
 

@@ -3,6 +3,9 @@ then the line counts of the package source and of the tests.
 
     python tools/output_digests.py
 
+Output that cannot be written (a reader that closes the pipe early, a full
+disk) exits 3 with one line on stderr, as ``liecoh`` does.
+
 Each command runs in a fresh process on the ``src`` tree beside this script,
 with ``OPENBLAS_NUM_THREADS=1``:
 
@@ -89,4 +92,12 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except OSError as err:
+        # a closed pipe or a full disk: one stderr line, no traceback, and a
+        # stdout on os.devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output_digests: {err}", file=sys.stderr)
+        sys.exit(3)
