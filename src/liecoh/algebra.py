@@ -212,7 +212,7 @@ def _join_pair_count(c: np.ndarray) -> int:
 
 
 def _joins(c: np.ndarray) -> bool:
-    """Whether the Jacobi kernels join the nonzeros of ``c`` rather than run slabs.
+    """Whether the worst-triple search joins the nonzeros of ``c`` rather than run slabs.
 
     At one BLAS thread the join costs about 70 ns per pair of nonzeros that
     share an index, the slabs about 0.3 ns per ``d^5`` (six flops) whatever
@@ -263,33 +263,25 @@ def _join_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
     return (t // (d * d), t // d % d, t % d), float(norms[best])
 
 
-def _jacobiator_slabs(c: np.ndarray):
-    """Jacobiator of a dense ``c`` as ``(rows, J[rows])``, one slab of the first index at a time.
+def _slab_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
+    """Largest jacobiator norm of a dense ``c``, one slab of the first index at a time.
 
-    A slab holds ``CHUNK_BYTES`` at most.  The generator keeps no slab
-    between steps, so a caller that drops each one before the next holds
-    at most two: the three chains are summed in place.
+    A slab holds ``CHUNK_BYTES`` at most, and at most two are held at once:
+    the three chains are summed in place, and each slab is squared in place
+    and dropped before the next is built.
     """
     d = c.shape[0]
     step = max(1, CHUNK_BYTES // (8 * d ** 3))
     left, right = c.reshape(d * d, d), c.reshape(d, d * d)
+    norms = np.empty((d, d, d))
     for s in range(0, d, step):
         rows, n = slice(s, min(s + step, d)), min(step, d - s)
         # t[i,j,k,l] = [[b_i,b_j],b_k]_l and J[i,j,k] = t[i,j,k] + t[j,k,i] + t[k,i,j]
         t = (c[rows].reshape(n * d, d) @ right).reshape(n, d, d, d)
         t += (left @ c[:, rows].reshape(d, n * d)).reshape(d, d, n, d).transpose(2, 0, 1, 3)
         t += (c[:, rows].reshape(d * n, d) @ right).reshape(d, n, d, d).transpose(1, 2, 0, 3)
-        yield rows, t
-        del t
-
-
-def _slab_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
-    """Largest jacobiator norm of a dense ``c``, squared in place slab by slab."""
-    d = c.shape[0]
-    norms = np.empty((d, d, d))
-    for rows, t in _jacobiator_slabs(c):
         norms[rows] = np.sqrt(np.square(t, out=t).sum(axis=3))
-        del t  # before the next slab is built
+        del t
     idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
     return tuple(sorted(int(v) for v in idx)), float(norms[idx])
 
@@ -302,22 +294,14 @@ def _jacobi_kernel(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
 def _jacobiator_at(c: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``J[i,j,k,l]`` at ``_triple_key`` keys of sorted triples i < j < k.
 
-    Runs the same kernel as ``_jacobi_kernel``: a key the join has no
-    product for reads 0; a slab holds the keys whose ``i`` falls in it.
+    Read from the join of ``_join_jacobiator``, whatever the density of
+    ``c``: every completion skeleton is sparse.  A key the join has no
+    product for reads 0.
     """
-    d = c.shape[0]
-    if _joins(c):
-        key, total = _join_jacobiator(c)
-        key, total = np.append(key, d ** 4), np.append(total, 0.0)  # past every key
-        pos = np.searchsorted(key, keys)
-        return np.where(key[pos] == keys, total[pos], 0.0)
-    out = np.empty(keys.size)
-    i, rest = np.divmod(keys, d ** 3)
-    for rows, t in _jacobiator_slabs(c):
-        sel = (i >= rows.start) & (i < rows.stop)
-        out[sel] = t.reshape(t.shape[0], -1)[i[sel] - rows.start, rest[sel]]
-        del t
-    return out
+    key, total = _join_jacobiator(c)
+    key, total = np.append(key, c.shape[0] ** 4), np.append(total, 0.0)  # past every key
+    pos = np.searchsorted(key, keys)
+    return np.where(key[pos] == keys, total[pos], 0.0)
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:
@@ -352,7 +336,7 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
         if norm > 0.0:
             triple, res = worst, float(norm / scale)
     if not c.flags.writeable:
-        object.__setattr__(alg, "_jacobi", (c, triple, res))  # racing threads store equal values
+        object.__setattr__(alg, "_jacobi", (c, triple, res))  # the dataclass is frozen
     return triple, res
 
 

@@ -163,9 +163,13 @@ def u_standard(n: int) -> Representation:
     return algebra_of_matrices(np.array(mats))
 
 
+def _sp_left(n: int) -> list[np.ndarray]:
+    """sp(n) on H^n by quaternionic matrices on the left, one real operator per basis element."""
+    return [_realize_quaternionic(q, _LEFT_UNITS) for q in sp_quaternion_basis(n)]
+
+
 def sp_standard(n: int) -> Representation:
-    mats = np.array([_realize_quaternionic(q, _LEFT_UNITS) for q in sp_quaternion_basis(n)])
-    return algebra_of_matrices(mats)
+    return algebra_of_matrices(np.array(_sp_left(n)))
 
 
 def _right_scalar_blocks(n: int, q) -> np.ndarray:
@@ -176,7 +180,7 @@ def _right_scalar_blocks(n: int, q) -> np.ndarray:
 
 def sp_sp1(n: int) -> Representation:
     """sp(n) + sp(1) on H^n: matrices on the left, unit scalars on the right."""
-    mats = [_realize_quaternionic(q, _LEFT_UNITS) for q in sp_quaternion_basis(n)]
+    mats = _sp_left(n)
     # minus sign turns the right-multiplication antihomomorphism into an action
     for q in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
         mats.append(-_right_scalar_blocks(n, q))
@@ -184,7 +188,7 @@ def sp_sp1(n: int) -> Representation:
 
 
 def sp_u1(n: int) -> Representation:
-    mats = [_realize_quaternionic(q, _LEFT_UNITS) for q in sp_quaternion_basis(n)]
+    mats = _sp_left(n)
     mats.append(-_right_scalar_blocks(n, (0, 1, 0, 0)))
     return algebra_of_matrices(np.array(mats))
 

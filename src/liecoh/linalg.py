@@ -85,9 +85,9 @@ def nullspace(a: np.ndarray) -> np.ndarray:
     if m < n:
         # Pad so the economy SVD exposes the full right-singular basis.
         a = np.vstack([a, np.zeros((n - m, n))])
+    # a finite nonzero matrix has s[0] > 0
     _, s, vt = np.linalg.svd(require_finite(a), full_matrices=False)
-    cutoff = RANK_RTOL * s[0] if s[0] > 0 else 0.0
-    return vt[s <= cutoff].T.copy() if s[0] > 0 else np.eye(n)
+    return vt[s <= RANK_RTOL * s[0]].T.copy()
 
 
 def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
@@ -140,20 +140,17 @@ def random_unit_vector(dim: int, rng: np.random.Generator,
                        count: int | None = None) -> np.ndarray:
     """Gaussian direction on the unit sphere; deterministic given the rng state.
 
-    With ``count``, a ``(count, dim)`` stack of directions from one draw
-    ``rng.standard_normal((count, dim))``: the same stream as ``count``
-    single draws, and the same rows up to the round-off of the norm.  ``ValueError`` for ``dim < 1``: the
+    One draw ``rng.standard_normal((count, dim))`` gives a ``(count, dim)``
+    stack of directions: the same stream as ``count`` single draws.  Without
+    ``count``, row 0 of a one-row draw.  ``ValueError`` for ``dim < 1``: the
     sphere of R^0 is empty.  ``ValidationError`` for a draw of norm at most
     1e-12, which is not drawn again: a second draw would shift the stream.
     """
     if dim < 1:
         raise ValueError(f"no unit vector in dimension {dim}")
-    if count is None:
-        v = rng.standard_normal(dim)
-        n = np.linalg.norm(v)
-    else:
-        v = rng.standard_normal((count, dim))
-        n = np.linalg.norm(v, axis=1, keepdims=True)
+    v = rng.standard_normal((1 if count is None else count, dim))
+    n = np.linalg.norm(v, axis=1, keepdims=True)
     if not np.all(n > 1e-12):
         raise ValidationError("a Gaussian draw has no direction", residual=float(np.min(n)))
-    return v / n
+    v /= n
+    return v[0] if count is None else v

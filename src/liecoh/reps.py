@@ -127,13 +127,13 @@ def orbit_dimension(rep: Representation, v):
 def cohomogeneity(rep: Representation, seed: int = DEFAULT_SEED) -> int:
     """space_dim minus the maximal orbit dimension over ``GENERIC_SAMPLES`` seeded unit samples.
 
-    The samples are ranked together, by one stacked SVD.  A zero-dimensional
-    space is one point: cohomogeneity 0.
+    The samples come from one ``(GENERIC_SAMPLES, space_dim)`` draw and are
+    ranked together, by one stacked SVD.  A zero-dimensional space is one
+    point: cohomogeneity 0.
     """
     if rep.space_dim == 0:
         return 0
-    rng = np.random.default_rng(seed)
-    samples = np.array([random_unit_vector(rep.space_dim, rng) for _ in range(GENERIC_SAMPLES)])
+    samples = random_unit_vector(rep.space_dim, np.random.default_rng(seed), GENERIC_SAMPLES)
     return rep.space_dim - int(orbit_dimension(rep, samples).max())
 
 

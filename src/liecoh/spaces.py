@@ -234,13 +234,14 @@ def _cached_completion(n: int, lam: float, mu: float) -> CompletionSolution:
     return complete_bracket(clifford_completion_problem(n, lam, mu))
 
 
-def _select_completion(solution: CompletionSolution) -> np.ndarray:
-    """Sign of the one null direction whose filling is compact.
+def _select_completion(solution: CompletionSolution) -> LieAlgebra:
+    """The compact algebra along the one null direction of ``solution``.
 
     ``complete_bracket`` orients each null vector canonically, so the weights
-    +1 and then -1 along it name fixed fillings; the first whose realized
-    algebra has a negative-definite Killing form is returned, and
-    ``ValidationError`` is raised when neither has one.  A solution space of
+    -1 and then +1 along it name fixed fillings; the first realized algebra
+    whose Killing form is negative definite is returned (-1 is the compact
+    ray of every Clifford completion, so it is realized once), and
+    ``ValidationError`` is raised when neither is.  A solution space of
     nullity other than 1 has no such sign and raises ``ValidationError`` too.
     Every point of a nonempty solution space satisfies the Jacobi system, so
     candidates are not re-checked here; the space constructor validates the
@@ -251,10 +252,10 @@ def _select_completion(solution: CompletionSolution) -> np.ndarray:
     if solution.nullity != 1:
         raise ValidationError(f"a completion is selected by the sign of one null direction, "
                               f"but the solution space has nullity {solution.nullity}")
-    for w in (np.ones(1), -np.ones(1)):
+    for w in (-np.ones(1), np.ones(1)):
         alg = solution.realize(w)
         if signature(killing_form(alg)) == (0, alg.dim, 0):
-            return w
+            return alg
     raise ValidationError("no compact completion at either sign")
 
 
@@ -271,7 +272,7 @@ def build_clifford_space(n: int, lam: float, mu: float,
         raise ValueError(f"completed must be a bool, got {completed!r}")
     if completed:
         solution = _cached_completion(n, lam, mu)
-        problem, alg = solution.problem, solution.realize(_select_completion(solution))
+        problem, alg = solution.problem, _select_completion(solution)
     else:
         problem = clifford_completion_problem(n, lam, mu)
         alg = problem.skeleton

@@ -131,7 +131,7 @@ def test_a_selection_needs_a_solution_space_of_nullity_one():
         _select_completion(complete_bracket(PARITY_CASES["zero-skeleton"]()))
     for n in (2, 3, 7):
         sol = complete_bracket(clifford_completion_problem(n, 1.0, MU))
-        assert np.array_equal(_select_completion(sol), -np.ones(1))
+        assert np.array_equal(_select_completion(sol).c, sol.realize(-1.0).c)
     with pytest.raises(ValueError, match="completed must be a bool"):
         build_clifford_space(2, 1.0, MU, "abelian")
 
@@ -140,11 +140,25 @@ def test_a_selection_reads_compactness_and_fails_closed_without_it():
     sol = complete_bracket(clifford_completion_problem(2, 1.0, MU))
     # the other orientation of the null direction: the compact sign follows it
     flipped = dataclasses.replace(sol, homogeneous=-sol.homogeneous)
-    assert np.array_equal(_select_completion(flipped), np.ones(1))
+    assert np.array_equal(_select_completion(flipped).c, flipped.realize(1.0).c)
     # a zero null direction: both signs give the flat filling, neither compact
     flat = dataclasses.replace(sol, homogeneous=0.0 * sol.homogeneous)
     with pytest.raises(ValidationError, match="no compact completion at either sign"):
         _select_completion(flat)
+
+
+def test_a_selection_realizes_the_compact_clifford_ray_once(monkeypatch):
+    # -1 is the compact ray of every Clifford completion, and it is tried first
+    realize = completion.CompletionSolution.realize
+    calls = []
+    monkeypatch.setattr(completion.CompletionSolution, "realize",
+                        lambda sol, w: calls.append(w) or realize(sol, w))
+    for n in (2, 3, 7):
+        sol = complete_bracket(clifford_completion_problem(n, 1.0, MU))
+        calls.clear()
+        alg = _select_completion(sol)
+        assert len(calls) == 1
+        assert signature(killing_form(alg)) == (0, alg.dim, 0)
 
 
 @pytest.mark.parametrize("unknown", [(4, -1), (5, -1), (-2, 5), (1, 99)])
@@ -414,6 +428,7 @@ ASSEMBLY_CASES = {**PARITY_CASES, "n7": lambda: clifford_completion_problem(7, 1
 def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeypatch):
     problem = ASSEMBLY_CASES[case]()
     c = problem.skeleton.c
+    # the kernel the worst-triple search picks; the right-hand side is read from the join
     assert la._joins(c) == joins
     keys = []
     lookup = completion._jacobiator_at

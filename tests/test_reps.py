@@ -9,6 +9,7 @@ import liecoh
 from liecoh import builders as bld
 from liecoh.algebra import LieAlgebra, Subspace, direct_sum
 from liecoh.reps import (
+    GENERIC_SAMPLES,
     Representation,
     cohomogeneity,
     fixed_subspace,
@@ -98,6 +99,31 @@ def test_cohomogeneity_of_a_zero_dimensional_space_is_zero():
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.split() == ["0", "ValueError"], out.stderr
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        self.calls += 1
+        return super().standard_normal(size, dtype, out)
+
+
+def test_cohomogeneity_draws_its_samples_in_one_call(monkeypatch):
+    rep = bld.sp_standard(2)
+    rng = _CountingGenerator(0x5EED)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    assert cohomogeneity(rep) == 1
+    assert rng.calls == 1
+    # the one draw leaves the stream where GENERIC_SAMPLES single draws leave it
+    singles = np.random.Generator(np.random.PCG64(0x5EED))
+    for _ in range(GENERIC_SAMPLES):
+        singles.standard_normal(rep.space_dim)
+    assert rng.bit_generator.state == singles.bit_generator.state
 
 
 def test_cohomogeneity_deterministic_and_generic():
