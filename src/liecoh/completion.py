@@ -16,18 +16,18 @@ the jacobiator kernels of ``algebra``.  Unknowns that share no row are
 independent, so the system is block diagonal after a permutation: it is
 split into the connected components of its row-column incidence graph, and
 each component is solved through its Gram matrix ``A^T A``, formed from the
-sparse entries and diagonalised by a symmetric eigensolver (the method of
-normal equations; Bjorck, *Numerical Methods for Least Squares Problems*,
-SIAM 1996, ch. 2).  That squares the condition number, which is safe here
-because every kept singular value of the Clifford systems is at least 0.19
-of its block's largest; the directions the Gram cannot resolve are measured,
-and refined, on ``A`` itself, and a block that would keep one of them is
-rejected.  The singular values of the whole
-system are the union of the per-component ones, and one rank cutoff
-relative to the largest of them applies to every component.  The solution
-set is returned as a particular least-squares solution plus an orthonormal
-nullspace basis, or reported empty when even the best completion leaves a
-residual above tolerance.
+sparse entries (the method of normal equations; Bjorck, *Numerical Methods
+for Least Squares Problems*, SIAM 1996, ch. 2): its eigenvalues give the
+singular values, and its eigenvectors are formed only where a solution reads
+them.  That squares the condition number, which is safe here because every
+kept singular value of the Clifford systems is at least 0.19 of its block's
+largest; the directions the Gram cannot resolve are measured, and refined,
+on ``A`` itself, and a block that would keep one of them is rejected.  The
+singular values of the whole system are the union of the per-component
+ones, and one rank cutoff relative to the largest of them applies to every
+component.  The solution set is returned as a particular least-squares
+solution plus an orthonormal nullspace basis, or reported empty when even
+the best completion leaves a residual above tolerance.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _assemble(problem: CompletionProblem):
         psign[a, b], psign[b, a] = 1.0, -1.0
 
     # unknown pair (x, y), then [t_a, b_z] for every target basis vector
-    ad_t = np.einsum("ma,mzl->zal", t, c)
+    ad_t = (t.T @ c.reshape(d, d * d)).reshape(q, d, d).transpose(1, 0, 2)
     px, py = np.nonzero(pidx >= 0)
     x, y = np.repeat(px, d), np.repeat(py, d)
     z = np.tile(np.arange(d), px.size)
@@ -245,6 +245,18 @@ def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.
         label = new
 
 
+def _run_pairs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``(li, ri)`` of entries in one run of a sorted ``r``.
+
+    They come in the order of ``next(algebra._join(r, r))``: sums keep its order.
+    """
+    start = np.flatnonzero(np.diff(r, prepend=r[:1] - 1))
+    length = np.diff(np.append(start, r.size))
+    count, first = np.repeat(length, length), np.repeat(start, length)
+    li = np.repeat(np.arange(r.size), count)
+    return li, np.arange(li.size) - np.repeat(np.cumsum(count) - count - first, count)
+
+
 def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     """Solve for all Jacobi-compatible fillings of the unknown block.
 
@@ -252,13 +264,17 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     components (unknowns linked through shared rows), and each block ``a``
     is solved on its own from its Gram matrix ``a^T a = V diag(lam) V^T``,
     summed from the products of the entries that share a row, and from
-    ``a^T b``; neither is densified from ``a``.  The singular values are ``sqrt(lam)``, but the Gram fixes
-    them only to about ``sqrt(eps)`` times the block's largest, so every
-    direction below ``GRAM_RTOL`` times the largest is first refined once
-    against ``a`` (the least-squares correction ``a^+ (a v)``, solved with
-    the other eigenpairs, is subtracted) and then given the singular value
-    ``|a v|``, measured on the sparse rows.  A column that no row touches is
-    a component of its own, with one zero singular value.
+    ``a^T b``; neither is densified from ``a``.  Every block's singular
+    values ``sqrt(lam)`` come from its eigenvalues alone; ``V`` is formed
+    only for a block with ``a^T b != 0`` or a singular value at or below the
+    cutoff or below ``GRAM_RTOL`` times its largest (any other block adds
+    nothing to either solution).  The Gram fixes them only to about
+    ``sqrt(eps)`` times the block's largest, so every direction below
+    ``GRAM_RTOL`` times the largest is first refined once against ``a``
+    (the least-squares correction ``a^+ (a v)``, solved with the other
+    eigenpairs, is subtracted) and then given the singular value ``|a v|``,
+    measured on the sparse rows.  A column that no row touches is a
+    component of its own, with one zero singular value.
     ``singular_values`` is the union of the per-component values in
     descending order; one cutoff, ``RANK_RTOL`` times the largest of them,
     decides the rank of every component.  A block that keeps a singular
@@ -295,18 +311,36 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     row, col, val, rhs = _assemble(problem)
     require_finite(val)
     label = _components(row, col, rhs.size, nunk)
-    entry_label = label[col]
-    blocks = []
-    for root in np.flatnonzero(label == np.arange(nunk)):
-        cols = np.flatnonzero(label == root)
-        entries = np.flatnonzero(entry_label == root)
-        r, c, v = row[entries], np.searchsorted(cols, col[entries]), val[entries]
-        n = cols.size
-        li, ri = next(_join(r, r))  # every pair of entries in one row
-        gram = np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri], minlength=n * n)
-        lam, vecs = np.linalg.eigh(gram.reshape(n, n))
+    # block k holds the columns, and the entries, of the k-th smallest label in
+    # ascending order; a small index type lets the stable sorts run by radix
+    block = (np.cumsum(label == np.arange(nunk)) - 1)[label].astype(np.min_scalar_type(nunk))
+    col_order, entry_order = np.argsort(block, kind="stable"), np.argsort(block[col], kind="stable")
+    count = np.bincount(block)
+    col_at = np.append(0, np.cumsum(count))
+    entry_at = np.append(0, np.cumsum(np.bincount(block[col], minlength=count.size)))
+    local = np.empty(nunk, dtype=int)
+    local[col_order] = np.arange(nunk) - np.repeat(col_at[:-1], count)
+
+    def gram(k):
+        e = entry_order[entry_at[k]:entry_at[k + 1]]
+        r, c, v, n = row[e], local[col[e]], val[e], count[k]
+        li, ri = _run_pairs(r)  # every pair of entries in one row
+        return r, c, v, np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri],
+                                    minlength=n * n).reshape(n, n)
+
+    svs = [np.sqrt(np.maximum(np.linalg.eigvalsh(gram(k)[3])[::-1], 0.0))
+           for k in range(count.size)]
+    cutoff = RANK_RTOL * max(sv[0] for sv in svs)
+    atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
+    u_part, basis = np.zeros(nunk), []
+    for k, sv in enumerate(svs):
+        cols = col_order[col_at[k]:col_at[k + 1]]
+        if sv[-1] > max(cutoff, GRAM_RTOL * sv[0]) and not atb[cols].any():
+            continue  # full rank, well conditioned and solved by zero: no V read
+        r, c, v, g = gram(k)
+        lam, vecs = np.linalg.eigh(g)
         lam, vecs = lam[::-1], vecs[:, ::-1]
-        sv = np.sqrt(np.maximum(lam, 0.0))
+        sv = svs[k] = np.sqrt(np.maximum(lam, 0.0))
         # the Gram resolves sigma only to sqrt(eps) * sigma_max: refine the weaker
         # directions once against A, which takes them from eps * kappa^2 to about
         # eps * kappa of the nullspace, then measure them on A
@@ -314,18 +348,10 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
         strong = sv >= GRAM_RTOL * sv[0]
         for j in np.flatnonzero(~strong):
             av = np.bincount(local_row, weights=v * vecs[c, j])
-            atav = np.bincount(c, weights=v * av[local_row], minlength=n)
+            atav = np.bincount(c, weights=v * av[local_row], minlength=count[k])
             w = vecs[:, j] - vecs[:, strong] @ (vecs[:, strong].T @ atav / lam[strong])
             vecs[:, j] = w / np.linalg.norm(w)
             sv[j] = np.linalg.norm(np.bincount(local_row, weights=v * vecs[c, j]))
-        blocks.append((cols, vecs.T @ np.bincount(c, weights=v * rhs[r], minlength=n),
-                       lam, sv, vecs))
-
-    sv_all = np.sort(np.concatenate([blk[3] for blk in blocks]))[::-1]
-    cutoff = RANK_RTOL * sv_all[0] if sv_all[0] > 0 else 0.0
-    u_part = np.zeros(nunk)
-    basis = []
-    for cols, vtb, lam, sv, vecs in blocks:
         kept = sv > cutoff
         smallest = sv[kept].min(initial=sv[0])
         if smallest < GRAM_RTOL * sv[0]:
@@ -333,7 +359,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
                 f"completion block too ill-conditioned for its Gram matrix: smallest kept "
                 f"singular value is {smallest / sv[0]:.3e} of the largest, below "
                 f"{GRAM_RTOL:.0e}", residual=smallest / sv[0])
-        u_part[cols] = vecs[:, kept] @ (vtb[kept] / lam[kept])
+        u_part[cols] = vecs[:, kept] @ ((vecs.T @ atb[cols])[kept] / lam[kept])
         for v in vecs[:, ~kept].T:
             # canonical orientation: the first coefficient of largest magnitude is
             # positive; magnitudes within RANK_RTOL of it tie, so round-off cannot flip it
@@ -346,4 +372,5 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
 
     particular = u_part.reshape(npairs, q)
     res = jacobi_residual(_substitute(problem, particular))
-    return CompletionSolution(problem, particular, homogeneous, res, not res < JACOBI_TOL, sv_all)
+    return CompletionSolution(problem, particular, homogeneous, res, not res < JACOBI_TOL,
+                              np.sort(np.concatenate(svs))[::-1])

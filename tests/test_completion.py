@@ -320,25 +320,92 @@ def test_catalog_constants_are_square_roots_of_rationals():
             assert abs(square - exact) <= 1e-12 * square, (sid, square)
 
 
+def _record_solvers(monkeypatch):
+    """Record the matrices that reach ``eigvalsh`` and ``eigh`` in ``completion``."""
+    seen = {}
+    for name in ("eigvalsh", "eigh"):
+        def recording(a, *args, _solver=getattr(np.linalg, name),
+                      _calls=seen.setdefault(name, []), **kwargs):
+            _calls.append(a.copy())
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(completion.np.linalg, name, recording)
+    return seen
+
+
 def test_blocks_are_solved_from_their_gram_matrices(monkeypatch):
     problem = clifford_completion_problem(3, 1.0, MU)
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    seen = _record_solvers(monkeypatch)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the block solve densifies no block")
 
-    monkeypatch.setattr(completion.np.linalg, "eigh", recording)
     monkeypatch.setattr(completion.np.linalg, "qr", forbidden)
     monkeypatch.setattr(completion.np.linalg, "svd", forbidden)
     sol = complete_bracket(problem)
     assert sol.nullity == 1
-    # components of 96 x 12 and 112 x 18 (rows x unknowns) reach eigh as their Gram matrices
-    assert sorted(shapes) == [(12, 12)] * 3 + [(18, 18)]
+    # components of 96 x 12 and 112 x 18 (rows x unknowns) reach eigvalsh as their Gram
+    # matrices, and eigh sees only the one that holds the null direction
+    assert sorted(a.shape for a in seen["eigvalsh"]) == [(12, 12)] * 3 + [(18, 18)]
+    assert [a.shape for a in seen["eigh"]] == [(18, 18)]
+
+
+@pytest.mark.parametrize("n,eigvalsh,eigh", [
+    (2, 4, [(12, 12)]), (3, 4, [(18, 18)]), (6, 8, []), (7, 8, [(112, 112)]),
+])
+def test_eigenvectors_are_formed_only_for_the_blocks_that_read_them(n, eigvalsh, eigh,
+                                                                  monkeypatch):
+    problem = clifford_completion_problem(n, 1.0, MU)
+    seen = _record_solvers(monkeypatch)
+    assert complete_bracket(problem).nullity == (n != 6)
+    assert len(seen["eigvalsh"]) == eigvalsh
+    assert [a.shape for a in seen["eigh"]] == eigh
+
+
+def test_a_nonzero_right_hand_side_takes_eigh_on_its_blocks_only(monkeypatch):
+    # so(5) with [L_12, L_23] removed: eight one-column blocks, one with A^T b != 0
+    c = np.array(so_algebra(5).c)
+    pairs = bivector_pairs(5)
+    a, b = pairs.index((1, 2)), pairs.index((2, 3))
+    skeleton = c.copy()
+    skeleton[a, b] = skeleton[b, a] = 0.0
+    target = Subspace.coordinate(10, [i for i in range(10) if i not in (a, b)])
+    problem = CompletionProblem(LieAlgebra(skeleton), (a, b), target)
+    row, col, val, rhs = completion._assemble(problem)
+    nunk = 8
+    label = completion._components(row, col, rhs.size, nunk)
+    atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
+    dense = np.zeros((rhs.size, nunk))
+    dense[row, col] = val
+    grams = [dense[:, label == k].T @ dense[:, label == k]
+             for k in np.unique(label) if atb[label == k].any()]
+    seen = _record_solvers(monkeypatch)
+    sol = complete_bracket(problem)
+    assert len(seen["eigvalsh"]) == np.unique(label).size == 8
+    assert len(seen["eigh"]) == len(grams) == 1
+    for got, want in zip(seen["eigh"], grams):
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    particular, null_rows, sv, empty = _dense_reference(problem)
+    assert np.abs(sol.singular_values - sv).max() <= 1e-12 * sv[0]
+    assert np.abs(sol.particular - particular).max() <= 1e-12
+    assert sol.nullity == null_rows.shape[0] == 0
+    assert not sol.empty and not empty
+
+
+@pytest.mark.parametrize("runs", [
+    [3, 1, 12, 5, 2, 7, 1, 4, 9, 6, 11, 8, 10],
+    [1],
+    [],
+])
+def test_run_pairs_match_the_self_join(runs):
+    # the Gram sums stay bitwise only if its pairs come in the join's order
+    rng = np.random.default_rng(len(runs))
+    values = np.sort(rng.choice(1000, len(runs), replace=False))
+    r = np.repeat(values, runs)
+    li, ri = completion._run_pairs(r)
+    want_li, want_ri = next(la._join(r, r))
+    assert li.dtype.kind == ri.dtype.kind == "i"
+    assert np.array_equal(li, want_li) and np.array_equal(ri, want_ri)
 
 
 def _near_singular_block(delta):
