@@ -13,10 +13,11 @@ assumption, because several constructions in this package deliberately
 produce tensors that violate it (that violation is the computed signal).
 
 A ``Subspace`` is read only through its orthonormal basis: ``span_brackets``
-contracts the constants against bases, so a subalgebra or a block has the
-same constants in any basis.  No function recovers indices from a
-``Subspace``; index sets are passed explicitly where a block is written
-(``place_action``) or flipped (``weyl_flip``).
+contracts the constants against bases (a reductive space's only through
+its frame read, ``ReductiveSpace.brackets``), so a block has the same
+constants in any basis.  No function recovers indices from a ``Subspace``;
+index sets are passed where a block is written (``place_action``) or
+flipped (``weyl_flip``).
 
 Structure constants of catalog algebras are plus or minus square roots of
 rationals; all residuals on valid algebras therefore reflect round-off only.

@@ -247,8 +247,8 @@ def _j_matrices(space: sps.ReductiveSpace) -> np.ndarray:
 
     ``J[a][y, x] = <[w_x, w_y], z_a>``; exact on coordinate blocks.
     """
-    m1, m2 = space.blocks[0].basis, space.blocks[1].basis
-    return (la.span_brackets(space.algebra, m2, m2) @ m1).transpose(2, 1, 0)
+    m1, m2 = (space.isotropy.dim + np.array(s) for s in space.slices)
+    return space.brackets(m2, m2)[..., m1].transpose(2, 1, 0)
 
 
 def _claim_heisenberg(center, copies, expected, cfg: RunConfig):
@@ -256,10 +256,9 @@ def _claim_heisenberg(center, copies, expected, cfg: RunConfig):
     nil = sps.nilpotent_part(space)
     j = _j_matrices(space)
     d2 = j.shape[1]
-    anti = np.einsum("aij,bjk->abik", j, j)
-    anti = anti + anti.transpose(1, 0, 2, 3)
-    for a in range(center):
-        anti[a, a] += 2.0 * np.eye(d2)
+    jj = (j.reshape(-1, d2) @ j.transpose(1, 0, 2).reshape(d2, -1)).reshape(center, d2, center, d2)
+    anti = jj + jj.transpose(2, 1, 0, 3)                # jj[a, i, b, k] = (J_a J_b)[i, k]
+    anti.reshape(-1)[::center * d2 + 1] += 2.0           # J_a J_b + J_b J_a + 2 delta_ab I
     j_res = float(np.abs(anti).max(initial=0.0))
     computed = {"center_dim": la.center_dimension(nil),
                 "nilpotency_class": la.nilpotency_class(nil),

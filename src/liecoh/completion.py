@@ -101,9 +101,8 @@ class CompletionSolution:
     ``particular`` and the rows of ``homogeneous`` are coefficient arrays of
     shape (n_pairs, target_dim): entry [p, a] multiplies target basis vector a
     in the bracket of unknown pair p (ordered as ``problem.pairs``).  The
-    fields are frozen and the three arrays made read-only, so a cached
-    solution stays as solved; ``complete_bracket``, the one constructor,
-    hands over arrays it holds no other reference to.
+    fields are frozen and the three arrays are read-only copies, so a cached
+    solution stays as solved and the caller's arrays stay as they were.
     """
 
     problem: CompletionProblem
@@ -114,8 +113,10 @@ class CompletionSolution:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        for array in (self.particular, self.homogeneous, self.singular_values):
+        for name in ("particular", "homogeneous", "singular_values"):
+            array = np.array(getattr(self, name), dtype=float)
             array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def nullity(self) -> int:
@@ -174,11 +175,11 @@ def _assemble(problem: CompletionProblem):
     nunk = len(problem.pairs) * q
 
     # pair number and orientation of every ordered unknown pair, -1 elsewhere
+    a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
     pidx = np.full((d, d), -1)
+    pidx[a, b] = pidx[b, a] = np.arange(a.size)
     psign = np.zeros((d, d))
-    for p, (a, b) in enumerate(problem.pairs):
-        pidx[a, b] = pidx[b, a] = p
-        psign[a, b], psign[b, a] = 1.0, -1.0
+    psign[a, b], psign[b, a] = 1.0, -1.0
 
     # unknown pair (x, y), then [t_a, b_z] for every target basis vector
     ad_t = (t.T @ c.reshape(d, d * d)).reshape(q, d, d).transpose(1, 0, 2)

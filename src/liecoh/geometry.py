@@ -27,7 +27,6 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import span_brackets
 from .linalg import ValidationError, residual_scale
 from .spaces import ReductiveSpace
 
@@ -77,17 +76,6 @@ class InvariantMetricSpace:
         return np.diag(np.repeat(self.block_scales, [b.dim for b in self.space.blocks]))
 
 
-def _connection_data(ms: InvariantMetricSpace):
-    """Brackets of the m-basis split into m- and k-parts, plus k-action."""
-    space = ms.space
-    mb = space.m_basis()
-    amb = span_brackets(space.algebra, mb, mb)          # [m_i, m_j] ambient
-    bm = amb @ mb                                       # m-part coordinates
-    bk = amb @ space.isotropy.basis
-    rho = space.rep.matrices                            # rho[a][j, i]
-    return bm, bk, rho
-
-
 def curvature_tensor(ms: InvariantMetricSpace) -> np.ndarray:
     """(0,4) curvature tensor of the invariant metric on the complement.
 
@@ -95,7 +83,9 @@ def curvature_tensor(ms: InvariantMetricSpace) -> np.ndarray:
     identity up to round-off; validated against closed forms on spheres,
     solvable hyperbolic models, and flat presentations.
     """
-    bm, bk, rho = _connection_data(ms)
+    dk = ms.space.isotropy.dim
+    mm = ms.space.brackets(slice(dk, None), slice(dk, None))   # [m_i, m_j] in the frame
+    bm, bk, rho = mm[..., dk:], mm[..., :dk], ms.space.rep.matrices   # rho[a][j, i]
     q = ms.metric()
     qinv = np.linalg.inv(q)
     n, k = bm.shape[0], rho.shape[0]

@@ -26,11 +26,11 @@ violation raises ``ValidationError`` carrying the normalized residual and the
 worst basis triple; off the constraint lam = 2 mu^2 the Clifford construction
 fails so, and the claims read the same residual off its skeleton.
 
-The isotropy and the blocks are read only through their bases (with
-``span_brackets``), so a space whose blocks are given in any orthonormal
-basis has the same isotropy representation, nilpotent part and J maps up to
-that change of basis.  Each fixed bracket block of a construction is written
-once, as one array assignment.
+Every bracket of a space is read in its frame F = [k | m1 | m2 ...], the
+stacked bases, by ``ReductiveSpace.brackets``: closure, invariance, isotropy
+matrices, nilpotent part, curvature and J maps are slices of it, so blocks
+given in any orthonormal basis give them up to that change of basis.  Each
+fixed bracket block of a construction is written once, as one assignment.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ __all__ = [
 class ReductiveSpace:
     """Algebra with isotropy subalgebra and invariant complement blocks.
 
-    The constructor runs every check of the space and keeps the isotropy
-    action as ``rep``, with the block coordinate ranges as ``slices``; every
-    reader uses those two fields.  The fields are frozen, so a cached space
-    cannot be changed.
+    The constructor keeps the stacked bases as the read-only ``frame``, runs
+    every check of the space and keeps the isotropy action as ``rep``, with
+    the block coordinate ranges as ``slices``; every reader uses those
+    fields.  The fields are frozen, so a cached space cannot be changed.
     """
 
     label: str
@@ -111,6 +111,7 @@ class ReductiveSpace:
     isotropy: Subspace
     blocks: tuple[Subspace, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+    frame: np.ndarray = field(init=False)
     rep: Representation = field(init=False)
     slices: tuple[tuple[int, ...], ...] = field(init=False)
 
@@ -121,9 +122,11 @@ class ReductiveSpace:
             raise ValueError("isotropy and blocks must live in the algebra")
         if self.isotropy.dim + sum(b.dim for b in self.blocks) != d:
             raise ValueError("isotropy and blocks must decompose the algebra")
-        frame = np.hstack([self.isotropy.basis, self.m_basis()])
+        frame = np.hstack([self.isotropy.basis, *(b.basis for b in self.blocks)])
         require_below(np.abs(frame.T @ frame - np.eye(d)).max(initial=0.0), LEAK_TOL,
                       "isotropy and blocks are not orthonormal together")
+        frame.setflags(write=False)
+        object.__setattr__(self, "frame", frame)
         require_valid(self.algebra, self.label)
         rep, slices = isotropy_representation(self)
         object.__setattr__(self, "rep", rep.validate())
@@ -137,8 +140,9 @@ class ReductiveSpace:
     def m_dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    def m_basis(self) -> np.ndarray:
-        return np.hstack([b.basis for b in self.blocks])
+    def brackets(self, a, b) -> np.ndarray:
+        """``[i, j]``: [f_a_i, f_b_j] in frame coordinates, for frame columns ``a``, ``b``."""
+        return span_brackets(self.algebra, self.frame[:, a], self.frame[:, b]) @ self.frame
 
 
 def _coordinate_space(label, alg, k_dim, block_dims, notes=()) -> ReductiveSpace:
@@ -150,18 +154,18 @@ def _coordinate_space(label, alg, k_dim, block_dims, notes=()) -> ReductiveSpace
                           tuple(blocks), tuple(notes))
 
 
-def _span_subalgebra(alg: LieAlgebra, basis: np.ndarray, what: str) -> tuple[LieAlgebra, float]:
-    """Structure constants on the span of orthonormal columns, with its closure residual.
+def _inside(part: np.ndarray, span, space: ReductiveSpace, what: str) -> np.ndarray:
+    """The coordinates of ``part`` in the frame columns ``span``, which must hold it.
 
-    The residual is the largest bracket component leaving the span, relative
-    to the largest structure constant of ``alg``; ``ValidationError`` (saying
-    ``what``) is raised unless it is below ``LEAK_TOL``.
+    ``ValidationError`` (saying ``what``) unless ``part`` minus its projection,
+    relative to the largest structure constant, is below ``LEAK_TOL``; the
+    difference is NaN at a non-finite bracket, even when ``span`` is all of F.
     """
-    amb = span_brackets(alg, basis, basis)
-    sub = amb @ basis
-    leak = float(np.abs(amb - sub @ basis.T).max(initial=0.0) / residual_scale(alg.c))
-    require_below(leak, LEAK_TOL, what)
-    return LieAlgebra(0.5 * (sub - sub.transpose(1, 0, 2))), leak
+    mask = np.zeros(space.dim)
+    mask[span] = 1.0
+    leak = np.abs(part - part * mask).max(initial=0.0) / residual_scale(space.algebra.c)
+    require_below(float(leak), LEAK_TOL, what)
+    return part[..., span]
 
 
 def isotropy_representation(space: ReductiveSpace):
@@ -169,18 +173,17 @@ def isotropy_representation(space: ReductiveSpace):
 
     Returns ``(rep, slices)``: a ``Representation`` of the isotropy
     subalgebra on the stacked block coordinates, and the coordinate ranges of
-    the blocks.  Verifies closure of k and invariance of every block (each
-    within ``LEAK_TOL``).  The constructor is its one caller and keeps the
-    result as ``space.rep`` and ``space.slices``.
+    the blocks.  Closure of k, invariance of m and the matrices are slices of
+    one frame read, [k, F]; closure and the invariance of m and of every
+    block are checked within ``LEAK_TOL``.  The constructor is its one caller
+    and keeps the result as ``space.rep`` and ``space.slices``.
     """
-    alg = space.algebra
-    mb = space.m_basis()
-    k_alg, _ = _span_subalgebra(alg, space.isotropy.basis, "isotropy is not a subalgebra")
-    km = span_brackets(alg, space.isotropy.basis, mb)     # km[a, i] = [k_a, m_i]
-    mats = (km @ mb).transpose(0, 2, 1)                   # mats[a][j, i] = <[k_a, m_i], m_j>
-    leak = np.abs(km - mats.transpose(0, 2, 1) @ mb.T).max(initial=0.0) / residual_scale(alg.c)
-    require_below(leak, LEAK_TOL, "blocks are not invariant under k")
-    rep = Representation(k_alg, mats)
+    k, m = slice(0, space.isotropy.dim), slice(space.isotropy.dim, None)
+    kf = space.brackets(k, slice(None))                   # kf[a, j] = [k_a, f_j]
+    kk = _inside(kf[:, k], k, space, "isotropy is not a subalgebra")
+    km = _inside(kf[:, m], m, space, "blocks are not invariant under k")
+    # mats[a][j, i] = <[k_a, m_i], m_j>
+    rep = Representation(LieAlgebra(0.5 * (kk - kk.transpose(1, 0, 2))), km.transpose(0, 2, 1))
     slices, start = [], 0
     for b in space.blocks:
         slices.append(tuple(range(start, start + b.dim)))
@@ -335,7 +338,9 @@ def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:
     Its constants are read in the stacked block bases, whatever those are;
     ``ValidationError`` unless the blocks span a subalgebra within ``LEAK_TOL``.
     """
-    return _span_subalgebra(space.algebra, space.m_basis(), "m is not a subalgebra")[0]
+    m = slice(space.isotropy.dim, None)
+    mm = _inside(space.brackets(m, m), m, space, "m is not a subalgebra")
+    return LieAlgebra(0.5 * (mm - mm.transpose(1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------

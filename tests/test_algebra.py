@@ -479,7 +479,7 @@ def test_weyl_flip_requires_symmetric_grading():
     # since [m, m] has a part on the torus line inside m
     su3 = build_trivial_module_space(2)
     one_block = ReductiveSpace("SU(3)/SU(2) one block", su3.algebra, su3.isotropy,
-                               (Subspace(8, su3.m_basis()),))
+                               (Subspace(8, su3.frame[:, su3.isotropy.dim:]),))
     with pytest.raises(ValidationError, match="not the odd part of a symmetric pair"):
         noncompact_dual(one_block)
 

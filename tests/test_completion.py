@@ -306,6 +306,17 @@ def test_non_finite_residual_is_empty():
     assert sol.empty
 
 
+def test_a_solution_leaves_the_callers_arrays_writable():
+    problem = CompletionProblem(abelian(3), (1, 2), Subspace.coordinate(3, [0]))
+    particular, homogeneous, singular = np.zeros((1, 1)), np.ones((1, 1, 1)), np.ones(1)
+    sol = completion.CompletionSolution(problem, particular, homogeneous, 0.0, False, singular)
+    for given, kept in ((particular, sol.particular), (homogeneous, sol.homogeneous),
+                        (singular, sol.singular_values)):
+        assert given.flags.writeable and not kept.flags.writeable
+        given[...] = 7.0
+        assert not np.any(kept == 7.0)
+
+
 def test_completed_constants_carry_no_round_off():
     for sid in catalog_ids():
         c = catalog_entry(sid).algebra.c

@@ -69,7 +69,7 @@ def test_hyperbolic_fiber_from_sign_flip():
     """The sign flip of the round 2-sphere model is the hyperbolic plane, K = -1."""
     sphere = sphere_space(2)
     flipped = weyl_flip(sphere.algebra, [int(np.argmax(np.abs(c)))
-                                         for c in sphere.m_basis().T])
+                                         for c in sphere.frame[:, sphere.isotropy.dim:].T])
     hyper = ReductiveSpace("H2", flipped, sphere.isotropy, sphere.blocks)
     ms = InvariantMetricSpace(hyper)
     r4 = curvature_tensor(ms)

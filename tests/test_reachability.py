@@ -20,7 +20,9 @@ use is a constant, and a default that is never used is a required argument.
 
 A second inventory, read from the source with ``ast``, keeps every
 module-level import of the package and of its tests in use or re-exported
-through ``__all__``; a third keeps every name in an ``__all__`` defined.
+through ``__all__``; a third keeps every name in an ``__all__`` defined; a
+fourth keeps the callers of ``span_brackets`` to the ones in
+``SPAN_BRACKETS_CALLERS``.
 """
 
 import ast
@@ -62,6 +64,14 @@ ONE_VALUE = {
     "cli.main.argv": "the console entry point passes None",
     "geometry.InvariantMetricSpace.block_scales": "ROADMAP item 6 needs block-scaled metrics",
     "reps.cohomogeneity.seed": "the claims pass the run seed",
+}
+
+# Every bracket of a reductive space is read in its frame, by its one frame
+# read; the other two callers bracket a bare algebra.
+SPAN_BRACKETS_CALLERS = {
+    "algebra.nilpotency_class",
+    "reps.kernel_ideal",
+    "spaces.ReductiveSpace.brackets",
 }
 
 SCRIPT = """
@@ -201,3 +211,26 @@ def test_every_name_in_all_exists():
                               if not hasattr(mod, name)] for mod in modules}
     assert len(modules) > 1
     assert {name: found for name, found in missing.items() if found} == {}
+
+
+def _callers_of(name, tree, prefix):
+    """Qualified names of the functions in ``tree`` that call ``name`` (plain or as an attribute)."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found |= _callers_of(name, node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+            if any(getattr(f, "id", getattr(f, "attr", None)) == name for f in calls):
+                found.add(prefix + node.name)
+    return found
+
+
+def test_only_the_frame_read_and_two_algebra_kernels_call_span_brackets():
+    pkg = os.path.dirname(liecoh.__file__)
+    callers = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            tree = ast.parse(open(os.path.join(pkg, name)).read())
+            callers |= _callers_of("span_brackets", tree, name[:-3] + ".")
+    assert callers == SPAN_BRACKETS_CALLERS

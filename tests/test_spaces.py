@@ -25,7 +25,6 @@ from liecoh.clifford import CliffordModule, spin_module
 from liecoh.reps import cohomogeneity
 from liecoh.spaces import (
     ReductiveSpace,
-    _span_subalgebra,
     build_clifford_space,
     build_heisenberg,
     build_trivial_module_space,
@@ -64,9 +63,12 @@ def test_clifford_heisenberg_mode_n7():
 
 
 def _g1(space):
-    """k + m1 as an algebra of its own, with its closure residual."""
-    basis = np.hstack([space.isotropy.basis, space.blocks[0].basis])
-    return _span_subalgebra(space.algebra, basis, "k + m1 is not closed")
+    """k + m1 as an algebra of its own, with its closure residual, read in the frame."""
+    g1 = slice(0, space.isotropy.dim + space.blocks[0].dim)
+    brackets = space.brackets(g1, g1)
+    sub = brackets[..., g1]
+    closure = np.abs(brackets[..., g1.stop:]).max(initial=0.0) / np.abs(space.algebra.c).max()
+    return LieAlgebra(0.5 * (sub - sub.transpose(1, 0, 2))), closure
 
 
 def test_clifford_zero_mode_n7_g1_fingerprint():
@@ -467,6 +469,7 @@ def test_g1_closure_across_catalog():
 def test_nilpotent_part_and_j_maps_follow_a_rotation_of_the_blocks():
     """Blocks re-given in a rotated orthonormal basis give the rotated results."""
     from liecoh.claims import _j_matrices
+    from liecoh.geometry import InvariantMetricSpace, curvature_tensor
 
     space = catalog_entry("N(3;1,0)")
     rng = np.random.default_rng(11)
@@ -485,6 +488,12 @@ def test_nilpotent_part_and_j_maps_follow_a_rotation_of_the_blocks():
     anti = np.einsum("aij,bjk->abik", j_rot, j_rot)
     anti = anti + anti.transpose(1, 0, 2, 3)
     assert np.allclose(anti, -2.0 * np.einsum("ab,ij->abij", np.eye(3), np.eye(4)), atol=1e-12)
+    # the isotropy matrices and the curvature of a block-scaled metric rotate with the blocks
+    assert np.array_equal(rotated.rep.algebra.c, space.rep.algebra.c)
+    assert np.allclose(rotated.rep.matrices, r.T @ space.rep.matrices @ r, atol=1e-12)
+    r4, r4_rot = (curvature_tensor(InvariantMetricSpace(s, (1.0, 2.0))) for s in (space, rotated))
+    assert np.abs(r4).max() > 0.1
+    assert np.allclose(r4_rot, np.einsum("ia,jb,kc,ld,ijkl->abcd", r, r, r, r, r4), atol=1e-12)
 
 
 def test_fingerprint_claims_read_the_catalog(monkeypatch):

@@ -79,6 +79,14 @@ def _nan_frame_space(monkeypatch):
     sps.ReductiveSpace("nan", la.abelian(3), k, (la.Subspace.coordinate(3, [1, 2]),))
 
 
+def _nilpotent_part_of_nan_brackets(monkeypatch):
+    """``nilpotent_part`` of a built space with k != 0, once its brackets read NaN."""
+    space = sps.catalog_entry("N(3;1,0)")
+    monkeypatch.setattr(sps, "span_brackets",
+                        lambda alg, a, b: np.full((a.shape[1], b.shape[1], alg.dim), np.nan))
+    sps.nilpotent_part(space)
+
+
 def _profile_nan_inside():
     """A profile that is NaN on the whole interior of a line."""
     f = lambda t: np.nan + 0.0 * t  # noqa: E731
@@ -94,19 +102,25 @@ def _sphere_sectional(x, y):
     return geo.sectional_curvature(geo.curvature_tensor(ms), ms.metric(), x, y)
 
 
+def _nan_on_k_times_m(alg, a, b):
+    """``span_brackets`` of the frame read [k, frame], with every [k, m] NaN and [k, k] kept."""
+    out = la.span_brackets(alg, a, b)
+    out[:, a.shape[1]:] = np.nan
+    return out
+
+
 def _isotropy_gate(monkeypatch, gate):
-    # An infinite constant already makes the closure residual of k NaN, so
-    # the invariance gate is reached only with that residual forced to 0.  A
-    # NaN block residual needs a non-finite isotropy matrix, which the
-    # invariance gate rejects first; it is injected directly.
+    # An infinite constant already makes the closure residual of k NaN (every
+    # row of the frame read meets it as 0 * inf), so the invariance gate is
+    # reached with the [k, m] brackets alone made NaN.  A NaN block residual
+    # needs a non-finite isotropy matrix, which the invariance gate rejects
+    # first; it is injected directly.
+    space = sps.catalog_entry("SO(5)/SO(2)SO(3)")
     if gate == "invariance":
-        monkeypatch.setattr(sps, "_span_subalgebra",
-                            lambda alg, basis, *rest: (la.abelian(basis.shape[1]), 0.0))
-        _inf_space(monkeypatch, [0], [[1, 2]])
+        monkeypatch.setattr(sps, "span_brackets", _nan_on_k_times_m)
     else:
-        space = sps.catalog_entry("SO(5)/SO(2)SO(3)")
         monkeypatch.setattr(sps, "block_invariance_residual", lambda rep, idx: np.nan)
-        sps.isotropy_representation(space)
+    sps.isotropy_representation(space)
 
 
 def _completion_with_inf():
@@ -147,12 +161,17 @@ GATES = {
                            (la.Subspace.coordinate(3, [1, 2]),))),
     "spaces.isotropy_representation.closure": ("isotropy is not a subalgebra",
                                                lambda mp: _inf_space(mp, [0], [[1, 2]])),
+    # k the whole algebra: nothing lies outside it, and the leak must still read NaN
+    "spaces.isotropy_representation.closure_whole": ("isotropy is not a subalgebra",
+                                                     lambda mp: _inf_space(mp, [0, 1, 2], [])),
     "spaces.isotropy_representation.invariance": ("blocks are not invariant under k",
                                                   lambda mp: _isotropy_gate(mp, "invariance")),
     "spaces.isotropy_representation.blocks": ("a designated block is not invariant",
                                               lambda mp: _isotropy_gate(mp, "blocks")),
+    # k = 0, so m is the whole algebra
     "spaces.nilpotent_part": ("m is not a subalgebra",
                               lambda mp: sps.nilpotent_part(_inf_space(mp, [], [[0, 1], [2]]))),
+    "spaces.nilpotent_part.proper": ("m is not a subalgebra", _nilpotent_part_of_nan_brackets),
     "geometry.InvariantMetricSpace.block_scales": ("block scales must be positive", lambda mp:
         geo.InvariantMetricSpace(sps.catalog_entry("Sp(2)/U(1)Sp(1)"), (np.nan, 1.0))),
     "geometry.WarpedProduct.segment": ("segment needs a positive finite length", lambda mp:
