@@ -141,12 +141,15 @@ def abelian(dim: int) -> LieAlgebra:
 def span_brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Brackets of basis columns, ``out[i, j, :] = [a_i, b_j]`` in ambient coordinates.
 
-    The one place that contracts the structure constants against bases of
-    subspaces; written as two matrix products.
+    Two matrix products, the first of them ``_left_brackets``.
     """
-    d = alg.dim
-    left = (a.T @ alg.c.reshape(d, d * d)).reshape(a.shape[1], d, d)
-    return b.T @ left
+    return b.T @ _left_brackets(alg.c, a)
+
+
+def _left_brackets(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``out[i, j, :] = [a_i, b_j]`` for the columns of ``a``: the one contraction of ``c``."""
+    d = c.shape[0]
+    return (a.T @ c.reshape(d, d * d)).reshape(a.shape[1], d, d)
 
 
 def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,23 +240,28 @@ def _join_jacobiator(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = c.shape[0]
     i, j, k = np.nonzero(c)  # sorted on i: the right side of the join on k == i
     v = c[i, j, k]
-    key, total = np.zeros(0, dtype=int), np.zeros(0)
+    key = total = None
     for li, ri in _join(k, i, CHUNK_BYTES // 8):
         x, y, z = i[li], j[li], j[ri]
         keep = _cyclic_order(x, y, z)
         x, y, z, li, ri = x[keep], y[keep], z[keep], li[keep], ri[keep]
         chunk_key, inverse = _unique(_triple_key(x, y, z, k[ri], d))
         chunk_total = np.bincount(inverse, weights=v[li] * v[ri], minlength=chunk_key.size)
-        key, inverse = _unique(np.concatenate((key, chunk_key)))  # two sorted runs
-        total = np.bincount(inverse, weights=np.concatenate((total, chunk_total)),
-                            minlength=key.size)
+        if key is not None:  # merge two sorted runs
+            chunk_key, inverse = _unique(np.concatenate((key, chunk_key)))
+            chunk_total = np.bincount(inverse, weights=np.concatenate((total, chunk_total)),
+                                      minlength=chunk_key.size)
+        key, total = chunk_key, chunk_total
     return key, total
 
 
 def _join_worst(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
     """Largest jacobiator norm of a sparse ``c``, reduced from the join."""
-    d = c.shape[0]
-    key, total = _join_jacobiator(c)
+    return _reduce_join(*_join_jacobiator(c), c.shape[0])
+
+
+def _reduce_join(key: np.ndarray, total: np.ndarray, d: int) -> tuple[tuple[int, int, int], float]:
+    """Largest jacobiator norm, and its sorted triple, of a join ``_join_jacobiator`` returned."""
     if not key.size:
         return (0, 0, 0), 0.0
     triples = key // d
@@ -292,15 +300,20 @@ def _jacobi_kernel(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
     return _join_worst(c) if _joins(c) else _slab_worst(c)
 
 
-def _jacobiator_at(c: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``J[i,j,k,l]`` at ``_triple_key`` keys of sorted triples i < j < k.
+def _jacobiator_at(alg: LieAlgebra, keys: np.ndarray) -> np.ndarray:
+    """``J[i,j,k,l]`` of ``alg`` at ``_triple_key`` keys of sorted triples i < j < k.
 
     Read from the join of ``_join_jacobiator``, whatever the density of
-    ``c``: every completion skeleton is sparse.  A key the join has no
-    product for reads 0.
+    ``alg.c``: every completion skeleton is sparse.  A key the join has no
+    product for reads 0.  Where the worst-triple search would take this join
+    too (``_joins``), its result is memoised on ``alg`` from it.
     """
+    c = alg.c
+    d = c.shape[0]
     key, total = _join_jacobiator(c)
-    key, total = np.append(key, c.shape[0] ** 4), np.append(total, 0.0)  # past every key
+    if _joins(c):
+        _memoise(alg, lambda _: _reduce_join(key, total, d))
+    key, total = np.append(key, d ** 4), np.append(total, 0.0)  # past every key
     pos = np.searchsorted(key, keys)
     return np.where(key[pos] == keys, total[pos], 0.0)
 
@@ -322,18 +335,24 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
     A zero residual reports ``(0, 0, 0)``, and so does a NaN one (a
     non-finite constant).  Memoised on ``alg`` for as long as ``alg.c`` is
     the same read-only array, so validation at construction and later checks
-    share one evaluation.
+    share one evaluation; a completion fills the memo of its skeleton from
+    the join its right-hand side reads (``_jacobiator_at``).
     """
-    c = alg.c
     memo = alg._jacobi
-    if memo is not None and memo[0] is c:
+    if memo is not None and memo[0] is alg.c:
         return memo[1], memo[2]
+    return _memoise(alg, _jacobi_kernel)
+
+
+def _memoise(alg: LieAlgebra, kernel) -> tuple[tuple[int, int, int], float]:
+    """``worst_jacobi_triple`` from ``kernel``, run only on finite and not all zero ``alg.c``."""
+    c = alg.c
     scale = np.abs(c).max(initial=0.0)
     triple, res = (0, 0, 0), 0.0
     if not np.isfinite(scale):  # a lone inf has no join partner: never a zero residual
         res = float("nan")
     elif scale > 0.0:
-        worst, norm = _jacobi_kernel(c)
+        worst, norm = kernel(c)
         if norm > 0.0:
             triple, res = worst, float(norm / scale)
     if not c.flags.writeable:

@@ -12,12 +12,13 @@ chain at most once.  The linear system is assembled as sparse (row, column,
 value) triplets, one row per basis triple and output coordinate that touches
 an unknown, and stored once, as one canonical triplet list (sorted by row,
 then column, coalesced, no explicit zeros); its right-hand side is read from
-the jacobiator kernels of ``algebra``.  Unknowns that share no row are
-independent, so the system is block diagonal after a permutation: it is
-split into the connected components of its row-column incidence graph, and
-each component is solved through its Gram matrix ``A^T A``, formed from the
-sparse entries (the method of normal equations; Bjorck, *Numerical Methods
-for Least Squares Problems*, SIAM 1996, ch. 2): its eigenvalues give the
+the skeleton's jacobiator join in ``algebra``, the one join of a solve.
+Unknowns that share no row are independent, so the system is block diagonal
+after a permutation: it is split into the connected components of its
+row-column incidence graph, and each component is solved through its Gram
+matrix ``A^T A``, formed from the sparse entries (the method of normal
+equations; Bjorck, *Numerical Methods for Least Squares Problems*, SIAM
+1996, ch. 2): its eigenvalues give the
 singular values, and its eigenvectors are formed only where a solution reads
 them.  That squares the condition number, which is safe here because every
 kept singular value of the Clifford systems is at least 0.19 of its block's
@@ -43,6 +44,7 @@ from .algebra import (
     _cyclic_order,
     _jacobiator_at,
     _join,
+    _left_brackets,
     _triple_key,
     jacobi_residual,
 )
@@ -134,7 +136,10 @@ class CompletionSolution:
 
 
 def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
+    """The skeleton with ``coeffs`` filled in: ``problem.skeleton`` itself, memo and all, for zeros."""
     alg = problem.skeleton
+    if not coeffs.any():
+        return alg
     a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
     v = coeffs @ problem.target.basis.T  # v[p] = [b_a, b_b] for the p-th pair (a, b)
     c = np.array(alg.c)
@@ -182,7 +187,7 @@ def _assemble(problem: CompletionProblem):
     psign[a, b], psign[b, a] = 1.0, -1.0
 
     # unknown pair (x, y), then [t_a, b_z] for every target basis vector
-    ad_t = (t.T @ c.reshape(d, d * d)).reshape(q, d, d).transpose(1, 0, 2)
+    ad_t = _left_brackets(c, t).transpose(1, 0, 2)
     px, py = np.nonzero(pidx >= 0)
     x, y = np.repeat(px, d), np.repeat(py, d)
     z = np.tile(np.arange(d), px.size)
@@ -211,19 +216,22 @@ def _assemble(problem: CompletionProblem):
     del val1
 
     # coalesce: a stable sort keeps each key's values in the order they were built
+    # (every key of a Clifford system is built once)
     order = np.argsort(key, kind="stable")
     key = key[order]
     val = val[order]
     del order
-    first = np.diff(key, prepend=-1) != 0
-    val = np.bincount(np.cumsum(first) - 1, weights=val)
-    key = key[first]
+    dup = key[1:] == key[:-1]
+    if dup.any():
+        first = np.append(True, ~dup)
+        val = np.bincount(np.cumsum(first) - 1, weights=val)
+        key = key[first]
     nz = val != 0.0
     key, val = key[nz], val[nz]
     rows, col = np.divmod(key, nunk)
     first = np.diff(rows, prepend=-1) != 0
 
-    return np.cumsum(first) - 1, col, val, -_jacobiator_at(c, rows[first])
+    return np.cumsum(first) - 1, col, val, -_jacobiator_at(problem.skeleton, rows[first])
 
 
 def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
@@ -247,15 +255,17 @@ def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.
 
 
 def _run_pairs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair ``(li, ri)`` of entries in one run of a sorted ``r``.
+    """Every pair ``(li, ri)`` with ``li <= ri`` of entries in one run of a sorted ``r``.
 
-    They come in the order of ``next(algebra._join(r, r))``: sums keep its order.
+    They come in the order of ``next(algebra._join(r, r))``, the pairs
+    ``li > ri`` left out: sums keep its order.
     """
     start = np.flatnonzero(np.diff(r, prepend=r[:1] - 1))
     length = np.diff(np.append(start, r.size))
-    count, first = np.repeat(length, length), np.repeat(start, length)
-    li = np.repeat(np.arange(r.size), count)
-    return li, np.arange(li.size) - np.repeat(np.cumsum(count) - count - first, count)
+    entry = np.arange(r.size)
+    count = np.repeat(start + length, length) - entry  # from each entry to the end of its run
+    li = np.repeat(entry, count)
+    return li, np.arange(li.size) - np.repeat(np.cumsum(count) - count - entry, count)
 
 
 def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
@@ -264,8 +274,9 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     The canonical triplets of ``_assemble`` are split into connected
     components (unknowns linked through shared rows), and each block ``a``
     is solved on its own from its Gram matrix ``a^T a = V diag(lam) V^T``,
-    summed from the products of the entries that share a row, and from
-    ``a^T b``; neither is densified from ``a``.  Every block's singular
+    whose upper triangle is summed from the products of the entries that
+    share a row and mirrored, and from ``a^T b``; neither is densified from
+    ``a``.  A block that may form ``V`` keeps its Gram.  Every block's singular
     values ``sqrt(lam)`` come from its eigenvalues alone; ``V`` is formed
     only for a block with ``a^T b != 0`` or a singular value at or below the
     cutoff or below ``GRAM_RTOL`` times its largest (any other block adds
@@ -282,7 +293,8 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     value below ``GRAM_RTOL`` times its largest is too ill-conditioned for
     the normal equations and raises ``ValidationError`` naming the ratio.
     The particular solution is the sum of the per-component minimum-norm
-    solutions ``V_k diag(1/lam_k) V_k^T a^T b``, and the homogeneous basis is
+    solutions ``V_k diag(1/lam_k) V_k^T a^T b``; its Jacobi residual is the
+    skeleton's, memoised by the assembly, when it is zero.  The homogeneous basis is
     the direct sum of the per-component nullspaces, ordered by the smallest
     column of their component, each oriented so that its first coefficient
     of largest magnitude (magnitudes within ``RANK_RTOL`` tie) is positive.
@@ -325,20 +337,28 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     def gram(k):
         e = entry_order[entry_at[k]:entry_at[k + 1]]
         r, c, v, n = row[e], local[col[e]], val[e], count[k]
-        li, ri = _run_pairs(r)  # every pair of entries in one row
-        return r, c, v, np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri],
-                                    minlength=n * n).reshape(n, n)
+        # the pairs li <= ri of one row: the triplets sort each row by column, so
+        # they sum the upper triangle, and the lower one is its mirror bit for bit
+        li, ri = _run_pairs(r)
+        g = np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri], minlength=n * n).reshape(n, n)
+        g += np.triu(g, 1).T
+        return r, c, v, g
 
-    svs = [np.sqrt(np.maximum(np.linalg.eigvalsh(gram(k)[3])[::-1], 0.0))
-           for k in range(count.size)]
-    cutoff = RANK_RTOL * max(sv[0] for sv in svs)
     atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
+    svs, held = [], {}
+    for k in range(count.size):
+        kg = gram(k)
+        sv = np.sqrt(np.maximum(np.linalg.eigvalsh(kg[3])[::-1], 0.0))
+        if sv[-1] <= GRAM_RTOL * sv[0] or atb[col_order[col_at[k]:col_at[k + 1]]].any():
+            held[k] = kg  # a block that may read V below keeps its Gram
+        svs.append(sv)
+    cutoff = RANK_RTOL * max(sv[0] for sv in svs)
     u_part, basis = np.zeros(nunk), []
     for k, sv in enumerate(svs):
         cols = col_order[col_at[k]:col_at[k + 1]]
         if sv[-1] > max(cutoff, GRAM_RTOL * sv[0]) and not atb[cols].any():
             continue  # full rank, well conditioned and solved by zero: no V read
-        r, c, v, g = gram(k)
+        r, c, v, g = held.pop(k) if k in held else gram(k)
         lam, vecs = np.linalg.eigh(g)
         lam, vecs = lam[::-1], vecs[:, ::-1]
         sv = svs[k] = np.sqrt(np.maximum(lam, 0.0))

@@ -415,8 +415,34 @@ def test_run_pairs_match_the_self_join(runs):
     r = np.repeat(values, runs)
     li, ri = completion._run_pairs(r)
     want_li, want_ri = next(la._join(r, r))
+    upper = want_li <= want_ri
     assert li.dtype.kind == ri.dtype.kind == "i"
-    assert np.array_equal(li, want_li) and np.array_equal(ri, want_ri)
+    assert np.array_equal(li, want_li[upper]) and np.array_equal(ri, want_ri[upper])
+
+
+def _full_pair_grams(problem):
+    """Every block's Gram, summed over all pairs of entries in one row, in block order."""
+    row, col, val, rhs = completion._assemble(problem)
+    label = completion._components(row, col, rhs.size, len(problem.pairs) * problem.target.dim)
+    grams = []
+    for k in np.unique(label):  # blocks in the order of their smallest column
+        cols = np.flatnonzero(label == k)
+        e = np.flatnonzero(label[col] == k)  # the block's entries, sorted by row, then column
+        r, c, v, n = row[e], np.searchsorted(cols, col[e]), val[e], cols.size
+        li, ri = next(la._join(r, r))
+        grams.append(np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri],
+                                 minlength=n * n).reshape(n, n))
+    return grams
+
+
+@pytest.mark.parametrize("case", ["n7", *PARITY_CASES])
+def test_every_gram_from_half_its_pairs_is_the_full_pair_sum(case, monkeypatch):
+    problem = ASSEMBLY_CASES[case]()
+    seen = _record_solvers(monkeypatch)
+    complete_bracket(problem)
+    want = _full_pair_grams(problem)
+    assert len(seen["eigvalsh"]) == len(want)
+    assert all(np.array_equal(got, g) for got, g in zip(seen["eigvalsh"], want))
 
 
 def _near_singular_block(delta):
@@ -510,7 +536,8 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
     assert la._joins(c) == joins
     keys = []
     lookup = completion._jacobiator_at
-    monkeypatch.setattr(completion, "_jacobiator_at", lambda c, k: keys.append(k) or lookup(c, k))
+    monkeypatch.setattr(completion, "_jacobiator_at",
+                        lambda alg, k: keys.append(k) or lookup(alg, k))
     rhs = completion._assemble(problem)[3]
     ref = _gathered_rhs(c, keys[0])
     if case.startswith("random"):  # the kernels sum in another order than the gather
@@ -518,6 +545,50 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
         assert np.abs(rhs - ref).max() <= 1e-15 * np.abs(c).max() ** 2
     else:  # every chain of a row that touches an unknown passes through the unknown block
         assert np.array_equal(rhs, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7])
+def test_each_solve_joins_the_skeleton_once(n, monkeypatch):
+    # the particular solution is exactly zero, so the final residual is the skeleton's
+    problem = clifford_completion_problem(n, 1.0, MU)
+    joined = []
+    join = la._join_jacobiator
+    monkeypatch.setattr(la, "_join_jacobiator", lambda c: joined.append(c) or join(c))
+    sol = complete_bracket(problem)
+    assert len(joined) == 1 and joined[0] is problem.skeleton.c
+    assert not sol.particular.any()
+    assert completion._substitute(problem, sol.particular) is problem.skeleton
+
+
+@pytest.mark.parametrize("case", ["n6", "n7", "random-sparse"])
+def test_the_seeded_memo_is_the_join_worst_triple(case, jacobi_kernel_calls):
+    problem = ASSEMBLY_CASES[case]()
+    skeleton = problem.skeleton
+    assert la._joins(skeleton.c) and skeleton._jacobi is None
+    completion._assemble(problem)
+    seeded = la.worst_jacobi_triple(skeleton)
+    assert not jacobi_kernel_calls  # read from the memo the assembly filled
+    worst, norm = la._join_worst(skeleton.c)
+    assert norm > 0.0
+    assert seeded == (worst, norm / np.abs(skeleton.c).max())
+    assert seeded == la.worst_jacobi_triple(LieAlgebra(skeleton.c))
+
+
+def test_a_seeded_memo_keeps_the_nan_rule(jacobi_kernel_calls):
+    # a lone inf has no join partner: the join alone would read no violation
+    c = np.array(PARITY_CASES["random-sparse"]().skeleton.c)
+    c[5, 6, :], c[6, 5, :] = 0.0, 0.0
+    c[5, 6, 7], c[6, 5, 7] = np.inf, -np.inf
+    problem = CompletionProblem(LieAlgebra(c), (21, 22, 23), Subspace.coordinate(24, range(5)))
+    assert la._joins(problem.skeleton.c)
+    with np.errstate(invalid="ignore"):
+        completion._assemble(problem)
+        assert np.isnan(jacobi_residual(problem.skeleton))
+        assert la.worst_jacobi_triple(problem.skeleton)[0] == (0, 0, 0)
+        assert not jacobi_kernel_calls
+        # the inf also reaches the system through [t_a, b_z], whose entries are checked
+        with pytest.raises(ValidationError):
+            complete_bracket(problem)
 
 
 @pytest.mark.parametrize("n,joins", [(5, False), (8, True)])

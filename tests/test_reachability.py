@@ -22,7 +22,8 @@ A second inventory, read from the source with ``ast``, keeps every
 module-level import of the package and of its tests in use or re-exported
 through ``__all__``; a third keeps every name in an ``__all__`` defined; a
 fourth keeps the callers of ``span_brackets`` to the ones in
-``SPAN_BRACKETS_CALLERS``.
+``SPAN_BRACKETS_CALLERS``; a fifth keeps every matrix product of a
+``c.reshape(...)`` outside ``algebra`` to ``C_RESHAPE_PRODUCTS``.
 """
 
 import ast
@@ -73,6 +74,10 @@ SPAN_BRACKETS_CALLERS = {
     "reps.kernel_ideal",
     "spaces.ReductiveSpace.brackets",
 }
+
+# Contractions of structure constants against a basis live in ``algebra``;
+# this one contracts them against representation matrices.
+C_RESHAPE_PRODUCTS = {"reps.Representation.homomorphism_residual"}
 
 SCRIPT = """
 import sys
@@ -213,24 +218,51 @@ def test_every_name_in_all_exists():
     assert {name: found for name, found in missing.items() if found} == {}
 
 
-def _callers_of(name, tree, prefix):
-    """Qualified names of the functions in ``tree`` that call ``name`` (plain or as an attribute)."""
+def _functions_with(match, tree, prefix):
+    """Qualified names of the functions in ``tree`` that hold a node ``match`` accepts."""
     found = set()
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            found |= _callers_of(name, node, f"{prefix}{node.name}.")
+            found |= _functions_with(match, node, f"{prefix}{node.name}.")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
-            if any(getattr(f, "id", getattr(f, "attr", None)) == name for f in calls):
+            if any(match(n) for n in ast.walk(node)):
                 found.add(prefix + node.name)
     return found
 
 
-def test_only_the_frame_read_and_two_algebra_kernels_call_span_brackets():
+def _package_functions_with(match, skip=()):
     pkg = os.path.dirname(liecoh.__file__)
-    callers = set()
+    found = set()
     for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
+        if name.endswith(".py") and name[:-3] not in skip:
             tree = ast.parse(open(os.path.join(pkg, name)).read())
-            callers |= _callers_of("span_brackets", tree, name[:-3] + ".")
-    assert callers == SPAN_BRACKETS_CALLERS
+            found |= _functions_with(match, tree, name[:-3] + ".")
+    return found
+
+
+def _calls_span_brackets(node):
+    # a call of span_brackets, plain or as an attribute
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == "span_brackets"
+
+
+def _is_c_reshape(node):
+    # c.reshape(...) or <anything>.c.reshape(...)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reshape"
+            and (getattr(node.func.value, "id", None) == "c"
+                 or getattr(node.func.value, "attr", None) == "c"))
+
+
+def _multiplies_c_reshape(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and (_is_c_reshape(node.left) or _is_c_reshape(node.right)))
+
+
+def test_only_the_frame_read_and_two_algebra_kernels_call_span_brackets():
+    assert _package_functions_with(_calls_span_brackets) == SPAN_BRACKETS_CALLERS
+
+
+def test_no_module_but_algebra_contracts_the_constants_against_a_basis():
+    # the completion assembly takes [t_a, b_z] from algebra._left_brackets
+    assert _package_functions_with(_multiplies_c_reshape, skip=("algebra",)) == C_RESHAPE_PRODUCTS
