@@ -11,8 +11,11 @@ so the adjoint matrix of a coefficient vector ``x`` is
 is required exactly; the Jacobi identity is a measured residual, never an
 assumption, because several constructions in this package deliberately
 produce tensors that violate it (that violation is the computed signal).
+``worst_jacobi_triple`` measures it from ``c`` on every call: nothing is
+cached on an algebra, whose only fields are ``c`` and ``labels``.
 
-A ``Subspace`` is read only through its orthonormal basis: ``span_brackets``
+A ``Subspace`` is read only through its orthonormal basis, whose row count
+is its ambient dimension: ``span_brackets``
 contracts the constants against bases (a reductive space's only through
 its frame read, ``ReductiveSpace.brackets``), so a block has the same
 constants in any basis.  No function recovers indices from a ``Subspace``;
@@ -25,7 +28,7 @@ rationals; all residuals on valid algebras therefore reflect round-off only.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -103,8 +106,6 @@ class LieAlgebra:
     c: np.ndarray
     _: KW_ONLY
     labels: tuple[str, ...] | None = None
-    # (c, worst Jacobi triple, residual), set by ``worst_jacobi_triple``
-    _jacobi: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)  # a copy: the caller's array stays writable
@@ -300,22 +301,20 @@ def _jacobi_kernel(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
     return _join_worst(c) if _joins(c) else _slab_worst(c)
 
 
-def _jacobiator_at(alg: LieAlgebra, keys: np.ndarray) -> np.ndarray:
-    """``J[i,j,k,l]`` of ``alg`` at ``_triple_key`` keys of sorted triples i < j < k.
+def _jacobiator_at(c: np.ndarray, keys: np.ndarray):
+    """``J[i,j,k,l]`` of ``c`` at ``_triple_key`` keys of sorted triples i < j < k.
 
     Read from the join of ``_join_jacobiator``, whatever the density of
-    ``alg.c``: every completion skeleton is sparse.  A key the join has no
-    product for reads 0.  Where the worst-triple search would take this join
-    too (``_joins``), its result is memoised on ``alg`` from it.
+    ``c``: every completion skeleton is sparse.  A key the join has no
+    product for reads 0.  Returns ``(J, worst)``, with ``worst`` what
+    ``worst_jacobi_triple`` gives for ``c``, reduced from the same join.
     """
-    c = alg.c
     d = c.shape[0]
     key, total = _join_jacobiator(c)
-    if _joins(c):
-        _memoise(alg, lambda _: _reduce_join(key, total, d))
+    worst = _normalised(c, lambda _: _reduce_join(key, total, d))
     key, total = np.append(key, d ** 4), np.append(total, 0.0)  # past every key
     pos = np.searchsorted(key, keys)
-    return np.where(key[pos] == keys, total[pos], 0.0)
+    return np.where(key[pos] == keys, total[pos], 0.0), worst
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:
@@ -333,38 +332,23 @@ def worst_jacobi_triple(alg: LieAlgebra) -> tuple[tuple[int, int, int], float]:
     """Sorted basis triple with the largest (normalized) Jacobi violation.
 
     A zero residual reports ``(0, 0, 0)``, and so does a NaN one (a
-    non-finite constant).  Memoised on ``alg`` for as long as ``alg.c`` is
-    the same read-only array, so validation at construction and later checks
-    share one evaluation; a completion fills the memo of its skeleton from
-    the join its right-hand side reads (``_jacobiator_at``).
+    non-finite constant).  A pure function of ``alg.c``, run afresh on every
+    call: a residual read more than once is kept by the value it checked
+    (``ReductiveSpace.jacobi``).
     """
-    memo = alg._jacobi
-    if memo is not None and memo[0] is alg.c:
-        return memo[1], memo[2]
-    return _memoise(alg, _jacobi_kernel)
+    return _normalised(alg.c, _jacobi_kernel)
 
 
-def _memoise(alg: LieAlgebra, kernel) -> tuple[tuple[int, int, int], float]:
-    """``worst_jacobi_triple`` from ``kernel``, run only on finite and not all zero ``alg.c``."""
-    c = alg.c
+def _normalised(c: np.ndarray, kernel) -> tuple[tuple[int, int, int], float]:
+    """``worst_jacobi_triple`` of ``c`` from ``kernel``, run only on a finite, nonzero ``c``."""
     scale = np.abs(c).max(initial=0.0)
-    triple, res = (0, 0, 0), 0.0
     if not np.isfinite(scale):  # a lone inf has no join partner: never a zero residual
-        res = float("nan")
-    elif scale > 0.0:
+        return (0, 0, 0), float("nan")
+    if scale > 0.0:
         worst, norm = kernel(c)
         if norm > 0.0:
-            triple, res = worst, float(norm / scale)
-    if not c.flags.writeable:
-        object.__setattr__(alg, "_jacobi", (c, triple, res))  # the dataclass is frozen
-    return triple, res
-
-
-def require_valid(alg: LieAlgebra, what: str) -> LieAlgebra:
-    """Return ``alg``; raise ``ValidationError`` unless its residual is below ``JACOBI_TOL``."""
-    triple, res = worst_jacobi_triple(alg)
-    require_below(res, JACOBI_TOL, f"{what}: Jacobi identity at basis triple {triple}", triple)
-    return alg
+            return worst, float(norm / scale)
+    return (0, 0, 0), 0.0
 
 
 def killing_form(alg: LieAlgebra) -> np.ndarray:
@@ -519,19 +503,16 @@ class Subspace:
     """Subspace of R^n stored as orthonormal basis columns.
 
     The basis is the only way a subspace is read: brackets of spans go
-    through ``span_brackets``, whatever the basis.  The fields are frozen and
-    the basis is read-only.
+    through ``span_brackets``, whatever the basis, and the ambient dimension
+    is its row count.  The field is frozen and the basis is read-only.
     """
 
-    ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
-        if b.shape[0] != self.ambient_dim:
-            raise ValueError("basis rows must match the ambient dimension")
         if b.shape[1]:
             require_below(np.abs(b.T @ b - np.eye(b.shape[1])).max(), LEAK_TOL,
                           "basis columns must be orthonormal")
@@ -544,7 +525,11 @@ class Subspace:
         idx = [int(i) for i in indices]
         if not all(0 <= i < ambient_dim for i in idx):
             raise ValueError(f"coordinate indices must lie in [0, {ambient_dim}), got {idx}")
-        return cls(ambient_dim, np.eye(ambient_dim)[:, idx])
+        return cls(np.eye(ambient_dim)[:, idx])
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:

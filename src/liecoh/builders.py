@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebra import LieAlgebra, direct_sum, structure_constants_from_matrices
 from .clifford import (
-    quaternion_units,
     so_algebra,
     so_vector_matrices,
     spin_algebra,
@@ -237,7 +236,10 @@ def clifford_isotropy(n: int, copies: int) -> Representation:
     k0 = spin.algebra.dim
     alg, k1 = spin.algebra, np.zeros((0, d2, d2))
     if n in (2, 3):
-        units = np.concatenate([np.eye(4)[None], quaternion_units(module)])
+        # 1, i, j, k of the commutant: right multiplications by 1, j, k and -i,
+        # which commute with the gammas; R(p) R(q) = R(q p) makes i j = k
+        units = np.array([quaternion_right(q) for q in
+                          ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, -1, 0, 0))], dtype=float)
         k1 = np.array([_realize_quaternionic(q, units) for q in sp_quaternion_basis(copies)])
         alg = direct_sum(alg, LieAlgebra(structure_constants_from_matrices(k1),
                                          labels=tuple(f"s{a}" for a in range(len(k1)))))

@@ -376,9 +376,9 @@ def _claim_catalog_cohomogeneity(space_id, cfg: RunConfig):
 
 
 def _claim_catalog_invariants(cfg: RunConfig):
-    algs = [sps.catalog_entry(sid).algebra for sid in sps.catalog_ids()]
-    res = _worst([f(alg) for alg in algs
-                  for f in (la.jacobi_residual, la.killing_invariance_residual)])
+    spaces = [sps.catalog_entry(sid) for sid in sps.catalog_ids()]
+    res = _worst([r for space in spaces
+                  for r in (space.jacobi[1], la.killing_invariance_residual(space.algebra))])
     return _residual_claim(res, TOL_ALGEBRAIC,
                            "jacobi and killing ad-invariance over the catalog")
 

@@ -92,7 +92,7 @@ def _space_fingerprint(space: sps.ReductiveSpace) -> dict:
         "m_dim": space.m_dim,
         "killing_signature": list(la.signature(la.killing_form(alg))),
         "center_dim": la.center_dimension(alg),
-        "jacobi_residual": la.jacobi_residual(alg),
+        "jacobi_residual": space.jacobi[1],
     }
 
 

@@ -19,7 +19,6 @@ from .reps import Representation
 
 __all__ = [
     "CliffordModule",
-    "quaternion_units",
     "so_algebra",
     "spin_algebra",
     "spin_module",
@@ -174,27 +173,3 @@ def spin_plus_one(module: CliffordModule) -> Representation:
             for i, j in bivector_pairs(n + 1)]
     return Representation(so_algebra(n + 1), mats)
 
-
-def quaternion_units(module: CliffordModule) -> np.ndarray:
-    """Commutant quaternion units (i, j, k) for the 4-dimensional modules.
-
-    Three integer matrices that commute with every gamma, satisfy the
-    quaternion relations and are skew; they generate the sp(1) of operators
-    commuting with the Cl_2 / Cl_3 action on R^4.
-    """
-    if module.module_dim != 4 or module.n not in (2, 3):
-        raise ValueError("quaternion commutant units are provided for the R^4 modules")
-    units = np.array([_kron(_J, _I), _kron(_P, _J), -_kron(_Q, _J)])
-    eye = np.eye(4)
-    # exact checks: commutation with gammas and the quaternion table
-    for u in units:
-        for g in module.gammas:
-            if not np.array_equal(u @ g, g @ u):
-                raise AssertionError("commutant unit fails to commute with a gamma")
-    i, j, k = units
-    for u in units:
-        if not np.array_equal(u @ u, -eye):
-            raise AssertionError("commutant unit fails u^2 = -I")
-    if not (np.array_equal(i @ j, k) and np.array_equal(j @ k, i) and np.array_equal(k @ i, j)):
-        raise AssertionError("commutant units fail the quaternion relations")
-    return units

@@ -12,7 +12,8 @@ chain at most once.  The linear system is assembled as sparse (row, column,
 value) triplets, one row per basis triple and output coordinate that touches
 an unknown, and stored once, as one canonical triplet list (sorted by row,
 then column, coalesced, no explicit zeros); its right-hand side is read from
-the skeleton's jacobiator join in ``algebra``, the one join of a solve.
+the skeleton's jacobiator join in ``algebra``, the one join of a solve, which
+also gives the skeleton's Jacobi residual.
 Unknowns that share no row are independent, so the system is block diagonal
 after a permutation: it is split into the connected components of its
 row-column incidence graph, and each component is solved through its Gram
@@ -136,10 +137,8 @@ class CompletionSolution:
 
 
 def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
-    """The skeleton with ``coeffs`` filled in: ``problem.skeleton`` itself, memo and all, for zeros."""
+    """The skeleton with ``coeffs`` filled in, as a new algebra."""
     alg = problem.skeleton
-    if not coeffs.any():
-        return alg
     a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
     v = coeffs @ problem.target.basis.T  # v[p] = [b_a, b_b] for the p-th pair (a, b)
     c = np.array(alg.c)
@@ -159,12 +158,13 @@ def _assemble(problem: CompletionProblem):
     * z is in S and the fixed bracket [b_x, b_y] has an S-component b_m: the
       unknown pair (m, z) enters through its target basis vectors.
 
-    Returns ``(row, col, val, rhs)``: the canonical triplets of ``A`` (sorted
-    by row, then column, coalesced, no explicit zeros; row indices into
-    ``rhs``, every row with at least one entry) and ``b``, the negated
-    skeleton jacobiator on each row, looked up in the jacobiator kernels.
-    Rows without unknowns are left out; only the final residual check sees
-    them.
+    Returns ``(row, col, val, rhs, worst)``: the canonical triplets of ``A``
+    (sorted by row, then column, coalesced, no explicit zeros; row indices
+    into ``rhs``, every row with at least one entry), ``b``, the negated
+    skeleton jacobiator on each row, and the skeleton's
+    ``worst_jacobi_triple``, both read from the one join of
+    ``_jacobiator_at``.  Rows without unknowns are left out; only the final
+    residual check sees them.
 
     Each entry is built as one key, ``_triple_key(x, y, z, l) * nunk + col``:
     a chain's triple and column base are computed once and broadcast over the
@@ -231,7 +231,8 @@ def _assemble(problem: CompletionProblem):
     rows, col = np.divmod(key, nunk)
     first = np.diff(rows, prepend=-1) != 0
 
-    return np.cumsum(first) - 1, col, val, -_jacobiator_at(problem.skeleton, rows[first])
+    jac, worst = _jacobiator_at(c, rows[first])
+    return np.cumsum(first) - 1, col, val, -jac, worst
 
 
 def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
@@ -293,11 +294,12 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     value below ``GRAM_RTOL`` times its largest is too ill-conditioned for
     the normal equations and raises ``ValidationError`` naming the ratio.
     The particular solution is the sum of the per-component minimum-norm
-    solutions ``V_k diag(1/lam_k) V_k^T a^T b``; its Jacobi residual is the
-    skeleton's, memoised by the assembly, when it is zero.  The homogeneous basis is
-    the direct sum of the per-component nullspaces, ordered by the smallest
-    column of their component, each oriented so that its first coefficient
-    of largest magnitude (magnitudes within ``RANK_RTOL`` tie) is positive.
+    solutions ``V_k diag(1/lam_k) V_k^T a^T b``; when it is zero, its Jacobi
+    residual is the skeleton's, reduced from the assembly's join.  The
+    homogeneous basis is the direct sum of the per-component nullspaces,
+    ordered by the smallest column of their component, each oriented so that
+    its first coefficient of largest magnitude (magnitudes within
+    ``RANK_RTOL`` tie) is positive.
 
     Returns a ``CompletionSolution``; an empty solution set (no filling has a
     Jacobi residual below ``JACOBI_TOL``, or the residual is not finite) is a
@@ -321,7 +323,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
         return CompletionSolution(problem, np.zeros((0, q)), np.zeros((0, 0, q)), res,
                                   not res < JACOBI_TOL, np.zeros(0))
 
-    row, col, val, rhs = _assemble(problem)
+    row, col, val, rhs, (_, skeleton_res) = _assemble(problem)
     require_finite(val)
     label = _components(row, col, rhs.size, nunk)
     # block k holds the columns, and the entries, of the k-th smallest label in
@@ -392,6 +394,6 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
                    if basis else np.zeros((0, npairs, q)))
 
     particular = u_part.reshape(npairs, q)
-    res = jacobi_residual(_substitute(problem, particular))
+    res = jacobi_residual(_substitute(problem, particular)) if u_part.any() else skeleton_res
     return CompletionSolution(problem, particular, homogeneous, res, not res < JACOBI_TOL,
                               np.sort(np.concatenate(svs))[::-1])

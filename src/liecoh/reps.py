@@ -142,7 +142,7 @@ def isotropy_subalgebra(rep: Representation, v) -> Subspace:
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0:
         raise ValueError("isotropy is undefined at the zero vector")
-    return Subspace(rep.algebra.dim, nullspace(_evaluation_matrix(rep, v)))
+    return Subspace(nullspace(_evaluation_matrix(rep, v)))
 
 
 def fixed_subspace(rep: Representation, sub: Subspace) -> Subspace:
@@ -150,17 +150,17 @@ def fixed_subspace(rep: Representation, sub: Subspace) -> Subspace:
     if sub.ambient_dim != rep.algebra.dim:
         raise ValueError("subspace must live in the algebra")
     if sub.dim == 0:
-        return Subspace(rep.space_dim, np.eye(rep.space_dim))
+        return Subspace(np.eye(rep.space_dim))
     ops = np.einsum("am,aij->mij", sub.basis, rep.matrices)
     stacked = ops.reshape(-1, rep.space_dim)
-    return Subspace(rep.space_dim, nullspace(stacked))
+    return Subspace(nullspace(stacked))
 
 
 def kernel_ideal(rep: Representation) -> Subspace:
     """Kernel {xi : rho(xi) = 0}; verified to be an ideal of the algebra."""
     d = rep.algebra.dim
     stacked = rep.matrices.reshape(d, rep.space_dim ** 2).T  # explicit size: d may be 0
-    ker = Subspace(d, nullspace(stacked))
+    ker = Subspace(nullspace(stacked))
     if ker.dim:
         # bracket closure [g, ker] inside ker
         imgs = span_brackets(rep.algebra, np.eye(d), ker.basis).reshape(-1, d).T

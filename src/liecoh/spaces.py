@@ -24,7 +24,9 @@ the isotropy and blocks decompose the algebra with jointly orthonormal bases,
 the Jacobi identity holds, and k closes and keeps every block.  A Jacobi
 violation raises ``ValidationError`` carrying the normalized residual and the
 worst basis triple; off the constraint lam = 2 mu^2 the Clifford construction
-fails so, and the claims read the same residual off its skeleton.
+fails so, and the claims read the same residual off its skeleton.  A space
+keeps the ``(triple, residual)`` its gate computed as ``jacobi``, and every
+later reader of a space's residual takes it from there.
 
 Every bracket of a space is read in its frame F = [k | m1 | m2 ...], the
 stacked bases, by ``ReductiveSpace.brackets``: closure, invariance, isotropy
@@ -41,6 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (
+    JACOBI_TOL,
     LEAK_TOL,
     LieAlgebra,
     Subspace,
@@ -50,11 +53,11 @@ from .algebra import (
     killing_form,
     place_action,
     require_below,
-    require_valid,
     semidirect_sum,
     span_brackets,
     structure_constants_from_matrices,
     weyl_flip,
+    worst_jacobi_triple,
 )
 from .builders import (
     clifford_isotropy,
@@ -102,8 +105,9 @@ class ReductiveSpace:
 
     The constructor keeps the stacked bases as the read-only ``frame``, runs
     every check of the space and keeps the isotropy action as ``rep``, with
-    the block coordinate ranges as ``slices``; every reader uses those
-    fields.  The fields are frozen, so a cached space cannot be changed.
+    the block coordinate ranges as ``slices``, and the ``(triple, residual)``
+    of its Jacobi gate as ``jacobi``; every reader uses those fields.  The
+    fields are frozen, so a cached space cannot be changed.
     """
 
     label: str
@@ -114,6 +118,7 @@ class ReductiveSpace:
     frame: np.ndarray = field(init=False)
     rep: Representation = field(init=False)
     slices: tuple[tuple[int, ...], ...] = field(init=False)
+    jacobi: tuple[tuple[int, int, int], float] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -127,7 +132,10 @@ class ReductiveSpace:
                       "isotropy and blocks are not orthonormal together")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
-        require_valid(self.algebra, self.label)
+        triple, res = worst_jacobi_triple(self.algebra)
+        require_below(res, JACOBI_TOL, f"{self.label}: Jacobi identity at basis triple {triple}",
+                      triple)
+        object.__setattr__(self, "jacobi", (triple, res))
         rep, slices = isotropy_representation(self)
         object.__setattr__(self, "rep", rep.validate())
         object.__setattr__(self, "slices", slices)
@@ -454,8 +462,8 @@ def _group_manifold_control() -> ReductiveSpace:
     alg = direct_sum(su3, su3)
     half = np.eye(su3.dim) / np.sqrt(2.0)
     # 0.0 - half, not -half, so that the exported basis holds no -0.0
-    return ReductiveSpace("SU(3)xSU(3)/dSU(3)", alg, Subspace(alg.dim, np.vstack([half, half])),
-                          (Subspace(alg.dim, np.vstack([half, 0.0 - half])),))
+    return ReductiveSpace("SU(3)xSU(3)/dSU(3)", alg, Subspace(np.vstack([half, half])),
+                          (Subspace(np.vstack([half, 0.0 - half])),))
 
 
 def _catalog_builders() -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -199,8 +200,8 @@ def test_a_sparse_tensor_takes_the_join(monkeypatch):
     def no_slabs(c):
         raise AssertionError("the slab kernel ran on a sparse tensor")
 
+    alg = sps.catalog_entry("Spin(9)/Spin(7)").algebra
     monkeypatch.setattr(la, "_slab_worst", no_slabs)
-    alg = LieAlgebra(sps.catalog_entry("Spin(9)/Spin(7)").algebra.c)  # a fresh memo
     assert 0.0 < jacobi_residual(alg) < 1e-15
 
 
@@ -243,32 +244,16 @@ def test_a_zero_residual_reports_the_zero_triple():
     assert la.worst_jacobi_triple(abelian(4)) == ((0, 0, 0), 0.0)
 
 
-def test_jacobi_residual_is_memoised_on_the_algebra(jacobi_kernel_calls):
-    seen = jacobi_kernel_calls
+def test_worst_jacobi_triple_is_a_pure_function_of_the_constants(jacobi_kernel_calls):
+    # the constants and labels are the whole of an algebra: nothing is cached on it
+    assert [f.name for f in dataclasses.fields(LieAlgebra)] == ["c", "labels"]
     alg = su2_epsilon()
+    before = dict(vars(alg))
     first = la.worst_jacobi_triple(alg)
     assert la.worst_jacobi_triple(alg) == first
-    assert la.jacobi_residual(alg) == first[1]
-    la.require_valid(alg, "algebra")
-    assert len(seen) == 1
-
-
-def test_replaced_constants_are_checked_again(jacobi_kernel_calls):
-    seen = jacobi_kernel_calls
-    alg = su2_epsilon()
-    assert jacobi_residual(alg) == 0.0
-    # [e0,e1] = e2 and [e1,e2] = e1 break Jacobi
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
-    c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
-    object.__setattr__(alg, "c", LieAlgebra(c).c)
-    assert abs(jacobi_residual(alg) - 1.0) < 1e-12
-    assert len(seen) == 2
-    # a writable array may change in place, so it is never memoised
-    object.__setattr__(alg, "c", c)
-    jacobi_residual(alg)
-    jacobi_residual(alg)
-    assert len(seen) == 4
+    assert vars(alg).keys() == before.keys()
+    assert all(vars(alg)[k] is v for k, v in before.items())
+    assert len(jacobi_kernel_calls) == 2
 
 
 def test_span_brackets_matches_einsum_reference():
@@ -280,14 +265,20 @@ def test_span_brackets_matches_einsum_reference():
         assert np.abs(la.span_brackets(alg, x, y) - ref).max() < 1e-12
 
 
+def _jacobi_gate(alg: LieAlgebra) -> ReductiveSpace:
+    """A space with k = 0 and one block: its constructor runs the Jacobi gate on ``alg``."""
+    return ReductiveSpace("algebra", alg, Subspace.coordinate(alg.dim, []),
+                          (Subspace.coordinate(alg.dim, range(alg.dim)),))
+
+
 def test_require_valid_rejects_non_finite_constants():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2], c[1, 0, 2] = np.inf, -np.inf
     alg = LieAlgebra(c)
     with np.errstate(invalid="ignore"):
         assert np.isnan(jacobi_residual(alg))
-        with pytest.raises(ValidationError):
-            la.require_valid(alg, "algebra")
+        with pytest.raises(ValidationError, match="algebra: Jacobi identity"):
+            _jacobi_gate(alg)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -307,7 +298,7 @@ def test_non_finite_constants_give_a_nan_residual(value):
             triple, res = la.worst_jacobi_triple(alg)
             assert np.isnan(res)
             with pytest.raises(ValidationError) as err:
-                la.require_valid(alg, "algebra")
+                _jacobi_gate(alg)
         assert np.isnan(err.value.residual)
 
 
@@ -479,7 +470,7 @@ def test_weyl_flip_requires_symmetric_grading():
     # since [m, m] has a part on the torus line inside m
     su3 = build_trivial_module_space(2)
     one_block = ReductiveSpace("SU(3)/SU(2) one block", su3.algebra, su3.isotropy,
-                               (Subspace(8, su3.frame[:, su3.isotropy.dim:]),))
+                               (Subspace(su3.frame[:, su3.isotropy.dim:]),))
     with pytest.raises(ValidationError, match="not the odd part of a symmetric pair"):
         noncompact_dual(one_block)
 
@@ -532,11 +523,11 @@ def test_json_sparse_triples_upper_only():
 
 
 def test_subspace_basics():
-    s = Subspace(4, np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
+    s = Subspace(np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
     assert s.dim == 1
     t = Subspace.coordinate(4, [0, 1])
     assert not s.equals(t)
-    assert t.equals(Subspace(4, np.array([[1.0, 1.0], [1.0, -1.0],
+    assert t.equals(Subspace(np.array([[1.0, 1.0], [1.0, -1.0],
                                           [0.0, 0.0], [0.0, 0.0]]) / np.sqrt(2.0)))
 
 
@@ -565,6 +556,6 @@ def test_labels_and_notes_are_keyword_only():
 
 def test_subspace_leaves_the_callers_basis_writable():
     basis = np.eye(3)[:, :2]
-    sub = Subspace(3, basis)
+    sub = Subspace(basis)
     basis[0, 0] = 5.0
     assert sub.basis[0, 0] == 1.0 and not sub.basis.flags.writeable

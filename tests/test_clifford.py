@@ -3,7 +3,8 @@ import pytest
 
 from liecoh import clifford as cl
 from liecoh.algebra import jacobi_residual, killing_form, signature
-from liecoh.clifford import quaternion_units, spin_algebra, spin_module, spin_plus_one
+from liecoh.builders import clifford_isotropy
+from liecoh.clifford import spin_algebra, spin_module, spin_plus_one
 from oracles import clifford_product, element_matrix, hom_space_dimension
 
 MODULE_DIMS = {2: 4, 3: 4, 4: 8, 5: 8, 6: 8, 7: 8, 8: 16, 9: 32}
@@ -166,11 +167,18 @@ def test_spin_plus_one_is_rotation_algebra():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_quaternion_commutant_units(n):
-    units = quaternion_units(spin_module(n))
-    i, j, k = units
-    assert np.array_equal(i @ j, k)
+    # the sp(1) of clifford_isotropy(n, 1) acts on the module by the units i, j, k
+    rep = clifford_isotropy(n, 1)
+    units = rep.matrices[n * (n - 1) // 2:, n:, n:]
+    assert units.shape == (3, 4, 4)
     for u in units:
+        for m in (2, 3):
+            for g in spin_module(m).gammas:
+                assert np.array_equal(u @ g, g @ u)
+        assert np.array_equal(u @ u, -np.eye(4))
         assert np.array_equal(u, -u.T)
+    i, j, k = units
+    assert np.array_equal(i @ j, k) and np.array_equal(j @ k, i) and np.array_equal(k @ i, j)
 
 
 def test_clifford_module_leaves_the_callers_gammas_writable():

@@ -382,7 +382,7 @@ def test_a_nonzero_right_hand_side_takes_eigh_on_its_blocks_only(monkeypatch):
     skeleton[a, b] = skeleton[b, a] = 0.0
     target = Subspace.coordinate(10, [i for i in range(10) if i not in (a, b)])
     problem = CompletionProblem(LieAlgebra(skeleton), (a, b), target)
-    row, col, val, rhs = completion._assemble(problem)
+    row, col, val, rhs, _ = completion._assemble(problem)
     nunk = 8
     label = completion._components(row, col, rhs.size, nunk)
     atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
@@ -422,7 +422,7 @@ def test_run_pairs_match_the_self_join(runs):
 
 def _full_pair_grams(problem):
     """Every block's Gram, summed over all pairs of entries in one row, in block order."""
-    row, col, val, rhs = completion._assemble(problem)
+    row, col, val, rhs, _ = completion._assemble(problem)
     label = completion._components(row, col, rhs.size, len(problem.pairs) * problem.target.dim)
     grams = []
     for k in np.unique(label):  # blocks in the order of their smallest column
@@ -537,9 +537,11 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
     keys = []
     lookup = completion._jacobiator_at
     monkeypatch.setattr(completion, "_jacobiator_at",
-                        lambda alg, k: keys.append(k) or lookup(alg, k))
-    rhs = completion._assemble(problem)[3]
+                        lambda c, k: keys.append(k) or lookup(c, k))
+    rhs, worst = completion._assemble(problem)[3:]
     ref = _gathered_rhs(c, keys[0])
+    if joins:  # the worst-triple search runs this join too: the same bits
+        assert worst == la.worst_jacobi_triple(problem.skeleton)
     if case.startswith("random"):  # the kernels sum in another order than the gather
         assert np.count_nonzero(ref) > 0
         assert np.abs(rhs - ref).max() <= 1e-15 * np.abs(c).max() ** 2
@@ -548,44 +550,33 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 7])
-def test_each_solve_joins_the_skeleton_once(n, monkeypatch):
-    # the particular solution is exactly zero, so the final residual is the skeleton's
+def test_each_solve_joins_the_skeleton_once(n, monkeypatch, jacobi_kernel_calls):
+    # the particular solution is exactly zero, so the final residual is the
+    # skeleton's, reduced from the join the right-hand side reads: no kernel runs
     problem = clifford_completion_problem(n, 1.0, MU)
     joined = []
     join = la._join_jacobiator
     monkeypatch.setattr(la, "_join_jacobiator", lambda c: joined.append(c) or join(c))
     sol = complete_bracket(problem)
     assert len(joined) == 1 and joined[0] is problem.skeleton.c
+    assert not jacobi_kernel_calls
     assert not sol.particular.any()
-    assert completion._substitute(problem, sol.particular) is problem.skeleton
-
-
-@pytest.mark.parametrize("case", ["n6", "n7", "random-sparse"])
-def test_the_seeded_memo_is_the_join_worst_triple(case, jacobi_kernel_calls):
-    problem = ASSEMBLY_CASES[case]()
-    skeleton = problem.skeleton
-    assert la._joins(skeleton.c) and skeleton._jacobi is None
-    completion._assemble(problem)
-    seeded = la.worst_jacobi_triple(skeleton)
-    assert not jacobi_kernel_calls  # read from the memo the assembly filled
-    worst, norm = la._join_worst(skeleton.c)
-    assert norm > 0.0
-    assert seeded == (worst, norm / np.abs(skeleton.c).max())
-    assert seeded == la.worst_jacobi_triple(LieAlgebra(skeleton.c))
+    assert sol.residual == la.worst_jacobi_triple(problem.skeleton)[1]
 
 
 def test_a_seeded_memo_keeps_the_nan_rule(jacobi_kernel_calls):
-    # a lone inf has no join partner: the join alone would read no violation
+    # a lone inf has no join partner: the join alone would read no violation,
+    # so the skeleton residual the assembly reduces from it must still be NaN
     c = np.array(PARITY_CASES["random-sparse"]().skeleton.c)
     c[5, 6, :], c[6, 5, :] = 0.0, 0.0
     c[5, 6, 7], c[6, 5, 7] = np.inf, -np.inf
     problem = CompletionProblem(LieAlgebra(c), (21, 22, 23), Subspace.coordinate(24, range(5)))
     assert la._joins(problem.skeleton.c)
     with np.errstate(invalid="ignore"):
-        completion._assemble(problem)
-        assert np.isnan(jacobi_residual(problem.skeleton))
-        assert la.worst_jacobi_triple(problem.skeleton)[0] == (0, 0, 0)
+        triple, res = completion._assemble(problem)[4]
+        assert np.isnan(res) and triple == (0, 0, 0)
         assert not jacobi_kernel_calls
+        assert np.isnan(jacobi_residual(problem.skeleton))
         # the inf also reaches the system through [t_a, b_z], whose entries are checked
         with pytest.raises(ValidationError):
             complete_bracket(problem)
@@ -613,7 +604,7 @@ def test_assembled_triplets_are_canonical(case):
     # the Gram join's local_row numbers a block's rows by runs of equal row
     problem = ASSEMBLY_CASES[case]()
     nunk = len(problem.pairs) * problem.target.dim
-    row, col, val, rhs = completion._assemble(problem)
+    row, col, val, rhs, _ = completion._assemble(problem)
     assert row.size == col.size == val.size
     assert np.all(np.diff(row) >= 0)
     assert np.all(np.diff(row * nunk + col) > 0)  # (row, col) strictly increasing

@@ -175,7 +175,7 @@ def test_isotropy_trivial_rep_full():
 
 
 def test_fixed_subspace_zero_subalgebra(so3):
-    fixed = fixed_subspace(so3, Subspace(3, np.zeros((3, 0))))
+    fixed = fixed_subspace(so3, Subspace(np.zeros((3, 0))))
     assert fixed.dim == 3
 
 

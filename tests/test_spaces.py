@@ -19,6 +19,7 @@ from liecoh.algebra import (
     nilpotency_class,
     semidirect_sum,
     signature,
+    worst_jacobi_triple,
 )
 from liecoh.builders import clifford_isotropy, unitary_determinant_action
 from liecoh.clifford import CliffordModule, spin_module
@@ -339,6 +340,12 @@ def test_catalog_all_valid():
         assert jacobi_residual(space.algebra) < 1e-9, sid
 
 
+def test_each_catalog_space_keeps_the_residual_its_gate_checked():
+    for sid in catalog_ids():
+        space = catalog_entry(sid)
+        assert space.jacobi == worst_jacobi_triple(LieAlgebra(space.algebra.c)), sid
+
+
 def test_only_the_symmetric_controls_have_one_block():
     # build_claims picks the splitting claims from the constant, without building
     for sid in catalog_ids():
@@ -475,8 +482,8 @@ def test_nilpotent_part_and_j_maps_follow_a_rotation_of_the_blocks():
     rng = np.random.default_rng(11)
     r1, r2 = (np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0] for b in space.blocks)
     rotated = ReductiveSpace("rotated", space.algebra, space.isotropy,
-                             (Subspace(space.dim, space.blocks[0].basis @ r1),
-                              Subspace(space.dim, space.blocks[1].basis @ r2)))
+                             (Subspace(space.blocks[0].basis @ r1),
+                              Subspace(space.blocks[1].basis @ r2)))
     nil, nil_rot = nilpotent_part(space), nilpotent_part(rotated)
     r = np.zeros((nil.dim, nil.dim))
     r[:3, :3], r[3:, 3:] = r1, r2

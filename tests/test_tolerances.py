@@ -67,7 +67,7 @@ def _gl2_with_inf():
 
 def _inf_space(monkeypatch, k_idx, block_idx):
     """A space over ``_eps_with_inf``; its Jacobi gate is switched off to reach the later ones."""
-    monkeypatch.setattr(sps, "require_valid", lambda alg, what: alg)
+    monkeypatch.setattr(sps, "worst_jacobi_triple", lambda alg: ((0, 0, 0), 0.0))
     return sps.ReductiveSpace("inf", _eps_with_inf(), la.Subspace.coordinate(3, k_idx),
                               tuple(la.Subspace.coordinate(3, b) for b in block_idx))
 
@@ -140,7 +140,7 @@ GATES = {
     "algebra.structure_constants_from_matrices": ("non-finite entry",
         lambda mp: la.structure_constants_from_matrices(_gl2_with_inf())),
     "algebra.Subspace": ("basis columns must be orthonormal",
-                         lambda mp: la.Subspace(2, np.array([[INF, 0.0], [0.0, 1.0]]))),
+                         lambda mp: la.Subspace(np.array([[INF, 0.0], [0.0, 1.0]]))),
     "completion.complete_bracket": ("non-finite entry",
         lambda mp: completion.complete_bracket(_completion_with_inf())),
     "linalg.signature.inf": ("non-finite entry",
