@@ -142,15 +142,10 @@ def abelian(dim: int) -> LieAlgebra:
 def span_brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Brackets of basis columns, ``out[i, j, :] = [a_i, b_j]`` in ambient coordinates.
 
-    Two matrix products, the first of them ``_left_brackets``.
+    Two matrix products, the first of them the one contraction of ``c``.
     """
-    return b.T @ _left_brackets(alg.c, a)
-
-
-def _left_brackets(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``out[i, j, :] = [a_i, b_j]`` for the columns of ``a``: the one contraction of ``c``."""
-    d = c.shape[0]
-    return (a.T @ c.reshape(d, d * d)).reshape(a.shape[1], d, d)
+    d = alg.dim
+    return b.T @ (a.T @ alg.c.reshape(d, d * d)).reshape(a.shape[1], d, d)
 
 
 def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,13 +2,13 @@
 
 A ``CompletionProblem`` fixes every bracket of a skeleton algebra except the
 block of brackets between basis vectors of one designated index set S, and
-asks for all ways to fill that block with values in a target subspace so that
-the full tensor satisfies the Jacobi identity.
+asks for all ways to fill that block with values in the span of the target
+coordinates T so that the full tensor satisfies the Jacobi identity.
 
-When the target subspace is disjoint from the span of S (checked, otherwise
-the problem is rejected as nonlinearly coupled), every Jacobi component is an
-affine function of the unknown coefficients: unknowns enter each bracket
-chain at most once.  The linear system is assembled as sparse (row, column,
+When T is disjoint from S (checked by the problem's constructor, otherwise
+it is rejected as nonlinearly coupled), every Jacobi component is an affine
+function of the unknown coefficients: unknowns enter each bracket chain at
+most once.  The linear system is assembled as sparse (row, column,
 value) triplets, one row per basis triple and output coordinate that touches
 an unknown, and stored once, as one canonical triplet list (sorted by row,
 then column, coalesced, no explicit zeros); its right-hand side is read from
@@ -41,11 +41,9 @@ import numpy as np
 from .algebra import (
     JACOBI_TOL,
     LieAlgebra,
-    Subspace,
     _cyclic_order,
     _jacobiator_at,
     _join,
-    _left_brackets,
     _triple_key,
     jacobi_residual,
 )
@@ -71,25 +69,34 @@ class CompletionProblem:
         All brackets outside the unknown block are fixed; the unknown block
         entries must be zero in the skeleton tensor.
     unknown_indices : ordered index set S
-        Brackets [b_a, b_b] with a, b in S are the unknowns; each index is
-        distinct and lies in ``[0, skeleton.dim)``, or ``ValueError``.
-    target : Subspace
-        Subspace of the ambient algebra the unknown brackets must land in.
+        Brackets [b_a, b_b] with a, b in S are the unknowns.
+    target : ordered index set T
+        The unknown brackets land in the span of the basis vectors ``b_t``,
+        t in T.
+
+    Each index of S and T is distinct and lies in ``[0, skeleton.dim)``; T
+    is disjoint from S, and the skeleton has no bracket inside S; otherwise
+    ``ValueError``.
     """
 
     skeleton: LieAlgebra
     unknown_indices: tuple[int, ...]
-    target: Subspace
+    target: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "unknown_indices", tuple(int(i) for i in self.unknown_indices))
-        s, d = list(self.unknown_indices), self.skeleton.dim
-        if not all(0 <= i < d for i in s):
-            raise ValueError(f"unknown indices must lie in [0, {d}), got {s}")
-        if len(set(self.unknown_indices)) != len(self.unknown_indices):
-            raise ValueError("unknown index set contains duplicates")
-        if self.target.ambient_dim != self.skeleton.dim:
-            raise ValueError("target subspace lives in the wrong ambient space")
+        d = self.skeleton.dim
+        for what, name in (("unknown", "unknown_indices"), ("target", "target")):
+            idx = tuple(int(i) for i in getattr(self, name))
+            if not all(0 <= i < d for i in idx):
+                raise ValueError(f"{what} indices must lie in [0, {d}), got {list(idx)}")
+            if len(set(idx)) != len(idx):
+                raise ValueError(f"{what} index set contains duplicates")
+            object.__setattr__(self, name, idx)
+        s = self.unknown_indices
+        if set(s) & set(self.target):
+            raise ValueError("nonlinear unknown coupling: target meets the unknown index set")
+        if np.abs(self.skeleton.c[np.ix_(s, s)]).max(initial=0.0) > 0.0:
+            raise ValueError("skeleton already fixes brackets inside the unknown block")
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -102,8 +109,8 @@ class CompletionSolution:
     """Affine solution space of a completion problem.
 
     ``particular`` and the rows of ``homogeneous`` are coefficient arrays of
-    shape (n_pairs, target_dim): entry [p, a] multiplies target basis vector a
-    in the bracket of unknown pair p (ordered as ``problem.pairs``).  The
+    shape (n_pairs, len(target)): entry [p, a] multiplies ``b_{T[a]}`` in the
+    bracket of unknown pair p (ordered as ``problem.pairs``).  The
     fields are frozen and the three arrays are read-only copies, so a cached
     solution stays as solved and the caller's arrays stay as they were.
     """
@@ -139,11 +146,11 @@ class CompletionSolution:
 def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
     """The skeleton with ``coeffs`` filled in, as a new algebra."""
     alg = problem.skeleton
-    a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
-    v = coeffs @ problem.target.basis.T  # v[p] = [b_a, b_b] for the p-th pair (a, b)
+    a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T[:, :, None]
+    t = np.array(problem.target, dtype=int)
     c = np.array(alg.c)
-    c[a, b] += v
-    c[b, a] -= v
+    c[a, b, t] += coeffs  # coeffs[p] fills [b_a, b_b] at T for the p-th pair (a, b)
+    c[b, a, t] -= coeffs
     return LieAlgebra(c, labels=alg.labels)
 
 
@@ -154,9 +161,10 @@ def _assemble(problem: CompletionProblem):
     that touch an unknown; every Jacobi chain [[b_x, b_y], b_z] over a cyclic
     rotation (x, y, z) of the triple contributes in one of two ways:
 
-    * (x, y) is an unknown pair: its coefficients enter through [t_a, b_z];
+    * (x, y) is an unknown pair: its coefficient a enters through
+      ``[b_{T[a]}, b_z]``;
     * z is in S and the fixed bracket [b_x, b_y] has an S-component b_m: the
-      unknown pair (m, z) enters through its target basis vectors.
+      unknown pair (m, z) enters at each output coordinate ``T[a]``.
 
     Returns ``(row, col, val, rhs, worst)``: the canonical triplets of ``A``
     (sorted by row, then column, coalesced, no explicit zeros; row indices
@@ -170,12 +178,13 @@ def _assemble(problem: CompletionProblem):
     a chain's triple and column base are computed once and broadcast over the
     entries it contributes, and only the keys and values are ever held for
     every uncoalesced entry.  Duplicates are summed in the order they were
-    built, after one stable sort.
+    built, after one stable sort.  Every entry is built as plus or minus a
+    nonzero constant of the skeleton, so only a sum of duplicates can be zero.
     """
     c = problem.skeleton.c
     d = c.shape[0]
-    t = problem.target.basis
-    q = t.shape[1]
+    t = np.array(problem.target, dtype=int)
+    q = t.size
     s_arr = np.array(problem.unknown_indices)
     nunk = len(problem.pairs) * q
 
@@ -186,8 +195,8 @@ def _assemble(problem: CompletionProblem):
     psign = np.zeros((d, d))
     psign[a, b], psign[b, a] = 1.0, -1.0
 
-    # unknown pair (x, y), then [t_a, b_z] for every target basis vector
-    ad_t = _left_brackets(c, t).transpose(1, 0, 2)
+    # unknown pair (x, y), then [b_{T[a]}, b_z] for every target coordinate
+    ad_t = c[t].transpose(1, 0, 2)
     px, py = np.nonzero(pidx >= 0)
     x, y = np.repeat(px, d), np.repeat(py, d)
     z = np.tile(np.arange(d), px.size)
@@ -209,10 +218,9 @@ def _assemble(problem: CompletionProblem):
     keep = _cyclic_order(x, y, z) & (m != z)
     x, y, z, m = x[keep], y[keep], z[keep], m[keep]
     base = _triple_key(x, y, z, 0, d) * nunk + pidx[m, z] * q
-    tl, ta = np.nonzero(t)
-    key = np.concatenate((key1, (base[:, None] + (tl * nunk + ta)).ravel()))
+    key = np.concatenate((key1, (base[:, None] + (t * nunk + np.arange(q))).ravel()))
     del key1
-    val = np.concatenate((val1, np.outer(c[x, y, m] * psign[m, z], t[tl, ta]).ravel()))
+    val = np.concatenate((val1, np.repeat(c[x, y, m] * psign[m, z], q)))
     del val1
 
     # coalesce: a stable sort keeps each key's values in the order they were built
@@ -226,8 +234,8 @@ def _assemble(problem: CompletionProblem):
         first = np.append(True, ~dup)
         val = np.bincount(np.cumsum(first) - 1, weights=val)
         key = key[first]
-    nz = val != 0.0
-    key, val = key[nz], val[nz]
+        nz = val != 0.0
+        key, val = key[nz], val[nz]
     rows, col = np.divmod(key, nunk)
     first = np.diff(rows, prepend=-1) != 0
 
@@ -304,27 +312,21 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     Returns a ``CompletionSolution``; an empty solution set (no filling has a
     Jacobi residual below ``JACOBI_TOL``, or the residual is not finite) is a
     valid outcome reported through ``empty=True``, not an exception.  A
-    problem whose target overlaps the unknown coordinate span is rejected
-    (the Jacobi system would be quadratic in the unknowns).
+    problem with unknowns over a non-finite skeleton raises
+    ``ValidationError`` before any block is solved.
     """
     alg = problem.skeleton
-    s = sorted(problem.unknown_indices)
-    t = problem.target.basis
-    q = t.shape[1]
+    q = len(problem.target)
     npairs = len(problem.pairs)
     nunk = npairs * q
 
-    if np.abs(t[s, :]).max(initial=0.0) > 0.0:
-        raise ValueError("nonlinear unknown coupling: target meets the unknown coordinate span")
-    if np.abs(alg.c[np.ix_(s, s)]).max(initial=0.0) > 0.0:
-        raise ValueError("skeleton already fixes brackets inside the unknown block")
     if nunk == 0:
         res = jacobi_residual(alg)
-        return CompletionSolution(problem, np.zeros((0, q)), np.zeros((0, 0, q)), res,
+        return CompletionSolution(problem, np.zeros((npairs, q)), np.zeros((0, npairs, q)), res,
                                   not res < JACOBI_TOL, np.zeros(0))
 
+    require_finite(alg.c)
     row, col, val, rhs, (_, skeleton_res) = _assemble(problem)
-    require_finite(val)
     label = _components(row, col, rhs.size, nunk)
     # block k holds the columns, and the entries, of the k-th smallest label in
     # ascending order; a small index type lets the stable sorts run by radix

@@ -236,8 +236,7 @@ def clifford_completion_problem(n: int, lam: float, mu: float,
     place_action(c, m1_idx, m2_idx, mu * np.kron(np.eye(copies), spin_module(n).gammas))
     labels = (iso.algebra.labels + tuple(f"e{i}" for i in range(1, n + 1))
               + tuple(f"w{a}" for a in range(len(m2_idx))))
-    return CompletionProblem(LieAlgebra(c, labels=labels), m2_idx,
-                             Subspace.coordinate(d, range(dk + n)))
+    return CompletionProblem(LieAlgebra(c, labels=labels), m2_idx, range(dk + n))
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +288,7 @@ def build_clifford_space(n: int, lam: float, mu: float,
         alg = problem.skeleton
     mode = "completed" if completed else "zero"
     return _coordinate_space(f"Cl(n={n},lam={lam:g},mu={mu:g},{mode})", alg,
-                             problem.target.dim - n, (n, len(problem.unknown_indices)))
+                             len(problem.target) - n, (n, len(problem.unknown_indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def build_heisenberg(center_dim: int, copies: int) -> ReductiveSpace:
     if center_dim == 1:
         return _heisenberg_center_one(copies)
     problem = clifford_completion_problem(center_dim, 0.0, 0.0, copies)
-    m2_idx, dk = problem.unknown_indices, problem.target.dim - center_dim
+    m2_idx, dk = problem.unknown_indices, len(problem.target) - center_dim
     c = np.array(problem.skeleton.c)
     gam = np.kron(np.eye(copies), spin_module(center_dim).gammas)
     # skewness of Gamma_i gives the antisymmetry of the block for free

@@ -9,7 +9,6 @@ from liecoh import completion
 from liecoh.algebra import (
     JACOBI_TOL,
     LieAlgebra,
-    Subspace,
     abelian,
     antisymmetrized,
     jacobi_residual,
@@ -44,7 +43,7 @@ def _dense_reference(problem):
     c = problem.skeleton.c
     d = c.shape[0]
     s = set(problem.unknown_indices)
-    t = problem.target.basis
+    t = np.eye(d)[:, list(problem.target)]
     q = t.shape[1]
     nunk = len(problem.pairs) * q
     pair_index = {}
@@ -87,7 +86,7 @@ def _violated_skeleton():
     """Unknown block (3, 4) over a skeleton that already breaks Jacobi on 0..2."""
     c = np.zeros((5, 5, 5))
     c[:3, :3, :3] = antisymmetrized(np.random.default_rng(3).standard_normal((3, 3, 3)))
-    return CompletionProblem(LieAlgebra(c), (3, 4), Subspace.coordinate(5, [0, 1, 2]))
+    return CompletionProblem(LieAlgebra(c), (3, 4), [0, 1, 2])
 
 
 def _random_skeleton(d, nnz, seed):
@@ -97,16 +96,14 @@ def _random_skeleton(d, nnz, seed):
     i, j = np.sort(rng.integers(0, d, (2, nnz)), axis=0)
     c[i, j, rng.integers(0, d, nnz)] = rng.standard_normal(nnz)
     c[d - 3:, d - 3:] = 0.0
-    return CompletionProblem(LieAlgebra(antisymmetrized(c)), (d - 3, d - 2, d - 1),
-                             Subspace.coordinate(d, range(5)))
+    return CompletionProblem(LieAlgebra(antisymmetrized(c)), (d - 3, d - 2, d - 1), range(5))
 
 
 PARITY_CASES = {
     "n2": lambda: clifford_completion_problem(2, 1.0, MU),
     "n3": lambda: clifford_completion_problem(3, 1.0, MU),
     "n6": lambda: clifford_completion_problem(6, 1.0, MU),
-    "zero-skeleton": lambda: CompletionProblem(abelian(5), (3, 4),
-                                               Subspace.coordinate(5, [0, 1, 2])),
+    "zero-skeleton": lambda: CompletionProblem(abelian(5), (3, 4), [0, 1, 2]),
     "inconsistent": lambda: clifford_completion_problem(2, 1.0, 0.3),
     "violated-skeleton": _violated_skeleton,
     "random-dense": lambda: _random_skeleton(8, 200, 4),
@@ -116,13 +113,22 @@ PARITY_CASES = {
 
 def test_zero_skeleton_admits_zero_completion():
     skel = abelian(5)
-    prob = CompletionProblem(skel, (3, 4), Subspace.coordinate(5, [0, 1, 2]))
+    prob = CompletionProblem(skel, (3, 4), [0, 1, 2])
     sol = complete_bracket(prob)
     assert not sol.empty
     assert np.abs(sol.particular).max(initial=0.0) < 1e-12
     # with everything else zero, any filling is two-step nilpotent: full freedom
     assert sol.nullity == 1 * 3
     assert jacobi_residual(sol.realize(np.ones(sol.nullity))) < 1e-12
+
+
+def test_a_problem_without_unknowns_realizes_its_skeleton():
+    # an empty target leaves every unknown bracket zero; a lone unknown index has no pair
+    for problem in (CompletionProblem(abelian(3), (1, 2), []),
+                    CompletionProblem(abelian(3), (2,), [0, 1])):
+        sol = complete_bracket(problem)
+        assert sol.particular.shape == (len(problem.pairs), len(problem.target))
+        assert np.array_equal(sol.realize([]).c, problem.skeleton.c)
 
 
 def test_a_selection_needs_a_solution_space_of_nullity_one():
@@ -168,24 +174,44 @@ def test_unknown_indices_outside_the_skeleton_are_rejected(unknown):
     c = np.array(so_algebra(4).c)
     c[4, 5] = c[5, 4] = 0.0
     with pytest.raises(ValueError, match=r"unknown indices must lie in \[0, 6\)"):
-        CompletionProblem(LieAlgebra(c), unknown, Subspace.coordinate(6, range(4)))
+        CompletionProblem(LieAlgebra(c), unknown, range(4))
+    # the same index set as the target is checked the same way
+    with pytest.raises(ValueError, match=r"target indices must lie in \[0, 6\)"):
+        CompletionProblem(LieAlgebra(c), (4, 5), unknown)
+
+
+@pytest.mark.parametrize("unknown,target,field", [((4, 4), range(4), "unknown"),
+                                                  ((4, 5), (0, 1, 1), "target")])
+def test_duplicate_indices_are_rejected(unknown, target, field):
+    with pytest.raises(ValueError, match=f"{field} index set contains duplicates"):
+        CompletionProblem(abelian(6), unknown, target)
 
 
 def test_nonlinear_coupling_rejected():
-    skel = abelian(4)
-    # target meets the unknown coordinate span
-    prob = CompletionProblem(skel, (1, 2), Subspace.coordinate(4, [0, 2]))
+    # target meets the unknown index set
     with pytest.raises(ValueError, match="nonlinear"):
-        complete_bracket(prob)
+        CompletionProblem(abelian(4), (1, 2), [0, 2])
 
 
 def test_prefilled_unknown_block_rejected():
     c = np.zeros((3, 3, 3))
     c[1, 2, 0] = 1.0
     c[2, 1, 0] = -1.0
-    prob = CompletionProblem(LieAlgebra(c), (1, 2), Subspace.coordinate(3, [0]))
     with pytest.raises(ValueError, match="already fixes"):
-        complete_bracket(prob)
+        CompletionProblem(LieAlgebra(c), (1, 2), [0])
+
+
+def test_a_permuted_target_permutes_the_coefficient_columns():
+    problem = clifford_completion_problem(2, 1.0, MU)
+    order = [2, 0, 1, *range(3, len(problem.target))]
+    permuted = CompletionProblem(problem.skeleton, problem.unknown_indices,
+                                 [problem.target[i] for i in order])
+    sol, got = complete_bracket(problem), complete_bracket(permuted)
+    assert got.nullity == sol.nullity == 1 and not got.empty
+    assert np.abs(got.particular - sol.particular[:, order]).max(initial=0.0) <= 1e-12
+    assert np.abs(got.homogeneous - sol.homogeneous[:, :, order]).max() <= 1e-12
+    assert np.abs(got.singular_values - sol.singular_values).max() <= 1e-12
+    assert np.abs(got.realize(-1.0).c - sol.realize(-1.0).c).max() <= 1e-12
 
 
 def test_heisenberg_family_in_nilpotent_solution_space():
@@ -198,13 +224,11 @@ def test_heisenberg_family_in_nilpotent_solution_space():
     from liecoh.clifford import spin_module
 
     gam = spin_module(7).gammas
-    t = prob.target.basis
-    m1_cols = [np.argmax(t[:, a]) for a in range(t.shape[1])]
-    expected = np.zeros((len(prob.pairs), t.shape[1]))
+    expected = np.zeros((len(prob.pairs), len(prob.target)))
     s = prob.unknown_indices
     for p, (wa, wb) in enumerate(prob.pairs):
         a, b = s.index(wa), s.index(wb)
-        for col, amb in enumerate(m1_cols):
+        for col, amb in enumerate(prob.target):
             local = amb - (prob.skeleton.dim - 8 - 7)  # m1 sits before m2
             if 0 <= local < 7:
                 expected[p, col] = gam[local][b, a]
@@ -299,7 +323,7 @@ def test_expected_empty_cases():
 def test_non_finite_residual_is_empty():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2], c[1, 0, 2] = np.inf, -np.inf
-    prob = CompletionProblem(LieAlgebra(c), (2,), Subspace.coordinate(3, [0, 1]))
+    prob = CompletionProblem(LieAlgebra(c), (2,), [0, 1])
     with np.errstate(invalid="ignore"):
         sol = complete_bracket(prob)
     assert np.isnan(sol.residual)
@@ -307,7 +331,7 @@ def test_non_finite_residual_is_empty():
 
 
 def test_a_solution_leaves_the_callers_arrays_writable():
-    problem = CompletionProblem(abelian(3), (1, 2), Subspace.coordinate(3, [0]))
+    problem = CompletionProblem(abelian(3), (1, 2), [0])
     particular, homogeneous, singular = np.zeros((1, 1)), np.ones((1, 1, 1)), np.ones(1)
     sol = completion.CompletionSolution(problem, particular, homogeneous, 0.0, False, singular)
     for given, kept in ((particular, sol.particular), (homogeneous, sol.homogeneous),
@@ -380,7 +404,7 @@ def test_a_nonzero_right_hand_side_takes_eigh_on_its_blocks_only(monkeypatch):
     a, b = pairs.index((1, 2)), pairs.index((2, 3))
     skeleton = c.copy()
     skeleton[a, b] = skeleton[b, a] = 0.0
-    target = Subspace.coordinate(10, [i for i in range(10) if i not in (a, b)])
+    target = [i for i in range(10) if i not in (a, b)]
     problem = CompletionProblem(LieAlgebra(skeleton), (a, b), target)
     row, col, val, rhs, _ = completion._assemble(problem)
     nunk = 8
@@ -423,7 +447,7 @@ def test_run_pairs_match_the_self_join(runs):
 def _full_pair_grams(problem):
     """Every block's Gram, summed over all pairs of entries in one row, in block order."""
     row, col, val, rhs, _ = completion._assemble(problem)
-    label = completion._components(row, col, rhs.size, len(problem.pairs) * problem.target.dim)
+    label = completion._components(row, col, rhs.size, len(problem.pairs) * len(problem.target))
     grams = []
     for k in np.unique(label):  # blocks in the order of their smallest column
         cols = np.flatnonzero(label == k)
@@ -454,8 +478,7 @@ def _near_singular_block(delta):
     c = np.zeros((5, 5, 5))
     c[0, 4, :2] = 1.0, 1.0
     c[1, 4, :2] = 1.0, 1.0 + delta
-    return CompletionProblem(LieAlgebra(antisymmetrized(c)), (2, 3),
-                             Subspace.coordinate(5, [0, 1]))
+    return CompletionProblem(LieAlgebra(antisymmetrized(c)), (2, 3), [0, 1])
 
 
 def test_a_block_too_ill_conditioned_for_its_gram_fails_closed():
@@ -570,14 +593,14 @@ def test_a_seeded_memo_keeps_the_nan_rule(jacobi_kernel_calls):
     c = np.array(PARITY_CASES["random-sparse"]().skeleton.c)
     c[5, 6, :], c[6, 5, :] = 0.0, 0.0
     c[5, 6, 7], c[6, 5, 7] = np.inf, -np.inf
-    problem = CompletionProblem(LieAlgebra(c), (21, 22, 23), Subspace.coordinate(24, range(5)))
+    problem = CompletionProblem(LieAlgebra(c), (21, 22, 23), range(5))
     assert la._joins(problem.skeleton.c)
     with np.errstate(invalid="ignore"):
         triple, res = completion._assemble(problem)[4]
         assert np.isnan(res) and triple == (0, 0, 0)
         assert not jacobi_kernel_calls
         assert np.isnan(jacobi_residual(problem.skeleton))
-        # the inf also reaches the system through [t_a, b_z], whose entries are checked
+        # the solve checks the skeleton constants, the inf among them
         with pytest.raises(ValidationError):
             complete_bracket(problem)
 
@@ -591,19 +614,19 @@ def test_so_n_with_one_bracket_removed_completes_back_to_it(n, joins):
     skeleton = c.copy()
     skeleton[a, b] = skeleton[b, a] = 0.0
     assert la._joins(skeleton) == joins
-    target = Subspace.coordinate(c.shape[0], [i for i in range(c.shape[0]) if i not in (a, b)])
+    target = [i for i in range(c.shape[0]) if i not in (a, b)]
     problem = CompletionProblem(LieAlgebra(skeleton), (a, b), target)
     assert np.count_nonzero(completion._assemble(problem)[3]) > 0
     sol = complete_bracket(problem)
     assert not sol.empty and sol.nullity == 0
-    assert np.abs(sol.particular - target.basis.T @ c[a, b]).max() <= 1e-12
+    assert np.abs(sol.particular - c[a, b][target]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)
 def test_assembled_triplets_are_canonical(case):
     # the Gram join's local_row numbers a block's rows by runs of equal row
     problem = ASSEMBLY_CASES[case]()
-    nunk = len(problem.pairs) * problem.target.dim
+    nunk = len(problem.pairs) * len(problem.target)
     row, col, val, rhs, _ = completion._assemble(problem)
     assert row.size == col.size == val.size
     assert np.all(np.diff(row) >= 0)
@@ -633,10 +656,10 @@ def test_n7_assembly_stays_below_six_mib():
 
 def test_non_finite_system_entries_still_fail_closed():
     c = np.zeros((5, 5, 5))
-    c[0, 2, 1], c[2, 0, 1] = np.inf, -np.inf  # enters the rows through [t_0, b_2], and 0 * inf
-    problem = CompletionProblem(LieAlgebra(c), (3, 4), Subspace.coordinate(5, [0, 1, 2]))
+    c[0, 2, 1], c[2, 0, 1] = np.inf, -np.inf  # enters the rows through [b_0, b_2]
+    problem = CompletionProblem(LieAlgebra(c), (3, 4), [0, 1, 2])
     with np.errstate(invalid="ignore"):
         val = completion._assemble(problem)[2]
-        assert np.isinf(val).any() and np.isnan(val).any()
+        assert np.isinf(val).any()
         with pytest.raises(ValidationError):
             complete_bracket(problem)

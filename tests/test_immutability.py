@@ -11,9 +11,11 @@ object not known to be immutable fails the test, named by its path.
 """
 
 import __future__
+import ast
 import dataclasses
 import functools
 import importlib
+import os
 import pkgutil
 import types
 
@@ -33,6 +35,12 @@ CACHED = {
     "clifford.spin_module": ((2,), (3,), (6,), (7,), (8,)),
     "spaces._cached_completion": tuple((n, 1.0, MU) for n in (2, 3, 6, 7)),
     "spaces.catalog_entry": tuple((sid,) for sid in sps.catalog_ids()),
+}
+
+# functions other than a ``__post_init__`` that write a frozen field, each with its reason
+FROZEN_WRITERS = {
+    "spaces.catalog_entry": "relabels the space it has just built, before any caller holds "
+                            "it; replace() would run every check again",
 }
 
 SCALARS = (type(None), bool, int, float, complex, str, bytes, np.generic)
@@ -126,3 +134,35 @@ def test_the_walk_finds_what_is_mutable():
     assert mutable_paths(package_function, "f") == []   # a test's function is a leaf
     package_function.__module__ = "liecoh.example"
     assert mutable_paths(package_function, "f") == ["f.__defaults__[0]", "f.<closure cell>"]
+
+
+def _frozen_field_writers(tree, prefix):
+    """Qualified names of the functions whose own body calls ``object.__setattr__``."""
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and getattr(child.func.value, "id", None) == "object"):
+                found.add(name)
+            visit(child, name)
+
+    visit(tree, prefix)
+    return found
+
+
+def test_frozen_fields_are_written_only_in_post_init():
+    # a frozen value is set as it is built, never later by a hidden memo
+    pkg = os.path.dirname(liecoh.__file__)
+    writers = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            writers |= _frozen_field_writers(ast.parse(open(os.path.join(pkg, name)).read()),
+                                             name[:-3])
+    assert {"algebra.LieAlgebra.__post_init__",
+            "completion.CompletionProblem.__post_init__"} <= writers
+    assert {w for w in writers if not w.endswith(".__post_init__")} == set(FROZEN_WRITERS)

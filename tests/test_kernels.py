@@ -60,9 +60,10 @@ def curvature_reference(ms):
     space = ms.space
     kb, mb = space.isotropy.basis, np.hstack([b.basis for b in space.blocks])
     # bm[i, j] and bk[i, j]: the m- and k-parts of [m_i, m_j]; rho[a][j, i] = <[k_a, m_i], m_j>
-    bm = np.einsum("pqr,pi,qj,rl->ijl", space.algebra.c, mb, mb, mb)
-    bk = np.einsum("pqr,pi,qj,ra->ija", space.algebra.c, mb, mb, kb)
-    rho = np.einsum("pqr,pa,qi,rj->aji", space.algebra.c, kb, mb, mb)
+    # optimize=True contracts one basis at a time, not all four operands at once
+    bm = np.einsum("pqr,pi,qj,rl->ijl", space.algebra.c, mb, mb, mb, optimize=True)
+    bk = np.einsum("pqr,pi,qj,ra->ija", space.algebra.c, mb, mb, kb, optimize=True)
+    rho = np.einsum("pqr,pa,qi,rj->aji", space.algebra.c, kb, mb, mb, optimize=True)
     q = ms.metric()
     qinv = np.linalg.inv(q)
     w = np.einsum("zim,mj->ijz", bm, q) + np.einsum("zjm,mi->ijz", bm, q)

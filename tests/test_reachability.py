@@ -264,5 +264,6 @@ def test_only_the_frame_read_and_two_algebra_kernels_call_span_brackets():
 
 
 def test_no_module_but_algebra_contracts_the_constants_against_a_basis():
-    # the completion assembly takes [t_a, b_z] from algebra._left_brackets
+    # the completion assembly reads [b_t, b_z] as the slice c[T] of its target
+    # coordinates T, and contracts nothing
     assert _package_functions_with(_multiplies_c_reshape, skip=("algebra",)) == C_RESHAPE_PRODUCTS

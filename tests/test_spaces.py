@@ -299,11 +299,9 @@ def test_flat_unitary_bracket_rigidity():
     alg = semidirect_sum(rep.algebra, rep)
     m1, m2 = list(range(9, 11)), list(range(11, 17))
     center_dir = list(range(8, 9))  # the trace direction of u(3)
-    sol1 = complete_bracket(CompletionProblem(
-        alg, tuple(m1), Subspace.coordinate(alg.dim, center_dir)))
+    sol1 = complete_bracket(CompletionProblem(alg, m1, center_dir))
     assert sol1.nullity == 0 and np.abs(sol1.particular).max(initial=0.0) < 1e-12
-    sol2 = complete_bracket(CompletionProblem(
-        alg, tuple(m2), Subspace.coordinate(alg.dim, list(range(9)) + m1)))
+    sol2 = complete_bracket(CompletionProblem(alg, m2, list(range(9)) + m1))
     assert sol2.nullity == 0 and np.abs(sol2.particular).max(initial=0.0) < 1e-12
 
 

@@ -127,8 +127,7 @@ def _completion_with_inf():
     """Unknown pair (3, 4) over a skeleton with [b_0, b_2] = inf b_1, which enters its rows."""
     c = np.zeros((5, 5, 5))
     c[0, 2, 1], c[2, 0, 1] = INF, -INF
-    return completion.CompletionProblem(la.LieAlgebra(c), (3, 4),
-                                        la.Subspace.coordinate(5, [0, 1, 2]))
+    return completion.CompletionProblem(la.LieAlgebra(c), (3, 4), [0, 1, 2])
 
 
 # gate -> (a fragment of its own message, a call that reaches it with a NaN residual)
