@@ -5,6 +5,15 @@ The gamma systems are assembled from 2x2 tiles I, J, P, Q (identity, rotation,
 swap, parity) by tensoring, so every matrix has entries in {0, +-1} and all
 identities below hold in exact integer arithmetic.  Module dimensions are the
 minimal real ones: 4, 4, 8, 8, 8, 8, 16, 32 for n = 2..9.
+
+Every gamma is monomial on the bit-indexed module basis w_x, x in F_2^m:
+Gamma_i w_x = s_i(x) w_{x xor a_i}, with a sign s_i(x) = +-1 and a fixed
+a_i, since each tile maps a basis vector to plus or minus one.  At n = 7
+the a_i are the seven nonzero vectors of F_2^3, and every linear map M of
+F_2^3 permutes them; ``gamma_lifts`` lifts a few such M to signed
+permutations Q of the module with Q Gamma_i Q^-1 = eps_i Gamma_pi(i)
+(the Fano-plane collineations behind the octonions; Baez, "The octonions",
+*Bull. AMS* 39, 2002).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .reps import Representation
 
 __all__ = [
     "CliffordModule",
+    "gamma_lifts",
     "so_algebra",
     "spin_algebra",
     "spin_module",
@@ -116,6 +126,73 @@ def spin_module(n: int) -> CliffordModule:
     else:
         raise ValueError("spin_module supports 2 <= n <= 9")
     return CliffordModule(n, np.array(gammas))
+
+
+# Images of the basis (u1, u2, u3) of F_2^3, u1 = a_7, that generate GL(3, 2):
+# two maps fixing u1, of orders 3 and 4, which generate its stabilizer (of
+# order 24), and a Singer cycle, of order 7 (x^3 + x + 1 is primitive over
+# F_2), which makes the group all 168 maps.
+_GL32_GENERATORS = (
+    ((1, 0, 0), (0, 0, 1), (0, 1, 1)),
+    ((1, 0, 0), (0, 0, 1), (1, 1, 0)),
+    ((0, 1, 0), (0, 0, 1), (1, 1, 0)),
+)
+
+
+def _lift(g: np.ndarray, a: np.ndarray, s: np.ndarray, u: np.ndarray, images):
+    """The lift ``(pi, eps, Q)`` of the map of F_2^3 sending ``u[k]`` to ``images[k]``.
+
+    ``g`` are the gammas, monomial as ``Gamma_i w_x = s[i, x] w_{x ^ a[i]}``.
+    With ``Q w_x = t(x) w_{Mx}``, the rule ``Q Gamma_i = eps_i Gamma_pi(i) Q``
+    reads ``t(x ^ a_i) = eps_i t(x) s_i(x) s_pi(i)(Mx)``; ``t(0) = 1`` and
+    ``eps = 1`` on the basis fix ``t``, and ``x = 0`` then gives every
+    ``eps_i``.  The result is checked exactly, so an M that does not lift
+    raises ``ValueError``.
+    """
+    d = g.shape[1]
+    img = np.bitwise_xor.reduce(u * np.array(images), axis=1)  # M u[k]
+    pos = np.zeros(d, dtype=int)
+    pos[a] = np.arange(a.size)  # Gamma_pos[v] moves the bits v
+    mx, t = np.zeros(d, dtype=int), np.ones(d, dtype=int)
+    known = np.zeros(1, dtype=int)  # the span of u[:k], on which M and t are known
+    for uk, mk in zip(u, img):
+        mx[known ^ uk] = mx[known] ^ mk
+        t[known ^ uk] = t[known] * s[pos[uk], known] * s[pos[mk], mx[known]]
+        known = np.concatenate((known, known ^ uk))
+    pi = pos[mx[a]]
+    eps = t[a] * s[:, 0] * s[pi, 0]
+    q = np.zeros((d, d), dtype=int)
+    q[mx, np.arange(d)] = t
+    gi = g.astype(int)
+    if not np.array_equal(q @ gi @ q.T, eps[:, None, None] * gi[pi]):
+        raise ValueError("the map of F_2^3 does not lift to the module")
+    for array in (pi, eps, q):
+        array.setflags(write=False)
+    return pi, eps, q
+
+
+@lru_cache(maxsize=None)
+def gamma_lifts(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """A few monomial symmetries of ``spin_module(n)``, n = 6 or 7, built once per n.
+
+    Each is ``(pi, eps, Q)``: a permutation ``pi`` of the gamma indices (0-based),
+    signs ``eps`` and a signed permutation matrix ``Q`` of the module with
+    ``Q Gamma_i Q^T = eps[i] Gamma_pi[i]`` exactly, all read-only integer
+    arrays.  At n = 7 they lift generators of GL(3, 2), all 168 of whose
+    elements lift, and their ``pi`` are transitive on the seven gammas.  The
+    n = 6 gammas are the first six at n = 7, so n = 6 keeps the n = 7 lifts
+    that fix Gamma_7, which generate its 24 liftable permutations, transitive
+    on the six.  Other n raise ``ValueError``.
+    """
+    if n == 6:
+        return tuple((pi[:6], eps[:6], q) for pi, eps, q in gamma_lifts(7) if pi[6] == 6)
+    if n != 7:
+        raise ValueError("gamma_lifts supports n = 6 and n = 7")
+    g = spin_module(7).gammas
+    a = np.abs(g[:, :, 0]).argmax(axis=1)  # Gamma_i w_0 = s_i(0) w_{a_i}
+    s = g.sum(axis=1).astype(int)  # s[i, x]: the one entry of Gamma_i's column x
+    u = np.array([a[6], a[0], next(v for v in a[1:6] if v not in (0, a[6], a[0], a[6] ^ a[0]))])
+    return tuple(_lift(g, a, s, u, images) for images in _GL32_GENERATORS)
 
 
 def bivector_pairs(n: int) -> list[tuple[int, int]]:

@@ -27,7 +27,12 @@ largest; the directions the Gram cannot resolve are measured, and refined,
 on ``A`` itself, and a block that would keep one of them is rejected.  The
 singular values of the whole system are the union of the per-component
 ones, and one rank cutoff relative to the largest of them applies to every
-component.  The solution set is returned as a particular least-squares
+component.  A problem may carry symmetries, signed permutations of the basis
+that its constructor checks to be automorphisms of the skeleton keeping S
+and T; each carries every component onto one with the same singular values,
+so a component whose class already holds a solved one takes those values,
+and forms no Gram where they show it adds nothing to either solution.  The
+solution set is returned as a particular least-squares
 solution plus an orthonormal nullspace basis, or reported empty when even
 the best completion leaves a residual above tolerance.
 """
@@ -73,15 +78,25 @@ class CompletionProblem:
     target : ordered index set T
         The unknown brackets land in the span of the basis vectors ``b_t``,
         t in T.
+    symmetries : tuple of ``(perm, sign)`` pairs, default none
+        Automorphisms ``b_i -> sign[i] b_perm[i]`` of the skeleton that keep
+        S and T.  Each maps the Jacobi system onto itself by a signed
+        permutation of rows and columns, so ``complete_bracket`` reads the
+        singular values off one block per class.  Kept as read-only integer
+        copies.
 
     Each index of S and T is distinct and lies in ``[0, skeleton.dim)``; T
-    is disjoint from S, and the skeleton has no bracket inside S; otherwise
-    ``ValueError``.
+    is disjoint from S, and the skeleton has no bracket inside S; each
+    symmetry is a permutation with signs +-1 that maps S onto S and T onto
+    T and carries every nonzero constant ``c[i, j, k]`` onto an equal
+    ``sign[i] sign[j] sign[k] c[perm[i], perm[j], perm[k]]`` (then zeros map
+    onto zeros too); otherwise ``ValueError``.
     """
 
     skeleton: LieAlgebra
     unknown_indices: tuple[int, ...]
     target: tuple[int, ...]
+    symmetries: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self):
         d = self.skeleton.dim
@@ -97,6 +112,26 @@ class CompletionProblem:
             raise ValueError("nonlinear unknown coupling: target meets the unknown index set")
         if np.abs(self.skeleton.c[np.ix_(s, s)]).max(initial=0.0) > 0.0:
             raise ValueError("skeleton already fixes brackets inside the unknown block")
+        symmetries = tuple((np.array(perm, dtype=int), np.array(sign, dtype=int))
+                           for perm, sign in self.symmetries)
+        if symmetries:  # the nonzero constants, by flat index (i d + j) d + k
+            c = self.skeleton.c.ravel()
+            nz = np.flatnonzero(c != 0.0)
+            i, jk = np.divmod(nz, d * d)
+            j, k = np.divmod(jk, d)
+        for perm, sign in symmetries:
+            if not (perm.shape == sign.shape == (d,) and np.array_equal(np.sort(perm), np.arange(d))
+                    and (np.abs(sign) == 1).all()):
+                raise ValueError("a symmetry must be a permutation of the basis with signs +-1")
+            if set(perm[list(s)]) != set(s) or set(perm[list(self.target)]) != set(self.target):
+                raise ValueError("a symmetry must map the unknown and the target index sets "
+                                 "onto themselves")
+            image = c[(perm[i] * d + perm[j]) * d + perm[k]] * (sign[i] * sign[j] * sign[k])
+            if not np.array_equal(image, c[nz], equal_nan=True):
+                raise ValueError("a symmetry is not an automorphism of the skeleton")
+            perm.setflags(write=False)
+            sign.setflags(write=False)
+        object.__setattr__(self, "symmetries", symmetries)
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -263,6 +298,36 @@ def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.
         label = new
 
 
+def _block_orbits(problem: CompletionProblem, block: np.ndarray, first: np.ndarray,
+                  shape: np.ndarray) -> np.ndarray:
+    """The smallest block of every block's orbit under ``problem.symmetries``.
+
+    ``block`` numbers the block of every column, ``first`` is each block's
+    first column and ``shape`` holds each block's column and entry counts.
+    A symmetry maps the column of unknown pair (x, y) and target coordinate
+    t to the column of (perm[x], perm[y]) and perm[t], and so each block
+    onto one block: the one that holds the image of its first column.  Edges
+    between blocks of different ``shape`` are dropped; the orbits are closed
+    by the minimum-label propagation of ``_components``, each edge a row
+    that touches its two blocks.
+    """
+    nblocks = first.size
+    s, t = np.array(problem.unknown_indices), np.array(problem.target)
+    pos = np.zeros(problem.skeleton.dim, dtype=int)  # the place of an index in S, or in T
+    pos[s], pos[t] = np.arange(s.size), np.arange(t.size)
+    a, b = np.triu_indices(s.size, 1)  # the pairs of ``problem.pairs``, by place in S
+    pnum = np.zeros((s.size, s.size), dtype=int)
+    pnum[a, b] = pnum[b, a] = np.arange(a.size)
+    p, u = np.divmod(first, t.size)
+    x, y, z = s[a[p]], s[b[p]], t[u]
+    image = np.concatenate([block[pnum[pos[perm[x]], pos[perm[y]]] * t.size + pos[perm[z]]]
+                            for perm, _ in problem.symmetries])
+    src = np.tile(np.arange(nblocks), len(problem.symmetries))
+    keep = (shape[src] == shape[image]).all(axis=1)
+    edges = np.column_stack((src[keep], image[keep])).ravel()
+    return _components(np.arange(edges.size) // 2, edges, edges.size // 2, nblocks)
+
+
 def _run_pairs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair ``(li, ri)`` with ``li <= ri`` of entries in one run of a sorted ``r``.
 
@@ -296,6 +361,14 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     eigenpairs, is subtracted) and then given the singular value ``|a v|``,
     measured on the sparse rows.  A column that no row touches is a
     component of its own, with one zero singular value.
+    The blocks are closed into orbits under ``problem.symmetries``
+    (``_block_orbits``), and a block whose orbit holds an earlier block takes
+    that block's singular values in place of its own Gram eigenvalues, from
+    which they differ by round-off only.  They stand only where they decide
+    that the block adds nothing to either solution (its own ``a^T b`` is
+    zero, and no value is at or below the cutoff or below ``GRAM_RTOL`` times
+    the largest); any other block forms its Gram and ``V`` as without
+    symmetries.  A problem without symmetries solves every block.
     ``singular_values`` is the union of the per-component values in
     descending order; one cutoff, ``RANK_RTOL`` times the largest of them,
     decides the rank of every component.  A block that keeps a singular
@@ -349,8 +422,14 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
         return r, c, v, g
 
     atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
+    orbit = (_block_orbits(problem, block, col_order[col_at[:-1]],
+                           np.column_stack((count, np.diff(entry_at))))
+             if problem.symmetries else range(count.size))
     svs, held = [], {}
-    for k in range(count.size):
+    for k, r in enumerate(orbit):
+        if r < k:
+            svs.append(svs[r])  # a symmetry carries block r onto block k
+            continue
         kg = gram(k)
         sv = np.sqrt(np.maximum(np.linalg.eigvalsh(kg[3])[::-1], 0.0))
         if sv[-1] <= GRAM_RTOL * sv[0] or atb[col_order[col_at[k]:col_at[k + 1]]].any():

@@ -67,7 +67,7 @@ from .builders import (
     su_standard,
     u_standard,
 )
-from .clifford import bivector_pairs, so_algebra, so_vector_matrices, spin_module
+from .clifford import bivector_pairs, gamma_lifts, so_algebra, so_vector_matrices, spin_module
 from .completion import CompletionProblem, CompletionSolution, complete_bracket
 from .linalg import residual_scale, signature
 from .reps import (
@@ -214,6 +214,13 @@ def clifford_completion_problem(n: int, lam: float, mu: float,
     completion (into the target k + m1) or ``build_heisenberg`` to fill.  This
     is the one writer of the Clifford skeleton.  More than one module copy is
     wired only for n = 2, 3.
+
+    At n = 6 and 7 the problem carries the ``gamma_lifts`` of the module as
+    symmetries: a lift ``(pi, eps, Q)`` maps ``L_ij -> eps_i eps_j
+    L_pi(i)pi(j)`` on k, ``e_i -> eps_i e_pi(i)`` on m1 and ``w -> Q w`` on
+    m2, an automorphism of the skeleton since ``Q Gamma_i Q^-1 = eps_i
+    Gamma_pi(i)``.  At n = 2, 3 the isotropy also holds the sp(copies)
+    commutant, and the blocks are small enough to solve each.
     """
     if n not in (2, 3, 6, 7):
         raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
@@ -236,7 +243,22 @@ def clifford_completion_problem(n: int, lam: float, mu: float,
     place_action(c, m1_idx, m2_idx, mu * np.kron(np.eye(copies), spin_module(n).gammas))
     labels = (iso.algebra.labels + tuple(f"e{i}" for i in range(1, n + 1))
               + tuple(f"w{a}" for a in range(len(m2_idx))))
-    return CompletionProblem(LieAlgebra(c, labels=labels), m2_idx, range(dk + n))
+    symmetries = _clifford_symmetries(n, k_idx, m1_idx, m2_idx) if n in (6, 7) else ()
+    return CompletionProblem(LieAlgebra(c, labels=labels), m2_idx, range(dk + n), symmetries)
+
+
+def _clifford_symmetries(n, k_idx, m1_idx, m2_idx) -> tuple:
+    """The ``(perm, sign)`` of each ``gamma_lifts(n)`` on the skeleton basis k + m1 + m2."""
+    i, j = np.triu_indices(n, 1)  # the (i, j) of bivector_pairs, 0-based
+    pair = np.zeros((n, n), dtype=int)
+    pair[i, j] = pair[j, i] = k_idx
+    symmetries = []
+    for pi, eps, q in gamma_lifts(n):
+        w, qw = np.nonzero(q.T)  # Q w_w = q[qw, w] w_qw
+        perm = np.concatenate((pair[pi[i], pi[j]], m1_idx[pi], m2_idx[qw]))
+        flip = np.where(pi[i] < pi[j], 1, -1)  # L_ji = -L_ij
+        symmetries.append((perm, np.concatenate((eps[i] * eps[j] * flip, eps, q[qw, w]))))
+    return tuple(symmetries)
 
 
 @lru_cache(maxsize=None)

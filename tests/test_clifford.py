@@ -186,3 +186,33 @@ def test_clifford_module_leaves_the_callers_gammas_writable():
     module = cl.CliffordModule(3, gammas)
     gammas[0, 0, 0] = 1.0
     assert module.gammas[0, 0, 0] == 0.0 and not module.gammas.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# monomial symmetries of the gamma systems
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,order", [(6, 24), (7, 168)])
+def test_gamma_lifts_are_exact_and_generate_every_liftable_permutation(n, order):
+    g = spin_module(n).gammas
+    group = frontier = {tuple(range(n))}
+    gens = []
+    for pi, eps, q in cl.gamma_lifts(n):
+        assert not (pi.flags.writeable or eps.flags.writeable or q.flags.writeable)
+        assert np.array_equal(np.abs(q).sum(axis=0), np.ones(8))  # a signed permutation
+        assert np.array_equal(np.abs(q).sum(axis=1), np.ones(8))
+        assert np.array_equal(np.abs(eps), np.ones(n))
+        assert np.array_equal(q @ g @ q.T, eps[:, None, None] * g[pi])
+        gens.append(tuple(pi))
+    while frontier:  # the permutations the lifts generate: GL(3, 2), or a_7's stabilizer in it
+        frontier = {tuple(s[i] for i in p) for p in frontier for s in gens} - group
+        group |= frontier
+    assert len(group) == order
+    assert {p[0] for p in group} == set(range(n))  # transitive on the gammas
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+def test_gamma_lifts_only_for_n_6_and_7(n):
+    with pytest.raises(ValueError):
+        cl.gamma_lifts(n)

@@ -32,6 +32,7 @@ CACHED = {
     "builders.clifford_isotropy": ((2, 1), (2, 2), (3, 1), (3, 2), (6, 1), (7, 1)),
     "claims._below": ((1e-12,), (1e-9,), (1e-8,), (1e-5,)),
     "claims.build_claims": ((),),
+    "clifford.gamma_lifts": ((6,), (7,)),
     "clifford.spin_module": ((2,), (3,), (6,), (7,), (8,)),
     "spaces._cached_completion": tuple((n, 1.0, MU) for n in (2, 3, 6, 7)),
     "spaces.catalog_entry": tuple((sid,) for sid in sps.catalog_ids()),

@@ -12,7 +12,10 @@ solve and ``completion._assemble`` within it.  The script prints, for every
 tree, the minimum over all solves of each n of the whole solve, of
 ``_assemble`` and of the rest (each minimum taken on its own), in
 milliseconds.  With two trees or more, a last column gives the change of
-the last tree against the first.
+the last tree against the first.  Below the times it prints, for every tree,
+how many times the warm-up solve of each n called ``np.linalg.eigvalsh`` and
+``np.linalg.eigh``: one call per block that forms its Gram, and one per block
+that forms its eigenvectors.
 
 This is the layer benchmark of the completion solve.  It is no end-to-end
 figure: the benchmark in ``perfbench/`` gives those.
@@ -43,9 +46,11 @@ def child(src: str, repeats: int) -> None:
 
     completion._assemble = timed_assemble
     mu = 2.0 ** -0.5
-    times = {}
+    times, calls = {}, {}
     for n in NS:
-        completion.complete_bracket(spaces.clifford_completion_problem(n, 1.0, mu))
+        for name, count in counted_solve(completion,
+                                         spaces.clifford_completion_problem(n, 1.0, mu)).items():
+            calls[f"n{n} {name}"] = count
         rows = {part: times.setdefault(f"n{n} {part}", [])
                 for part in ("solve", "assemble", "rest")}
         for _ in range(repeats):
@@ -57,7 +62,29 @@ def child(src: str, repeats: int) -> None:
             rows["solve"].append(total)
             rows["assemble"].append(sum(spent))
             rows["rest"].append(total - sum(spent))
-    json.dump({"times": times}, sys.stdout)
+    json.dump({"times": times, "calls": {src: calls}}, sys.stdout)
+
+
+def counted_solve(completion, problem) -> dict:
+    """The ``eigvalsh`` and ``eigh`` calls of one ``complete_bracket(problem)``."""
+    linalg = completion.np.linalg
+    solvers = {name: getattr(linalg, name) for name in ("eigvalsh", "eigh")}
+    counts = dict.fromkeys(solvers, 0)
+
+    def counting(name):
+        def solver(*args, **kwargs):
+            counts[name] += 1
+            return solvers[name](*args, **kwargs)
+        return solver
+
+    try:
+        for name in solvers:
+            setattr(linalg, name, counting(name))
+        completion.complete_bracket(problem)
+    finally:
+        for name, solver in solvers.items():
+            setattr(linalg, name, solver)
+    return counts
 
 
 def main(argv=None) -> None:
@@ -66,9 +93,13 @@ def main(argv=None) -> None:
         child(args.src[0], args.repeats)
         return
     trees = [os.path.abspath(src) for src in args.src]
-    best, _ = minima(__file__, trees, "--repeats", str(args.repeats))
+    best, extra = minima(__file__, trees, "--repeats", str(args.repeats))
     rows = [(name, [b.get(name, float("inf")) for b in best]) for name in best[0]]
     print_table(trees, rows, f"{args.repeats} solves", 16)
+    calls = [extra["calls"][src] for src in trees]
+    print("# eigvalsh and eigh calls in one solve")
+    for name in calls[0]:
+        print(f"{name:16s} " + " ".join(f"{c.get(name, 0):9d}" for c in calls))
 
 
 if __name__ == "__main__":
