@@ -386,10 +386,22 @@ def test_blocks_are_solved_from_their_gram_matrices(monkeypatch):
 
 
 @pytest.mark.parametrize("n,eigvalsh,eigh", [
-    (2, 4, [(12, 12)]), (3, 4, [(18, 18)]), (6, 3, []), (7, 2, [(112, 112)]),
+    (2, 4, [(12, 12)]), (3, 4, [(18, 18)]), (6, 8, []), (7, 8, [(112, 112)]),
 ])
 def test_eigenvectors_are_formed_only_for_the_blocks_that_read_them(n, eigvalsh, eigh,
                                                                   monkeypatch):
+    # without symmetries every block forms its own Gram
+    problem = dataclasses.replace(clifford_completion_problem(n, 1.0, MU), symmetries=())
+    seen = _record_solvers(monkeypatch)
+    assert complete_bracket(problem).nullity == (n != 6)
+    assert len(seen["eigvalsh"]) == eigvalsh
+    assert [a.shape for a in seen["eigh"]] == eigh
+
+
+@pytest.mark.parametrize("n,eigvalsh,eigh", [
+    (2, 4, [(12, 12)]), (3, 4, [(18, 18)]), (6, 3, []), (7, 2, [(112, 112)]),
+])
+def test_symmetries_leave_one_gram_per_block_class(n, eigvalsh, eigh, monkeypatch):
     problem = clifford_completion_problem(n, 1.0, MU)
     seen = _record_solvers(monkeypatch)
     assert complete_bracket(problem).nullity == (n != 6)
