@@ -164,10 +164,12 @@ def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cyclic_order(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Distinct (x, y, z) that are a cyclic rotation of their sorted triple."""
-    distinct = (x != y) & (y != z) & (z != x)
-    inversions = (x > y).astype(int) + (x > z) + (y > z)
-    return distinct & (inversions % 2 == 0)
+    """Distinct (x, y, z) that are a cyclic rotation of their sorted triple.
+
+    The rotations of i < j < k are (i, j, k), (j, k, i) and (k, i, j): the
+    ones with x < y < z, y < z < x or z < x < y.
+    """
+    return (x < y) & (y < z) | (y < z) & (z < x) | (z < x) & (x < y)
 
 
 def _triple_key(x, y, z, l, d: int) -> np.ndarray:
@@ -234,8 +236,13 @@ def _join_jacobiator(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotation are summed per key.  Keys without a product are left out.
     """
     d = c.shape[0]
-    i, j, k = np.nonzero(c)  # sorted on i: the right side of the join on k == i
-    v = c[i, j, k]
+    flat = c.ravel()
+    # in C order, so sorted on i: the right side of the join on k == i; a boolean mask
+    # finds them several times faster than the floats themselves
+    nz = np.flatnonzero(flat != 0.0)
+    v = flat[nz]
+    i, jk = np.divmod(nz, d * d)
+    j, k = np.divmod(jk, d)
     key = total = None
     for li, ri in _join(k, i, CHUNK_BYTES // 8):
         x, y, z = i[li], j[li], j[ri]
@@ -296,20 +303,25 @@ def _jacobi_kernel(c: np.ndarray) -> tuple[tuple[int, int, int], float]:
     return _join_worst(c) if _joins(c) else _slab_worst(c)
 
 
-def _jacobiator_at(c: np.ndarray, keys: np.ndarray):
-    """``J[i,j,k,l]`` of ``c`` at ``_triple_key`` keys of sorted triples i < j < k.
+def _jacobi_join(c: np.ndarray) -> tuple:
+    """The join of ``_join_jacobiator``, whatever the density of ``c``, as ``(key, J, worst)``.
 
-    Read from the join of ``_join_jacobiator``, whatever the density of
-    ``c``: every completion skeleton is sparse.  A key the join has no
-    product for reads 0.  Returns ``(J, worst)``, with ``worst`` what
+    Every completion skeleton is sparse.  ``worst`` is what
     ``worst_jacobi_triple`` gives for ``c``, reduced from the same join.
     """
-    d = c.shape[0]
     key, total = _join_jacobiator(c)
-    worst = _normalised(c, lambda _: _reduce_join(key, total, d))
-    key, total = np.append(key, d ** 4), np.append(total, 0.0)  # past every key
+    return key, total, _normalised(c, lambda _: _reduce_join(key, total, c.shape[0]))
+
+
+def _jacobiator_at(join, keys: np.ndarray) -> np.ndarray:
+    """``J[i,j,k,l]`` of a ``_jacobi_join`` at ``_triple_key`` keys of sorted triples i < j < k.
+
+    A key the join has no product for reads 0.
+    """
+    key, total, _ = join
     pos = np.searchsorted(key, keys)
-    return np.where(key[pos] == keys, total[pos], 0.0), worst
+    key, total = np.append(key, -1), np.append(total, 0.0)  # no key is negative
+    return np.where(key[pos] == keys, total[pos], 0.0)
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:

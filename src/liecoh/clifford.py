@@ -102,6 +102,11 @@ class CliffordModule:
     def module_dim(self) -> int:
         return self.gammas.shape[1]
 
+    @property
+    def shifts(self) -> np.ndarray:
+        """The a_i of monomial gammas, ``Gamma_i w_x = +-w_{x xor a_i}``, read off w_0."""
+        return np.abs(self.gammas[:, :, 0]).argmax(axis=1)
+
 
 @lru_cache(maxsize=None)
 def spin_module(n: int) -> CliffordModule:
@@ -188,8 +193,7 @@ def gamma_lifts(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
         return tuple((pi[:6], eps[:6], q) for pi, eps, q in gamma_lifts(7) if pi[6] == 6)
     if n != 7:
         raise ValueError("gamma_lifts supports n = 6 and n = 7")
-    g = spin_module(7).gammas
-    a = np.abs(g[:, :, 0]).argmax(axis=1)  # Gamma_i w_0 = s_i(0) w_{a_i}
+    g, a = spin_module(7).gammas, spin_module(7).shifts
     s = g.sum(axis=1).astype(int)  # s[i, x]: the one entry of Gamma_i's column x
     u = np.array([a[6], a[0], next(v for v in a[1:6] if v not in (0, a[6], a[0], a[6] ^ a[0]))])
     return tuple(_lift(g, a, s, u, images) for images in _GL32_GENERATORS)

@@ -27,12 +27,15 @@ largest; the directions the Gram cannot resolve are measured, and refined,
 on ``A`` itself, and a block that would keep one of them is rejected.  The
 singular values of the whole system are the union of the per-component
 ones, and one rank cutoff relative to the largest of them applies to every
-component.  A problem may carry symmetries, signed permutations of the basis
-that its constructor checks to be automorphisms of the skeleton keeping S
-and T; each carries every component onto one with the same singular values,
-so a component whose class already holds a solved one takes those values,
-and forms no Gram where they show it adds nothing to either solution.  The
-solution set is returned as a particular least-squares
+component.  A problem may carry a grading, an F_2^m degree of every basis
+vector that each skeleton constant keeps, and symmetries, signed
+permutations of the basis that are automorphisms of the skeleton keeping S
+and T; its constructor checks both.  Every Jacobi row then touches unknowns
+of one degree only, and a symmetry carries a degree class of unknowns onto
+one with the same singular values, so only one class per orbit is
+assembled, and a carried class takes its values unassembled where they
+show it adds nothing to either solution.  The solution set is returned as
+a particular least-squares
 solution plus an orthonormal nullspace basis, or reported empty when even
 the best completion leaves a residual above tolerance.
 """
@@ -47,9 +50,11 @@ from .algebra import (
     JACOBI_TOL,
     LieAlgebra,
     _cyclic_order,
+    _jacobi_join,
     _jacobiator_at,
     _join,
     _triple_key,
+    _unique,
     jacobi_residual,
 )
 from .linalg import RANK_RTOL, ValidationError, require_finite
@@ -82,21 +87,30 @@ class CompletionProblem:
         Automorphisms ``b_i -> sign[i] b_perm[i]`` of the skeleton that keep
         S and T.  Each maps the Jacobi system onto itself by a signed
         permutation of rows and columns, so ``complete_bracket`` reads the
-        singular values off one block per class.  Kept as read-only integer
-        copies.
+        singular values off one degree class per orbit.  Kept as read-only
+        integer copies.
+    grading : one integer degree per basis index, default all zero
+        An F_2^m grading of the skeleton, degrees adding by XOR: every
+        nonzero constant ``c[i, j, k]`` has ``deg i ^ deg j == deg k``.  Then
+        every Jacobi row touches only unknowns of its own degree, the degree
+        of unknown pair (x, y) at target coordinate t being ``deg x ^ deg y
+        ^ deg t``, and ``complete_bracket`` assembles one class of unknowns
+        per orbit of the symmetries.  Kept as a read-only integer copy.
 
     Each index of S and T is distinct and lies in ``[0, skeleton.dim)``; T
     is disjoint from S, and the skeleton has no bracket inside S; each
     symmetry is a permutation with signs +-1 that maps S onto S and T onto
     T and carries every nonzero constant ``c[i, j, k]`` onto an equal
     ``sign[i] sign[j] sign[k] c[perm[i], perm[j], perm[k]]`` (then zeros map
-    onto zeros too); otherwise ``ValueError``.
+    onto zeros too); the grading has one degree per basis index, and every
+    nonzero constant keeps it; otherwise ``ValueError``.
     """
 
     skeleton: LieAlgebra
     unknown_indices: tuple[int, ...]
     target: tuple[int, ...]
     symmetries: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    grading: np.ndarray | None = None
 
     def __post_init__(self):
         d = self.skeleton.dim
@@ -112,13 +126,22 @@ class CompletionProblem:
             raise ValueError("nonlinear unknown coupling: target meets the unknown index set")
         if np.abs(self.skeleton.c[np.ix_(s, s)]).max(initial=0.0) > 0.0:
             raise ValueError("skeleton already fixes brackets inside the unknown block")
+        grading = np.zeros(d, dtype=int) if self.grading is None else np.array(self.grading,
+                                                                                dtype=int)
+        if grading.shape != (d,):
+            raise ValueError(f"a grading needs one degree per basis index: {d}, "
+                             f"got shape {grading.shape}")
         symmetries = tuple((np.array(perm, dtype=int), np.array(sign, dtype=int))
                            for perm, sign in self.symmetries)
-        if symmetries:  # the nonzero constants, by flat index (i d + j) d + k
+        if symmetries or grading.any():  # the nonzero constants, by flat index (i d + j) d + k
             c = self.skeleton.c.ravel()
             nz = np.flatnonzero(c != 0.0)
             i, jk = np.divmod(nz, d * d)
             j, k = np.divmod(jk, d)
+            broken = np.flatnonzero(grading[i] ^ grading[j] ^ grading[k])
+            if broken.size:
+                b = broken[0]
+                raise ValueError(f"the constant c[{i[b]}, {j[b]}, {k[b]}] breaks the grading")
         for perm, sign in symmetries:
             if not (perm.shape == sign.shape == (d,) and np.array_equal(np.sort(perm), np.arange(d))
                     and (np.abs(sign) == 1).all()):
@@ -131,7 +154,9 @@ class CompletionProblem:
                 raise ValueError("a symmetry is not an automorphism of the skeleton")
             perm.setflags(write=False)
             sign.setflags(write=False)
+        grading.setflags(write=False)
         object.__setattr__(self, "symmetries", symmetries)
+        object.__setattr__(self, "grading", grading)
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -189,7 +214,7 @@ def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
     return LieAlgebra(c, labels=alg.labels)
 
 
-def _assemble(problem: CompletionProblem):
+def _assemble(problem: CompletionProblem, columns: np.ndarray | None = None, join=None):
     """Sparse Jacobi system ``A u = b`` in the unknown coefficients.
 
     Rows are the pairs (sorted basis triple i < j < k, output coordinate l)
@@ -205,9 +230,14 @@ def _assemble(problem: CompletionProblem):
     (sorted by row, then column, coalesced, no explicit zeros; row indices
     into ``rhs``, every row with at least one entry), ``b``, the negated
     skeleton jacobiator on each row, and the skeleton's
-    ``worst_jacobi_triple``, both read from the one join of
-    ``_jacobiator_at``.  Rows without unknowns are left out; only the final
-    residual check sees them.
+    ``worst_jacobi_triple``, both read from ``join``, the skeleton's
+    ``algebra._jacobi_join`` (taken here when None).  Rows without unknowns
+    are left out; only the final residual check sees them.
+
+    ``columns``, a boolean mask over the unknowns (all of them when None),
+    keeps the system to the columns it holds: no key or value of another
+    column is formed, and the rows and entries kept are the full system's,
+    in its order, with their rows numbered anew.
 
     Each entry is built as one key, ``_triple_key(x, y, z, l) * nunk + col``:
     a chain's triple and column base are computed once and broadcast over the
@@ -222,6 +252,7 @@ def _assemble(problem: CompletionProblem):
     q = t.size
     s_arr = np.array(problem.unknown_indices)
     nunk = len(problem.pairs) * q
+    built = np.ones(nunk, dtype=bool) if columns is None else columns
 
     # pair number and orientation of every ordered unknown pair, -1 elsewhere
     a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
@@ -237,26 +268,31 @@ def _assemble(problem: CompletionProblem):
     z = np.tile(np.arange(d), px.size)
     keep = _cyclic_order(x, y, z)
     x, y, z = x[keep], y[keep], z[keep]
-    base = _triple_key(x, y, z, 0, d) * nunk + pidx[x, y] * q
-    az, aa, al = np.nonzero(ad_t)  # sorted on z, the right side of the join with z
+    col = pidx[x, y] * q
+    base = _triple_key(x, y, z, 0, d) * nunk + col
+    az, aa, al = np.nonzero(ad_t != 0.0)  # sorted on z, the right side of the join with z
     g, r = next(_join(z, az))
+    keep = built[col[g] + aa[r]]
+    g, r = g[keep], r[keep]
     key1 = base[g] + (al * nunk + aa)[r]
     val1 = psign[x, y][g] * ad_t[az, aa, al][r]
     del g, r
 
     # fixed bracket [b_x, b_y] with S-component b_m, then unknown pair (m, z)
-    cx, cy, cm = np.nonzero(c[:, :, s_arr])
+    cx, cy, cm = np.nonzero(c[:, :, s_arr] != 0.0)
     ns = s_arr.size
     x, y = np.repeat(cx, ns), np.repeat(cy, ns)
     m = np.repeat(s_arr[cm], ns)
     z = np.tile(s_arr, cx.size)
     keep = _cyclic_order(x, y, z) & (m != z)
     x, y, z, m = x[keep], y[keep], z[keep], m[keep]
-    base = _triple_key(x, y, z, 0, d) * nunk + pidx[m, z] * q
-    key = np.concatenate((key1, (base[:, None] + (t * nunk + np.arange(q))).ravel()))
+    col = pidx[m, z] * q
+    g, r = np.nonzero(built[col[:, None] + np.arange(q)])  # chain g at target coordinate r
+    base = _triple_key(x, y, z, 0, d) * nunk + col
+    key = np.concatenate((key1, base[g] + t[r] * nunk + r))
     del key1
-    val = np.concatenate((val1, np.repeat(c[x, y, m] * psign[m, z], q)))
-    del val1
+    val = np.concatenate((val1, (c[x, y, m] * psign[m, z])[g]))
+    del val1, g, r
 
     # coalesce: a stable sort keeps each key's values in the order they were built
     # (every key of a Clifford system is built once)
@@ -274,8 +310,8 @@ def _assemble(problem: CompletionProblem):
     rows, col = np.divmod(key, nunk)
     first = np.diff(rows, prepend=-1) != 0
 
-    jac, worst = _jacobiator_at(c, rows[first])
-    return np.cumsum(first) - 1, col, val, -jac, worst
+    join = _jacobi_join(c) if join is None else join
+    return np.cumsum(first) - 1, col, val, -_jacobiator_at(join, rows[first]), join[2]
 
 
 def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
@@ -298,34 +334,43 @@ def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.
         label = new
 
 
-def _block_orbits(problem: CompletionProblem, block: np.ndarray, first: np.ndarray,
-                  shape: np.ndarray) -> np.ndarray:
-    """The smallest block of every block's orbit under ``problem.symmetries``.
+def _class_orbits(problem: CompletionProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every unknown's degree, degree class and class orbit under ``problem.symmetries``.
 
-    ``block`` numbers the block of every column, ``first`` is each block's
-    first column and ``shape`` holds each block's column and entry counts.
-    A symmetry maps the column of unknown pair (x, y) and target coordinate
-    t to the column of (perm[x], perm[y]) and perm[t], and so each block
-    onto one block: the one that holds the image of its first column.  Edges
-    between blocks of different ``shape`` are dropped; the orbits are closed
-    by the minimum-label propagation of ``_components``, each edge a row
-    that touches its two blocks.
+    The column of unknown pair (x, y) and target coordinate t has degree
+    ``deg x ^ deg y ^ deg t``, and a class is named by its first column.  A
+    symmetry maps that column to the one of (perm[x], perm[y]) and perm[t],
+    and so a class onto the class of its first column's image when all its
+    columns map into that class and both are of one size.  The orbits are
+    closed by the minimum-label propagation of ``_components``, each edge a
+    row that touches its two classes.  Returns ``(degree, cls, orbit)``:
+    per column, its degree, the first column of its class and the first
+    column of the first class of its orbit.
     """
-    nblocks = first.size
-    s, t = np.array(problem.unknown_indices), np.array(problem.target)
-    pos = np.zeros(problem.skeleton.dim, dtype=int)  # the place of an index in S, or in T
-    pos[s], pos[t] = np.arange(s.size), np.arange(t.size)
-    a, b = np.triu_indices(s.size, 1)  # the pairs of ``problem.pairs``, by place in S
-    pnum = np.zeros((s.size, s.size), dtype=int)
-    pnum[a, b] = pnum[b, a] = np.arange(a.size)
-    p, u = np.divmod(first, t.size)
-    x, y, z = s[a[p]], s[b[p]], t[u]
-    image = np.concatenate([block[pnum[pos[perm[x]], pos[perm[y]]] * t.size + pos[perm[z]]]
-                            for perm, _ in problem.symmetries])
-    src = np.tile(np.arange(nblocks), len(problem.symmetries))
-    keep = (shape[src] == shape[image]).all(axis=1)
-    edges = np.column_stack((src[keep], image[keep])).ravel()
-    return _components(np.arange(edges.size) // 2, edges, edges.size // 2, nblocks)
+    a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
+    t = np.array(problem.target)
+
+    def degrees(g):
+        return ((g[a] ^ g[b])[:, None] ^ g[t]).ravel()
+
+    degree = degrees(problem.grading)
+    nunk = degree.size
+    values, inverse = _unique(degree)
+    first = np.full(values.size, nunk)
+    np.minimum.at(first, inverse, np.arange(nunk))
+    cls = first[inverse]
+    size = np.bincount(cls, minlength=nunk)
+    edges = [np.zeros(0, dtype=int)]
+    for perm, _ in problem.symmetries:
+        image = degrees(problem.grading[perm])  # the degree of each column's image
+        split = np.zeros(nunk, dtype=bool)
+        split[cls[image != image[cls]]] = True
+        onto = first[np.searchsorted(values, image[first])]
+        keep = ~split[first] & (size[first] == size[onto])
+        edges.append(np.column_stack((first[keep], onto[keep])).ravel())
+    edges = np.concatenate(edges)
+    orbit = _components(np.arange(edges.size) // 2, edges, edges.size // 2, nunk)
+    return degree, cls, orbit[cls]
 
 
 def _run_pairs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,14 +406,17 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     eigenpairs, is subtracted) and then given the singular value ``|a v|``,
     measured on the sparse rows.  A column that no row touches is a
     component of its own, with one zero singular value.
-    The blocks are closed into orbits under ``problem.symmetries``
-    (``_block_orbits``), and a block whose orbit holds an earlier block takes
-    that block's singular values in place of its own Gram eigenvalues, from
-    which they differ by round-off only.  They stand only where they decide
-    that the block adds nothing to either solution (its own ``a^T b`` is
-    zero, and no value is at or below the cutoff or below ``GRAM_RTOL`` times
-    the largest); any other block forms its Gram and ``V`` as without
-    symmetries.  A problem without symmetries solves every block.
+    No block meets two degree classes of ``problem.grading``, and the
+    classes are closed into orbits under ``problem.symmetries``
+    (``_class_orbits``).  Only the first class of each orbit is assembled and
+    solved at first, and with it every class of degree 0 if the skeleton's
+    jacobiator is not zero: of a graded skeleton only that degree can have
+    ``a^T b != 0``.  Every other class takes the singular values of its
+    orbit's first class, from which its own differ by round-off only, where
+    they decide that it adds nothing to either solution (no value at or
+    below the cutoff or below ``GRAM_RTOL`` times the largest); otherwise it
+    is assembled and solved in turn, from the same join.  An ungraded
+    problem is one class, and solves every block.
     ``singular_values`` is the union of the per-component values in
     descending order; one cutoff, ``RANK_RTOL`` times the largest of them,
     decides the rank of every component.  A block that keeps a singular
@@ -376,7 +424,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     the normal equations and raises ``ValidationError`` naming the ratio.
     The particular solution is the sum of the per-component minimum-norm
     solutions ``V_k diag(1/lam_k) V_k^T a^T b``; when it is zero, its Jacobi
-    residual is the skeleton's, reduced from the assembly's join.  The
+    residual is the skeleton's, reduced from the solve's one join.  The
     homogeneous basis is the direct sum of the per-component nullspaces,
     ordered by the smallest column of their component, each oriented so that
     its first coefficient of largest magnitude (magnitudes within
@@ -399,52 +447,74 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
                                   not res < JACOBI_TOL, np.zeros(0))
 
     require_finite(alg.c)
-    row, col, val, rhs, (_, skeleton_res) = _assemble(problem)
-    label = _components(row, col, rhs.size, nunk)
-    # block k holds the columns, and the entries, of the k-th smallest label in
-    # ascending order; a small index type lets the stable sorts run by radix
-    block = (np.cumsum(label == np.arange(nunk)) - 1)[label].astype(np.min_scalar_type(nunk))
-    col_order, entry_order = np.argsort(block, kind="stable"), np.argsort(block[col], kind="stable")
-    count = np.bincount(block)
-    col_at = np.append(0, np.cumsum(count))
-    entry_at = np.append(0, np.cumsum(np.bincount(block[col], minlength=count.size)))
-    local = np.empty(nunk, dtype=int)
-    local[col_order] = np.arange(nunk) - np.repeat(col_at[:-1], count)
+    join = _jacobi_join(alg.c)
+    degree, cls, orbit = _class_orbits(problem)
+    # every product c[x,y,m] c[m,z,l] of a graded skeleton has deg x ^ deg y ^ deg z
+    # == deg l: its jacobiator, and with it A^T b, lives in rows of degree 0 only
+    own = (orbit == cls) | ((degree == 0) & join[1].any())
+    atb, blocks, svs, held = np.zeros(nunk), [], [], {}
 
-    def gram(k):
-        e = entry_order[entry_at[k]:entry_at[k + 1]]
-        r, c, v, n = row[e], local[col[e]], val[e], count[k]
-        # the pairs li <= ri of one row: the triplets sort each row by column, so
-        # they sum the upper triangle, and the lower one is its mirror bit for bit
-        li, ri = _run_pairs(r)
-        g = np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri], minlength=n * n).reshape(n, n)
-        g += np.triu(g, 1).T
-        return r, c, v, g
+    def solve(columns):
+        """Assemble ``columns`` and take the Gram eigenvalues of each of their blocks."""
+        row, col, val, rhs, _ = _assemble(problem, columns, join)
+        atb[columns] = np.bincount(col, weights=val * rhs[row], minlength=nunk)[columns]
+        label = _components(row, col, rhs.size, nunk)
+        head = (label == np.arange(nunk)) & columns
+        nblocks = np.count_nonzero(head)
+        # block k holds the columns, and the entries, of the k-th smallest head in
+        # ascending order, and the columns left out come last; a small index type
+        # lets the stable sorts run by radix
+        block = np.where(columns, (np.cumsum(head) - 1)[label],
+                         nblocks).astype(np.min_scalar_type(nunk))
+        col_order, entry_order = (np.argsort(block, kind="stable"),
+                                  np.argsort(block[col], kind="stable"))
+        count = np.bincount(block)
+        col_at = np.append(0, np.cumsum(count))
+        entry_at = np.append(0, np.cumsum(np.bincount(block[col], minlength=count.size)))
+        local = np.empty(nunk, dtype=int)
+        local[col_order] = np.arange(nunk) - np.repeat(col_at[:-1], count)
 
-    atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
-    orbit = (_block_orbits(problem, block, col_order[col_at[:-1]],
-                           np.column_stack((count, np.diff(entry_at))))
-             if problem.symmetries else range(count.size))
-    svs, held = [], {}
-    for k, r in enumerate(orbit):
-        if r < k:
-            svs.append(svs[r])  # a symmetry carries block r onto block k
-            continue
-        kg = gram(k)
-        sv = np.sqrt(np.maximum(np.linalg.eigvalsh(kg[3])[::-1], 0.0))
-        if sv[-1] <= GRAM_RTOL * sv[0] or atb[col_order[col_at[k]:col_at[k + 1]]].any():
-            held[k] = kg  # a block that may read V below keeps its Gram
-        svs.append(sv)
+        def gram(k):
+            e = entry_order[entry_at[k]:entry_at[k + 1]]
+            r, c, v, n = row[e], local[col[e]], val[e], count[k]
+            # the pairs li <= ri of one row: the triplets sort each row by column, so
+            # they sum the upper triangle, and the lower one is its mirror bit for bit
+            li, ri = _run_pairs(r)
+            g = np.bincount(c[li] * n + c[ri], weights=v[li] * v[ri], minlength=n * n).reshape(n, n)
+            g += np.triu(g, 1).T
+            return r, c, v, g
+
+        for k in range(nblocks):
+            kg = gram(k)
+            sv = np.sqrt(np.maximum(np.linalg.eigvalsh(kg[3])[::-1], 0.0))
+            cols = col_order[col_at[k]:col_at[k + 1]]
+            if sv[-1] <= GRAM_RTOL * sv[0] or atb[cols].any():
+                held[len(blocks)] = kg  # a block that may read V below keeps its Gram
+            blocks.append((cols, lambda k=k: gram(k)))
+            svs.append(sv)
+
+    solve(own)
     cutoff = RANK_RTOL * max(sv[0] for sv in svs)
+    # a carried class takes the singular values of its orbit's first class where they
+    # show that it adds nothing to either solution; any other is solved on its own
+    spectra, weak = {}, np.zeros(nunk, dtype=bool)  # by the first column of a class
+    for (cols, _), sv in zip(blocks, svs):
+        spectra.setdefault(cls[cols[0]], []).append(sv)
+        weak[cls[cols[0]]] |= sv[-1] <= max(cutoff, GRAM_RTOL * sv[0])
+    redo = ~own & weak[orbit]
+    carried = [sv for f in np.flatnonzero((cls == np.arange(nunk)) & ~own & ~redo)
+               for sv in spectra[orbit[f]]]
+    if redo.any():
+        solve(redo)
     u_part, basis = np.zeros(nunk), []
-    for k, sv in enumerate(svs):
-        cols = col_order[col_at[k]:col_at[k + 1]]
+    for i in sorted(range(len(blocks)), key=lambda i: blocks[i][0][0]):
+        cols, sv = blocks[i][0], svs[i]
         if sv[-1] > max(cutoff, GRAM_RTOL * sv[0]) and not atb[cols].any():
             continue  # full rank, well conditioned and solved by zero: no V read
-        r, c, v, g = held.pop(k) if k in held else gram(k)
+        r, c, v, g = held.pop(i) if i in held else blocks[i][1]()
         lam, vecs = np.linalg.eigh(g)
         lam, vecs = lam[::-1], vecs[:, ::-1]
-        sv = svs[k] = np.sqrt(np.maximum(lam, 0.0))
+        sv = svs[i] = np.sqrt(np.maximum(lam, 0.0))
         # the Gram resolves sigma only to sqrt(eps) * sigma_max: refine the weaker
         # directions once against A, which takes them from eps * kappa^2 to about
         # eps * kappa of the nullspace, then measure them on A
@@ -452,7 +522,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
         strong = sv >= GRAM_RTOL * sv[0]
         for j in np.flatnonzero(~strong):
             av = np.bincount(local_row, weights=v * vecs[c, j])
-            atav = np.bincount(c, weights=v * av[local_row], minlength=count[k])
+            atav = np.bincount(c, weights=v * av[local_row], minlength=cols.size)
             w = vecs[:, j] - vecs[:, strong] @ (vecs[:, strong].T @ atav / lam[strong])
             vecs[:, j] = w / np.linalg.norm(w)
             sv[j] = np.linalg.norm(np.bincount(local_row, weights=v * vecs[c, j]))
@@ -475,6 +545,6 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
                    if basis else np.zeros((0, npairs, q)))
 
     particular = u_part.reshape(npairs, q)
-    res = jacobi_residual(_substitute(problem, particular)) if u_part.any() else skeleton_res
+    res = jacobi_residual(_substitute(problem, particular)) if u_part.any() else join[2][1]
     return CompletionSolution(problem, particular, homogeneous, res, not res < JACOBI_TOL,
-                              np.sort(np.concatenate(svs))[::-1])
+                              np.sort(np.concatenate(svs + carried))[::-1])

@@ -219,8 +219,12 @@ def clifford_completion_problem(n: int, lam: float, mu: float,
     symmetries: a lift ``(pi, eps, Q)`` maps ``L_ij -> eps_i eps_j
     L_pi(i)pi(j)`` on k, ``e_i -> eps_i e_pi(i)`` on m1 and ``w -> Q w`` on
     m2, an automorphism of the skeleton since ``Q Gamma_i Q^-1 = eps_i
-    Gamma_pi(i)``.  At n = 2, 3 the isotropy also holds the sp(copies)
-    commutant, and the blocks are small enough to solve each.
+    Gamma_pi(i)``.  It also carries their F_2^3 grading: with ``Gamma_i w_x =
+    +-w_{x xor a_i}`` (``CliffordModule.shifts``), ``deg w_x = x``, ``deg e_i =
+    a_i`` and ``deg L_ij = a_i xor a_j``, which every constant keeps; its 8
+    degree classes of unknowns are the 8 blocks of the Jacobi system.  At
+    n = 2, 3 the isotropy also holds the sp(copies) commutant, and the
+    blocks are small enough to solve each.
     """
     if n not in (2, 3, 6, 7):
         raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
@@ -243,8 +247,14 @@ def clifford_completion_problem(n: int, lam: float, mu: float,
     place_action(c, m1_idx, m2_idx, mu * np.kron(np.eye(copies), spin_module(n).gammas))
     labels = (iso.algebra.labels + tuple(f"e{i}" for i in range(1, n + 1))
               + tuple(f"w{a}" for a in range(len(m2_idx))))
-    symmetries = _clifford_symmetries(n, k_idx, m1_idx, m2_idx) if n in (6, 7) else ()
-    return CompletionProblem(LieAlgebra(c, labels=labels), m2_idx, range(dk + n), symmetries)
+    symmetries, grading = (), None
+    if n in (6, 7):
+        symmetries = _clifford_symmetries(n, k_idx, m1_idx, m2_idx)
+        a = spin_module(n).shifts
+        i, j = np.triu_indices(n, 1)  # the (i, j) of bivector_pairs, 0-based
+        grading = np.concatenate((a[i] ^ a[j], a, np.arange(m2_idx.size)))
+    return CompletionProblem(LieAlgebra(c, labels=labels), m2_idx, range(dk + n), symmetries,
+                             grading)
 
 
 def _clifford_symmetries(n, k_idx, m1_idx, m2_idx) -> tuple:

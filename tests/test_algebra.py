@@ -218,6 +218,14 @@ def test_join_chunks_cover_every_match_once():
     assert [li.size for li, _ in la._join(left[:0], right)] == [0]
 
 
+def test_cyclic_order_is_the_parity_rule():
+    # distinct (x, y, z) with an even number of inversions: a rotation of their sorted triple
+    x, y, z = np.indices((5, 5, 5)).reshape(3, -1)
+    distinct = (x != y) & (y != z) & (z != x)
+    inversions = (x > y).astype(int) + (x > z) + (y > z)
+    assert np.array_equal(la._cyclic_order(x, y, z), distinct & (inversions % 2 == 0))
+
+
 def _perturbed_spin9():
     """A sparse tensor that breaks Jacobi: one constant of Spin(9)/Spin(7) off by a half."""
     from liecoh import spaces as sps

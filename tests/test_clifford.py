@@ -216,3 +216,13 @@ def test_gamma_lifts_are_exact_and_generate_every_liftable_permutation(n, order)
 def test_gamma_lifts_only_for_n_6_and_7(n):
     with pytest.raises(ValueError):
         cl.gamma_lifts(n)
+
+
+@pytest.mark.parametrize("n", sorted(MODULE_DIMS))
+def test_every_gamma_moves_the_bits_of_its_shift(n):
+    # Gamma_i w_x = +-w_{x xor a_i} for every x, not only the w_0 that a_i is read off
+    m = spin_module(n)
+    x = np.arange(m.module_dim)
+    for g, a in zip(m.gammas, m.shifts):
+        assert np.array_equal(np.abs(g), np.eye(m.module_dim)[x ^ a].T)
+    assert np.unique(m.shifts).size == n

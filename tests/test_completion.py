@@ -452,6 +452,16 @@ def test_symmetries_carry_each_block_onto_one_of_equal_spectrum(n, sizes):
     for first, *others in classes:
         for k in others:
             assert np.abs(spectra[k] - spectra[first]).max() <= 1e-13 * spectra[first].max()
+    # the blocks are the 8 degree classes of the grading, each named by its first
+    # column, and the solve's orbits of classes are these classes of blocks
+    row, col, val, rhs, _ = completion._assemble(problem)
+    degree, cls, orbit = completion._class_orbits(problem)
+    assert np.array_equal(completion._components(row, col, rhs.size, degree.size), cls)
+    number = {k: b for b, k in enumerate(np.unique(cls))}
+    orbits = {}
+    for k in number:
+        orbits.setdefault(orbit[k], []).append(number[k])
+    assert sorted(orbits.values()) == sorted(classes)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -470,17 +480,20 @@ def test_symmetries_leave_the_solution_as_it_is_without_them(n, request):
 
 
 def test_a_carried_block_that_reads_its_vectors_is_solved_as_without_symmetries(monkeypatch):
-    # two copies of so(5) with [L_12, L_23] removed, swapped by a symmetry: the
-    # blocks with A^T b != 0 come in pairs, and the second of each forms its V
+    # two copies of so(5) with [L_12, L_23] removed, swapped by a symmetry and graded
+    # by F_2^10, deg L_ij = bits i and j of the copy's five: the swap carries each class
+    # of unknowns of one degree onto another, but the one of degree 0, which holds
+    # every block with A^T b != 0, onto itself, so each of those forms its V
     c = np.array(so_algebra(5).c)
     pairs = bivector_pairs(5)
     a, b = pairs.index((1, 2)), pairs.index((2, 3))
     c[a, b] = c[b, a] = 0.0
     target = [i for i in range(10) if i not in (a, b)]
     swap = np.r_[10:20, 0:10]
+    degree = np.array([2 ** (i - 1) ^ 2 ** (j - 1) for i, j in pairs])
     problem = CompletionProblem(la.direct_sum(LieAlgebra(c), LieAlgebra(c)),
                                 (a, b, a + 10, b + 10), target + [t + 10 for t in target],
-                                [(swap, np.ones(20))])
+                                [(swap, np.ones(20))], np.concatenate((degree, degree << 5)))
     seen = _record_solvers(monkeypatch)
     got = complete_bracket(problem)
     calls = {name: len(mats) for name, mats in seen.items()}
@@ -517,6 +530,115 @@ def test_a_problem_leaves_the_callers_symmetry_arrays_writable():
     assert perm.flags.writeable and sign.flags.writeable
     assert not (kept_perm.flags.writeable or kept_sign.flags.writeable)
     assert not (np.shares_memory(perm, kept_perm) or np.shares_memory(sign, kept_sign))
+
+
+def test_a_grading_that_a_constant_breaks_is_rejected():
+    problem = clifford_completion_problem(7, 1.0, MU)
+    grading = np.array(problem.grading)
+    grading[problem.unknown_indices[0]] ^= 1  # w_0 alone changes degree
+    with pytest.raises(ValueError, match=r"the constant c\[\d+, \d+, \d+\] breaks the grading"):
+        dataclasses.replace(problem, grading=grading)
+    # so(3) has no grading but the trivial one: [L_12, L_23] = L_13 breaks deg L_13 = 1
+    with pytest.raises(ValueError, match="breaks the grading"):
+        CompletionProblem(so_algebra(3), (), (), grading=[0, 0, 1])
+    with pytest.raises(ValueError, match="one degree per basis index"):
+        dataclasses.replace(problem, grading=grading[:-1])
+    assert not CompletionProblem(so_algebra(3), (), ()).grading.any()
+
+
+def test_a_problem_leaves_the_callers_grading_array_writable():
+    problem = clifford_completion_problem(6, 1.0, MU)
+    grading = np.array(problem.grading)
+    kept = dataclasses.replace(problem, grading=grading).grading
+    assert grading.flags.writeable and not kept.flags.writeable
+    assert not np.shares_memory(grading, kept) and np.array_equal(grading, kept)
+    assert not problem.grading.flags.writeable
+
+
+def test_a_graded_skeleton_with_an_inf_still_fails_closed():
+    # a NaN is not exactly antisymmetric, so no LieAlgebra holds one: take an inf
+    problem = clifford_completion_problem(7, 1.0, MU)
+    c = np.array(problem.skeleton.c)
+    i, j, k = np.argwhere(c > 0)[0]
+    c[i, j, k], c[j, i, k] = np.inf, -np.inf  # keeps the grading, breaks the symmetries
+    with np.errstate(invalid="ignore"):
+        inf_problem = dataclasses.replace(problem, skeleton=LieAlgebra(c), symmetries=())
+        assert inf_problem.grading.any()
+        with pytest.raises(ValidationError):
+            complete_bracket(inf_problem)
+
+
+@pytest.mark.parametrize("case", ["n6", "n7", "random-sparse"])
+def test_assembling_some_columns_keeps_the_full_system_on_them(case):
+    problem = ASSEMBLY_CASES[case]()
+    nunk = len(problem.pairs) * len(problem.target)
+    row, col, val, rhs, worst = completion._assemble(problem)
+    degree = completion._class_orbits(problem)[0]
+    for columns in (degree == degree[-1], degree != degree[0],
+                    np.random.default_rng(5).random(nunk) < 0.3):
+        got = completion._assemble(problem, columns)
+        keep = columns[col]
+        kept_rows, new_row = np.unique(row[keep], return_inverse=True)
+        assert np.array_equal(got[0], new_row) and np.array_equal(got[1], col[keep])
+        assert np.array_equal(got[2], val[keep]) and np.array_equal(got[3], rhs[kept_rows])
+        assert got[4] == worst
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_the_grading_leaves_the_solution_as_it_is_without_it(n, request):
+    problem = clifford_completion_problem(n, 1.0, MU)
+    assert problem.grading.any()
+    got = request.getfixturevalue("n7") if n == 7 else complete_bracket(problem)
+    want = complete_bracket(dataclasses.replace(problem, grading=None))
+    assert np.array_equal(got.particular, want.particular)
+    assert np.array_equal(got.homogeneous, want.homogeneous)
+    assert got.residual == want.residual and got.empty == want.empty
+
+
+@pytest.mark.parametrize("n,classes,entries", [(6, 3, 11856), (7, 2, 13728)])
+def test_a_graded_solve_assembles_one_class_per_orbit(n, classes, entries, monkeypatch):
+    problem = clifford_completion_problem(n, 1.0, MU)
+    assemble, built = completion._assemble, []
+
+    def recording(*args):
+        built.append((args[1], assemble(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(completion, "_assemble", recording)
+    complete_bracket(problem)
+    ((columns, (row, col, *_)),) = built
+    degree, cls, orbit = completion._class_orbits(problem)
+    assert np.array_equal(columns, orbit == cls)
+    assert np.unique(degree[columns]).size == classes and np.unique(degree).size == 8
+    assert row.size == entries
+
+
+def test_a_carried_class_that_reads_its_vectors_is_solved_on_its_own(monkeypatch):
+    # over a zero skeleton every unknown is a block of one column and a zero singular
+    # value: the class that the symmetry carries onto the first one still forms its V
+    swap = np.array([0, 1, 3, 2, 4])
+    problem = CompletionProblem(abelian(5), (0, 1), [2, 3, 4], [(swap, np.ones(5))],
+                                [0, 0, 1, 2, 3])
+    degree, cls, orbit = completion._class_orbits(problem)
+    assert np.array_equal(orbit, [0, 0, 2])
+    seen = _record_solvers(monkeypatch)
+    got = complete_bracket(problem)
+    assert len(seen["eigvalsh"]) == len(seen["eigh"]) == 3
+    want = complete_bracket(dataclasses.replace(problem, symmetries=()))
+    assert np.array_equal(got.homogeneous, want.homogeneous)
+    assert np.array_equal(got.homogeneous.reshape(3, 3), np.eye(3))
+    assert np.array_equal(got.singular_values, want.singular_values)
+
+
+def test_a_class_that_a_symmetry_splits_is_carried_onto_no_other():
+    # swapping b_2 and b_4 sends the unknowns at b_2 and b_3, both of degree 1, to
+    # degrees 2 and 1, and those at b_4 and b_5, both of degree 2, to degrees 1 and 2
+    swap = np.array([0, 1, 4, 3, 2, 5])
+    problem = CompletionProblem(abelian(6), (0, 1), [2, 3, 4, 5], [(swap, np.ones(6))],
+                                [0, 0, 1, 1, 2, 2])
+    degree, cls, orbit = completion._class_orbits(problem)
+    assert np.array_equal(degree, [1, 1, 2, 2]) and np.array_equal(cls, [0, 0, 2, 2])
+    assert np.array_equal(orbit, cls)
 
 
 def test_a_nonzero_right_hand_side_takes_eigh_on_its_blocks_only(monkeypatch):
@@ -685,7 +807,7 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
     keys = []
     lookup = completion._jacobiator_at
     monkeypatch.setattr(completion, "_jacobiator_at",
-                        lambda c, k: keys.append(k) or lookup(c, k))
+                        lambda join, k: keys.append(k) or lookup(join, k))
     rhs, worst = completion._assemble(problem)[3:]
     ref = _gathered_rhs(c, keys[0])
     if joins:  # the worst-triple search runs this join too: the same bits
