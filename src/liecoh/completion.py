@@ -53,6 +53,7 @@ from .algebra import (
     _jacobi_join,
     _jacobiator_at,
     _join,
+    _nonzeros,
     _triple_key,
     _unique,
     jacobi_residual,
@@ -133,11 +134,9 @@ class CompletionProblem:
                              f"got shape {grading.shape}")
         symmetries = tuple((np.array(perm, dtype=int), np.array(sign, dtype=int))
                            for perm, sign in self.symmetries)
-        if symmetries or grading.any():  # the nonzero constants, by flat index (i d + j) d + k
+        if symmetries or grading.any():
             c = self.skeleton.c.ravel()
-            nz = np.flatnonzero(c != 0.0)
-            i, jk = np.divmod(nz, d * d)
-            j, k = np.divmod(jk, d)
+            nz, i, j, k = _nonzeros(self.skeleton.c)
             broken = np.flatnonzero(grading[i] ^ grading[j] ^ grading[k])
             if broken.size:
                 b = broken[0]
@@ -214,7 +213,7 @@ def _substitute(problem: CompletionProblem, coeffs: np.ndarray) -> LieAlgebra:
     return LieAlgebra(c, labels=alg.labels)
 
 
-def _assemble(problem: CompletionProblem, columns: np.ndarray | None = None, join=None):
+def _assemble(problem: CompletionProblem, columns: np.ndarray, join):
     """Sparse Jacobi system ``A u = b`` in the unknown coefficients.
 
     Rows are the pairs (sorted basis triple i < j < k, output coordinate l)
@@ -226,18 +225,17 @@ def _assemble(problem: CompletionProblem, columns: np.ndarray | None = None, joi
     * z is in S and the fixed bracket [b_x, b_y] has an S-component b_m: the
       unknown pair (m, z) enters at each output coordinate ``T[a]``.
 
-    Returns ``(row, col, val, rhs, worst)``: the canonical triplets of ``A``
+    Returns ``(row, col, val, rhs)``: the canonical triplets of ``A``
     (sorted by row, then column, coalesced, no explicit zeros; row indices
-    into ``rhs``, every row with at least one entry), ``b``, the negated
-    skeleton jacobiator on each row, and the skeleton's
-    ``worst_jacobi_triple``, both read from ``join``, the skeleton's
-    ``algebra._jacobi_join`` (taken here when None).  Rows without unknowns
-    are left out; only the final residual check sees them.
+    into ``rhs``, every row with at least one entry) and ``b``, the negated
+    skeleton jacobiator on each row, read from ``join``, the skeleton's
+    ``algebra._jacobi_join``.  Rows without unknowns are left out; only the
+    final residual check sees them.
 
-    ``columns``, a boolean mask over the unknowns (all of them when None),
-    keeps the system to the columns it holds: no key or value of another
-    column is formed, and the rows and entries kept are the full system's,
-    in its order, with their rows numbered anew.
+    ``columns``, a boolean mask over the unknowns, keeps the system to the
+    columns it holds: no key or value of another column is formed, and the
+    rows and entries kept are the full system's, in its order, with their
+    rows numbered anew.
 
     Each entry is built as one key, ``_triple_key(x, y, z, l) * nunk + col``:
     a chain's triple and column base are computed once and broadcast over the
@@ -252,7 +250,6 @@ def _assemble(problem: CompletionProblem, columns: np.ndarray | None = None, joi
     q = t.size
     s_arr = np.array(problem.unknown_indices)
     nunk = len(problem.pairs) * q
-    built = np.ones(nunk, dtype=bool) if columns is None else columns
 
     # pair number and orientation of every ordered unknown pair, -1 elsewhere
     a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
@@ -272,7 +269,7 @@ def _assemble(problem: CompletionProblem, columns: np.ndarray | None = None, joi
     base = _triple_key(x, y, z, 0, d) * nunk + col
     az, aa, al = np.nonzero(ad_t != 0.0)  # sorted on z, the right side of the join with z
     g, r = next(_join(z, az))
-    keep = built[col[g] + aa[r]]
+    keep = columns[col[g] + aa[r]]
     g, r = g[keep], r[keep]
     key1 = base[g] + (al * nunk + aa)[r]
     val1 = psign[x, y][g] * ad_t[az, aa, al][r]
@@ -287,7 +284,7 @@ def _assemble(problem: CompletionProblem, columns: np.ndarray | None = None, joi
     keep = _cyclic_order(x, y, z) & (m != z)
     x, y, z, m = x[keep], y[keep], z[keep], m[keep]
     col = pidx[m, z] * q
-    g, r = np.nonzero(built[col[:, None] + np.arange(q)])  # chain g at target coordinate r
+    g, r = np.nonzero(columns[col[:, None] + np.arange(q)])  # chain g at target coordinate r
     base = _triple_key(x, y, z, 0, d) * nunk + col
     key = np.concatenate((key1, base[g] + t[r] * nunk + r))
     del key1
@@ -309,9 +306,7 @@ def _assemble(problem: CompletionProblem, columns: np.ndarray | None = None, joi
         key, val = key[nz], val[nz]
     rows, col = np.divmod(key, nunk)
     first = np.diff(rows, prepend=-1) != 0
-
-    join = _jacobi_join(c) if join is None else join
-    return np.cumsum(first) - 1, col, val, -_jacobiator_at(join, rows[first]), join[2]
+    return np.cumsum(first) - 1, col, val, -_jacobiator_at(join, rows[first])
 
 
 def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
@@ -334,8 +329,8 @@ def _components(row: np.ndarray, col: np.ndarray, nrows: int, ncols: int) -> np.
         label = new
 
 
-def _class_orbits(problem: CompletionProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every unknown's degree, degree class and class orbit under ``problem.symmetries``.
+def _class_orbits(problem: CompletionProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Every unknown's degree class and class orbit under ``problem.symmetries``.
 
     The column of unknown pair (x, y) and target coordinate t has degree
     ``deg x ^ deg y ^ deg t``, and a class is named by its first column.  A
@@ -343,9 +338,9 @@ def _class_orbits(problem: CompletionProblem) -> tuple[np.ndarray, np.ndarray, n
     and so a class onto the class of its first column's image when all its
     columns map into that class and both are of one size.  The orbits are
     closed by the minimum-label propagation of ``_components``, each edge a
-    row that touches its two classes.  Returns ``(degree, cls, orbit)``:
-    per column, its degree, the first column of its class and the first
-    column of the first class of its orbit.
+    row that touches its two classes.  Returns ``(cls, orbit)``: per
+    column, the first column of its class and the first column of the first
+    class of its orbit.
     """
     a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
     t = np.array(problem.target)
@@ -370,7 +365,7 @@ def _class_orbits(problem: CompletionProblem) -> tuple[np.ndarray, np.ndarray, n
         edges.append(np.column_stack((first[keep], onto[keep])).ravel())
     edges = np.concatenate(edges)
     orbit = _components(np.arange(edges.size) // 2, edges, edges.size // 2, nunk)
-    return degree, cls, orbit[cls]
+    return cls, orbit[cls]
 
 
 def _run_pairs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,14 +404,14 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     No block meets two degree classes of ``problem.grading``, and the
     classes are closed into orbits under ``problem.symmetries``
     (``_class_orbits``).  Only the first class of each orbit is assembled and
-    solved at first, and with it every class of degree 0 if the skeleton's
-    jacobiator is not zero: of a graded skeleton only that degree can have
-    ``a^T b != 0``.  Every other class takes the singular values of its
-    orbit's first class, from which its own differ by round-off only, where
-    they decide that it adds nothing to either solution (no value at or
-    below the cutoff or below ``GRAM_RTOL`` times the largest); otherwise it
-    is assembled and solved in turn, from the same join.  An ungraded
-    problem is one class, and solves every block.
+    solved at first, and that is every class with ``a^T b != 0``: of a
+    graded skeleton only degree 0 can have one, and a symmetry, which keeps
+    ``b``, links it onto no other class.  Every other class takes the
+    singular values of its orbit's first class, from which its own differ
+    by round-off only, where they decide that it adds nothing to either
+    solution (no value at or below the cutoff or below ``GRAM_RTOL`` times
+    the largest); otherwise it is assembled and solved in turn, from the
+    same join.  An ungraded problem is one class, and solves every block.
     ``singular_values`` is the union of the per-component values in
     descending order; one cutoff, ``RANK_RTOL`` times the largest of them,
     decides the rank of every component.  A block that keeps a singular
@@ -448,15 +443,16 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
 
     require_finite(alg.c)
     join = _jacobi_join(alg.c)
-    degree, cls, orbit = _class_orbits(problem)
-    # every product c[x,y,m] c[m,z,l] of a graded skeleton has deg x ^ deg y ^ deg z
-    # == deg l: its jacobiator, and with it A^T b, lives in rows of degree 0 only
-    own = (orbit == cls) | ((degree == 0) & join[1].any())
+    cls, orbit = _class_orbits(problem)
+    # a symmetry carries rows with b != 0 onto rows with b != 0, a graded skeleton's b
+    # lives in degree 0, and a class is linked only onto a whole class of its size: a
+    # degree-0 class with A^T b != 0 is always the first of its own orbit
+    own = orbit == cls
     atb, blocks, svs, held = np.zeros(nunk), [], [], {}
 
     def solve(columns):
         """Assemble ``columns`` and take the Gram eigenvalues of each of their blocks."""
-        row, col, val, rhs, _ = _assemble(problem, columns, join)
+        row, col, val, rhs = _assemble(problem, columns, join)
         atb[columns] = np.bincount(col, weights=val * rhs[row], minlength=nunk)[columns]
         label = _components(row, col, rhs.size, nunk)
         head = (label == np.arange(nunk)) & columns

@@ -9,7 +9,8 @@ complement into invariant blocks m_1, m_2, ...  Constructors cover:
   scales lam on m1 x m1, mu on m1 x m2, and an m2 x m2 block that is zero or
   the compact solved completion,
 * two-step nilpotent algebras whose center acts by skew maps J_Z with
-  J_Z J_W + J_W J_Z = -2 <Z, W> I ("generalized Heisenberg"),
+  J_Z J_W + J_W J_Z = -2 <Z, W> I ("generalized Heisenberg"), each one
+  semidirect sum of its isotropy with m1 + m2 plus one m2 x m2 block,
 * SU(n+1)/SU(n), whose isotropy action fixes a line, and the flat screw
   group,
 * rank-one solvable extensions R x| K with a non-isometric dilation,
@@ -206,14 +207,13 @@ def isotropy_representation(space: ReductiveSpace):
 # ---------------------------------------------------------------------------
 
 
-def clifford_completion_problem(n: int, lam: float, mu: float,
-                                copies: int = 1) -> CompletionProblem:
+def clifford_completion_problem(n: int, lam: float, mu: float) -> CompletionProblem:
     """The construction's fixed brackets, with its m2 x m2 block as the unknown.
 
     The skeleton holds every bracket but m2 x m2, which is left empty for a
-    completion (into the target k + m1) or ``build_heisenberg`` to fill.  This
-    is the one writer of the Clifford skeleton.  More than one module copy is
-    wired only for n = 2, 3.
+    completion into the target k + m1.  This is the one writer of the
+    Clifford skeleton, on one module copy, with ``clifford_isotropy(n, 1)``
+    as its isotropy.
 
     At n = 6 and 7 the problem carries the ``gamma_lifts`` of the module as
     symmetries: a lift ``(pi, eps, Q)`` maps ``L_ij -> eps_i eps_j
@@ -223,15 +223,12 @@ def clifford_completion_problem(n: int, lam: float, mu: float,
     +-w_{x xor a_i}`` (``CliffordModule.shifts``), ``deg w_x = x``, ``deg e_i =
     a_i`` and ``deg L_ij = a_i xor a_j``, which every constant keeps; its 8
     degree classes of unknowns are the 8 blocks of the Jacobi system.  At
-    n = 2, 3 the isotropy also holds the sp(copies) commutant, and the
-    blocks are small enough to solve each.
+    n = 2, 3 the isotropy also holds the sp(1) commutant, and the blocks
+    are small enough to solve each.
     """
     if n not in (2, 3, 6, 7):
         raise ValueError("the construction is defined for n in {2, 3, 6, 7}")
-    if copies < 1 or (copies > 1 and n in (6, 7)):
-        raise ValueError(f"{copies} module copies: one is required, and more "
-                         f"are wired only for n = 2, 3")
-    iso = clifford_isotropy(n, copies)
+    iso = clifford_isotropy(n, 1)
     dk = iso.algebra.dim
     d = dk + iso.space_dim
     k_idx, m1_idx, m2_idx = np.split(np.arange(d), [dk, dk + n])
@@ -243,8 +240,8 @@ def clifford_completion_problem(n: int, lam: float, mu: float,
     c[np.ix_(m1_idx, m1_idx, k_idx[:len(bivector_pairs(n))])] = (
         -2.0 * lam * so_vector_matrices(n).transpose(1, 2, 0))
 
-    # [e_i, w] = mu Gamma_i w on each module copy
-    place_action(c, m1_idx, m2_idx, mu * np.kron(np.eye(copies), spin_module(n).gammas))
+    # [e_i, w] = mu Gamma_i w
+    place_action(c, m1_idx, m2_idx, mu * spin_module(n).gammas)
     labels = (iso.algebra.labels + tuple(f"e{i}" for i in range(1, n + 1))
               + tuple(f"w{a}" for a in range(len(m2_idx))))
     symmetries, grading = (), None
@@ -335,40 +332,39 @@ def heisenberg_label(center_dim: int, copies: int) -> str:
 
 
 def build_heisenberg(center_dim: int, copies: int) -> ReductiveSpace:
-    """Normalized generalized Heisenberg space with its canonical isotropy.
+    """Normalized generalized Heisenberg space N(c, k) with its canonical isotropy.
 
-    The center is m1 and the module m2 (``copies`` copies of the Clifford
-    module) of the Clifford skeleton with lam = mu = 0, with
-    <Z | [X, Y]> = <Z . X | Y> exactly.  This is the normalized form:
-    Z -> sgn(kappa) Z, X -> X / sqrt|kappa| takes the bracket
-    <Z | [X, Y]> = kappa <Z . X | Y> of any kappa != 0 to it.
+    The isotropy acts on m1 + m2, the center R^c and k copies of the module:
+    C^k under u(k) when c = 1, the Clifford module under ``clifford_isotropy``
+    otherwise.  g is their semidirect sum with the one block [X, Y] =
+    sum_a <J_a X | Y> Z_a, J the complex structure when c = 1 and the gammas
+    otherwise (Kaplan, *Trans. AMS* 258, 1980), so <Z | [X, Y]> = <Z . X | Y>
+    exactly.  This is the normalized form: Z -> sgn(kappa) Z, X -> X /
+    sqrt|kappa| takes the bracket <Z | [X, Y]> = kappa <Z . X | Y> of any
+    kappa != 0 to it.  More than one copy is wired only for c <= 3.
     """
     if center_dim not in (1, 2, 3, 6, 7):
         raise ValueError("center dimension must be one of 1, 2, 3, 6, 7")
+    if copies < 1 or (copies > 1 and center_dim in (6, 7)):
+        raise ValueError(f"{copies} module copies: one is required, and more "
+                         f"are wired only for center dimension 1, 2, 3")
     if center_dim == 1:
-        return _heisenberg_center_one(copies)
-    problem = clifford_completion_problem(center_dim, 0.0, 0.0, copies)
-    m2_idx, dk = problem.unknown_indices, len(problem.target) - center_dim
-    c = np.array(problem.skeleton.c)
-    gam = np.kron(np.eye(copies), spin_module(center_dim).gammas)
-    # skewness of Gamma_i gives the antisymmetry of the block for free
-    c[np.ix_(m2_idx, m2_idx, range(dk, dk + center_dim))] = gam.transpose(2, 1, 0)
-    return _coordinate_space(heisenberg_label(center_dim, copies),
-                             LieAlgebra(c, labels=problem.skeleton.labels), dk,
-                             (center_dim, len(m2_idx)))
-
-
-def _heisenberg_center_one(copies: int) -> ReductiveSpace:
-    """N(1, k): center R, module C^k, isotropy u(k)."""
-    if copies < 1:
-        raise ValueError(f"{copies} module copies: at least one is required")
-    u_k = u_standard(copies)
-    dk = u_k.algebra.dim
-    c = np.array(semidirect_sum(u_k.algebra,
-                                rep_direct_sum(trivial_representation(u_k.algebra, 1), u_k)).c)
-    # [X, Y] = <F X, Y> Z, with F the invariant complex structure
-    c[dk + 1:, dk + 1:, dk] = realify_complex(1.0j * np.eye(copies)).T
-    return _coordinate_space(heisenberg_label(1, copies), LieAlgebra(c), dk, (1, 2 * copies))
+        u = u_standard(copies)
+        rep = rep_direct_sum(trivial_representation(u.algebra, 1), u)
+        j = realify_complex(1.0j * np.eye(copies))[None]
+    else:
+        rep = clifford_isotropy(center_dim, copies)
+        j = np.kron(np.eye(copies), spin_module(center_dim).gammas)
+    dk, dm2 = rep.algebra.dim, j.shape[1]
+    c = np.array(semidirect_sum(rep.algebra, rep).c)
+    # skewness of each J_a gives the antisymmetry of the block for free
+    c[dk + center_dim:, dk + center_dim:, dk:dk + center_dim] = j.transpose(2, 1, 0)
+    labels = rep.algebra.labels
+    if labels is not None:
+        labels += (tuple(f"e{i}" for i in range(1, center_dim + 1))
+                   + tuple(f"w{a}" for a in range(dm2)))
+    return _coordinate_space(heisenberg_label(center_dim, copies), LieAlgebra(c, labels=labels),
+                             dk, (center_dim, dm2))
 
 
 def nilpotent_part(space: ReductiveSpace) -> LieAlgebra:

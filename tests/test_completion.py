@@ -99,6 +99,19 @@ def _random_skeleton(d, nnz, seed):
     return CompletionProblem(LieAlgebra(antisymmetrized(c)), (d - 3, d - 2, d - 1), range(5))
 
 
+def _full_system(problem):
+    """``_assemble`` of every unknown from the skeleton's join: the whole Jacobi system."""
+    every = np.ones(len(problem.pairs) * len(problem.target), dtype=bool)
+    return completion._assemble(problem, every, la._jacobi_join(problem.skeleton.c))
+
+
+def _degrees(problem):
+    """The degree ``deg x ^ deg y ^ deg t`` of every unknown, in column order."""
+    g = problem.grading
+    a, b = np.array(problem.pairs, dtype=int).reshape(-1, 2).T
+    return ((g[a] ^ g[b])[:, None] ^ g[list(problem.target)]).ravel()
+
+
 PARITY_CASES = {
     "n2": lambda: clifford_completion_problem(2, 1.0, MU),
     "n3": lambda: clifford_completion_problem(3, 1.0, MU),
@@ -415,7 +428,7 @@ def _symmetry_classes(problem):
     Every column of a block is mapped, and its image must fill one block of
     the same size.
     """
-    row, col, val, rhs, _ = completion._assemble(problem)
+    row, col, val, rhs = _full_system(problem)
     t = list(problem.target)
     q = len(t)
     label = completion._components(row, col, rhs.size, len(problem.pairs) * q)
@@ -454,9 +467,9 @@ def test_symmetries_carry_each_block_onto_one_of_equal_spectrum(n, sizes):
             assert np.abs(spectra[k] - spectra[first]).max() <= 1e-13 * spectra[first].max()
     # the blocks are the 8 degree classes of the grading, each named by its first
     # column, and the solve's orbits of classes are these classes of blocks
-    row, col, val, rhs, _ = completion._assemble(problem)
-    degree, cls, orbit = completion._class_orbits(problem)
-    assert np.array_equal(completion._components(row, col, rhs.size, degree.size), cls)
+    row, col, val, rhs = _full_system(problem)
+    cls, orbit = completion._class_orbits(problem)
+    assert np.array_equal(completion._components(row, col, rhs.size, cls.size), cls)
     number = {k: b for b, k in enumerate(np.unique(cls))}
     orbits = {}
     for k in number:
@@ -479,11 +492,11 @@ def test_symmetries_leave_the_solution_as_it_is_without_them(n, request):
     assert np.abs(got.singular_values - sv).max() <= 2e-15 * sv[0]
 
 
-def test_a_carried_block_that_reads_its_vectors_is_solved_as_without_symmetries(monkeypatch):
-    # two copies of so(5) with [L_12, L_23] removed, swapped by a symmetry and graded
-    # by F_2^10, deg L_ij = bits i and j of the copy's five: the swap carries each class
-    # of unknowns of one degree onto another, but the one of degree 0, which holds
-    # every block with A^T b != 0, onto itself, so each of those forms its V
+def _swapped_so5_pair():
+    """Two copies of so(5) with [L_12, L_23] removed, swapped by a symmetry and graded.
+
+    The grading is by F_2^10, deg L_ij = bits i and j of the copy's five.
+    """
     c = np.array(so_algebra(5).c)
     pairs = bivector_pairs(5)
     a, b = pairs.index((1, 2)), pairs.index((2, 3))
@@ -491,9 +504,16 @@ def test_a_carried_block_that_reads_its_vectors_is_solved_as_without_symmetries(
     target = [i for i in range(10) if i not in (a, b)]
     swap = np.r_[10:20, 0:10]
     degree = np.array([2 ** (i - 1) ^ 2 ** (j - 1) for i, j in pairs])
-    problem = CompletionProblem(la.direct_sum(LieAlgebra(c), LieAlgebra(c)),
-                                (a, b, a + 10, b + 10), target + [t + 10 for t in target],
-                                [(swap, np.ones(20))], np.concatenate((degree, degree << 5)))
+    return CompletionProblem(la.direct_sum(LieAlgebra(c), LieAlgebra(c)),
+                             (a, b, a + 10, b + 10), target + [t + 10 for t in target],
+                             [(swap, np.ones(20))], np.concatenate((degree, degree << 5)))
+
+
+def test_a_carried_block_that_reads_its_vectors_is_solved_as_without_symmetries(monkeypatch):
+    # the swap carries each class of unknowns of one degree onto another, but the one
+    # of degree 0, which holds every block with A^T b != 0, onto itself, so each of
+    # those forms its V
+    problem = _swapped_so5_pair()
     seen = _record_solvers(monkeypatch)
     got = complete_bracket(problem)
     calls = {name: len(mats) for name, mats in seen.items()}
@@ -505,6 +525,27 @@ def test_a_carried_block_that_reads_its_vectors_is_solved_as_without_symmetries(
     assert got.residual == want.residual
     sv = want.singular_values
     assert np.abs(got.singular_values - sv).max() <= 2e-15 * sv[0]
+
+
+@pytest.mark.parametrize("case,some", [
+    ("so5-pair", True), ("n6", False), ("n7", False), ("n6-off", False), ("n7-off", False),
+])
+def test_every_class_with_a_right_hand_side_is_the_first_of_its_orbit(case, some):
+    # what lets a solve assemble only the first class of each orbit: a symmetry keeps
+    # b, and of a graded skeleton only degree 0 has b != 0, so a class with A^T b != 0
+    # is linked onto no other; off lam = 2 mu^2 the Clifford A^T b is still zero
+    problem = {"so5-pair": _swapped_so5_pair,
+               "n6": lambda: clifford_completion_problem(6, 1.0, MU),
+               "n7": lambda: clifford_completion_problem(7, 1.0, MU),
+               "n6-off": lambda: clifford_completion_problem(6, 1.01, MU),
+               "n7-off": lambda: clifford_completion_problem(7, 1.01, MU)}[case]()
+    assert problem.symmetries and problem.grading.any()
+    nunk = len(problem.pairs) * len(problem.target)
+    row, col, val, rhs = _full_system(problem)
+    atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
+    cls, orbit = completion._class_orbits(problem)
+    assert not atb[orbit != cls].any()
+    assert atb[orbit == cls].any() == some
 
 
 def test_a_symmetry_that_is_no_automorphism_keeping_s_and_t_is_rejected():
@@ -572,16 +613,15 @@ def test_a_graded_skeleton_with_an_inf_still_fails_closed():
 def test_assembling_some_columns_keeps_the_full_system_on_them(case):
     problem = ASSEMBLY_CASES[case]()
     nunk = len(problem.pairs) * len(problem.target)
-    row, col, val, rhs, worst = completion._assemble(problem)
-    degree = completion._class_orbits(problem)[0]
+    row, col, val, rhs = _full_system(problem)
+    degree, join = _degrees(problem), la._jacobi_join(problem.skeleton.c)
     for columns in (degree == degree[-1], degree != degree[0],
                     np.random.default_rng(5).random(nunk) < 0.3):
-        got = completion._assemble(problem, columns)
+        got = completion._assemble(problem, columns, join)
         keep = columns[col]
         kept_rows, new_row = np.unique(row[keep], return_inverse=True)
         assert np.array_equal(got[0], new_row) and np.array_equal(got[1], col[keep])
         assert np.array_equal(got[2], val[keep]) and np.array_equal(got[3], rhs[kept_rows])
-        assert got[4] == worst
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -607,7 +647,7 @@ def test_a_graded_solve_assembles_one_class_per_orbit(n, classes, entries, monke
     monkeypatch.setattr(completion, "_assemble", recording)
     complete_bracket(problem)
     ((columns, (row, col, *_)),) = built
-    degree, cls, orbit = completion._class_orbits(problem)
+    degree, (cls, orbit) = _degrees(problem), completion._class_orbits(problem)
     assert np.array_equal(columns, orbit == cls)
     assert np.unique(degree[columns]).size == classes and np.unique(degree).size == 8
     assert row.size == entries
@@ -619,7 +659,7 @@ def test_a_carried_class_that_reads_its_vectors_is_solved_on_its_own(monkeypatch
     swap = np.array([0, 1, 3, 2, 4])
     problem = CompletionProblem(abelian(5), (0, 1), [2, 3, 4], [(swap, np.ones(5))],
                                 [0, 0, 1, 2, 3])
-    degree, cls, orbit = completion._class_orbits(problem)
+    cls, orbit = completion._class_orbits(problem)
     assert np.array_equal(orbit, [0, 0, 2])
     seen = _record_solvers(monkeypatch)
     got = complete_bracket(problem)
@@ -636,8 +676,8 @@ def test_a_class_that_a_symmetry_splits_is_carried_onto_no_other():
     swap = np.array([0, 1, 4, 3, 2, 5])
     problem = CompletionProblem(abelian(6), (0, 1), [2, 3, 4, 5], [(swap, np.ones(6))],
                                 [0, 0, 1, 1, 2, 2])
-    degree, cls, orbit = completion._class_orbits(problem)
-    assert np.array_equal(degree, [1, 1, 2, 2]) and np.array_equal(cls, [0, 0, 2, 2])
+    cls, orbit = completion._class_orbits(problem)
+    assert np.array_equal(_degrees(problem), [1, 1, 2, 2]) and np.array_equal(cls, [0, 0, 2, 2])
     assert np.array_equal(orbit, cls)
 
 
@@ -650,7 +690,7 @@ def test_a_nonzero_right_hand_side_takes_eigh_on_its_blocks_only(monkeypatch):
     skeleton[a, b] = skeleton[b, a] = 0.0
     target = [i for i in range(10) if i not in (a, b)]
     problem = CompletionProblem(LieAlgebra(skeleton), (a, b), target)
-    row, col, val, rhs, _ = completion._assemble(problem)
+    row, col, val, rhs = _full_system(problem)
     nunk = 8
     label = completion._components(row, col, rhs.size, nunk)
     atb = np.bincount(col, weights=val * rhs[row], minlength=nunk)
@@ -690,7 +730,7 @@ def test_run_pairs_match_the_self_join(runs):
 
 def _full_pair_grams(problem):
     """Every block's Gram, summed over all pairs of entries in one row, in block order."""
-    row, col, val, rhs, _ = completion._assemble(problem)
+    row, col, val, rhs = _full_system(problem)
     label = completion._components(row, col, rhs.size, len(problem.pairs) * len(problem.target))
     grams = []
     for k in np.unique(label):  # blocks in the order of their smallest column
@@ -808,7 +848,7 @@ def test_rhs_from_the_jacobiator_kernels_matches_the_gather(case, joins, monkeyp
     lookup = completion._jacobiator_at
     monkeypatch.setattr(completion, "_jacobiator_at",
                         lambda join, k: keys.append(k) or lookup(join, k))
-    rhs, worst = completion._assemble(problem)[3:]
+    rhs, worst = _full_system(problem)[3], la._jacobi_join(c)[2]
     ref = _gathered_rhs(c, keys[0])
     if joins:  # the worst-triple search runs this join too: the same bits
         assert worst == la.worst_jacobi_triple(problem.skeleton)
@@ -843,7 +883,7 @@ def test_a_seeded_memo_keeps_the_nan_rule(jacobi_kernel_calls):
     problem = CompletionProblem(LieAlgebra(c), (21, 22, 23), range(5))
     assert la._joins(problem.skeleton.c)
     with np.errstate(invalid="ignore"):
-        triple, res = completion._assemble(problem)[4]
+        triple, res = la._jacobi_join(problem.skeleton.c)[2]
         assert np.isnan(res) and triple == (0, 0, 0)
         assert not jacobi_kernel_calls
         assert np.isnan(jacobi_residual(problem.skeleton))
@@ -863,7 +903,7 @@ def test_so_n_with_one_bracket_removed_completes_back_to_it(n, joins):
     assert la._joins(skeleton) == joins
     target = [i for i in range(c.shape[0]) if i not in (a, b)]
     problem = CompletionProblem(LieAlgebra(skeleton), (a, b), target)
-    assert np.count_nonzero(completion._assemble(problem)[3]) > 0
+    assert np.count_nonzero(_full_system(problem)[3]) > 0
     sol = complete_bracket(problem)
     assert not sol.empty and sol.nullity == 0
     assert np.abs(sol.particular - c[a, b][target]).max() <= 1e-12
@@ -874,7 +914,7 @@ def test_assembled_triplets_are_canonical(case):
     # the Gram join's local_row numbers a block's rows by runs of equal row
     problem = ASSEMBLY_CASES[case]()
     nunk = len(problem.pairs) * len(problem.target)
-    row, col, val, rhs, _ = completion._assemble(problem)
+    row, col, val, rhs = _full_system(problem)
     assert row.size == col.size == val.size
     assert np.all(np.diff(row) >= 0)
     assert np.all(np.diff(row * nunk + col) > 0)  # (row, col) strictly increasing
@@ -885,7 +925,7 @@ def test_assembled_triplets_are_canonical(case):
 
 @pytest.mark.parametrize("n,rows", [(6, 11872), (7, 20608)])
 def test_assembled_row_counts(n, rows):
-    assert completion._assemble(clifford_completion_problem(n, 1.0, MU))[3].size == rows
+    assert _full_system(clifford_completion_problem(n, 1.0, MU))[3].size == rows
 
 
 def test_n7_assembly_stays_below_six_mib():
@@ -894,7 +934,7 @@ def test_n7_assembly_stays_below_six_mib():
     problem = clifford_completion_problem(7, 1.0, MU)
     tracemalloc.start()
     try:
-        completion._assemble(problem)
+        _full_system(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -906,7 +946,7 @@ def test_non_finite_system_entries_still_fail_closed():
     c[0, 2, 1], c[2, 0, 1] = np.inf, -np.inf  # enters the rows through [b_0, b_2]
     problem = CompletionProblem(LieAlgebra(c), (3, 4), [0, 1, 2])
     with np.errstate(invalid="ignore"):
-        val = completion._assemble(problem)[2]
+        val = _full_system(problem)[2]
         assert np.isinf(val).any()
         with pytest.raises(ValidationError):
             complete_bracket(problem)

@@ -63,8 +63,6 @@ ONE_VALUE = {
     "claims.RunConfig.seed": "set by --seed and the config file",
     "claims.run_suite.jobs": "the benchmark passes it (ROADMAP item 12)",
     "cli.main.argv": "the console entry point passes None",
-    "completion._assemble.columns": "the solve passes its classes; the tests assemble them all",
-    "completion._assemble.join": "the solve passes its one join; the tests take the skeleton's",
     "geometry.InvariantMetricSpace.block_scales": "ROADMAP item 6 needs block-scaled metrics",
     "reps.cohomogeneity.seed": "the claims pass the run seed",
 }

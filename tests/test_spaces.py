@@ -116,17 +116,9 @@ def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
         build_clifford_space(2, 1.0, MU, mode)
 
 
-# the Clifford skeleton's module-copy check on the lam, mu family; the ids name
-# the filling, which the skeleton leaves empty (None) for every build on it
-@pytest.mark.parametrize("n,copies", [(2, 0), (2, -1), (6, 2), (7, 2)],
-                         ids=["2-0-None", "2--1-None", "6-2-None", "7-2-None"])
-def test_clifford_spec_rejects_unwired_module_counts(n, copies):
-    with pytest.raises(ValueError, match="module cop"):
-        sps.clifford_completion_problem(n, 1.0, MU, copies)
-
-
-# the same check reached through build_heisenberg, and the center-one path's
-@pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (3, -1), (6, 2)])
+# the one module-copy check, on every center dimension: at least one copy, and
+# more than one only for c <= 3
+@pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (2, -1), (3, -1), (6, 2), (7, 2)])
 def test_heisenberg_spec_rejects_unwired_module_counts(center, copies):
     with pytest.raises(ValueError, match="module cop"):
         build_heisenberg(center, copies)
@@ -442,10 +434,11 @@ def test_one_verify_builds_each_isotropy_and_module_once_per_key():
     out = subprocess.run([sys.executable, "-c", BUILD_COUNTS], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    # skeletons: 16 jacobi claims, 6 Heisenberg spaces, 4 zero fillings and
-    # 4 completions; isotropies: (n, copies) in (2|3, 1|2), (6, 1), (7, 1);
+    # skeletons: 16 jacobi claims, 4 zero fillings and 4 completions (the 6
+    # Heisenberg spaces on the Clifford isotropy write no skeleton, only their
+    # semidirect sum); isotropies: (n, copies) in (2|3, 1|2), (6, 1), (7, 1);
     # modules: n = 2, 3, 6, 7 and the n = 8 of spin9_sixteen
-    assert json.loads(out.stdout) == [30, 6, 5]
+    assert json.loads(out.stdout) == [24, 6, 5]
 
 
 def test_catalog_unknown_id():
