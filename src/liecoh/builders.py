@@ -228,8 +228,12 @@ def clifford_isotropy(n: int, copies: int) -> Representation:
     k0 is so(n) acting on m1 by rotations and on each copy of ``spin_module(n)``
     by halved bivectors; for n = 2, 3 it is followed by k1, the commutant
     sp(copies), labelled s0, s1, ..., which acts on the module copies only.
-    Built once per key; its arrays are read-only.
+    Built once per key; its arrays are read-only.  More than one copy is
+    wired only for n = 2, 3, where the commutant sp(copies) is the whole of it.
     """
+    if copies < 1 or (copies > 1 and n in (6, 7)):
+        raise ValueError(f"{copies} module copies: one is required, and more "
+                         f"are wired only for n = 2, 3")
     module = spin_module(n)
     d2 = copies * module.module_dim
     spin = spin_algebra(module)

@@ -116,7 +116,17 @@ def test_clifford_spec_rejects_a_malformed_mode(mode, monkeypatch):
         build_clifford_space(2, 1.0, MU, mode)
 
 
-# the one module-copy check, on every center dimension: at least one copy, and
+# the Clifford isotropy's module-copy check, which every Clifford build on
+# more than one copy goes through; the ids keep the filling slot (None) of
+# the lam, mu family, whose skeleton is on one copy
+@pytest.mark.parametrize("n,copies", [(2, 0), (2, -1), (6, 2), (7, 2)],
+                         ids=["2-0-None", "2--1-None", "6-2-None", "7-2-None"])
+def test_clifford_spec_rejects_unwired_module_counts(n, copies):
+    with pytest.raises(ValueError, match="module cop"):
+        clifford_isotropy(n, copies)
+
+
+# the same check on every center dimension of N(c, k): at least one copy, and
 # more than one only for c <= 3
 @pytest.mark.parametrize("center,copies", [(1, 0), (2, 0), (2, -1), (3, -1), (6, 2), (7, 2)])
 def test_heisenberg_spec_rejects_unwired_module_counts(center, copies):
