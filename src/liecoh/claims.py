@@ -26,7 +26,7 @@ from . import algebra as la
 from . import builders as bld
 from . import geometry as geo
 from . import spaces as sps
-from .linalg import random_unit_vector
+from .linalg import matrix_rank, random_unit_vector
 from .reps import (
     DEFAULT_SEED,
     Representation,
@@ -187,7 +187,7 @@ def _claim_coh2_row(source, cfg: RunConfig):
     rep, (m1, m2) = source()
     coh = cohomogeneity(rep, seed=cfg.seed)
     ker = kernel_ideal(restrict(rep, m2)).dim
-    nontrivial = bool(np.abs(restrict(rep, m1).matrices).max(initial=0.0) > 0)
+    nontrivial = matrix_rank(restrict(rep, m1).matrices.reshape(-1, len(m1))) > 0
     computed = {"cohomogeneity": coh, "m2_kernel_dim": ker, "m1_nontrivial": nontrivial}
     return _exact_claim(computed, COH2_EXPECTED, "reducible cohomogeneity-two row")
 

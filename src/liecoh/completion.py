@@ -26,7 +26,7 @@ kept singular value of the Clifford systems is at least 0.19 of its block's
 largest; the directions the Gram cannot resolve are measured, and refined,
 on ``A`` itself, and a block that would keep one of them is rejected.  The
 singular values of the whole system are the union of the per-component
-ones, and one rank cutoff relative to the largest of them applies to every
+ones, and one rank cutoff, set by the largest of them, applies to every
 component.  A problem may carry a grading, an F_2^m degree of every basis
 vector that each skeleton constant keeps, and symmetries, signed
 permutations of the basis that are automorphisms of the skeleton keeping S
@@ -58,7 +58,7 @@ from .algebra import (
     _unique,
     jacobi_residual,
 )
-from .linalg import RANK_RTOL, ValidationError, require_finite
+from .linalg import RANK_RTOL, ValidationError, _nonzero, require_finite
 
 __all__ = ["CompletionProblem", "CompletionSolution", "complete_bracket"]
 
@@ -413,10 +413,11 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     the largest); otherwise it is assembled and solved in turn, from the
     same join.  An ungraded problem is one class, and solves every block.
     ``singular_values`` is the union of the per-component values in
-    descending order; one cutoff, ``RANK_RTOL`` times the largest of them,
-    decides the rank of every component.  A block that keeps a singular
-    value below ``GRAM_RTOL`` times its largest is too ill-conditioned for
-    the normal equations and raises ``ValidationError`` naming the ratio.
+    descending order; the one zero rule of ``linalg``, with the largest of
+    them as the scale, decides the rank of every component.  A block that
+    keeps a singular value below ``GRAM_RTOL`` times its largest is too
+    ill-conditioned for the normal equations and raises ``ValidationError``
+    naming the ratio.
     The particular solution is the sum of the per-component minimum-norm
     solutions ``V_k diag(1/lam_k) V_k^T a^T b``; when it is zero, its Jacobi
     residual is the skeleton's, reduced from the solve's one join.  The
@@ -490,13 +491,17 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
             svs.append(sv)
 
     solve(own)
-    cutoff = RANK_RTOL * max(sv[0] for sv in svs)
+    top = max(sv[0] for sv in svs)
+
+    def settled(sv):  # full rank and well conditioned: V is read only where a^T b != 0
+        return _nonzero(sv[-1], top) and sv[-1] > GRAM_RTOL * sv[0]
+
     # a carried class takes the singular values of its orbit's first class where they
     # show that it adds nothing to either solution; any other is solved on its own
     spectra, weak = {}, np.zeros(nunk, dtype=bool)  # by the first column of a class
     for (cols, _), sv in zip(blocks, svs):
         spectra.setdefault(cls[cols[0]], []).append(sv)
-        weak[cls[cols[0]]] |= sv[-1] <= max(cutoff, GRAM_RTOL * sv[0])
+        weak[cls[cols[0]]] |= not settled(sv)
     redo = ~own & weak[orbit]
     carried = [sv for f in np.flatnonzero((cls == np.arange(nunk)) & ~own & ~redo)
                for sv in spectra[orbit[f]]]
@@ -505,7 +510,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
     u_part, basis = np.zeros(nunk), []
     for i in sorted(range(len(blocks)), key=lambda i: blocks[i][0][0]):
         cols, sv = blocks[i][0], svs[i]
-        if sv[-1] > max(cutoff, GRAM_RTOL * sv[0]) and not atb[cols].any():
+        if settled(sv) and not atb[cols].any():
             continue  # full rank, well conditioned and solved by zero: no V read
         r, c, v, g = held.pop(i) if i in held else blocks[i][1]()
         lam, vecs = np.linalg.eigh(g)
@@ -522,7 +527,7 @@ def complete_bracket(problem: CompletionProblem) -> CompletionSolution:
             w = vecs[:, j] - vecs[:, strong] @ (vecs[:, strong].T @ atav / lam[strong])
             vecs[:, j] = w / np.linalg.norm(w)
             sv[j] = np.linalg.norm(np.bincount(local_row, weights=v * vecs[c, j]))
-        kept = sv > cutoff
+        kept = _nonzero(sv, top)
         smallest = sv[kept].min(initial=sv[0])
         if smallest < GRAM_RTOL * sv[0]:
             raise ValidationError(

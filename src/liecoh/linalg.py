@@ -1,18 +1,18 @@
 """Shared numerical linear algebra: ranks, nullspaces, signatures.
 
-Every cutoff in the package is expressed relative to the largest singular
-value (or eigenvalue magnitude) of the matrix at hand.  Structure constants
-are all O(1), so the gap between "exactly zero in exact arithmetic" and a
-genuinely nonzero value is many orders of magnitude wider than the relative
-cutoff ``RANK_RTOL`` = 1e-8, which is a property of the method and not a
-choice of the caller.
+One zero rule, ``_nonzero``, decides every rank, nullspace, span and
+signature: a singular value or eigenvalue magnitude is nonzero above
+``RANK_RTOL`` = 1e-8 times the largest value of its own matrix, floored at
+1 as ``residual_scale`` floors residuals.  Structure constants are O(1), so
+a derived matrix that is exactly zero is round-off (about 1e-16) in any
+orthonormal basis, and reads as zero in every basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Singular values below RANK_RTOL * sigma_max count as zero.
+# Singular values at or below RANK_RTOL * max(sigma_max, 1) count as zero.
 RANK_RTOL = 1e-8
 
 
@@ -50,19 +50,21 @@ def residual_scale(a: np.ndarray) -> float:
     return max(np.abs(a).max(initial=0.0), 1.0)
 
 
+def _nonzero(values: np.ndarray, largest) -> np.ndarray:
+    """Mask of ``values`` above ``RANK_RTOL * max(largest, 1)``, ``largest`` their matrix's."""
+    return values > RANK_RTOL * np.maximum(largest, 1.0)
+
+
 def matrix_rank(a: np.ndarray):
-    """Numerical rank with a cutoff relative to the largest singular value.
+    """Numerical rank: the count of singular values that ``_nonzero`` keeps.
 
     A stack ``(..., m, n)`` gives an integer array of ranks from one stacked
-    SVD, each matrix with its own cutoff.  An all-zero or empty matrix has
-    rank 0.
+    SVD, each matrix with its own cutoff.  An empty matrix, or one whose
+    singular values are all at most 1e-8, has rank 0.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if 0 in a.shape[-2:]:
-        ranks = np.zeros(a.shape[:-2], dtype=int)
-    else:
-        s = np.linalg.svd(require_finite(a), compute_uv=False)
-        ranks = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+    s = np.linalg.svd(require_finite(a), compute_uv=False)
+    ranks = np.count_nonzero(_nonzero(s, s[..., :1]), axis=-1)
     return int(ranks) if a.ndim == 2 else ranks
 
 
@@ -80,41 +82,36 @@ def nullspace(a: np.ndarray) -> np.ndarray:
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m, n = a.shape
-    if m == 0 or not np.any(a):
-        return np.eye(n)
     if m < n:
         # Pad so the economy SVD exposes the full right-singular basis.
         a = np.vstack([a, np.zeros((n - m, n))])
-    # a finite nonzero matrix has s[0] > 0
     _, s, vt = np.linalg.svd(require_finite(a), full_matrices=False)
-    return vt[s <= RANK_RTOL * s[0]].T.copy()
+    return vt[~_nonzero(s, s[:1])].T.copy()
 
 
 def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of ``vectors`` (SVD based)."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if v.shape[1] == 0 or not np.any(v):
-        return np.zeros((v.shape[0], 0))
     u, s, _ = np.linalg.svd(require_finite(v), full_matrices=False)
-    return u[:, s > RANK_RTOL * s[0]].copy()
+    return u[:, _nonzero(s, s[:1])].copy()
 
 
 def signature(sym: np.ndarray) -> tuple[int, int, int]:
     """Eigenvalue signature ``(n_pos, n_neg, n_zero)`` of a symmetric matrix.
 
-    Eigenvalues with ``|eig| <= RANK_RTOL * max|eig|`` count as zero.
+    An eigenvalue is zero unless ``_nonzero`` keeps its magnitude.  A matrix
+    with ``max|S - S^T| > 1e-10 (1 + max|S|)`` raises ``ValueError``.
     """
     sym = np.asarray(sym, dtype=float)
     if sym.shape[0] != sym.shape[1]:
         raise ValueError("signature expects a square matrix")
-    require_finite(sym)
-    if not np.allclose(sym, sym.T, atol=1e-10 * (1.0 + np.abs(sym).max(initial=0.0))):
+    scale = np.abs(require_finite(sym)).max(initial=0.0)
+    if np.abs(sym - sym.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
         raise ValueError("signature expects a symmetric matrix")
     eig = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    tol = RANK_RTOL * np.abs(eig).max(initial=0.0)
-    n_pos = int(np.count_nonzero(eig > tol))
-    n_neg = int(np.count_nonzero(eig < -tol))
-    return n_pos, n_neg, eig.size - n_pos - n_neg
+    kept = eig[_nonzero(np.abs(eig), np.abs(eig).max(initial=0.0))]
+    n_pos = int(np.count_nonzero(kept > 0))
+    return n_pos, kept.size - n_pos, eig.size - kept.size
 
 
 def projector(basis: np.ndarray) -> np.ndarray:
@@ -130,10 +127,8 @@ def subspace_gap(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     """
     if basis_a.shape[1] != basis_b.shape[1]:
         return 1.0
-    if basis_a.shape[1] == 0:
-        return 0.0
     pa, pb = projector(basis_a), projector(basis_b)
-    return float(np.abs(pa - pb).max())
+    return float(np.abs(pa - pb).max(initial=0.0))
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator,

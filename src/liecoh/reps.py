@@ -149,8 +149,6 @@ def fixed_subspace(rep: Representation, sub: Subspace) -> Subspace:
     """Common kernel of rho(xi) over a basis of the algebra subspace."""
     if sub.ambient_dim != rep.algebra.dim:
         raise ValueError("subspace must live in the algebra")
-    if sub.dim == 0:
-        return Subspace(np.eye(rep.space_dim))
     ops = np.einsum("am,aij->mij", sub.basis, rep.matrices)
     stacked = ops.reshape(-1, rep.space_dim)
     return Subspace(nullspace(stacked))

@@ -32,7 +32,8 @@ later reader of a space's residual takes it from there.
 Every bracket of a space is read in its frame F = [k | m1 | m2 ...], the
 stacked bases, by ``ReductiveSpace.brackets``: closure, invariance, isotropy
 matrices, nilpotent part, curvature and J maps are slices of it, so blocks
-given in any orthonormal basis give them up to that change of basis.  Each
+given in any orthonormal basis give them up to that change of basis, and an
+orthogonal change of basis of all of g changes no verdict of the suite.  Each
 fixed bracket block of a construction is written once, as one assignment.
 """
 

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from liecoh import algebra as la
+from liecoh import builders as bld
 from liecoh import claims
 from liecoh import geometry as geo
 from liecoh import spaces as sps
 from liecoh.claims import RunConfig, run_suite
-from liecoh.reps import DEFAULT_SEED
+from liecoh.reps import DEFAULT_SEED, Representation
 from oracles import hyperbolic_residual, warped_residual
 
 
@@ -213,3 +214,15 @@ def test_a_shared_expected_value_cannot_be_edited():
             hash(value)   # no list or other mutable value inside either
         assert copy.deepcopy(expected) == expected
     assert run_suite(RunConfig()).exit_code == 0
+
+
+def test_an_m1_block_of_round_off_only_reads_trivial():
+    # so(3) on a line and on R^3, the line acted on by round-off alone
+    so3 = bld.so_standard(3)
+    mats = np.zeros((3, 4, 4))
+    mats[:, 1:, 1:] = so3.matrices
+    mats[:, :1, :1] = 1e-17 * np.random.default_rng(4).standard_normal((3, 1, 1))
+    rep = Representation(so3.algebra, mats)
+    status, computed, *_ = claims._claim_coh2_row(lambda: (rep, ((0,), (1, 2, 3))), RunConfig())
+    assert computed == {"cohomogeneity": 2, "m2_kernel_dim": 0, "m1_nontrivial": False}
+    assert status == "fail"

@@ -47,6 +47,30 @@ def test_signature_rejects_nonsymmetric():
         signature(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_signature_bounds_the_asymmetry_with_no_relative_tolerance():
+    # the bound is 1e-10 * (1 + max|S|): 5e-6 is far above it, 1e-12 within it
+    with pytest.raises(ValueError, match="symmetric"):
+        signature(np.array([[1.0, 1.0], [1.0 + 5e-6, 1.0]]))
+    assert signature(np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0]])) == (1, 0, 1)
+
+
+def test_a_matrix_of_round_off_only_is_zero():
+    # the value of a derived matrix that is exactly zero in another basis
+    noise = 1e-17 * np.random.default_rng(5).standard_normal((4, 4))
+    assert matrix_rank(noise) == 0
+    ns = nullspace(noise)
+    assert ns.shape == (4, 4) and np.abs(ns.T @ ns - np.eye(4)).max() < 1e-12
+    assert orthonormal_columns(noise).shape == (4, 0)
+    assert signature(noise + noise.T) == (0, 0, 4)
+
+
+def test_each_matrix_of_a_stack_keeps_its_own_rank():
+    rng = np.random.default_rng(6)
+    stack = np.stack([1e-17 * rng.standard_normal((4, 4)), rng.standard_normal((4, 4))])
+    assert matrix_rank(stack).tolist() == [0, 4]
+    assert matrix_rank(stack[::-1]).tolist() == [4, 0]
+
+
 def test_subspace_gap_basis_independent():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((5, 2)))

@@ -1,5 +1,6 @@
 """Print the SHA-256 digests of the three outputs that every change must keep,
-then the line counts of the package source and of the tests.
+then the line counts of the package source and of the tests, and the BLAS
+kernel that produced the numbers.
 
     python tools/output_digests.py
 
@@ -23,9 +24,17 @@ with ``OPENBLAS_NUM_THREADS=1``:
   parsed and put in the canonical form of the golden tests (every float
   rounded to 10 decimals, negative zero folded into zero, and algebra
   triples that round to zero dropped from each export) before hashing.  A
-  change that moves the outputs by round-off only keeps these three.
+  change that moves the outputs by round-off only keeps these three;
+* ``blas_kernel``: the OpenBLAS core that numpy's bundled
+  ``numpy.libs/libscipy_openblas64_*.so`` picked at run time, such as
+  ``SkylakeX``, read through ``ctypes`` from its
+  ``scipy_openblas_get_corename64_``; ``unknown`` without that library.
+  The raw ``verify`` and ``export`` digests hold on one kernel only:
+  ``OPENBLAS_CORETYPE=Haswell`` on this script's process selects another
+  kernel, for the script and its commands, and moves them.
 """
 
+import ctypes
 import glob
 import hashlib
 import json
@@ -64,6 +73,21 @@ def dumps(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
+def blas_kernel() -> str:
+    """The OpenBLAS core of numpy's bundled library in this process, or ``unknown``."""
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def main() -> None:
     rows = []
     for line in run("verify", "--json").splitlines():
@@ -89,6 +113,7 @@ def main() -> None:
     for space in spaces:
         space["algebra"]["c"] = [t for t in space["algebra"]["c"] if t[3] != 0.0]
     print("export_r10 ", sha256("".join(dumps(space) for space in spaces)))
+    print("blas_kernel", blas_kernel())
 
 
 if __name__ == "__main__":
